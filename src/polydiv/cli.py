@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import serialize as ser
-from .convex import Cone, GeometryError, cone_dual, hilbert_basis
-from .curves import BasePoint, CurveError, RationalFunction, sections
+from .convex import GeometryError, hilbert_basis
+from .curves import CurveError, RationalFunction, sections
 from .divisors import (
     DivisorError,
     HomogeneousElement,
@@ -30,7 +30,6 @@ from .divisors import (
 )
 from .gaactions import (
     ActionError,
-    CoherentAssemblage,
     ExponentialExpansion,
     assemblage_check,
     associated_cones,
@@ -44,7 +43,6 @@ from .gaactions import (
     validate_coloring,
     vertical_exists,
     vertical_exponential,
-    vertical_phi,
 )
 from .ideals import (
     IdealError,
@@ -56,7 +54,6 @@ from .ideals import (
     newton_polyhedron,
     normality_sufficient,
     pair_conditions,
-    ptilde,
     rees_pair,
 )
 
@@ -232,6 +229,13 @@ def cmd_roots(args, problem):
             "roots": [list(r.vector) for r in roots]}
 
 
+def _root_arg(args, d):
+    root = is_demazure_root(d.tail, _vector(args.e))
+    if root is None:
+        raise ActionError(f"{args.e} is not a Demazure root of the tail cone")
+    return root
+
+
 def cmd_root_check(args, problem):
     d = _divisor_arg(args, problem)
     root = is_demazure_root(d.tail, _vector(args.e))
@@ -243,9 +247,7 @@ def cmd_root_check(args, problem):
 
 def cmd_toric_exp(args, problem):
     d = _divisor_arg(args, problem)
-    root = is_demazure_root(d.tail, _vector(args.e))
-    if root is None:
-        raise ActionError(f"{args.e} is not a Demazure root of the tail cone")
+    root = _root_arg(args, d)
     exp = toric_exponential(d.tail, root, Fraction(args.scalar), _vector(args.m))
     return _expansion_doc(exp)
 
@@ -258,9 +260,7 @@ def cmd_vertical_exists(args, problem):
 
 def cmd_vertical_exp(args, problem):
     d = _divisor_arg(args, problem)
-    root = is_demazure_root(d.tail, _vector(args.e))
-    if root is None:
-        raise ActionError(f"{args.e} is not a Demazure root of the tail cone")
+    root = _root_arg(args, d)
     phi = ser.parse_function(json.loads(args.phi), problem.curve, "$.phi")
     exp = vertical_exponential(d, root, phi, _element_arg(args, problem))
     return _expansion_doc(exp)
@@ -312,48 +312,38 @@ def cmd_kernel(args, problem):
 
 
 def cmd_axiom_check(args, problem):
+    """Samples t^k times a section generator on an assemblage's divisor, or a
+    constant on a divisor's; degrees are random Hilbert-basis sums."""
     rng = random.Random(args.seed)
-    kind, obj = problem.objects.get(args.object, (None, None))
+    kind, ca = problem.objects.get(args.object, (None, None))
     if kind == "assemblage":
-        ca = obj
         d = ca.colored.divisor
-        weight = cone_dual(d.tail)
-        basis = hilbert_basis(weight)
 
-        def sample() -> HomogeneousElement:
-            m = tuple(sum(rng.randint(0, 2) * b[j] for b in basis)
-                      for j in range(d.rank))
-            ev = evaluate(d, m).floor()
-            mod = sections(ev)
-            f = mod.generators[0] * RationalFunction.variable(rng.randint(0, 2))
-            return HomogeneousElement(f, m)
+        def function(m):
+            gen = sections(evaluate(d, m).floor()).generators[0]
+            return gen * RationalFunction.variable(rng.randint(0, 2))
 
         def expand(el):
             return horizontal_exponential(ca, el)
-    elif kind in ("divisor", "generators"):
-        d = obj if kind == "divisor" else \
-            divisor_from_generators(list(obj), problem.curve)[1]
-        root = is_demazure_root(d.tail, _vector(args.e))
-        if root is None:
-            raise ActionError(f"{args.e} is not a Demazure root")
+    else:
+        d = _divisor_arg(args, problem)
+        root = _root_arg(args, d)
         lam = Fraction(args.scalar)
 
-        def sample() -> HomogeneousElement:
-            weight = cone_dual(d.tail)
-            basis = hilbert_basis(weight)
-            m = tuple(sum(rng.randint(0, 2) * b[j] for b in basis)
-                      for j in range(d.rank))
-            return HomogeneousElement(RationalFunction.from_factored(
-                Fraction(rng.randint(1, 3))), m)
+        def function(m):
+            return RationalFunction.from_factored(Fraction(rng.randint(1, 3)))
 
         def expand(el):
             base = toric_exponential(d.tail, root, lam, el.degree)
             c = el.function.constant
             return ExponentialExpansion(
                 tuple((i, x.scaled(c)) for i, x in base.terms))
-    else:
-        raise ser.SchemaError(f"$.objects.{args.object}",
-                              "axiom-check needs an assemblage, divisor or generators")
+    basis = hilbert_basis(d.weight_cone)
+
+    def sample() -> HomogeneousElement:
+        m = tuple(sum(rng.randint(0, 2) * b[j] for b in basis) for j in range(d.rank))
+        return HomogeneousElement(function(m), m)
+
     samples = [(sample(), sample()) for _ in range(args.samples)]
     return _report_doc(axiom_check(expand, samples))
 
@@ -388,6 +378,38 @@ COMMANDS = {
 }
 
 
+COMMON = (
+    ("--input", dict(required=True, help="problem file (JSON)")),
+    ("--object", dict(default=None, help="object name in the problem file")),
+    ("--json", dict(action="store_true", help="machine-readable output")),
+)
+M = ("--m", dict(required=True, help="lattice vector, e.g. 1,2"))
+ROOT = ("--e", dict(default=None, help="lattice vector, e.g. -1,0"))
+SCALAR = ("--scalar", dict(default="1", help="rational scalar"))
+RAY = ("--ray", dict(required=True))
+ELEMENT = ("--element", dict(required=True, help="homogeneous element as inline JSON"))
+
+# extra arguments of each subcommand, after COMMON, in --help order
+ARGUMENTS = {
+    "eval": (M,),
+    "sections": (M,),
+    "member": (ELEMENT,),
+    "generators": (("--box", dict(default=None, help="box lo:hi,lo:hi")),),
+    "closure-piece": (M, ("--e", dict(type=int, required=True, help="ideal power"))),
+    "oracle": (M, ("--dmax", dict(type=int, default=12))),
+    "roots": (RAY, ("--box", dict(required=True, help="box lo:hi,lo:hi"))),
+    "root-check": (ROOT,),
+    "toric-exp": (M, ROOT, SCALAR),
+    "vertical-exists": (RAY,),
+    "vertical-exp": (ROOT, SCALAR, ELEMENT,
+                     ("--phi", dict(required=True, help="multiplier as inline JSON"))),
+    "horizontal-check": (("--exhaustive-box", dict(type=int, default=None)),),
+    "horizontal-exp": (ELEMENT,),
+    "axiom-check": (ROOT, SCALAR, ("--samples", dict(type=int, default=20)),
+                    ("--seed", dict(type=int, default=0))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polydiv",
@@ -395,36 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="problem file (JSON)")
-        p.add_argument("--object", default=None, help="object name in the problem file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if name in ("eval", "sections", "closure-piece", "oracle", "toric-exp"):
-            p.add_argument("--m", required=True, help="lattice vector, e.g. 1,2")
-        if name == "closure-piece":
-            p.add_argument("--e", type=int, required=True, help="ideal power")
-        if name == "oracle":
-            p.add_argument("--dmax", type=int, default=12)
-        if name == "generators":
-            p.add_argument("--box", default=None, help="box lo:hi,lo:hi")
-        if name == "roots":
-            p.add_argument("--ray", required=True)
-            p.add_argument("--box", required=True, help="box lo:hi,lo:hi")
-        if name in ("root-check", "toric-exp", "vertical-exp", "axiom-check"):
-            p.add_argument("--e", default=None, help="lattice vector, e.g. -1,0")
-        if name in ("toric-exp", "vertical-exp", "axiom-check"):
-            p.add_argument("--scalar", default="1", help="rational scalar")
-        if name in ("vertical-exists",):
-            p.add_argument("--ray", required=True)
-        if name in ("member", "vertical-exp", "horizontal-exp"):
-            p.add_argument("--element", required=True,
-                           help="homogeneous element as inline JSON")
-        if name == "vertical-exp":
-            p.add_argument("--phi", required=True, help="multiplier as inline JSON")
-        if name == "horizontal-check":
-            p.add_argument("--exhaustive-box", type=int, default=None)
-        if name == "axiom-check":
-            p.add_argument("--samples", type=int, default=20)
-            p.add_argument("--seed", type=int, default=0)
+        for flag, spec in COMMON + ARGUMENTS.get(name, ()):
+            p.add_argument(flag, **spec)
     return parser
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -156,11 +156,7 @@ class Cone:
 
     @staticmethod
     def from_halfspaces(normals: Iterable[Sequence], ambient_rank: int) -> "Cone":
-        ns = [primitive(v) for v in normals]
-        ns = [v for v in ns if not is_zero_vector(v)]
-        rays = _dual_generators(ns, ambient_rank)
-        hs = _dual_generators(rays, ambient_rank)
-        return Cone(rays=rays, halfspaces=hs, ambient_rank=ambient_rank)
+        return Cone.from_rays(normals, ambient_rank).dual()
 
     @staticmethod
     def zero(ambient_rank: int) -> "Cone":
@@ -178,9 +174,6 @@ class Cone:
     def contains(self, v: Sequence) -> bool:
         return all(dot(h, v) >= 0 for h in self.halfspaces)
 
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(r) for r in other.rays)
-
     @property
     def is_pointed(self) -> bool:
         return all(tuple(-a for a in r) not in set(self.rays) for r in self.rays)
@@ -197,11 +190,6 @@ class Cone:
         return Cone(rays=self.halfspaces, halfspaces=self.rays,
                     ambient_rank=self.ambient_rank)
 
-    def intersection(self, other: "Cone") -> "Cone":
-        if self.ambient_rank != other.ambient_rank:
-            raise GeometryError("ambient rank mismatch")
-        return Cone.from_halfspaces(self.halfspaces + other.halfspaces, self.ambient_rank)
-
     def facet_ray_sets(self) -> list[tuple[IVec, tuple[IVec, ...]]]:
         """(normal, rays on the facet) for each proper facet."""
         out = []
@@ -213,10 +201,6 @@ class Cone:
 
     def __repr__(self) -> str:
         return f"Cone(rays={list(self.rays)})"
-
-
-def cone_dual(c: Cone) -> Cone:
-    return c.dual()
 
 
 def _simplicial_pieces(c: Cone) -> list[tuple[IVec, ...]]:
@@ -238,9 +222,9 @@ def _simplicial_pieces(c: Cone) -> list[tuple[IVec, ...]]:
     return pieces
 
 
-def _box_lattice_points(lo: Sequence[int], hi: Sequence[int]) -> Iterator[IVec]:
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return itertools.product(*ranges)
+def box_points(box: Iterable[tuple[int, int]]) -> Iterator[IVec]:
+    """Lattice points of the box given by one (lo, hi) pair per coordinate."""
+    return itertools.product(*[range(lo, hi + 1) for lo, hi in box])
 
 
 def _parallelepiped_points(rays: Sequence[IVec]) -> list[IVec]:
@@ -383,25 +367,12 @@ class Polyhedron:
         return all(dot(nrm, x) >= c for nrm, c in self.halfspaces)
 
     @property
-    def is_cone(self) -> bool:
-        zero = tuple(Fraction(0) for _ in range(self.ambient_rank))
-        return self.vertices == (zero,)
-
-    @property
     def has_integral_vertices(self) -> bool:
         return all(a.denominator == 1 for v in self.vertices for a in v)
-
-    def translate(self, v: Sequence) -> "Polyhedron":
-        return Polyhedron.from_vertices_and_tail(
-            [vadd(p, v) for p in self.vertices], self.tail)
 
     def __repr__(self) -> str:
         vs = [tuple(str(a) for a in v) for v in self.vertices]
         return f"Polyhedron(vertices={vs}, tail={list(self.tail.rays)})"
-
-
-def polyhedron_from_halfspaces(inequalities, ambient_rank, tail_hint=None) -> Polyhedron:
-    return Polyhedron.from_halfspaces(inequalities, ambient_rank, tail_hint)
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -434,7 +405,7 @@ def dilate(p: Polyhedron, e: int) -> Polyhedron:
 
 
 def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -> list[IVec]:
-    return [x for x in _box_lattice_points(lo, hi) if p.contains(x)]
+    return [x for x in box_points(zip(lo, hi)) if p.contains(x)]
 
 
 def reachability_box(p: Polyhedron, hilbert: Sequence[IVec]) -> tuple[list[int], list[int]]:
@@ -488,7 +459,7 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
         return True, None  # targets are lattice points of p by construction
     if not targets:
         return True, None
-    weight = tuple(sum(col) for col in zip(*cone_dual(p.tail).rays))
+    weight = tuple(sum(col) for col in zip(*p.tail.dual().rays))
     wmin = min(dot(weight, v) for v in p.vertices)
     wmax = max(dot(weight, x) for x in targets)
     bound = wmax - (e - 1) * wmin
@@ -500,7 +471,7 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
         return False, targets[0]
     slo = [floor(min(v[j] for v in slab.vertices)) for j in range(n)]
     shi = [ceil(max(v[j] for v in slab.vertices)) for j in range(n)]
-    summands = [m for m in lattice_points_in_box(slab, slo, shi) if p.contains(m)]
+    summands = lattice_points_in_box(slab, slo, shi)
     summands.sort(key=lambda m: dot(weight, m))
     memo: dict = {}
 
@@ -570,11 +541,3 @@ def project_out_last(p: Polyhedron) -> Polyhedron:
     verts = [v[:n] for v in p.vertices]
     tail = Cone.from_rays([r[:n] for r in p.tail.rays], n)
     return Polyhedron.from_vertices_and_tail(verts, tail)
-
-
-def common_denominator(p: Polyhedron) -> int:
-    d = 1
-    for v in p.vertices:
-        for a in v:
-            d = lcm(d, a.denominator)
-    return d

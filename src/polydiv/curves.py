@@ -2,9 +2,12 @@
 
 Rational functions are kept in factored form over a gcd-free basis of monic
 squarefree polynomials (or of primes, over Spec Z); every algorithm
-downstream consumes only vanishing orders and residue degrees, so a basis
-factor that secretly splits further changes nothing (all its points would
-receive identical coefficients everywhere).
+downstream consumes only vanishing orders and residue degrees.
+
+Precondition: a finite place must be an irreducible polynomial.
+:meth:`BasePoint.finite` rejects rational roots only in degrees 2 and 3, so
+a reducible place of higher degree is accepted, and orders there are wrong:
+the order of t^2+1 at the place t^4+3t^2+2 = (t^2+1)(t^2+2) comes out as 0.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, isqrt
 from typing import Iterable, Mapping
 
 from . import polynomials as up
+from .linalg import denominator_lcm
 from .polynomials import Poly
 
 
@@ -75,7 +79,7 @@ class BasePoint:
 
     @staticmethod
     def of_prime(p: int) -> "BasePoint":
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise CurveError(f"{p} is not prime")
         return BasePoint(kind="prime", prime=p)
 
@@ -104,11 +108,13 @@ class BasePoint:
         return f"[{up.to_string(self.poly)}]"
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
 def _has_rational_root(p: Poly) -> bool:
     """Exact rational-root test (clears denominators, scans p/q candidates)."""
-    denom = 1
-    for a in p:
-        denom = lcm(denom, a.denominator)
+    denom = denominator_lcm(p)
     ints = [int(a * denom) for a in p]
     if ints[0] == 0:
         return True
@@ -356,10 +362,6 @@ class RationalFunction:
         return "*".join(parts) if parts else "1"
 
 
-def ord_at(f: RationalFunction, z: BasePoint) -> int:
-    return f.ord_at(z)
-
-
 @dataclass(frozen=True)
 class Divisor:
     """Rational Weil divisor: finite map point -> coefficient, no zeros stored."""
@@ -403,8 +405,7 @@ class Divisor:
         return Divisor.of(self.curve, [(z, Fraction(c) * a) for z, a in self.coefficients])
 
     def floor(self) -> "Divisor":
-        from math import floor as _floor
-        return Divisor.of(self.curve, [(z, _floor(a)) for z, a in self.coefficients])
+        return Divisor.of(self.curve, [(z, floor(a)) for z, a in self.coefficients])
 
     @property
     def is_integral(self) -> bool:
@@ -422,12 +423,6 @@ class Divisor:
         return Divisor(self.curve, tuple((z, a) for z, a in self.coefficients
                                          if z not in cut))
 
-    def denominator(self) -> int:
-        d = 1
-        for _, a in self.coefficients:
-            d = lcm(d, a.denominator)
-        return d
-
     def __repr__(self) -> str:
         if not self.coefficients:
             return "0"
@@ -441,14 +436,6 @@ def principal_divisor(f: RationalFunction, curve: BaseCurve) -> Divisor:
     if curve is PROJECTIVE_LINE:
         coeffs.append((BasePoint.infinity(), f.ord_at(BasePoint.infinity())))
     return Divisor.of(curve, coeffs)
-
-
-def floor_divisor(d: Divisor) -> Divisor:
-    return d.floor()
-
-
-def divisor_degree(d: Divisor) -> Fraction:
-    return d.degree()
 
 
 def is_principal(d: Divisor) -> bool:

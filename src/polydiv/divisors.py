@@ -15,24 +15,22 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
+from . import polynomials as up
 from .convex import (
     Cone,
     GeometryError,
     Polyhedron,
-    cone_dual,
+    box_points,
     dilate,
     hilbert_basis,
     minkowski_sum,
-    polyhedron_from_halfspaces,
     support_value,
 )
 from .curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
-    SPEC_Z,
     BaseCurve,
     BasePoint,
     Divisor,
@@ -42,7 +40,7 @@ from .curves import (
     principal_divisor,
     sections,
 )
-from .linalg import IVec, dot, primitive, spans_lattice, vadd
+from .linalg import IVec, denominator_lcm, dot, primitive, rank, spans_lattice, vadd
 
 
 class DivisorError(ValueError):
@@ -147,7 +145,7 @@ class PolyhedralDivisor:
 
     @property
     def weight_cone(self) -> Cone:
-        return cone_dual(self.tail)
+        return self.tail.dual()
 
     def in_weight_cone(self, m: Sequence) -> bool:
         return self.tail.rays == () or all(dot(m, r) >= 0 for r in self.tail.rays)
@@ -160,12 +158,8 @@ class PolyhedralDivisor:
 
     def denominator(self) -> int:
         """Least d > 0 with all coefficient vertices in (1/d) * N."""
-        d = 1
-        for _, poly in self.coefficients:
-            for v in poly.vertices:
-                for a in v:
-                    d = lcm(d, a.denominator)
-        return d
+        return denominator_lcm(a for _, poly in self.coefficients
+                               for v in poly.vertices for a in v)
 
     def __repr__(self) -> str:
         parts = [f"{poly}*{z}" for z, poly in self.coefficients]
@@ -180,14 +174,19 @@ def evaluate(d: PolyhedralDivisor, m: Sequence) -> Divisor:
                                 for z, poly in d.coefficients])
 
 
-def degree_polyhedron(d: PolyhedralDivisor) -> Polyhedron:
-    """Residue-degree weighted Minkowski sum of the coefficients (projective base)."""
-    if d.curve is not PROJECTIVE_LINE:
-        raise WrongCurve("the degree polyhedron needs a projective base")
+def degree_sum(d: PolyhedralDivisor) -> Polyhedron:
+    """Residue-degree weighted Minkowski sum of the coefficients, on any base."""
     total = Polyhedron.cone_as_polyhedron(d.tail)
     for z, poly in d.coefficients:
         total = minkowski_sum(total, dilate(poly, z.degree))
     return total
+
+
+def degree_polyhedron(d: PolyhedralDivisor) -> Polyhedron:
+    """Residue-degree weighted Minkowski sum of the coefficients (projective base)."""
+    if d.curve is not PROJECTIVE_LINE:
+        raise WrongCurve("the degree polyhedron needs a projective base")
+    return degree_sum(d)
 
 
 def is_proper(d: PolyhedralDivisor) -> tuple[bool, str]:
@@ -227,7 +226,7 @@ def divisor_from_generators(gens: Sequence[HomogeneousElement], curve: BaseCurve
     if not spans_lattice([tuple(m) for m in degrees], n):
         raise DegreesDoNotSpan(f"degrees {degrees} do not generate the lattice")
     weight_cone = Cone.from_rays(degrees, n)
-    tail = cone_dual(weight_cone)
+    tail = weight_cone.dual()
     if not tail.is_pointed:
         raise NonPointedDual("dual of the weight cone is not pointed")
     points: set[BasePoint] = set()
@@ -236,7 +235,7 @@ def divisor_from_generators(gens: Sequence[HomogeneousElement], curve: BaseCurve
     coeffs = []
     for z in sorted(points):
         ineqs = [(g.degree, -g.function.ord_at(z)) for g in gens]
-        coeffs.append((z, polyhedron_from_halfspaces(ineqs, n, tail_hint=tail)))
+        coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n, tail_hint=tail)))
     div = PolyhedralDivisor.of(curve, tail, coeffs)
     if curve is PROJECTIVE_LINE:
         ok, cert = is_proper(div)
@@ -309,36 +308,20 @@ def _interior_weight(cone: Cone) -> IVec:
     return primitive(total)
 
 
-def _module_generators(mod: SectionModule) -> tuple[RationalFunction, ...]:
-    return () if mod.is_zero else mod.generators
-
-
 def _piece_generated(d: PolyhedralDivisor, m: IVec,
                      products: list[RationalFunction]) -> bool:
-    """Do the given degree-m products generate the graded piece at m?"""
+    """Do the given degree-m products span the graded piece at m (projective line)?
+
+    Exact linear algebra on coefficient vectors over the first basis element.
+    """
     target = sections(evaluate(d, m))
     if target.is_zero:
         return True
     if not products:
         return False
-    if d.curve.is_affine:
-        # fractional-ideal comparison over a PID: sum of principal ideals is
-        # governed by the pointwise minimum of the principal divisors
-        gen_div = principal_divisor(target.generator, d.curve)
-        points = set(gen_div.support)
-        for f in products:
-            points.update(principal_divisor(f, d.curve).support)
-        for z in points:
-            want = gen_div.coefficient(z)
-            have = min(principal_divisor(f, d.curve).coefficient(z) for f in products)
-            if have != want:
-                return False
-        return True
-    # projective line: exact linear algebra on coefficient vectors
     basis = target.generators
     gen0 = basis[0]
     dim = len(basis)
-    from . import polynomials as up
     rows = []
     for f in products:
         quot = f / gen0
@@ -349,8 +332,7 @@ def _piece_generated(d: PolyhedralDivisor, m: IVec,
         if up.degree(num) >= dim:
             return False
         rows.append(tuple(coeffs))
-    from .linalg import rank as _rank
-    return _rank(rows) == dim
+    return rank(rows) == dim
 
 
 @dataclass(frozen=True)
@@ -367,15 +349,19 @@ def _degree_zero_generators(curve: BaseCurve, n: int) -> list[HomogeneousElement
     return []
 
 
+def probe_degrees(d: PolyhedralDivisor, denom: int) -> set[IVec]:
+    """Hilbert basis of the weight cone plus the quasifan rays scaled by ``denom``."""
+    probes = set(hilbert_basis(d.weight_cone))
+    for cone in quasifan(d):
+        probes.update(tuple(denom * a for a in r) for r in cone.rays)
+    return probes
+
+
 def default_box(d: PolyhedralDivisor) -> tuple[tuple[int, int], ...]:
     """Box containing the Hilbert basis of the weight cone and the quasifan
     breakpoints scaled by the divisor denominator."""
     n = d.rank
-    probes = set(hilbert_basis(d.weight_cone))
-    denom = d.denominator()
-    for cone in quasifan(d):
-        for r in cone.rays:
-            probes.add(tuple(denom * a for a in r))
+    probes = probe_degrees(d, d.denominator())
     lo = [min(0, min(p[j] for p in probes)) for j in range(n)]
     hi = [max(1, max(p[j] for p in probes)) for j in range(n)]
     return tuple(zip(lo, hi))
@@ -399,12 +385,7 @@ def bounded_generators(d: PolyhedralDivisor,
     if box is None:
         box = default_box(d)
     box = tuple((int(a), int(b)) for a, b in box)
-    needed = set(hilbert_basis(d.weight_cone))
-    denom = d.denominator()
-    for cone in quasifan(d):
-        for r in cone.rays:
-            needed.add(tuple(denom * a for a in r))
-    for p in needed:
+    for p in probe_degrees(d, d.denominator()):
         if not all(lo <= a <= hi for a, (lo, hi) in zip(p, box)):
             raise BoxTooSmall(f"box must contain {p}")
 
@@ -423,9 +404,7 @@ def bounded_generators(d: PolyhedralDivisor,
 
 
 def _box_degrees(d: PolyhedralDivisor, box_bounds, weight) -> list[IVec]:
-    degrees = [m for m in itertools.product(
-        *[range(lo, hi + 1) for lo, hi in box_bounds])
-        if d.in_weight_cone(m) and any(m)]
+    degrees = [m for m in box_points(box_bounds) if d.in_weight_cone(m) and any(m)]
     degrees.sort(key=lambda m: (dot(m, weight), m))
     return degrees
 
@@ -493,7 +472,7 @@ def _run_projective(d: PolyhedralDivisor, box_bounds, generators, weight, extend
                 products[tuple(m)] = prods
                 continue
             mod = sections(evaluate(d, tuple(m)))
-            for f in _module_generators(mod):
+            for f in mod.generators:
                 if not any(f.same_as(p) for p in prods):
                     generators.append(HomogeneousElement(f, tuple(m)))
                     prods.append(f)

@@ -11,22 +11,22 @@ integer arithmetic in the admissibility conditions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, lcm
-from typing import Callable, Iterable, Sequence
+from math import comb, floor
+from typing import Callable, Sequence
 
-from .convex import Cone, GeometryError, Polyhedron, cone_dual, hilbert_basis
+from . import polynomials as up
+from .convex import Cone, GeometryError, Polyhedron, box_points, hilbert_basis, support_value
 from .curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
-    BaseCurve,
     BasePoint,
     Divisor,
     RationalFunction,
     SectionModule,
     WrongCurve,
+    is_prime,
     principal_divisor,
     sections,
 )
@@ -34,13 +34,15 @@ from .divisors import (
     HomogeneousElement,
     PolyhedralDivisor,
     degree_polyhedron,
+    degree_sum,
     evaluate,
     is_proper,
     member,
+    probe_degrees,
     quasifan,
 )
 from .ideals import ConditionReport
-from .linalg import IVec, dot, hnf, integer_kernel_basis, primitive, vadd, vsub
+from .linalg import IVec, denominator_lcm, dot, hnf, integer_kernel_basis, primitive, vadd, vsub
 
 
 class ActionError(ValueError):
@@ -99,7 +101,7 @@ def roots_with_ray(cone: Cone, ray: Sequence, box: Sequence[tuple[int, int]]
     if ray not in cone.rays:
         raise RayNotInCone(f"{ray} is not an extreme ray of the cone")
     out = []
-    for e in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
+    for e in box_points(box):
         root = is_demazure_root(cone, e)
         if root is not None and root.distinguished_ray == ray:
             out.append(root)
@@ -111,10 +113,6 @@ class ExponentialExpansion:
     """Finite expansion sum_i term_i x^i of e^{x d} applied to one element."""
 
     terms: tuple[tuple[int, HomogeneousElement], ...]
-
-    @property
-    def input(self) -> HomogeneousElement:
-        return self.terms[0][1]
 
     def term(self, i: int) -> HomogeneousElement | None:
         for j, el in self.terms:
@@ -153,7 +151,7 @@ def toric_exponential(cone: Cone, root: DemazureRoot, lam,
     """Exponential of the homogeneous derivation of a Demazure root on chi^m."""
     lam = Fraction(lam)
     e, rho = root.vector, root.distinguished_ray
-    weight = cone_dual(cone)
+    weight = cone.dual()
     m = tuple(int(a) for a in m)
     if not weight.contains(m):
         raise OutsideWeightCone(f"{m} is outside the weight cone")
@@ -270,10 +268,7 @@ class ColoredDivisor:
 
     @property
     def color_denominator(self) -> int:
-        d = 1
-        for a in self.color(self.base_point):
-            d = lcm(d, a.denominator)
-        return d
+        return denominator_lcm(self.color(self.base_point))
 
     def degree_vertex(self) -> tuple[Fraction, ...]:
         total = tuple(Fraction(0) for _ in range(self.divisor.rank))
@@ -282,17 +277,11 @@ class ColoredDivisor:
         return total
 
     def restricted_degree_polyhedron(self) -> Polyhedron:
+        """Degree sum of the divisor, away from the point at infinity on P1."""
         d = self.divisor
         if d.curve is PROJECTIVE_LINE:
-            restricted = PolyhedralDivisor.of(
-                d.curve, d.tail,
-                [(z, p) for z, p in d.coefficients if z != self.infinity_point])
-            return degree_polyhedron(restricted)
-        total = Polyhedron.cone_as_polyhedron(d.tail)
-        from .convex import dilate, minkowski_sum
-        for z, poly in d.coefficients:
-            total = minkowski_sum(total, dilate(poly, z.degree))
-        return total
+            d = d.restrict([self.infinity_point])
+        return degree_sum(d)
 
 
 def validate_coloring(cd: ColoredDivisor) -> ConditionReport:
@@ -354,7 +343,7 @@ def associated_cones(cd: ColoredDivisor) -> tuple[Cone, Cone]:
     degp = cd.restricted_degree_polyhedron()
     gens = [vsub(v, vdeg) for v in degp.vertices] + list(degp.tail.rays)
     omega_dual = Cone.from_rays(gens, n)
-    omega = cone_dual(omega_dual)
+    omega = omega_dual.dual()
     v0 = cd.color(cd.base_point)
     aug = [tuple(r) + (0,) for r in omega_dual.rays] + [tuple(v0) + (Fraction(1),)]
     if d.curve is PROJECTIVE_LINE:
@@ -390,23 +379,22 @@ class CoherentAssemblage:
         if len(lams) != len(exps) or not lams or any(l == 0 for l in lams):
             raise ActionError("scalars must be nonzero, one per exponent")
         p = int(char_exponent)
-        if p != 1 and (p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1))):
+        if p != 1 and not is_prime(p):
             raise ActionError("characteristic exponent must be 1 or a prime")
         if p == 1 and len(exps) != 1:
             raise ActionError("characteristic zero admits a single exponent")
         return CoherentAssemblage(colored, tuple(int(a) for a in degree),
                                   exps, lams, p)
 
-    @property
-    def p_power_part(self) -> int:
-        """k with d = l * p^k, gcd(l, p) = 1."""
-        d, p, k = self.colored.color_denominator, self.char_exponent, 0
-        if p == 1:
-            return 0
+
+def p_power_part(d: int, p: int) -> int:
+    """k with d = l * p^k, gcd(l, p) = 1; 0 when p is 1 (characteristic zero)."""
+    k = 0
+    if p != 1:
         while d % p == 0:
             d //= p
             k += 1
-        return k
+    return k
 
 
 def assemblage_check(ca: CoherentAssemblage) -> ConditionReport:
@@ -417,8 +405,7 @@ def assemblage_check(ca: CoherentAssemblage) -> ConditionReport:
     d = cd.divisor
     p = ca.char_exponent
     dd = cd.color_denominator
-    k = ca.p_power_part
-    pk = p ** k
+    pk = p ** p_power_part(dd, p)
     v0 = cd.color(cd.base_point)
     try:
         omega, augmented = associated_cones(cd)
@@ -491,30 +478,16 @@ def assemblage_check(ca: CoherentAssemblage) -> ConditionReport:
     return ConditionReport(tuple(results))
 
 
-def _support_function_on(poly: Polyhedron, m) -> Fraction:
-    return min(dot(m, v) for v in poly.vertices)
-
-
-@dataclass(frozen=True)
-class PointNormalization:
-    """Recorded degree-one parameter change moving the marked points to 0/inf."""
-
-    shift: Fraction           # t -> t - shift first
-    invert: bool              # then t -> 1/t
-
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0 and not self.invert
-
-
 def _normalize_points(d: PolyhedralDivisor, z0: BasePoint,
-                      zinf: BasePoint | None
-                      ) -> tuple[PolyhedralDivisor, PointNormalization]:
-    """Move the base point to 0 (and the infinity point to infinity)."""
+                      zinf: BasePoint | None) -> tuple[PolyhedralDivisor, Fraction]:
+    """Move the base point to 0 by the shift t -> t - c; returns (moved, c).
+
+    The infinity point must already be the place at infinity.
+    """
     origin = BasePoint.rational(0)
     inf = BasePoint.infinity()
     if z0 == origin and (zinf is None or zinf == inf):
-        return d, PointNormalization(Fraction(0), False)
+        return d, Fraction(0)
     if zinf is not None and zinf != inf:
         raise ActionError("only shifts are implemented: the point at infinity "
                           "must already be the place at infinity")
@@ -525,13 +498,12 @@ def _normalize_points(d: PolyhedralDivisor, z0: BasePoint,
     def move(z: BasePoint) -> BasePoint:
         if z.kind != "finite":
             return z
-        from . import polynomials as up
         shifted = up.substitute(z.poly, (c, Fraction(1)))  # q(t + c)
         return BasePoint.finite(shifted)
 
     moved = PolyhedralDivisor.of(d.curve, d.tail,
                                  [(move(z), poly) for z, poly in d.coefficients])
-    return moved, PointNormalization(shift=c, invert=False)
+    return moved, c
 
 
 def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
@@ -563,11 +535,11 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     zinf = infinity_point
     if d.curve is PROJECTIVE_LINE and zinf is None:
         zinf = BasePoint.infinity()
-    normalized, change = _normalize_points(d, z0, zinf)
+    normalized, shift = _normalize_points(d, z0, zinf)
     restricted = normalized if d.curve is AFFINE_LINE else \
         normalized.restrict([BasePoint.infinity()])
-    note = "already normalized" if change.is_identity else \
-        f"recorded parameter change t -> t - ({change.shift})"
+    note = "already normalized" if shift == 0 else \
+        f"recorded parameter change t -> t - ({shift})"
     results.append(("normalization", True, note))
 
     fan = quasifan(restricted)
@@ -584,7 +556,7 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
         poly = normalized.coefficient(z)
         interior = tuple(sum(col) for col in zip(*omega.rays))
         best = min(poly.vertices, key=lambda v: dot(interior, v))
-        assert all(dot(m, best) == _support_function_on(poly, m) for m in omega.rays)
+        assert all(dot(m, best) == support_value(poly, m) for m in omega.rays)
         return best
 
     ok, note = True, "support functions integral away from the base point"
@@ -600,16 +572,8 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
         return ConditionReport(tuple(results))
 
     v0 = omega_vertex(origin)
-    dd = 1
-    for a in v0:
-        dd = lcm(dd, Fraction(a).denominator)
-    k = 0
-    l = dd
-    if p != 1:
-        while l % p == 0:
-            l //= p
-            k += 1
-    pk = p ** k
+    dd = denominator_lcm(v0)
+    pk = p ** p_power_part(dd, p)
 
     u = -Fraction(1, dd) - dot(tuple(p ** s1 * a for a in e), v0)
     ok = u.denominator == 1
@@ -618,17 +582,12 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
         return ConditionReport(tuple(results))
 
     e1 = tuple(p ** s1 * a for a in e)
-    weight = cone_dual(normalized.tail)
+    weight = normalized.tail.dual()
     if exhaustive_box is not None:
-        sample = [m for m in itertools.product(
-            range(-exhaustive_box, exhaustive_box + 1), repeat=d.rank)
-            if weight.contains(m)]
+        sample = [m for m in box_points([(-exhaustive_box, exhaustive_box)] * d.rank)
+                  if weight.contains(m)]
     else:
-        denom = normalized.denominator()
-        probes = set(hilbert_basis(weight))
-        for cone in quasifan(restricted):
-            for r in cone.rays:
-                probes.add(tuple(denom * a for a in r))
+        probes = probe_degrees(restricted, normalized.denominator())
         sample = set(probes)
         sample.update(vadd(a, b) for a in probes for b in probes)
         sample = sorted(sample)
@@ -637,7 +596,7 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
         return dot(m, v0)
 
     def h_at(z, m):
-        return _support_function_on(normalized.coefficient(z), m)
+        return support_value(normalized.coefficient(z), m)
 
     cond3, w3 = True, "vanishing-order inequality holds on the sample"
     cond4, w4 = True, "base-point inequality holds on the sample"
@@ -660,8 +619,8 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
                 cond4, w4 = False, f"m = {m}: {lhs} < {rhs}"
         if d.curve is PROJECTIVE_LINE:
             hinf = normalized.coefficient(BasePoint.infinity())
-            lhs = floor(dd * _support_function_on(hinf, shifted)) - \
-                floor(dd * _support_function_on(hinf, m))
+            lhs = floor(dd * support_value(hinf, shifted)) - \
+                floor(dd * support_value(hinf, m))
             rhs = -1 - dd * h_lin(e1)
             if lhs < rhs:
                 cond5, w5 = False, f"m = {m}: {lhs} < {rhs}"
@@ -738,14 +697,13 @@ def horizontal_exponential(ca: CoherentAssemblage, el: HomogeneousElement,
     d = cd.divisor
     if ca.char_exponent != 1:
         raise ActionError("exponential evaluation is characteristic zero only")
-    omega, _ = associated_cones(cd)
     report = assemblage_check(ca)
     if not report.all_pass:
         raise ConditionsFail(f"assemblage is not coherent:\n{report}")
     if not member(el, d):
         raise NonMember(f"{el} is not in the section algebra")
-    normalized, change = _normalize_points(d, cd.base_point, cd.infinity_point)
-    if not change.is_identity:
+    _, shift = _normalize_points(d, cd.base_point, cd.infinity_point)
+    if shift != 0:
         raise ActionError("exponentials expect normalized marked points")
     func = el.function
     ell = func.ord_at(BasePoint.rational(0))
@@ -792,9 +750,9 @@ def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansio
     iter_ok, iter_note = True, "iterative rule holds on all samples"
     for a, b in samples:
         ea, eb = expansion_of(a), expansion_of(b)
-        for ex in (ea, eb):
-            if ex.terms[0][0] != 0 or not ex.terms[0][1].same_as(ex.input):
-                identity_ok, id_note = False, f"zeroth term mismatch for {ex.input}"
+        for x, ex in ((a, ea), (b, eb)):
+            if ex.terms[0][0] != 0 or not ex.terms[0][1].same_as(x):
+                identity_ok, id_note = False, f"zeroth term mismatch for {x}"
         eab = expansion_of(a * b)
         if not eab.same_as(ea * eb):
             leibniz_ok, leib_note = False, f"e(ab) != e(a)e(b) for {a}, {b}"

@@ -20,24 +20,19 @@ from .convex import (
     Cone,
     GeometryError,
     Polyhedron,
-    cone_dual,
+    box_points,
     dilate,
     hilbert_basis,
     is_polyhedron_normal,
     lattice_points_in_box,
     minimal_lattice_points,
-    polyhedron_from_halfspaces,
     project_out_last,
     reachability_box,
     support_value,
 )
 from .curves import (
     PROJECTIVE_LINE,
-    BaseCurve,
     BasePoint,
-    Divisor,
-    RationalFunction,
-    SectionModule,
     WrongCurve,
     principal_divisor,
     sections,
@@ -47,10 +42,9 @@ from .divisors import (
     HomogeneousElement,
     PolyhedralDivisor,
     evaluate,
-    graded_piece,
     member,
 )
-from .linalg import IVec, dot, is_zero_vector, primitive, vadd, vsub
+from .linalg import IVec, vsub
 
 
 class IdealError(ValueError):
@@ -166,7 +160,7 @@ class ReesPair:
     @property
     def weight_cone_augmented(self) -> Cone:
         """The cone with level-e slices e * Newton polyhedron."""
-        return cone_dual(self.rees_divisor.tail)
+        return self.rees_divisor.tail.dual()
 
 
 def rees_pair(pres: GradedIdealPresentation) -> ReesPair:
@@ -174,13 +168,13 @@ def rees_pair(pres: GradedIdealPresentation) -> ReesPair:
     inside coefficient x Q, computed in ambient rank n + 1."""
     d = pres.divisor
     n = d.rank
-    weight_cone = cone_dual(d.tail)
+    weight_cone = d.tail.dual()
     newton = Polyhedron.from_vertices_and_tail(
         [g.degree for g in pres.generators], weight_cone)
     # dual of the cone over (Newton polyhedron, level 1)
-    augmented_tail = cone_dual(Cone.from_rays(
+    augmented_tail = Cone.from_rays(
         [tuple(g.degree) + (1,) for g in pres.generators] +
-        [tuple(r) + (0,) for r in weight_cone.rays], n + 1))
+        [tuple(r) + (0,) for r in weight_cone.rays], n + 1).dual()
     points: set[BasePoint] = set(d.support)
     for g in pres.generators:
         points.update(principal_divisor(g.function, d.curve).support)
@@ -189,7 +183,7 @@ def rees_pair(pres: GradedIdealPresentation) -> ReesPair:
         ineqs = [(tuple(g.degree) + (1,), -g.function.ord_at(z)) for g in pres.generators]
         for normal, offset in d.coefficient(z).halfspaces:
             ineqs.append((tuple(normal) + (0,), offset))
-        coeffs.append((z, polyhedron_from_halfspaces(ineqs, n + 1,
+        coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n + 1,
                                                      tail_hint=augmented_tail)))
     rd = PolyhedralDivisor.of(d.curve, augmented_tail, coeffs)
     pair = ReesPair(pres, newton, rd)
@@ -221,7 +215,7 @@ def closure_power_piece(pair: ReesPair, m: Sequence, e: int) -> GradedPiece:
 def _augmented_slice_points(pair: ReesPair, e: int, box) -> set[IVec]:
     cone = pair.weight_cone_augmented
     pts = set()
-    for m in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
+    for m in box_points(box):
         if cone.contains(tuple(m) + (e,)):
             pts.add(tuple(m))
     return pts
@@ -262,7 +256,7 @@ def pair_conditions(pair: ReesPair, slice_box_halfwidth: int = 6,
     """
     results = []
     d = pair.presentation.divisor
-    wc = cone_dual(d.tail)
+    wc = d.tail.dual()
 
     ok = pair.newton.has_integral_vertices and \
         all(wc.contains(v) for v in pair.newton.vertices)
@@ -273,9 +267,8 @@ def pair_conditions(pair: ReesPair, slice_box_halfwidth: int = 6,
     box = tuple((-slice_box_halfwidth, slice_box_halfwidth) for _ in range(n))
     slice_ok, note = True, "levels 0..%d agree on the sampled box" % max_level
     for e in range(max_level + 1):
-        want = {tuple(m) for m in itertools.product(
-            *[range(lo, hi + 1) for lo, hi in box])
-            if dilate(pair.newton, e).contains(m)}
+        scaled = dilate(pair.newton, e)
+        want = {m for m in box_points(box) if scaled.contains(m)}
         got = _augmented_slice_points(pair, e, box)
         if want != got:
             slice_ok = False
@@ -330,15 +323,6 @@ def _sections_attain_order(pair: ReesPair, mvec: IVec, z: BasePoint) -> bool:
     return best == -ev.coefficient(z)
 
 
-def primitive_or_zero(v):
-    return tuple(int(a) for a in v) if all(Fraction(a).denominator == 1 for a in v) \
-        else tuple(v)
-
-
-def _in_cone_q(cone: Cone, v) -> bool:
-    return all(dot(h, v) >= 0 for h in cone.halfspaces)
-
-
 def _fmt_vertices(p: Polyhedron) -> str:
     return "[" + ", ".join("(" + ",".join(map(str, v)) + ")" for v in p.vertices) + "]"
 
@@ -365,7 +349,7 @@ def ptilde(pair: ReesPair, z: BasePoint) -> Polyhedron:
     def lift(m):
         return tuple(m) + (ceil(-support_value(poly, tuple(m) + (1,))),)
 
-    denom = max(pair.rees_divisor.denominator(), 1)
+    denom = pair.rees_divisor.denominator()
     hb = [tuple(denom * a for a in h) for h in hilbert_basis(wc)]
     scale = 1
     while True:

@@ -8,7 +8,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -56,16 +56,17 @@ def vscale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
 
-def vneg(u: Sequence) -> tuple:
-    return tuple(-a for a in u)
-
-
 def is_zero_vector(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
 def to_fraction_vector(u: Sequence) -> Vec:
     return tuple(Fraction(a) for a in u)
+
+
+def denominator_lcm(values: Iterable) -> int:
+    """Least d > 0 with d * a integral for every rational a; 1 when empty."""
+    return lcm(*(a.denominator for a in values))
 
 
 def primitive(u: Sequence) -> IVec:
@@ -84,17 +85,6 @@ def primitive(u: Sequence) -> IVec:
     for a in ints:
         g = gcd(g, a)
     return tuple(a // g for a in ints)
-
-
-def integer_vector(u: Sequence) -> IVec:
-    """Cast a vector of integral Fractions to an int tuple."""
-    out = []
-    for a in u:
-        f = Fraction(a)
-        if f.denominator != 1:
-            raise ValueError(f"non-integral coordinate {f}")
-        out.append(f.numerator)
-    return tuple(out)
 
 
 def rref(rows: Iterable[Sequence]) -> list[Vec]:
@@ -204,11 +194,8 @@ def hnf(rows: Sequence[IVec]) -> list[IVec]:
 
 
 def _clear_row_denominators(row: Sequence) -> list[int]:
-    fracs = [Fraction(a) for a in row]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    return [int(f * denom_lcm) for f in fracs]
+    d = denominator_lcm(row)
+    return [int(a * d) for a in row]
 
 
 def integer_kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[IVec]:
@@ -217,7 +204,6 @@ def integer_kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[IVec]:
     Integer column elimination keeps the lattice exact (the kernel of an
     integer matrix is saturated); the basis is canonicalized by HNF.
     """
-    a_cols = [[0] * 0 for _ in range(ncols)]
     int_rows = [_clear_row_denominators(r) for r in rows if not is_zero_vector(r)]
     if not int_rows:
         return hnf([tuple(int(i == j) for j in range(ncols)) for i in range(ncols)])

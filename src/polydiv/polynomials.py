@@ -104,12 +104,6 @@ def derivative(p: Poly) -> Poly:
     return poly([i * a for i, a in enumerate(p)][1:])
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if degree(p) <= 0:
-        return ONE
-    return monic(exact_div(p, gcd(p, derivative(p))))
-
-
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: p = c * prod q_i^i with the q_i squarefree, coprime, monic."""
     p = monic(p)

@@ -301,8 +301,7 @@ def _parse_object(value, problem: ProblemFile, path: str):
         divisor = _deref(problem, value["ambient"], "divisor", f"{path}.ambient")
         els = [parse_element(e, curve, f"{path}.generators[{i}]")
                for i, e in enumerate(value["generators"])]
-        from .convex import cone_dual
-        pres = GradedIdealPresentation.of(cone_dual(divisor.tail), divisor, els)
+        pres = GradedIdealPresentation.of(divisor.weight_cone, divisor, els)
         return ("ideal", pres)
     if kind == "coloring":
         _expect_keys(value, path, {"type", "divisor", "base_point", "colors"},

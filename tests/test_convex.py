@@ -11,18 +11,16 @@ from polydiv.convex import (
     Polyhedron,
     Unbounded,
     UnboundedLineality,
-    cone_dual,
     dilate,
     hilbert_basis,
     is_polyhedron_normal,
     lattice_points_in_box,
     minimal_lattice_points,
     minkowski_sum,
-    polyhedron_from_halfspaces,
     support_value,
     support_value_hilbert_oracle,
 )
-from polydiv.linalg import dot, vadd, vsub
+from polydiv.linalg import denominator_lcm, dot, vadd, vsub
 
 ORTHANT2 = Cone.nonnegative_orthant(2)
 
@@ -56,27 +54,27 @@ def _between(v, a, b):
 
 class TestConeDual:
     def test_first_quadrant_self_dual(self):
-        assert cone_dual(ORTHANT2) == ORTHANT2
+        assert ORTHANT2.dual() == ORTHANT2
 
     def test_skew_cone(self):
         c = Cone.from_rays([(1, 2), (1, 0)], 2)
-        d = cone_dual(c)
+        d = c.dual()
         assert set(d.rays) == {(0, 1), (2, -1)}
-        assert cone_dual(d) == c
+        assert d.dual() == c
 
     def test_skew_cone_against_grid_oracle(self):
         for rays in ([(1, 2), (1, 0)], [(2, 1), (-1, 3)], [(1, 0), (1, 6)]):
             c = Cone.from_rays(rays, 2)
             expected = [v for v in brute_dual_rays_2d(rays)
-                        if v in cone_dual(c).rays]
-            assert set(cone_dual(c).rays) <= set(brute_dual_rays_2d(rays))
-            assert set(expected) == set(cone_dual(c).rays)
+                        if v in c.dual().rays]
+            assert set(c.dual().rays) <= set(brute_dual_rays_2d(rays))
+            assert set(expected) == set(c.dual().rays)
 
     def test_zero_cone_full_space(self):
         z = Cone.zero(2)
-        f = cone_dual(z)
+        f = z.dual()
         assert f.halfspaces == ()
-        assert cone_dual(f) == z
+        assert f.dual() == z
 
     def test_containment_and_membership(self):
         c = Cone.from_rays([(1, 0), (1, 6)], 2)
@@ -102,7 +100,7 @@ def pointed_cones(draw, rank):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda r: pointed_cones(r)))
 def test_dual_involution(c):
-    assert cone_dual(cone_dual(c)) == c
+    assert c.dual().dual() == c
 
 
 class TestHilbertBasis:
@@ -157,31 +155,31 @@ class TestHilbertBasis:
 
 class TestPolyhedronFromHalfspaces:
     def test_shifted_cone_with_redundancy(self):
-        p = polyhedron_from_halfspaces([((1, 2), -1), ((1, 0), 0), ((2, 1), -2)], 2)
+        p = Polyhedron.from_halfspaces([((1, 2), -1), ((1, 0), 0), ((2, 1), -2)], 2)
         assert p.vertices == ((F(0), F(-1, 2)),)
         assert set(p.tail.rays) == {(0, 1), (2, -1)}
         assert len(p.halfspaces) == 2
 
     def test_second_shifted_cone(self):
-        p = polyhedron_from_halfspaces([((1, 2), 1), ((1, 0), 2), ((2, 1), 1)], 2)
+        p = Polyhedron.from_halfspaces([((1, 2), 1), ((1, 0), 2), ((2, 1), 1)], 2)
         assert p.vertices == ((F(2), F(-1, 2)),)
         assert set(p.tail.rays) == {(0, 1), (2, -1)}
 
     def test_orthant(self):
-        p = polyhedron_from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2)
+        p = Polyhedron.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2)
         assert p.vertices == ((F(0), F(0)),)
         assert p.tail == ORTHANT2
 
     def test_empty(self):
         with pytest.raises(EmptyPolyhedron):
-            polyhedron_from_halfspaces([((1, 0), 0), ((-1, 0), 1)], 2)
+            Polyhedron.from_halfspaces([((1, 0), 0), ((-1, 0), 1)], 2)
 
     def test_lineality_rejected(self):
         with pytest.raises(UnboundedLineality):
-            polyhedron_from_halfspaces([((1, 0), 0)], 2)
+            Polyhedron.from_halfspaces([((1, 0), 0)], 2)
 
     def test_vh_roundtrip(self):
-        p = polyhedron_from_halfspaces([((1, 2), -1), ((1, 0), 0)], 2)
+        p = Polyhedron.from_halfspaces([((1, 2), -1), ((1, 0), 0)], 2)
         q = Polyhedron.from_halfspaces(p.halfspaces, 2, tail_hint=p.tail)
         assert p == q
 
@@ -209,7 +207,7 @@ def test_vh_roundtrip_random(p):
 @settings(max_examples=40, deadline=None)
 @given(sigma_polyhedra(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 def test_support_superadditive(p, a, b, c, d):
-    dual = cone_dual(p.tail)
+    dual = p.tail.dual()
     m1 = vadd(tuple(a * r for r in dual.rays[0]), tuple(b * r for r in dual.rays[-1]))
     m2 = vadd(tuple(c * r for r in dual.rays[0]), tuple(d * r for r in dual.rays[-1]))
     assert support_value(p, m1) + support_value(p, m2) <= support_value(p, vadd(m1, m2))
@@ -221,7 +219,7 @@ def test_minkowski_support_additive(p, q):
     if p.tail != q.tail:
         return
     s = minkowski_sum(p, q)
-    for m in cone_dual(p.tail).rays + (vadd(cone_dual(p.tail).rays[0], cone_dual(p.tail).rays[-1]),):
+    for m in p.tail.dual().rays + (vadd(p.tail.dual().rays[0], p.tail.dual().rays[-1]),):
         assert support_value(s, m) == support_value(p, m) + support_value(q, m)
     assert set(s.vertices) <= {vadd(a, b) for a in p.vertices for b in q.vertices}
 
@@ -345,7 +343,7 @@ class TestHilbertOracle:
         offsets = [data.draw(st.integers(-2, 2)) for _ in normals]
         hs = [(n, o) for n, o in zip(normals, offsets) if any(n)]
         weight_cone = Cone.from_rays([n for n, _ in hs], rank)
-        p = polyhedron_from_halfspaces([(n, -o) for n, o in hs], rank)
+        p = Polyhedron.from_halfspaces([(n, -o) for n, o in hs], rank)
         for m in weight_cone.rays + (vadd(weight_cone.rays[0], weight_cone.rays[-1]),):
             from polydiv.linalg import primitive
             mm = primitive(m)
@@ -360,7 +358,7 @@ class TestEqualityFromSupportValues:
         import random
         rng = random.Random(7)
         tail = ORTHANT2
-        dualc = cone_dual(tail)
+        dualc = tail.dual()
         for _ in range(30):
             ps = []
             for _ in range(2):
@@ -375,3 +373,11 @@ class TestEqualityFromSupportValues:
             probes.update(n for n, _ in b.halfspaces)
             same_on_probes = all(support_value(a, m) == support_value(b, m) for m in probes)
             assert same_on_probes == (a == b)
+
+
+class TestDenominatorLcm:
+    def test_empty_is_one(self):
+        assert denominator_lcm([]) == 1
+
+    def test_mixed_ints_and_fractions(self):
+        assert denominator_lcm([3, F(1, 4), F(5, 6)]) == 12

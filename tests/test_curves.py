@@ -12,8 +12,7 @@ from polydiv.curves import (
     Divisor,
     RationalFunction,
     WrongCurve,
-    divisor_degree,
-    floor_divisor,
+    is_prime,
     is_principal,
     principal_divisor,
     sections,
@@ -103,7 +102,7 @@ class TestPrincipalDivisor:
         assert d.coefficient(Z0) == 1
         assert d.coefficient(Z1) == -1
         assert d.coefficient(INF) == 0
-        assert divisor_degree(d) == 0
+        assert d.degree() == 0
 
     def test_over_spec_z(self):
         d = principal_divisor(RationalFunction.rational_number(F(2, 3)), SPEC_Z)
@@ -119,27 +118,27 @@ class TestPrincipalDivisor:
                            st.integers(-3, 3), min_size=1))
     def test_degree_zero_on_projective_line(self, fac):
         f = RationalFunction.from_factored(F(3, 7), fac)
-        assert divisor_degree(principal_divisor(f, PROJECTIVE_LINE)) == 0
+        assert principal_divisor(f, PROJECTIVE_LINE).degree() == 0
 
 
 class TestFloorsAndDegrees:
     def test_floor(self):
         d = Divisor.of(PROJECTIVE_LINE, {Z0: F(-1, 2), Z1: F(3, 2)})
-        assert floor_divisor(d) == Divisor.of(PROJECTIVE_LINE, {Z0: -1, Z1: 1})
-        assert floor_divisor(Divisor.of(PROJECTIVE_LINE, {Z0: F(1, 2)})) == \
+        assert d.floor() == Divisor.of(PROJECTIVE_LINE, {Z0: -1, Z1: 1})
+        assert Divisor.of(PROJECTIVE_LINE, {Z0: F(1, 2)}).floor() == \
             Divisor.zero(PROJECTIVE_LINE)
 
     def test_floor_fixes_integral(self):
         d = Divisor.of(AFFINE_LINE, {Z0: 2, Z1: -3})
-        assert floor_divisor(d) == d
+        assert d.floor() == d
 
     def test_degree_weights_residue_degree(self):
         quad = BasePoint.finite((1, 0, 1))  # t^2 + 1, degree 2
         d = Divisor.of(PROJECTIVE_LINE, {quad: F(1, 2)})
-        assert divisor_degree(d) == 1
+        assert d.degree() == 1
 
     def test_zero_divisor_degree(self):
-        assert divisor_degree(Divisor.zero(PROJECTIVE_LINE)) == 0
+        assert Divisor.zero(PROJECTIVE_LINE).degree() == 0
 
 
 class TestSections:
@@ -178,7 +177,7 @@ class TestSections:
         g1 = sections(d1).generator
         g2 = sections(d2).generator
         prod_sections = sections(d1.floor() + d2.floor())
-        dv = principal_divisor(g1 * g2, AFFINE_LINE) + floor_divisor(d1 + d2)
+        dv = principal_divisor(g1 * g2, AFFINE_LINE) + (d1 + d2).floor()
         assert dv.is_effective
         # surjectivity onto generators over the affine line
         assert (g1 * g2).same_as(prod_sections.generator) or \
@@ -213,3 +212,8 @@ class TestPointValidation:
     def test_non_prime_rejected(self):
         with pytest.raises(Exception):
             BasePoint.of_prime(6)
+
+    def test_is_prime_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert [n for n in range(5001) if is_prime(n)] == \
+            [n for n in range(5001) if sympy.isprime(n)]

@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiv.convex import Cone, Polyhedron, cone_dual
+from polydiv.convex import Cone, Polyhedron
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
     BasePoint,
+    CurveError,
     RationalFunction,
+    is_prime,
 )
 from polydiv.divisors import (
     HomogeneousElement,
@@ -17,6 +19,7 @@ from polydiv.divisors import (
     member,
 )
 from polydiv.gaactions import (
+    ActionError,
     CoherentAssemblage,
     ColoredDivisor,
     ConditionsFail,
@@ -31,6 +34,7 @@ from polydiv.gaactions import (
     horizontal_exponential,
     horizontal_kernel,
     is_demazure_root,
+    p_power_part,
     roots_with_ray,
     toric_exponential,
     validate_coloring,
@@ -230,7 +234,7 @@ class TestAssociatedCones:
         _, cd = example_5617()
         omega, augmented = associated_cones(cd)
         assert omega == Cone.from_rays([(1, 1), (0, 1)], 2)
-        assert cone_dual(omega) == Cone.from_rays([(-1, 1), (1, 0)], 2)
+        assert omega.dual() == Cone.from_rays([(-1, 1), (1, 0)], 2)
         assert set(augmented.rays) == {(-1, 1, 0), (1, 0, 2), (1, 0, -2)}
 
     def test_single_point_divisor(self):
@@ -238,8 +242,8 @@ class TestAssociatedCones:
             Z0: Polyhedron.from_vertices_and_tail([(1, 2)], SIGMA)})
         cd = ColoredDivisor.of(d, base_point=Z0, colors={Z0: (1, 2)})
         omega, augmented = associated_cones(cd)
-        assert cone_dual(omega) == SIGMA
-        assert omega == cone_dual(SIGMA)
+        assert omega.dual() == SIGMA
+        assert omega == SIGMA.dual()
         for r in SIGMA.rays:
             assert augmented.contains(tuple(r) + (0,))
         assert augmented.contains((1, 2, 1))
@@ -301,7 +305,7 @@ class TestHorizontalConditions:
         sig1 = Cone.from_rays([(1,)], 1)
         d = PolyhedralDivisor.of(AFFINE_LINE, sig1, {
             Z0: Polyhedron.from_vertices_and_tail([(F(-1, 2),)], sig1)})
-        omega = cone_dual(sig1)
+        omega = sig1.dual()
         rep = horizontal_conditions(d, omega, (1,), 1, 0)
         assert rep.all_pass, rep
 
@@ -483,3 +487,40 @@ class TestAxioms:
                     HomogeneousElement(RationalFunction.from_factored(1), (1, 0)))]
         rep = axiom_check(corrupted, samples)
         assert not rep.all_pass
+
+    def test_scaled_zeroth_term_fails_identity(self):
+        root = is_demazure_root(SIGMA, (-1, 1))
+        good = toric_expansion_fn(root, 1)
+
+        def scaled(el):
+            (i, t), *rest = good(el).terms
+            return ExponentialExpansion(((i, t.scaled(5)), *rest))
+        samples = [(HomogeneousElement(RationalFunction.from_factored(1), (2, 0)),
+                    HomogeneousElement(RationalFunction.from_factored(2), (1, 1)))]
+        assert axiom_check(good, samples).outcome("identity")[0]
+        assert not axiom_check(scaled, samples).outcome("identity")[0]
+
+
+class TestIntegerHelpers:
+    def test_p_power_part_brute_force(self):
+        for p in (1, 2, 3, 5, 7):
+            for d in range(1, 400):
+                k = max((k for k in range(10) if d % p ** k == 0), default=0) if p > 1 else 0
+                assert p_power_part(d, p) == k, (d, p)
+
+    def test_prime_checks_agree(self):
+        _, cd = example_5617()
+        for p in range(-3, 60):
+            if p == 1:  # the characteristic exponent of characteristic zero
+                continue
+            try:
+                BasePoint.of_prime(p)
+                point_ok = True
+            except CurveError:
+                point_ok = False
+            try:
+                CoherentAssemblage.of(cd, (1, 0), [0, 1], [1, 1], p)
+                char_ok = True
+            except ActionError:
+                char_ok = False
+            assert point_ok == char_ok == is_prime(p), p

@@ -1,0 +1,46 @@
+"""Replay the recorded CLI transcript: every subcommand on every fixture.
+
+``bench/golden/fixtures.json`` holds, for each command line, the exit code,
+the stdout bytes of ``--json`` output and the error class (the stderr prefix
+before the first colon, or the class of an uncaught exception).  A refactor
+must reproduce all three exactly.  ``generators`` on ex346 takes about 100 s
+and is left to the benchmark, which runs it under a budget.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from polydiv import cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "bench", "golden", "fixtures.json")
+SLOW = ["generators", "--input", "ex346.json"]
+
+with open(GOLDEN) as fh:
+    RECORDS = [r for r in json.load(fh) if r["argv"][:3] != SLOW]
+
+
+def replay(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--json"])
+        except SystemExit as exc:
+            return {"exit": exc.code, "stdout": out.getvalue(), "error": "SystemExit"}
+        except Exception as exc:
+            return {"exit": None, "stdout": out.getvalue(), "error": type(exc).__name__}
+    text = err.getvalue()
+    return {"exit": code, "stdout": out.getvalue(),
+            "error": text.split(":", 1)[0] if text else ""}
+
+
+def test_transcript_size():
+    assert len(RECORDS) == 124
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
+def test_replay(record):
+    assert replay(record["argv"]) == record["outcome"]

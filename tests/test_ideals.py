@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiv.convex import Cone, Polyhedron, cone_dual, dilate
+from polydiv.convex import Cone, Polyhedron, dilate
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -184,7 +184,7 @@ class TestReesPair:
     def test_monomial_reduction(self):
         trivial = PolyhedralDivisor.of(AFFINE_LINE, ORTHANT2, {})
         gens = [HomogeneousElement(one(), (3, 0)), HomogeneousElement(one(), (0, 3))]
-        pair = rees_pair(GradedIdealPresentation.of(cone_dual(ORTHANT2), trivial, gens))
+        pair = rees_pair(GradedIdealPresentation.of(ORTHANT2.dual(), trivial, gens))
         assert pair.newton == Polyhedron.from_vertices_and_tail([(3, 0), (0, 3)], ORTHANT2)
         assert pair.rees_divisor.coefficients == ()
 
@@ -222,7 +222,7 @@ class TestClosurePowerPiece:
     def test_monomial_specialization(self):
         trivial = PolyhedralDivisor.of(AFFINE_LINE, ORTHANT2, {})
         gens = [HomogeneousElement(one(), (3, 0)), HomogeneousElement(one(), (0, 3))]
-        pair = rees_pair(GradedIdealPresentation.of(cone_dual(ORTHANT2), trivial, gens))
+        pair = rees_pair(GradedIdealPresentation.of(ORTHANT2.dual(), trivial, gens))
         p = newton_polyhedron(MonomialIdeal.of(ORTHANT2, [(3, 0), (0, 3)]))
         for m in itertools.product(range(7), repeat=2):
             inside = dilate(p, 2).contains(m)
@@ -267,7 +267,7 @@ class TestPtildeAndNormality:
     def test_trivial_support_shape(self):
         trivial = PolyhedralDivisor.of(AFFINE_LINE, ORTHANT2, {})
         gens = [HomogeneousElement(one(), (1, 0)), HomogeneousElement(one(), (0, 1))]
-        pair = rees_pair(GradedIdealPresentation.of(cone_dual(ORTHANT2), trivial, gens))
+        pair = rees_pair(GradedIdealPresentation.of(ORTHANT2.dual(), trivial, gens))
         p = ptilde(pair, Z0)
         # {(m, i): m in P, i >= 0}
         assert p.contains((1, 0, 0)) and p.contains((1, 0, 3))
@@ -277,7 +277,7 @@ class TestPtildeAndNormality:
         trivial = PolyhedralDivisor.of(AFFINE_LINE, ORTHANT2, {})
         for exps in ([(3, 0), (0, 3)], [(2, 1), (1, 2)], [(2, 0), (0, 1)]):
             gens = [HomogeneousElement(one(), m) for m in exps]
-            pair = rees_pair(GradedIdealPresentation.of(cone_dual(ORTHANT2), trivial, gens))
+            pair = rees_pair(GradedIdealPresentation.of(ORTHANT2.dual(), trivial, gens))
             closed = monomial_closure_generators(MonomialIdeal.of(ORTHANT2, exps))
             I = MonomialIdeal.of(ORTHANT2, closed)
             assert normality_sufficient(pair)[0] == monomial_is_normal(I)[0], exps
@@ -323,7 +323,7 @@ class TestPolynomialRingCriterion:
     def test_sufficient_criterion_matches_powers_closed(self):
         # k[x0, x1, x2] with its rank-2 grading over the affine line
         trivial = PolyhedralDivisor.of(AFFINE_LINE, ORTHANT2, {})
-        wc = cone_dual(ORTHANT2)
+        wc = ORTHANT2.dual()
         rng = random.Random(11)
         fpolys = [None, {(0, 1): 1}, {(-1, 1): 1}, {(0, 1): 2}, {(0, 1): 1, (-1, 1): 1}]
         for trial in range(10):
