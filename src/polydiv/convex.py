@@ -6,22 +6,30 @@ so equality of cones is structural equality.  A :class:`Polyhedron` is a
 Minkowski sum Conv(vertices) + tail cone, again stored in canonical form
 together with its irredundant inequality description.
 
-All conversions go through one deterministic double-description routine
-based on enumerating rank-(d-1) subsets of constraints, which is entirely
-adequate at the intended scale (ambient rank <= 6).
+All conversions go through one routine, :func:`_dual_generators`: it splits
+off the lineality space with an integer kernel basis and finds the extreme
+rays of the pointed part by incremental double description with the
+combinatorial adjacency test (Fukuda & Prodon, "Double description method
+revisited", 1996), fraction-free.  Its result depends only on the set of
+primitive generators, so it is memoised on that canonical input.  Hilbert
+bases come from a triangulation and the fundamental parallelepipeds of its
+simplices, reduced in order of a positive grading as in the primal
+algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     IVec,
     Vec,
+    adjugate,
     bareiss_det,
     dot,
     hnf,
@@ -66,68 +74,104 @@ class Unbounded(GeometryError):
     pass
 
 
-def _dual_generators(generators: Sequence[IVec], ambient: int) -> tuple[IVec, ...]:
+# Distinct conversion inputs kept: one pass over the paper's fixtures has
+# about a hundred, and every entry holds only small integer tuples.
+_DUAL_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_DUAL_CACHE_SIZE)
+def _dual_generators(generators: tuple[IVec, ...], ambient: int) -> tuple[IVec, ...]:
     """Minimal generating set of {y : <g, y> >= 0 for all g}.
 
-    Deterministic and canonical: the lineality part (orthogonal complement
-    of span(generators)) contributes +/- the HNF basis of its lattice, the
+    ``generators`` is the canonical input: a sorted tuple of distinct
+    nonzero primitive vectors.  The output is canonical in the same sense,
+    so it can be fed back in.  The lineality part (orthogonal complement of
+    span(generators)) contributes +/- the HNF basis of its lattice, the
     pointed part contributes its primitive extreme rays.
     """
-    gens = [g for g in generators if not is_zero_vector(g)]
     out: list[IVec] = []
-    lin = integer_kernel_basis(gens, ambient) if gens else [
+    lin = integer_kernel_basis(generators, ambient) if generators else [
         tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
     for b in lin:
         out.append(tuple(b))
         out.append(tuple(-a for a in b))
-    if not gens:
+    if not generators:
         return tuple(sorted(set(out)))
-    # pointed part lives in S = span(generators); work in coordinates of S
-    sbasis = saturated_span_basis(gens, ambient)
-    s = len(sbasis)
-    if s == 0:
-        return tuple(sorted(set(out)))
-    # constraint matrix in S-coordinates: row per generator
-    mat = [tuple(dot(g, b) for b in sbasis) for g in gens]
-    for c in _extreme_rays_pointed(mat, s):
+    # pointed part lives in S = span(generators); work in coordinates of the
+    # lattice S ∩ Z^n, the integer kernel of the lineality basis
+    sbasis = integer_kernel_basis(lin, ambient)
+    # constraint matrix in S-coordinates: row per generator, of rank dim S
+    mat = [tuple(dot(g, b) for b in sbasis) for g in generators]
+    for c in _extreme_rays_pointed(mat, len(sbasis)):
         y = tuple(sum(ci * bi for ci, bi in zip(c, col)) for col in zip(*sbasis))
         out.append(primitive(y))
     return tuple(sorted(set(out)))
 
 
-def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[IVec]:
-    """Extreme rays of the pointed cone {c in Q^dim : M c >= 0}.
+def _independent_rows(rows: Sequence[IVec], count: int) -> list[int]:
+    """Indices of the first ``count`` linearly independent rows, in order."""
+    chosen: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for i, r in enumerate(rows):
+        v = list(r)
+        for pc, b in echelon:
+            if v[pc]:
+                v = [b[pc] * x - v[pc] * y for x, y in zip(v, b)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is not None:
+            echelon.append((pc, v))
+            chosen.append(i)
+            if len(chosen) == count:
+                break
+    return chosen
 
-    Every extreme ray of a pointed cone is the kernel of a rank-(dim-1)
-    subset of active constraints, so subset enumeration is exhaustive.
-    The kernel vector of a (dim-1) x dim integer matrix is computed from
-    its maximal minors (fraction-free).
+
+def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[IVec]:
+    """Extreme rays of the pointed cone {c in Q^dim : M c >= 0}, M of rank dim.
+
+    Incremental double description, fraction-free.  The first ``dim``
+    independent rows cut out a simplicial cone whose rays are the columns
+    of their integer adjugate (ray i is tight on every seed row but row i).
+    Each further row a keeps the rays with <a, r> >= 0 and joins every
+    adjacent pair p (<a, p> > 0), n (<a, n> < 0) by the ray
+    <a, p> n - <a, n> p on its hyperplane.  Each ray carries its zero set
+    (the rows it is tight on) as a bitmask; p and n are adjacent iff they
+    share at least dim-2 tight rows and no third ray is tight on all of
+    them, which is exact because the rays kept are the extreme rays of a
+    pointed cone.
     """
     rows = sorted({primitive(r) for r in constraints if not is_zero_vector(r)})
-    rays: set[IVec] = set()
-    if dim == 1:
-        for cand in ((1,), (-1,)):
-            if all(dot(r, cand) >= 0 for r in rows):
-                rays.add(cand)
-        if len(rays) == 2:  # would be a line: cone not pointed here
-            rays = set()
-        return sorted(rays)
-    for subset in itertools.combinations(rows, dim - 1):
-        v = tuple((-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in subset])
-                  for j in range(dim))
-        if is_zero_vector(v):
+    seed = _independent_rows(rows, dim)
+    seed_mask = sum(1 << i for i in seed)
+    adj = adjugate([rows[i] for i in seed])
+    rays: list[tuple[IVec, int]] = []  # (primitive ray, zero set over processed rows)
+    for k, i in enumerate(seed):
+        v = tuple(row[k] for row in adj)
+        g = gcd(*v) if dot(rows[i], v) > 0 else -gcd(*v)
+        rays.append((tuple(a // g for a in v), seed_mask & ~(1 << i)))
+    for i, a in enumerate(rows):
+        if seed_mask >> i & 1:
             continue
-        v = primitive(v)
-        for cand in (v, tuple(-a for a in v)):
-            if cand not in rays and all(dot(r, cand) >= 0 for r in rows):
-                rays.add(cand)
-    # drop non-extreme candidates: r is extreme iff its active set has rank dim-1
-    out = []
-    for v in rays:
-        active = [r for r in rows if dot(r, v) == 0]
-        if active and rank(active) == dim - 1:
-            out.append(v)
-    return sorted(out)
+        bit = 1 << i
+        values = [dot(a, v) for v, _ in rays]
+        kept = [(v, z | bit if val == 0 else z)
+                for (v, z), val in zip(rays, values) if val >= 0]
+        if len(kept) < len(rays):
+            zsets = [z for _, z in rays]
+            neg = [(v, z, val) for (v, z), val in zip(rays, values) if val < 0]
+            for (p, zp), vp in zip(rays, values):
+                if vp <= 0:
+                    continue
+                for n, zn, vn in neg:
+                    common = zp & zn
+                    if common.bit_count() < dim - 2 or \
+                            sum(1 for z in zsets if z & common == common) > 2:
+                        continue
+                    w = tuple(vp * x - vn * y for x, y in zip(n, p))
+                    g = gcd(*w)
+                    kept.append((tuple(x // g for x in w), common | bit))
+        rays = kept
+    return sorted(v for v, _ in rays)
 
 
 @dataclass(frozen=True)
@@ -145,8 +189,8 @@ class Cone:
 
     @staticmethod
     def from_rays(vectors: Iterable[Sequence], ambient_rank: int) -> "Cone":
-        vecs = [primitive(v) for v in vectors]
-        vecs = [v for v in vecs if not is_zero_vector(v)]
+        vecs = {primitive(v) for v in vectors}
+        vecs = tuple(sorted(v for v in vecs if not is_zero_vector(v)))
         for v in vecs:
             if len(v) != ambient_rank:
                 raise GeometryError("ray of wrong length")
@@ -176,7 +220,8 @@ class Cone:
 
     @property
     def is_pointed(self) -> bool:
-        return all(tuple(-a for a in r) not in set(self.rays) for r in self.rays)
+        rays = set(self.rays)
+        return all(tuple(-a for a in r) not in rays for r in self.rays)
 
     @property
     def dim(self) -> int:
@@ -231,43 +276,41 @@ def _parallelepiped_points(rays: Sequence[IVec]) -> list[IVec]:
     """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
 
     Enumerates one representative per class of (Z^n ∩ span) / Z-span(rays):
-    candidates run over the box cut out by the HNF pivots, each is reduced
-    into the half-open parallelepiped by taking fractional coordinates.
+    candidates c run over the box cut out by the HNF pivots of R, the rays
+    in coordinates of the saturated span lattice.  The coefficients of c
+    on the rays are c adj(R) / det(R), so reducing the integer numerators
+    mod |det R| moves c into the half-open parallelepiped; the adjugate
+    and the determinant are computed once per simplex.
     """
     n = len(rays[0])
     sbasis = saturated_span_basis(rays, n)
-    s = len(sbasis)
     # rays in coordinates of the saturated span lattice (integral by saturation)
     coord_rows = [tuple(r) for r in zip(*sbasis)]  # j-th row: j-th coords of basis
-    ray_coords = []
-    for r in rays:
-        lam = solve(coord_rows, r)
-        ray_coords.append(tuple(int(a) for a in lam))
-    h = hnf(ray_coords)
-    diag = []
-    for row in h:
-        pc = next(c for c in range(s) if row[c] != 0)
-        diag.append(row[pc])
-    rmat_rows = [tuple(rc[j] for rc in ray_coords) for j in range(s)]
+    ray_coords = [tuple(int(a) for a in solve(coord_rows, r)) for r in rays]
+    diag = [next(a for a in row if a != 0) for row in hnf(ray_coords)]
+    det = bareiss_det(ray_coords)
+    sign, volume = (1, det) if det > 0 else (-1, -det)
+    columns = list(zip(*adjugate(ray_coords)))
     points = []
     for cand in itertools.product(*[range(d) for d in diag]):
-        lam = solve(rmat_rows, cand)
-        frac = tuple(l - floor(l) for l in lam)
-        span_pt = tuple(sum(f * rc[j] for f, rc in zip(frac, ray_coords))
-                        for j in range(s))
-        ambient = tuple(sum(int(c) * b[j] for c, b in zip(span_pt, sbasis))
-                        for j in range(n))
-        points.append(ambient)
-    return sorted(set(points))
+        num = [sign * dot(cand, col) % volume for col in columns]
+        points.append(tuple(sum(k * r[j] for k, r in zip(num, rays)) // volume
+                            for j in range(n)))
+    return points
 
 
 def hilbert_basis(c: Cone) -> tuple[IVec, ...]:
     """Unique minimal generating set of the monoid c ∩ Z^n.
 
-    Triangulates into simplicial subcones, collects fundamental
-    parallelepiped points and ray generators, then filters out
-    decomposable elements (the monoid is saturated, so membership in the
-    cone decides membership in the monoid).
+    Triangulates into simplicial subcones and collects ray generators and
+    fundamental parallelepiped points; every irreducible element is among
+    them.  Candidates are then taken in increasing degree, the sum of the
+    inner normals' values, which is positive on the cone minus the origin.
+    A candidate x is kept unless an already-kept y of smaller degree has
+    x - y in the cone, i.e. no normal is smaller on x than on y (the monoid
+    is saturated, so membership in the cone decides membership in the
+    monoid).  Comparing with kept elements suffices: a reducible x has an
+    irreducible summand y with x - y in the monoid, and y was kept earlier.
     """
     if not c.is_pointed:
         raise NotPointed("Hilbert basis requires a pointed cone")
@@ -276,14 +319,17 @@ def hilbert_basis(c: Cone) -> tuple[IVec, ...]:
         for p in _parallelepiped_points(piece):
             if not is_zero_vector(p):
                 candidates.add(p)
-    basis = []
+    graded = []
     for x in candidates:
-        decomposable = any(
-            y != x and not is_zero_vector(vsub(x, y)) and c.contains(vsub(x, y))
-            for y in candidates)
-        if not decomposable:
-            basis.append(x)
-    return tuple(sorted(basis))
+        values = tuple(dot(h, x) for h in c.halfspaces)
+        graded.append((sum(values), x, values))
+    graded.sort()
+    kept: list[tuple[int, IVec, IVec]] = []
+    for deg, x, values in graded:
+        if not any(dy < deg and all(a >= b for a, b in zip(values, vy))
+                   for dy, _, vy in kept):
+            kept.append((deg, x, values))
+    return tuple(sorted(x for _, x, _ in kept))
 
 
 Halfspace = tuple[IVec, Fraction]  # inequality <normal, x> >= offset

@@ -360,8 +360,10 @@ def probe_degrees(d: PolyhedralDivisor, denom: int) -> set[IVec]:
 def default_box(d: PolyhedralDivisor) -> tuple[tuple[int, int], ...]:
     """Box containing the Hilbert basis of the weight cone and the quasifan
     breakpoints scaled by the divisor denominator."""
-    n = d.rank
-    probes = probe_degrees(d, d.denominator())
+    return _box_around(probe_degrees(d, d.denominator()), d.rank)
+
+
+def _box_around(probes: set[IVec], n: int) -> tuple[tuple[int, int], ...]:
     lo = [min(0, min(p[j] for p in probes)) for j in range(n)]
     hi = [max(1, max(p[j] for p in probes)) for j in range(n)]
     return tuple(zip(lo, hi))
@@ -382,10 +384,11 @@ def bounded_generators(d: PolyhedralDivisor,
     if not ok:
         raise NotProper(cert)
     n = d.rank
+    probes = probe_degrees(d, d.denominator())
     if box is None:
-        box = default_box(d)
+        box = _box_around(probes, n)
     box = tuple((int(a), int(b)) for a, b in box)
-    for p in probe_degrees(d, d.denominator()):
+    for p in probes:
         if not all(lo <= a <= hi for a, (lo, hi) in zip(p, box)):
             raise BoxTooSmall(f"box must contain {p}")
 

@@ -44,6 +44,17 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer adjugate of a square integer matrix: A adj(A) = det(A) I.
+
+    Entry (i, j) is the cofactor of A at (j, i), one Bareiss minor each.
+    """
+    n = len(rows)
+    return [[(-1) ** (i + j) * bareiss_det([r[:i] + r[i + 1:]
+                                            for k, r in enumerate(rows) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
 def vadd(u: Sequence, v: Sequence) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -74,6 +85,9 @@ def primitive(u: Sequence) -> IVec:
 
     The zero vector maps to itself.
     """
+    if all(type(a) is int for a in u):
+        g = gcd(*u)
+        return tuple(a // g for a in u) if g else tuple(u)
     fracs = [Fraction(a) for a in u]
     if all(f == 0 for f in fracs):
         return tuple(0 for _ in fracs)
@@ -115,23 +129,6 @@ def rref(rows: Iterable[Sequence]) -> list[Vec]:
 
 def rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows))
-
-
-def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
-    """Basis of the right kernel {x : A x = 0} over Q."""
-    ech = rref(rows)
-    pivots = []
-    for row in ech:
-        pivots.append(next(c for c in range(ncols) if row[c] != 0))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for row, pc in zip(ech, pivots):
-            x[pc] = -row[fc]
-        basis.append(tuple(x))
-    return basis
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
@@ -229,13 +226,11 @@ def integer_kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[IVec]:
 
 
 def saturated_span_basis(vectors: Sequence[Sequence], ncols: int) -> list[IVec]:
-    """Canonical basis of span_Q(vectors) ∩ Z^n (a saturated lattice)."""
-    if not vectors or all(is_zero_vector(v) for v in vectors):
-        return []
-    perp = kernel_basis(vectors, ncols)
-    if not perp:
-        return hnf([tuple(int(i == j) for j in range(ncols)) for i in range(ncols)])
-    return integer_kernel_basis(perp, ncols)
+    """Canonical basis of span_Q(vectors) ∩ Z^n (a saturated lattice).
+
+    It is the kernel lattice of a basis of the orthogonal complement.
+    """
+    return integer_kernel_basis(integer_kernel_basis(vectors, ncols), ncols)
 
 
 def spans_lattice(vectors: Sequence[IVec], n: int) -> bool:

@@ -187,11 +187,15 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_console_script_entry(self):
+        # the child finds the package where this process found it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ser.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "polydiv.cli", "root-check",
              "--input", fixture("ex345.json"), "--object", "divisor",
              "--e=-1,0", "--json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["result"]["is_root"] is True

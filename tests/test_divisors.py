@@ -1,9 +1,11 @@
 import itertools
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from polydiv import divisors, serialize
 from polydiv.convex import Cone, Polyhedron, support_value
 from polydiv.curves import (
     AFFINE_LINE,
@@ -330,3 +332,12 @@ class TestBoundedGenerators:
         box = default_box(d)
         for h in hilbert_basis(d.weight_cone):
             assert all(lo <= a <= hi for a, (lo, hi) in zip(h, box))
+
+    def test_default_box_probes_the_quasifan_once(self, monkeypatch):
+        path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "hnorm_a1.json")
+        d = serialize.load_problem(path).get("divisor", "divisor")
+        calls = []
+        real = divisors.quasifan
+        monkeypatch.setattr(divisors, "quasifan", lambda q: calls.append(q) or real(q))
+        bounded_generators(d)
+        assert calls == [d]
