@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -36,7 +38,6 @@ from .linalg import (
     integer_kernel_basis,
     is_zero_vector,
     primitive,
-    rank,
     saturated_span_basis,
     solve,
     to_fraction_vector,
@@ -225,7 +226,7 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        return rank(self.rays) if self.rays else 0
+        return len(_independent_rows(self.rays, self.ambient_rank))
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -262,7 +263,7 @@ def _simplicial_pieces(c: Cone) -> list[tuple[IVec, ...]]:
         facet = Cone.from_rays(tight, c.ambient_rank)
         for simplex in _simplicial_pieces(facet):
             piece = (apex,) + simplex
-            if rank(piece) == d:
+            if len(_independent_rows(piece, d)) == d:
                 pieces.append(piece)
     return pieces
 
@@ -412,6 +413,19 @@ class Polyhedron:
     def contains(self, x: Sequence) -> bool:
         return all(dot(nrm, x) >= c for nrm, c in self.halfspaces)
 
+    @functools.cached_property
+    def lattice_rows(self) -> tuple[tuple[IVec, int], ...]:
+        """The halfspaces as integer rows (n, ceil(c)).
+
+        The normals are integral, so a lattice point x has <n, x> >= c iff
+        <n, x> >= ceil(c): the rows cut out the same lattice points.
+        """
+        return tuple((nrm, ceil(c)) for nrm, c in self.halfspaces)
+
+    def contains_lattice_point(self, x: IVec) -> bool:
+        """:meth:`contains` for an integer point, in integer arithmetic."""
+        return all(sum(map(mul, nrm, x)) >= c for nrm, c in self.lattice_rows)
+
     @property
     def has_integral_vertices(self) -> bool:
         return all(a.denominator == 1 for v in self.vertices for a in v)
@@ -451,7 +465,64 @@ def dilate(p: Polyhedron, e: int) -> Polyhedron:
 
 
 def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -> list[IVec]:
-    return [x for x in box_points(zip(lo, hi)) if p.contains(x)]
+    """Lattice points x of p with lo <= x <= hi, in lexicographic order.
+
+    Works on the integer rows <n, x> >= ceil(c) of p, so no point is
+    compared in rational arithmetic.  Coordinates are fixed one at a time,
+    first to last.  For a prefix x_0..x_{k-1}, each row bounds x_k by
+    asking that the row still be met when every later coordinate takes
+    its most favourable value in the box; so the range of x_k is an
+    interval, and a prefix is dropped as soon as that interval is empty.
+    At the last coordinate the bound is exact and the interval is the set
+    of completions.  The output is the box's points that lie in p, in the
+    order a full scan of the box would find them.
+    """
+    n = len(lo)
+    if n == 0:
+        return [()]  # a rank-0 polyhedron is the point () and has no rows
+    rows = p.lattice_rows
+    # per coordinate k: (row i, n_ik, largest sum_{j > k} n_ij x_j over the box)
+    levels = []
+    reach = [0] * len(rows)
+    for k in reversed(range(n)):
+        levels.append([(i, nrm[k], r) for i, ((nrm, _), r) in enumerate(zip(rows, reach))
+                       if nrm[k]])
+        reach = [r + max(nrm[k] * lo[k], nrm[k] * hi[k]) for r, (nrm, _) in zip(reach, rows)]
+    levels.reverse()
+    out: list[IVec] = []
+    _extend_prefix((), [c for _, c in rows], levels, lo, hi, out)
+    return out
+
+
+def _extend_prefix(prefix: IVec, need: list[int], levels, lo: Sequence[int],
+                   hi: Sequence[int], out: list[IVec]) -> None:
+    """Append the points of :func:`lattice_points_in_box` that start with prefix.
+
+    ``need[i]`` is what row i still asks of the coordinates from
+    ``len(prefix)`` on.  A row is checked at each coordinate it involves,
+    and exactly at the last of them, so rows that do not involve the next
+    coordinate need no check there.
+    """
+    k = len(prefix)
+    t0, t1 = lo[k], hi[k]
+    for i, a, r in levels[k]:
+        q = need[i] - r  # a * t >= q
+        if a > 0:
+            q = -(-q // a)
+            if q > t0:
+                t0 = q
+        else:
+            q = q // a
+            if q < t1:
+                t1 = q
+    if k == len(levels) - 1:
+        out.extend([prefix + (t,) for t in range(t0, t1 + 1)])
+        return
+    for t in range(t0, t1 + 1):
+        rest = need[:]
+        for i, a, _ in levels[k]:
+            rest[i] -= a * t
+        _extend_prefix(prefix + (t,), rest, levels, lo, hi, out)
 
 
 def reachability_box(p: Polyhedron, hilbert: Sequence[IVec]) -> tuple[list[int], list[int]]:
@@ -475,7 +546,7 @@ def minimal_lattice_points(p: Polyhedron) -> tuple[IVec, ...]:
     lo, hi = reachability_box(p, hb)
     out = []
     for x in lattice_points_in_box(p, lo, hi):
-        if not any(p.contains(vsub(x, h)) for h in hb):
+        if not any(p.contains_lattice_point(vsub(x, h)) for h in hb):
             out.append(x)
     return tuple(sorted(out))
 
@@ -483,32 +554,43 @@ def minimal_lattice_points(p: Polyhedron) -> tuple[IVec, ...]:
 def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     """Does every lattice point of e*p split into e lattice points of p?
 
-    Enumeration is restricted to conv(e*vertices) + zonotope(Hilbert basis
-    of the tail): any lattice point of e*p outside that region splits off a
+    Returns (verdict, witness), the witness being the first non-splitting
+    lattice point of e*p in lexicographic order when the verdict is False.
+    Every lattice point of p is trivially a 1-fold sum, so e = 1 is True
+    without enumeration.
+
+    Targets are restricted to conv(e*vertices) + zonotope(Hilbert basis of
+    the tail): a lattice point of e*p outside that region splits off a
     Hilbert-basis element h with x - h still in e*p, and both membership in
-    e*p and e-fold decomposability are stable under adding h back.  The
-    summands of any such point lie in a slab of p cut by a weight strictly
-    positive on the tail, so one sumset computation settles all points.
-    Returns (verdict, witness point) where the witness is a non-splitting
-    lattice point when the verdict is False.
+    e*p and e-fold decomposability are stable under adding h back.
+
+    Let w be the sum of the tail's inner normals, positive on the tail
+    minus the origin, and wmin its least value on p.  A summand of a target
+    x has weight at most w(x) - (e-1)*wmin <= bound, the same bound over
+    all targets, so every summand lies in the slab of p where w <= bound;
+    its lattice points are enumerated once, with their weights as ints.
+    A k-fold sum is searched with its lightest summand first, whose weight
+    is at most w(x) // k.  Every remainder also has weight <= bound, so
+    the last one (k = 1) is in p exactly when it is a slab point, which is
+    a set lookup.
     """
     if not p.has_integral_vertices:
         raise NonIntegralVertices("normality is defined for lattice polyhedra")
     if e < 1:
         raise GeometryError("dilation exponent must be >= 1")
+    if e == 1:
+        return True, None
     n = p.ambient_rank
     scaled = dilate(p, e)
     hb = hilbert_basis(p.tail)
     lo, hi = reachability_box(scaled, hb)
     targets = lattice_points_in_box(scaled, lo, hi)
-    if e == 1:
-        return True, None  # targets are lattice points of p by construction
     if not targets:
         return True, None
-    weight = tuple(sum(col) for col in zip(*p.tail.dual().rays))
+    weight = tuple(map(sum, zip(*p.tail.halfspaces)))
     wmin = min(dot(weight, v) for v in p.vertices)
-    wmax = max(dot(weight, x) for x in targets)
-    bound = wmax - (e - 1) * wmin
+    target_weights = [sum(map(mul, weight, x)) for x in targets]
+    bound = max(target_weights) - (e - 1) * wmin
     # lattice points of p in the slab <weight, .> <= bound hold every possible summand
     try:
         slab = Polyhedron.from_halfspaces(
@@ -517,31 +599,41 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
         return False, targets[0]
     slo = [floor(min(v[j] for v in slab.vertices)) for j in range(n)]
     shi = [ceil(max(v[j] for v in slab.vertices)) for j in range(n)]
-    summands = lattice_points_in_box(slab, slo, shi)
-    summands.sort(key=lambda m: dot(weight, m))
-    memo: dict = {}
-
-    def splits(x: IVec, k: int) -> bool:
-        if k == 1:
-            return p.contains(x)
-        key = (x, k)
-        if key in memo:
-            return memo[key]
-        cap = dot(weight, x) - (k - 1) * wmin
-        ok = False
-        for m in summands:
-            if dot(weight, m) > cap:
-                break
-            if splits(vsub(x, m), k - 1):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
-    for x in targets:
-        if not splits(x, e):
+    points = lattice_points_in_box(slab, slo, shi)
+    summands = sorted(points, key=lambda m: sum(map(mul, weight, m)))
+    weights = [sum(map(mul, weight, m)) for m in summands]
+    slab_points = set(points)
+    memo: dict[tuple[IVec, int], bool] = {}
+    for x, wx in zip(targets, target_weights):
+        if not _splits(x, wx, e, summands, weights, slab_points, memo):
             return False, x
     return True, None
+
+
+def _splits(x: IVec, wx: int, k: int, summands: list[IVec], weights: list[int],
+            slab_points: set[IVec], memo: dict[tuple[IVec, int], bool]) -> bool:
+    """Is x, of weight wx, a sum of k >= 2 slab points?
+
+    ``summands`` are the slab points sorted by weight, ``weights`` theirs,
+    ``slab_points`` the same points as a set; ``memo`` holds the verdicts of
+    remainders.  See :func:`is_polyhedron_normal`.  Module level, not a
+    closure: a recursive closure refers to itself, and its memo would wait
+    for the cycle collector.
+    """
+    cut = bisect_right(weights, wx // k)
+    for m, wm in zip(summands[:cut], weights):
+        rest = tuple(map(sub, x, m))
+        if k == 2:
+            if rest in slab_points:
+                return True
+            continue
+        key = (rest, k - 1)
+        ok = memo.get(key)
+        if ok is None:
+            ok = memo[key] = _splits(rest, wx - wm, k - 1, summands, weights, slab_points, memo)
+        if ok:
+            return True
+    return False
 
 
 def support_value_hilbert_oracle(halfspace_data: Sequence[tuple[IVec, object]],

@@ -96,7 +96,8 @@ def monomial_is_normal(ideal: MonomialIdeal) -> tuple[bool, dict | None]:
     """Normality of the (closure of the) ideal; witness on failure.
 
     Checks e-fold splitting of the Newton polyhedron for e up to rank - 1,
-    which suffices in the orthant case and for every polyhedron in rank 2.
+    which suffices in the orthant case and for every polyhedron in rank 2;
+    on non-orthant rank-3 cones it is tested against splitting up to rank + 1.
     """
     p = newton_polyhedron(ideal)
     for e in range(1, ideal.rank):
@@ -264,11 +265,11 @@ def pair_conditions(pair: ReesPair, slice_box_halfwidth: int = 6,
                     f"vertices {_fmt_vertices(pair.newton)}"))
 
     n = d.rank
-    box = tuple((-slice_box_halfwidth, slice_box_halfwidth) for _ in range(n))
+    lo, hi = [-slice_box_halfwidth] * n, [slice_box_halfwidth] * n
+    box = tuple(zip(lo, hi))
     slice_ok, note = True, "levels 0..%d agree on the sampled box" % max_level
     for e in range(max_level + 1):
-        scaled = dilate(pair.newton, e)
-        want = {m for m in box_points(box) if scaled.contains(m)}
+        want = set(lattice_points_in_box(dilate(pair.newton, e), lo, hi))
         got = _augmented_slice_points(pair, e, box)
         if want != got:
             slice_ok = False
@@ -358,7 +359,8 @@ def ptilde(pair: ReesPair, z: BasePoint) -> Polyhedron:
             [lift(m) for m in lattice_points_in_box(newton, lo, hi)], tail)
         # certificate: every lifted lattice pair in the doubled region is in the hull
         lo2, hi2 = reachability_box(newton, [tuple(2 * scale * a for a in h) for h in hb])
-        if all(out.contains(lift(m)) for m in lattice_points_in_box(newton, lo2, hi2)):
+        if all(out.contains_lattice_point(lift(m))
+               for m in lattice_points_in_box(newton, lo2, hi2)):
             return out
         scale *= 2
         if scale > 16:

@@ -1,9 +1,11 @@
+import gc
 import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polydiv import convex
 from polydiv.convex import (
     Cone,
     EmptyPolyhedron,
@@ -317,6 +319,30 @@ class TestNormality:
     def test_minimal_lattice_points(self):
         p = Polyhedron.from_vertices_and_tail([(3, 0), (0, 3)], ORTHANT2)
         assert set(minimal_lattice_points(p)) == {(3, 0), (2, 1), (1, 2), (0, 3)}
+
+    def test_e1_is_normal_without_enumeration(self, monkeypatch):
+        p = Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
+                                              Cone.nonnegative_orthant(3))
+        for name in ("dilate", "hilbert_basis", "lattice_points_in_box"):
+            monkeypatch.setattr(convex, name, None)
+        assert is_polyhedron_normal(p, 1) == (True, None)
+
+    def test_no_reference_cycles_left_behind(self):
+        """The split search keeps its memo and point lists in no cycle, so
+        they are freed on return, not by a later gc pass."""
+        skew = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)], 4)
+        p = Polyhedron.from_vertices_and_tail(
+            [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 1, 2)], skew)
+        is_polyhedron_normal(p, 2)  # fill the conversion caches first
+        gc.collect()
+        gc.disable()
+        try:
+            lattice_points_in_box(p, [0] * 4, [6] * 4)
+            for e in (1, 2, 3):
+                assert is_polyhedron_normal(p, e) == (True, None)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestHilbertOracle:

@@ -1,22 +1,36 @@
-"""Differential tests of the V/H conversion and Hilbert-basis core.
+"""Differential tests of the V/H conversion, Hilbert-basis and lattice core.
 
 The oracles are the earlier, slower routines: extreme rays by enumerating
 every rank-(d-1) subset of constraints, fundamental parallelepiped points by
-one rational solve per candidate, and the all-pairs decomposability filter.
-They live here only, as references for the double description, the
-adjugate reduction and the degree-sorted filter in ``polydiv.convex``.
+one rational solve per candidate, the all-pairs decomposability filter, and
+lattice points by testing every point of the box in Fraction arithmetic.
+e-fold splitting is checked against a search taken straight from the
+definition.  They live here only, as references for the double description,
+the adjugate reduction, the degree-sorted filter, the pruned integer
+enumeration and the slab search in ``polydiv.convex``.
 """
 
 import itertools
 import random
 from fractions import Fraction as F
-from math import floor
+from math import ceil, floor
 from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polydiv import convex
-from polydiv.convex import Cone, hilbert_basis
+from polydiv.convex import (
+    Cone,
+    EmptyPolyhedron,
+    Polyhedron,
+    box_points,
+    dilate,
+    hilbert_basis,
+    is_polyhedron_normal,
+    lattice_points_in_box,
+    reachability_box,
+)
+from polydiv.ideals import MonomialIdeal, monomial_is_normal, newton_polyhedron
 from polydiv.linalg import (
     adjugate,
     bareiss_det,
@@ -27,6 +41,8 @@ from polydiv.linalg import (
     rank,
     saturated_span_basis,
     solve,
+    vadd,
+    vscale,
     vsub,
 )
 
@@ -212,3 +228,184 @@ def test_equal_inputs_share_one_conversion():
 def test_fraction_inputs_are_canonicalised():
     assert Cone.from_rays([(F(1, 2), F(1, 3)), (2, 0)], 2) == \
         Cone.from_rays([(3, 2), (1, 0)], 2)
+
+
+def lattice_points_by_box_filter(p, lo, hi):
+    """Every point of the box, kept when p contains it (Fraction offsets)."""
+    return [x for x in box_points(zip(lo, hi)) if p.contains(x)]
+
+
+def normal_by_brute_force(p, e):
+    """(verdict, first non-splitting target) over the same targets, e = 1 included.
+
+    From the definition alone: if a target x = m_1 + ... + m_e with every
+    m_i a lattice point of p, then x - m_i is in (e-1)*p, so each m_i lies
+    in p ∩ (B - (e-1)*p) for the box B of the targets.  That region is a
+    polytope (the tail is pointed); its lattice points, found by the box
+    filter over its vertex box, are every possible summand, and a search
+    over them decides each target.
+    """
+    scaled = dilate(p, e)
+    lo, hi = reachability_box(scaled, hilbert_basis(p.tail))
+    targets = lattice_points_by_box_filter(scaled, lo, hi)
+    n = p.ambient_rank
+    corners = itertools.product(*zip(lo, hi))
+    reach = Polyhedron.from_vertices_and_tail(
+        [vsub(c, vscale(e - 1, v)) for c in corners for v in p.vertices],
+        Cone.from_rays([vscale(-1, r) for r in p.tail.rays], n))
+    try:
+        region = Polyhedron.from_halfspaces(p.halfspaces + reach.halfspaces, n)
+    except EmptyPolyhedron:
+        summands = []
+    else:
+        slo = [floor(min(v[j] for v in region.vertices)) for j in range(n)]
+        shi = [ceil(max(v[j] for v in region.vertices)) for j in range(n)]
+        summands = lattice_points_by_box_filter(region, slo, shi)
+    summand_set = set(summands)
+    dilates = {k: dilate(p, k) for k in range(1, e)}
+    memo = {}
+    for x in targets:
+        if not splits_by_search(x, e, summands, summand_set, dilates, memo):
+            return False, x
+    return True, None
+
+
+def splits_by_search(x, k, summands, summand_set, dilates, memo):
+    """Is x a sum of k of the summands, lex-sorted lattice points of p?
+
+    Some summand of a k-fold sum has its first coordinate at most x_0 / k,
+    so the first summand is tried in that range only, and the remainder
+    must lie in dilates[k-1] = (k-1)*p.
+    """
+    if k == 1:
+        return x in summand_set
+    if (x, k) not in memo:
+        first = itertools.takewhile(lambda m: not m or k * m[0] <= x[0], summands)
+        memo[x, k] = any(
+            dilates[k - 1].contains(y)
+            and splits_by_search(y, k - 1, summands, summand_set, dilates, memo)
+            for y in (vsub(x, m) for m in first))
+    return memo[x, k]
+
+
+@st.composite
+def polyhedra(draw, min_rank=0, max_rank=4, integral=True):
+    """Polyhedra of rank min_rank..max_rank with a pointed tail, possibly skew.
+
+    Tail rays lie in the open halfspace where x_0 + sum(x) > 0, so the
+    tail is pointed without being an orthant.  Confining everything to the
+    hyperplane x_0 = x_1 gives lower-dimensional polyhedra, whose
+    descriptions hold equalities.  Unless ``integral``, vertices have
+    denominators 2 and 3, so the offsets are fractional.
+    """
+    n = draw(st.integers(min_rank, max_rank))
+    bound = 3 if n < 3 else 2 if n < 4 else 1
+    if integral:
+        coord = st.integers(-bound, bound)
+    else:
+        coord = st.builds(F, st.integers(-2 * bound, 2 * bound), st.sampled_from([1, 2, 3]))
+    verts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n), max_size=3))
+    if n > 1 and draw(st.booleans()):
+        verts = [(v[1],) + v[1:] for v in verts]
+        rays = [(r[1],) + r[1:] for r in rays]
+    rays = [r for r in rays if n and r[0] + sum(r) > 0]
+    return Polyhedron.from_vertices_and_tail(verts, Cone.from_rays(rays, n))
+
+
+@st.composite
+def sparse_simplices(draw):
+    """Rank-3 simplices with few lattice points, where splitting fails often.
+
+    Either conv(0, e1, e2, (a, b, c)), Reeve-like, as a polytope, or the
+    Newton polyhedron conv(a e1, b e2, c e3) + orthant of a monomial ideal;
+    each moved by a lattice translation.
+    """
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    c = draw(st.integers(1, 5))
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    if draw(st.booleans()):
+        verts, tail = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (a, b, c)], Cone.zero(3)
+    else:
+        verts, tail = [(a + 1, 0, 0), (0, b + 1, 0), (0, 0, c)], Cone.nonnegative_orthant(3)
+    return Polyhedron.from_vertices_and_tail([vadd(v, shift) for v in verts], tail)
+
+
+@st.composite
+def boxes(draw, n):
+    """Boxes of rank n: empty (some hi < lo), one-point, or a few wide."""
+    lo = draw(st.lists(st.integers(-4, 3), min_size=n, max_size=n))
+    width = draw(st.sampled_from([-1, 0, 1, 2, 5]))
+    widths = draw(st.lists(st.integers(0, width), min_size=n, max_size=n)) \
+        if width > 0 else [width] * n
+    return lo, [a + w for a, w in zip(lo, widths)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), polyhedra(integral=False))
+def test_lattice_points_match_box_filter(data, p):
+    lo, hi = data.draw(boxes(p.ambient_rank))
+    want = lattice_points_by_box_filter(p, lo, hi)
+    assert lattice_points_in_box(p, lo, hi) == want
+    assert all(p.contains_lattice_point(x) == p.contains(x) for x in box_points(zip(lo, hi)))
+
+
+REEVE = Polyhedron.from_vertices_and_tail(
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], Cone.zero(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polyhedra(max_rank=3), sparse_simplices()), st.integers(1, 3))
+@example(REEVE, 2)
+@example(Polyhedron.from_vertices_and_tail(
+    [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.nonnegative_orthant(3)), 2)
+@example(Polyhedron.from_vertices_and_tail(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], Cone.from_rays([(1, 1, 2)], 3)), 3)
+def test_normality_matches_brute_force_splitting(p, e):
+    assert is_polyhedron_normal(p, e) == normal_by_brute_force(p, e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polyhedra(min_rank=4), st.integers(1, 2))
+def test_rank4_normality_matches_brute_force_splitting(p, e):
+    assert is_polyhedron_normal(p, e) == normal_by_brute_force(p, e)
+
+
+def test_brute_force_oracle_can_fail():
+    assert not normal_by_brute_force(REEVE, 2)[0]
+    assert is_polyhedron_normal(REEVE, 2) == normal_by_brute_force(REEVE, 2)
+
+
+@st.composite
+def skew_ideals(draw):
+    """Monomial ideals on full-dimensional, pointed, non-orthant rank-3 cones.
+
+    Exponents are small combinations of the rays, or one multiple of each
+    ray; the second kind is often not normal.
+    """
+    rays = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=3, max_size=4))
+    cone = Cone.from_rays(rays, 3)
+    assume(cone.is_full_dimensional and cone != Cone.nonnegative_orthant(3))
+    if draw(st.booleans()):
+        exps = [vscale(draw(st.integers(1, 3)), r) for r in cone.rays]
+    else:
+        coeffs = draw(st.lists(st.lists(st.integers(0, 2), min_size=len(cone.rays),
+                                        max_size=len(cone.rays)), min_size=1, max_size=3))
+        exps = [tuple(sum(k * r[j] for k, r in zip(c, cone.rays)) for j in range(3))
+                for c in coeffs]
+    return MonomialIdeal.of(cone, exps)
+
+
+SKEW3 = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(skew_ideals())
+@example(MonomialIdeal.of(SKEW3, [(1, 0, 0), (0, 2, 0), (3, 3, 6)]))
+@example(MonomialIdeal.of(Cone.from_rays([(0, 1, 1), (1, 0, 1), (1, 1, 0)], 3),
+                          [(0, 1, 1), (2, 0, 2), (3, 3, 0)]))
+def test_normality_bound_holds_on_skew_rank3_cones(ideal):
+    """monomial_is_normal checks e <= rank - 1; brute force goes to rank + 1."""
+    p = newton_polyhedron(ideal)
+    assert monomial_is_normal(ideal)[0] == \
+        all(normal_by_brute_force(p, e)[0] for e in range(1, ideal.rank + 2))
