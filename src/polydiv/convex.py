@@ -599,10 +599,10 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
         return False, targets[0]
     slo = [floor(min(v[j] for v in slab.vertices)) for j in range(n)]
     shi = [ceil(max(v[j] for v in slab.vertices)) for j in range(n)]
-    points = lattice_points_in_box(slab, slo, shi)
-    summands = sorted(points, key=lambda m: sum(map(mul, weight, m)))
+    summands = lattice_points_in_box(slab, slo, shi)
+    slab_points = set(summands)
+    summands.sort(key=lambda m: sum(map(mul, weight, m)))
     weights = [sum(map(mul, weight, m)) for m in summands]
-    slab_points = set(points)
     memo: dict[tuple[IVec, int], bool] = {}
     for x, wx in zip(targets, target_weights):
         if not _splits(x, wx, e, summands, weights, slab_points, memo):
