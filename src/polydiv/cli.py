@@ -7,6 +7,7 @@ failure (the error class name is reported).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -35,6 +36,7 @@ from .gaactions import (
     associated_cones,
     axiom_check,
     horizontal_conditions,
+    horizontal_expander,
     horizontal_exponential,
     horizontal_kernel,
     is_demazure_root,
@@ -323,8 +325,11 @@ def cmd_axiom_check(args, problem):
             gen = sections(evaluate(d, m).floor()).generators[0]
             return gen * RationalFunction.variable(rng.randint(0, 2))
 
+        # built on the first expansion, so that sampling errors come first
+        expander = functools.cache(lambda: horizontal_expander(ca))
+
         def expand(el):
-            return horizontal_exponential(ca, el)
+            return expander()(el)
     else:
         d = _divisor_arg(args, problem)
         root = _root_arg(args, d)
@@ -410,7 +415,10 @@ ARGUMENTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; built once, it depends only on the
+    constant tables COMMANDS, COMMON and ARGUMENTS."""
     parser = argparse.ArgumentParser(
         prog="polydiv",
         description="exact computations with polyhedral divisors")

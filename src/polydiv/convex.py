@@ -39,7 +39,6 @@ from .linalg import (
     is_zero_vector,
     primitive,
     saturated_span_basis,
-    solve,
     to_fraction_vector,
     vadd,
     vscale,
@@ -285,9 +284,7 @@ def _parallelepiped_points(rays: Sequence[IVec]) -> list[IVec]:
     """
     n = len(rays[0])
     sbasis = saturated_span_basis(rays, n)
-    # rays in coordinates of the saturated span lattice (integral by saturation)
-    coord_rows = [tuple(r) for r in zip(*sbasis)]  # j-th row: j-th coords of basis
-    ray_coords = [tuple(int(a) for a in solve(coord_rows, r)) for r in rays]
+    ray_coords = [_echelon_coordinates(sbasis, r) for r in rays]
     diag = [next(a for a in row if a != 0) for row in hnf(ray_coords)]
     det = bareiss_det(ray_coords)
     sign, volume = (1, det) if det > 0 else (-1, -det)
@@ -298,6 +295,25 @@ def _parallelepiped_points(rays: Sequence[IVec]) -> list[IVec]:
         points.append(tuple(sum(k * r[j] for k, r in zip(num, rays)) // volume
                             for j in range(n)))
     return points
+
+
+def _echelon_coordinates(basis: Sequence[IVec], v: Sequence[int]) -> IVec:
+    """Integer coordinates of v on an HNF basis of a lattice containing it.
+
+    Each row is zero before its pivot and the pivots increase, so once the
+    earlier rows are taken off v, only the next row is nonzero at its own
+    pivot: its coordinate is v's entry there over the pivot, an exact
+    integer division.
+    """
+    v = list(v)
+    coords = []
+    for row in basis:
+        p = next(j for j, a in enumerate(row) if a)
+        c = v[p] // row[p]
+        coords.append(c)
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return tuple(coords)
 
 
 def hilbert_basis(c: Cone) -> tuple[IVec, ...]:

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import polynomials as up
 from .linalg import denominator_lcm
@@ -235,7 +235,9 @@ class RationalFunction:
 
     @staticmethod
     def variable(exponent: int = 1) -> "RationalFunction":
-        return RationalFunction.from_factored(1, {up.X: exponent})
+        """t^exponent.  t is monic and irreducible, so {t: exponent} is
+        already the canonical factor map :meth:`from_factored` would build."""
+        return RationalFunction._build("function_field", Fraction(1), {up.X: exponent})
 
     @staticmethod
     def _build(kind: str, constant: Fraction, factors: Mapping) -> "RationalFunction":
@@ -310,12 +312,22 @@ class RationalFunction:
         return num, den
 
     def add(self, other: "RationalFunction") -> "RationalFunction | None":
-        """Exact sum; None encodes zero (which is not a RationalFunction)."""
+        """Exact sum; None encodes zero (which is not a RationalFunction).
+
+        Two function-field elements with equal ``factors`` are c1*F and c2*F
+        for one canonical F, so their sum is (c1 + c2)*F with the factor map
+        kept as it is.  Over Spec Z the constant is only a sign, so the sum
+        always goes through the rational value.
+        """
         if self.curve_kind != other.curve_kind:
             raise CurveError("cannot mix function fields")
         if self.curve_kind == "spec_z":
             s = self.value() + other.value()
             return None if s == 0 else RationalFunction.rational_number(s)
+        if self.factors == other.factors:
+            c = self.constant + other.constant
+            return None if c == 0 else RationalFunction(
+                "function_field", c, self.factors)
         n1, d1 = self.as_quotient()
         n2, d2 = other.as_quotient()
         num = up.add(up.mul(n1, d2), up.mul(n2, d1))
@@ -360,6 +372,31 @@ class RationalFunction:
             s = f"({up.to_string(b)})"
             parts.append(s if e == 1 else f"{s}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+def function_keys(funcs: Sequence[RationalFunction]) -> list[tuple]:
+    """One hashable key per function, equal exactly when the functions are.
+
+    The key is (curve_kind, constant, exponents).  Function-field exponents
+    are taken over one gcd-free refinement of all bases in ``funcs``: each
+    base is monic and squarefree, so it is the product of the refined bases
+    that divide it, and the exponents over pairwise coprime monic bases are
+    unique.  Spec Z factors are primes and already unique.
+    """
+    bases = sorted({b for f in funcs if f.curve_kind == "function_field"
+                    for b, _ in f.factors})
+    refined: list[Poly] = []
+    for b in bases:
+        _refine_factor(refined, b)
+    parts = {b: [r for r in refined if up.multiplicity(b, r)] for b in bases}
+    keys = []
+    for f in funcs:
+        exps: dict = {}
+        for b, e in f.factors:
+            for r in parts.get(b, (b,)):
+                exps[r] = exps.get(r, 0) + e
+        keys.append((f.curve_kind, f.constant, tuple(sorted(exps.items()))))
+    return keys
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .curves import (
     RationalFunction,
     SectionModule,
     WrongCurve,
+    function_keys,
     principal_divisor,
     sections,
 )
@@ -475,17 +476,20 @@ def _run_projective(d: PolyhedralDivisor, box_bounds, generators, weight, extend
                 products[tuple(m)] = prods
                 continue
             mod = sections(evaluate(d, tuple(m)))
-            for f in mod.generators:
-                if not any(f.same_as(p) for p in prods):
-                    generators.append(HomogeneousElement(f, tuple(m)))
-                    prods.append(f)
+            merged = _dedupe_functions(prods + list(mod.generators))
+            generators.extend(HomogeneousElement(f, tuple(m))
+                              for f in merged[len(prods):])
+            prods = merged
         products[tuple(m)] = prods
     return failures
 
 
 def _dedupe_functions(funcs: list[RationalFunction]) -> list[RationalFunction]:
+    """The first of each class of equal functions, in order."""
+    seen: set = set()
     out: list[RationalFunction] = []
-    for f in funcs:
-        if not any(f.same_as(g) for g in out):
+    for f, key in zip(funcs, function_keys(funcs)):
+        if key not in seen:
+            seen.add(key)
             out.append(f)
     return out

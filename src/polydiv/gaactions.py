@@ -685,13 +685,20 @@ def _pairing_kernel_basis(row: IVec, modulus: int, n: int) -> tuple[IVec, ...]:
     return tuple(hnf([v for v in vecs if any(v)] + candidates))
 
 
-def horizontal_exponential(ca: CoherentAssemblage, el: HomogeneousElement,
-                           ) -> ExponentialExpansion:
-    """Characteristic-zero expansion of the horizontal action on t^l chi^m.
+def horizontal_expander(ca: CoherentAssemblage
+                        ) -> Callable[[HomogeneousElement], ExponentialExpansion]:
+    """Characteristic-zero expansion of the horizontal action, as a function
+    of the element t^l chi^m.
 
     Works in the degree-d root cover of the parameter: the i-th term is
     binom(d(h(m) + l), i) lambda^i t^{l + i u} chi^{m + i e}, every term
-    checked to land back in the section algebra.
+    checked to land back in the section algebra.  The characteristic, the
+    coherence axioms (:func:`assemblage_check`) and the position of the
+    marked points depend on ``ca`` only, so they are checked here once; the
+    returned function checks membership of each element.  The errors come
+    in the order of :func:`horizontal_exponential` on each element: the
+    characteristic and ``ConditionsFail`` raise here, then ``NonMember``,
+    then marked points that are not normalized.
     """
     cd = ca.colored
     d = cd.divisor
@@ -700,40 +707,56 @@ def horizontal_exponential(ca: CoherentAssemblage, el: HomogeneousElement,
     report = assemblage_check(ca)
     if not report.all_pass:
         raise ConditionsFail(f"assemblage is not coherent:\n{report}")
-    if not member(el, d):
-        raise NonMember(f"{el} is not in the section algebra")
-    _, shift = _normalize_points(d, cd.base_point, cd.infinity_point)
-    if shift != 0:
-        raise ActionError("exponentials expect normalized marked points")
-    func = el.function
-    ell = func.ord_at(BasePoint.rational(0))
-    quot = func / RationalFunction.variable(ell) if ell else func
-    if quot.factors:
-        raise ActionError("exponentials expect elements of the form c * t^l chi^m")
-    scale0 = quot.constant
+    try:
+        _, shift = _normalize_points(d, cd.base_point, cd.infinity_point)
+        points_error = "" if shift == 0 else \
+            "exponentials expect normalized marked points"
+    except ActionError as err:
+        points_error = str(err)
     v0 = cd.color(cd.base_point)
     dd = cd.color_denominator
     lam = ca.scalars[0]
     u = -Fraction(1, dd) - dot(ca.degree, v0)
     assert u.denominator == 1
     u = int(u)
-    h_m = dot(el.degree, v0)
-    a = dd * (h_m + ell)
-    assert a == int(a) and a >= 0, a
-    a = int(a)
-    terms = []
-    for i in range(a + 1):
-        coeff = scale0 * comb(a, i) * lam ** i
-        if coeff == 0:
-            continue
-        func_i = RationalFunction.variable(ell + i * u).scaled(coeff) \
-            if ell + i * u else RationalFunction.from_factored(coeff)
-        term = HomogeneousElement(func_i, vadd(el.degree,
-                                               tuple(i * c for c in ca.degree)))
-        if not member(term, d):
-            raise NonMember(f"term {term} left the section algebra")
-        terms.append((i, term))
-    return ExponentialExpansion(tuple(terms))
+    origin = BasePoint.rational(0)
+
+    def expand(el: HomogeneousElement) -> ExponentialExpansion:
+        if not member(el, d):
+            raise NonMember(f"{el} is not in the section algebra")
+        if points_error:
+            raise ActionError(points_error)
+        func = el.function
+        ell = func.ord_at(origin)
+        quot = func / RationalFunction.variable(ell) if ell else func
+        if quot.factors:
+            raise ActionError("exponentials expect elements of the form c * t^l chi^m")
+        scale0 = quot.constant
+        a = dd * (dot(el.degree, v0) + ell)
+        assert a == int(a) and a >= 0, a
+        a = int(a)
+        terms = []
+        for i in range(a + 1):
+            coeff = scale0 * comb(a, i) * lam ** i
+            if coeff == 0:
+                continue
+            func_i = RationalFunction.variable(ell + i * u).scaled(coeff) \
+                if ell + i * u else RationalFunction.from_factored(coeff)
+            term = HomogeneousElement(func_i, vadd(el.degree,
+                                                   tuple(i * c for c in ca.degree)))
+            if not member(term, d):
+                raise NonMember(f"term {term} left the section algebra")
+            terms.append((i, term))
+        return ExponentialExpansion(tuple(terms))
+
+    return expand
+
+
+def horizontal_exponential(ca: CoherentAssemblage, el: HomogeneousElement,
+                           ) -> ExponentialExpansion:
+    """Characteristic-zero expansion of the horizontal action on t^l chi^m
+    (see :func:`horizontal_expander`)."""
+    return horizontal_expander(ca)(el)
 
 
 def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansion],

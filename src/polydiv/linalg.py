@@ -131,25 +131,6 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows))
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    When the system is underdetermined the free variables are set to 0.
-    """
-    m = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    ech = rref(m)
-    x = [Fraction(0)] * ncols
-    for row in ech:
-        pc = next(c for c in range(ncols + 1) if row[c] != 0)
-        if pc == ncols:
-            return None
-        x[pc] = row[ncols] - sum(row[c] * x[c] for c in range(pc + 1, ncols))
-    # back-substitute properly: rows of rref have zeros above/below pivots,
-    # so the pivot value is rhs minus free-variable contributions (all zero).
-    return tuple(x)
-
-
 def hnf(rows: Sequence[IVec]) -> list[IVec]:
     """Row Hermite normal form of an integer matrix; zero rows dropped.
 

@@ -109,6 +109,8 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     p = monic(p)
     if degree(p) <= 0:
         return []
+    if degree(p) == 1:
+        return [(p, 1)]
     out = []
     g = gcd(p, derivative(p))
     w = exact_div(p, g)

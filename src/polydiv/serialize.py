@@ -176,6 +176,8 @@ def parse_divisor(value, curve: BaseCurve, rank: int, path: str) -> PolyhedralDi
                           f"divisor curve {value['curve']!r} differs from the "
                           f"problem curve {curve.value!r}")
     tail = parse_cone(value["tail"], rank, f"{path}.tail")
+    if not isinstance(value["coefficients"], list):
+        raise SchemaError(f"{path}.coefficients", "expected an array")
     coeffs = []
     for i, item in enumerate(value["coefficients"]):
         ipath = f"{path}.coefficients[{i}]"

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiv import serialize as ser
+from polydiv import gaactions, serialize as ser
 from polydiv.cli import main
 from polydiv.curves import PROJECTIVE_LINE, SPEC_Z
 
@@ -161,6 +161,16 @@ class TestExitCodes:
         assert code == 1
         assert "missing fields" in err
 
+    @pytest.mark.parametrize("value", [5, {}, "ab", None])
+    def test_non_list_coefficients_is_a_schema_error(self, capsys, tmp_path, value):
+        doc = {"version": "1", "curve": "A1", "lattice_rank": 1, "objects": {
+            "d": {"type": "divisor", "tail": {"rays": [[1]]}, "coefficients": value}}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_capture(capsys, "proper", "--input", str(bad), "--object", "d")
+        assert code == 1
+        assert err.startswith("schema error: $.objects.d.coefficients: ")
+
     def test_math_error_is_two(self, capsys):
         code, _, err = run_capture(
             capsys, "eval", "--input", fixture("ex345.json"),
@@ -200,3 +210,15 @@ class TestDeterminism:
         doc = json.loads(proc.stdout)
         assert doc["result"]["is_root"] is True
         assert doc["result"]["distinguished_ray"] == [1, 0]
+
+
+class TestAxiomCheckWork:
+    def test_assemblage_is_checked_once(self, capsys, monkeypatch):
+        calls = []
+        real = gaactions.assemblage_check
+        monkeypatch.setattr(gaactions, "assemblage_check",
+                            lambda ca: calls.append(ca) or real(ca))
+        code, out, _ = run_capture(capsys, "axiom-check", "--input", fixture("hnorm_a1.json"),
+                                   "--object", "assemblage", "--json")
+        assert code == 0 and json.loads(out)["result"]["all_pass"]
+        assert len(calls) == 1

@@ -39,8 +39,8 @@ from polydiv.linalg import (
     is_zero_vector,
     primitive,
     rank,
+    rref,
     saturated_span_basis,
-    solve,
     vadd,
     vscale,
     vsub,
@@ -77,6 +77,18 @@ def extreme_rays_by_subsets(constraints, dim):
         if active and rank(active) == dim - 1:
             out.append(v)
     return sorted(out)
+
+
+def solve(rows, rhs):
+    """One exact rational solution of A x = b (free variables 0), or None."""
+    ncols = len(rows[0]) if rows else 0
+    x = [F(0)] * ncols
+    for row in rref([list(r) + [b] for r, b in zip(rows, rhs)]):
+        pc = next(c for c in range(ncols + 1) if row[c] != 0)
+        if pc == ncols:
+            return None
+        x[pc] = row[ncols]
+    return tuple(x)
 
 
 def parallelepiped_points_by_solve(rays):

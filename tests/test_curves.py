@@ -217,3 +217,94 @@ class TestPointValidation:
         sympy = pytest.importorskip("sympy")
         assert [n for n in range(5001) if is_prime(n)] == \
             [n for n in range(5001) if sympy.isprime(n)]
+
+
+def add_by_quotient(f, g):
+    """The sum through numerator and denominator polynomials, refactored."""
+    n1, d1 = f.as_quotient()
+    n2, d2 = g.as_quotient()
+    num = up.add(up.mul(n1, d2), up.mul(n2, d1))
+    if up.is_zero(num):
+        return None
+    den = up.mul(d1, d2)
+    fac = {}
+    for p, e in ((up.monic(num), 1), (up.monic(den), -1)):
+        if up.degree(p) > 0:
+            fac[p] = fac.get(p, 0) + e
+    return RationalFunction.from_factored(up.leading(num) / up.leading(den), fac)
+
+
+def yun(p):
+    """Yun's squarefree decomposition with no shortcut for low degrees."""
+    p = up.monic(p)
+    if up.degree(p) <= 0:
+        return []
+    out = []
+    g = up.gcd(p, up.derivative(p))
+    w = up.exact_div(p, g)
+    i = 1
+    while up.degree(w) > 0:
+        y = up.gcd(w, g)
+        factor = up.exact_div(w, y)
+        if up.degree(factor) > 0:
+            out.append((up.monic(factor), i))
+        w, g = y, up.exact_div(g, y)
+        i += 1
+    return out
+
+
+POLYS = [(0, 1), (-1, 1), (1, 1), (1, 0, 1), (0, -1, 1), (-1, 0, 1), (0, 1, 1)]
+FACTOR_MAPS = st.dictionaries(st.sampled_from(POLYS), st.integers(-2, 2), max_size=3)
+CONSTANTS = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+
+class TestFastPaths:
+    def test_variable_is_the_canonical_power_of_t(self):
+        for k in range(-6, 7):
+            fast, slow = RationalFunction.variable(k), \
+                RationalFunction.from_factored(1, {up.X: k})
+            assert fast == slow
+            assert type(fast.constant) is F
+            assert fast.curve_kind == slow.curve_kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(-50, 50, max_denominator=6).filter(bool),
+           st.fractions(-50, 50, max_denominator=6))
+    def test_linear_squarefree_decomposition_is_yuns(self, lead, root):
+        p = (-root * lead, lead)
+        assert up.squarefree_decomposition(p) == yun(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(FACTOR_MAPS, FACTOR_MAPS, CONSTANTS, CONSTANTS, st.booleans())
+    def test_add_matches_the_quotient_route(self, fa, fb, ca, cb, same):
+        f = RationalFunction.from_factored(ca, fa)
+        g = RationalFunction.from_factored(cb, fa if same else fb)
+        for x, y in ((f, g), (f, f.scaled(-1)), (f, f.scaled(cb))):
+            got, want = x.add(y), add_by_quotient(x, y)
+            if want is None:
+                assert got is None
+            else:
+                assert got.same_as(want) and got.constant == want.constant
+
+    def test_equal_factors_keep_their_factor_map(self):
+        # (t^2 - t) stays one base; the quotient route would refine it too
+        f = RationalFunction.from_factored(2, {(0, -1, 1): 1, (1, 1): -1})
+        s = f.add(f.scaled(F(1, 2)))
+        assert s == RationalFunction("function_field", F(3), f.factors)
+        assert f.add(f.scaled(-1)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(-50, 50, max_denominator=12).filter(bool),
+           st.fractions(-50, 50, max_denominator=12).filter(bool))
+    def test_spec_z_addition_goes_through_the_value(self, a, b):
+        s = RationalFunction.rational_number(a).add(RationalFunction.rational_number(b))
+        if a + b == 0:
+            assert s is None
+        else:
+            assert s == RationalFunction.rational_number(a + b)
+            assert s.constant in (1, -1)
+
+    def test_spec_z_equal_factors_stay_a_sign(self):
+        two = RationalFunction.rational_number(2)
+        s = two.add(two)
+        assert s.value() == 4 and s.constant == 1 and s.factors == ((2, 2),)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydiv import divisors, serialize
 from polydiv.convex import Cone, Polyhedron, support_value
@@ -341,3 +342,45 @@ class TestBoundedGenerators:
         monkeypatch.setattr(divisors, "quasifan", lambda q: calls.append(q) or real(q))
         bounded_generators(d)
         assert calls == [d]
+
+
+def dedupe_pairwise(funcs):
+    """The first of each class of equal functions, by pairwise division."""
+    out = []
+    for f in funcs:
+        if not any(f.same_as(g) for g in out):
+            out.append(f)
+    return out
+
+
+# overlapping bases: t^2 - t against t and t - 1, t^2 - 1 against t - 1 and t + 1
+OVERLAPPING = [(0, 1), (-1, 1), (1, 1), (0, -1, 1), (-1, 0, 1), (0, 1, 1), (1, 0, 1)]
+
+
+class TestDedupeByKey:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([1, -1, 2, F(1, 2)]),
+        st.dictionaries(st.sampled_from(OVERLAPPING), st.integers(-2, 2), max_size=3)),
+        max_size=8))
+    def test_matches_pairwise_division(self, specs):
+        funcs = [RationalFunction.from_factored(c, fac) for c, fac in specs]
+        t = RationalFunction.variable(1)
+        # the same functions again, refined against t: (t^2 - t) * t / t = t (t - 1)
+        funcs += [(f * t) / t for f in funcs[:3]]
+        funcs += [f * RationalFunction.from_factored(1, {(0, 1): 1, (-1, 1): -1})
+                  for f in funcs[:2]]
+        got = divisors._dedupe_functions(funcs)
+        want = dedupe_pairwise(funcs)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+    def test_coarse_and_fine_bases_are_one_function(self):
+        coarse = RationalFunction.from_factored(1, {(0, -1, 1): 1})
+        fine = RationalFunction.from_factored(1, {(0, 1): 1, (-1, 1): 1})
+        assert coarse.factors != fine.factors
+        assert divisors._dedupe_functions([coarse, fine, fine.scaled(2)]) == \
+            [coarse, fine.scaled(2)]
+
+    def test_spec_z_functions(self):
+        funcs = [RationalFunction.rational_number(a) for a in (2, F(1, 2), 2, -2, 6)]
+        assert divisors._dedupe_functions(funcs) == dedupe_pairwise(funcs)

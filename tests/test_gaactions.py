@@ -31,6 +31,7 @@ from polydiv.gaactions import (
     associated_cones,
     axiom_check,
     horizontal_conditions,
+    horizontal_expander,
     horizontal_exponential,
     horizontal_kernel,
     is_demazure_root,
@@ -408,6 +409,56 @@ class TestHorizontalExponential:
             ca = CoherentAssemblage.of(cd, degree=(1,), exponents=[0], scalars=[1])
             horizontal_exponential(ca, HomogeneousElement(
                 RationalFunction.variable(1), (0,)))
+
+
+SIG1 = Cone.from_rays([(1,)], 1)
+
+
+def half_assemblage(z, extra=None, char_exponent=1):
+    """The coherent t^(-1/2) assemblage at z; an extra colored point at
+    ``extra`` breaks coherence."""
+    coeffs, colors = {z: [(F(-1, 2),)]}, {z: (F(-1, 2),)}
+    if extra is not None:
+        coeffs[extra], colors[extra] = [(F(1, 3),)], (F(1, 3),)
+    d = PolyhedralDivisor.of(AFFINE_LINE, SIG1, {
+        p: Polyhedron.from_vertices_and_tail(v, SIG1) for p, v in coeffs.items()})
+    cd = ColoredDivisor.of(d, base_point=z, colors=colors)
+    if char_exponent == 1:
+        return CoherentAssemblage.of(cd, degree=(1,), exponents=[0], scalars=[1])
+    return CoherentAssemblage.of(cd, degree=(1,), exponents=[0, 1], scalars=[1, 1],
+                                 char_exponent=char_exponent)
+
+
+T_CHI0 = HomogeneousElement(RationalFunction.variable(1), (0,))
+OUTSIDE = HomogeneousElement(RationalFunction.variable(-3), (0,))
+
+
+class TestHorizontalErrorOrder:
+    """Per element: characteristic, coherence, membership, marked points."""
+
+    @pytest.mark.parametrize("ca, el, error, text", [
+        (half_assemblage(Z0, Z1, char_exponent=3), OUTSIDE, ActionError,
+         "characteristic zero"),
+        (half_assemblage(Z0, Z1), OUTSIDE, ConditionsFail, "not coherent"),
+        (half_assemblage(Z0), OUTSIDE, NonMember, "not in the section algebra"),
+        (half_assemblage(Z1), OUTSIDE, NonMember, "not in the section algebra"),
+        (half_assemblage(Z1), T_CHI0, ActionError, "normalized marked points"),
+    ], ids=["char-before-coherence", "coherence-before-member",
+            "member", "member-before-points", "points"])
+    def test_first_failing_check_raises(self, ca, el, error, text):
+        for expand in (lambda x: horizontal_exponential(ca, x),
+                       lambda x: horizontal_expander(ca)(x)):
+            with pytest.raises(ActionError) as err:
+                expand(el)
+            assert type(err.value) is error and text in str(err.value)
+
+    def test_one_expander_serves_many_elements(self):
+        ca = half_assemblage(Z0)
+        expand = horizontal_expander(ca)
+        for el in (T_CHI0, HomogeneousElement(RationalFunction.variable(2), (3,))):
+            assert expand(el) == horizontal_exponential(ca, el)
+        with pytest.raises(NonMember):
+            expand(OUTSIDE)
 
 
 def toric_expansion_fn(root, lam):

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import random
 
 import pytest
 
@@ -44,3 +45,13 @@ def test_transcript_size():
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
 def test_replay(record):
     assert replay(record["argv"]) == record["outcome"]
+
+
+def test_replay_is_independent_of_order():
+    """The parser and the caches are shared by every call in a process: two
+    passes over the transcript in two shuffled orders must still match it."""
+    for seed in (1, 2):
+        records = RECORDS[:]
+        random.Random(seed).shuffle(records)
+        mismatched = [r["argv"] for r in records if replay(r["argv"]) != r["outcome"]]
+        assert mismatched == []
