@@ -4,7 +4,8 @@ A :class:`Cone` keeps both a minimal generating set ("rays") and a minimal
 set of inner halfspace normals; both are canonical (primitive, lex-sorted),
 so equality of cones is structural equality.  A :class:`Polyhedron` is a
 Minkowski sum Conv(vertices) + tail cone, again stored in canonical form
-together with its irredundant inequality description.
+together with an inequality description (irredundant only when the
+polyhedron is full-dimensional).
 
 All conversions go through one routine, :func:`_dual_generators`: it splits
 off the lineality space with an integer kernel basis and finds the extreme
@@ -33,6 +34,7 @@ from .linalg import (
     Vec,
     adjugate,
     bareiss_det,
+    denominator_lcm,
     dot,
     hnf,
     integer_kernel_basis,
@@ -210,11 +212,6 @@ class Cone:
     def full(ambient_rank: int) -> "Cone":
         return Cone.from_halfspaces([], ambient_rank)
 
-    @staticmethod
-    def nonnegative_orthant(ambient_rank: int) -> "Cone":
-        eye = [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)]
-        return Cone.from_rays(eye, ambient_rank)
-
     def contains(self, v: Sequence) -> bool:
         return all(dot(h, v) >= 0 for h in self.halfspaces)
 
@@ -361,7 +358,9 @@ def _canonical_halfspace(normal: Sequence, offset) -> Halfspace:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Conv(vertices) + tail, tail a pointed cone; canonical and irredundant."""
+    """Conv(vertices) + tail, tail a pointed cone, in canonical form.  The
+    halfspaces are irredundant only when the polyhedron is full-dimensional:
+    x = 1, y >= 0 in the plane also stores x >= -1."""
 
     vertices: tuple[Vec, ...]
     tail: Cone
@@ -442,6 +441,12 @@ class Polyhedron:
         """:meth:`contains` for an integer point, in integer arithmetic."""
         return all(sum(map(mul, nrm, x)) >= c for nrm, c in self.lattice_rows)
 
+    @functools.cached_property
+    def scaled_vertices(self) -> tuple[int, tuple[IVec, ...]]:
+        """(den, den * vertices) for the least den > 0 making every vertex integral."""
+        den = denominator_lcm(a for v in self.vertices for a in v)
+        return den, tuple(tuple(int(a * den) for a in v) for v in self.vertices)
+
     @property
     def has_integral_vertices(self) -> bool:
         return all(a.denominator == 1 for v in self.vertices for a in v)
@@ -465,7 +470,8 @@ def support_value(p: Polyhedron, m: Sequence) -> Fraction:
     """min over p of <m, x>; finite exactly when m lies in the dual of the tail."""
     if not all(dot(m, r) >= 0 for r in p.tail.rays):
         raise Unbounded(f"direction {m} is unbounded below on the polyhedron")
-    return min(dot(m, v) for v in p.vertices)
+    den, verts = p.scaled_vertices
+    return Fraction(min(dot(m, v) for v in verts), den)
 
 
 def dilate(p: Polyhedron, e: int) -> Polyhedron:
@@ -650,43 +656,6 @@ def _splits(x: IVec, wx: int, k: int, summands: list[IVec], weights: list[int],
         if ok:
             return True
     return False
-
-
-def support_value_hilbert_oracle(halfspace_data: Sequence[tuple[IVec, object]],
-                                 m: IVec) -> Fraction:
-    """Support value of {v : <m_i, v> >= -e_i} at primitive m, via Hilbert bases.
-
-    Lifts the ray L = Q>=0*m to the cone {s in Q^r_{>=0} : sum s_i m_i in L},
-    takes its Hilbert basis H_L, keeps the elements with sum s_i m_i != 0,
-    and returns -min of (sum s_i e_i) / lambda(s) where sum s_i m_i =
-    lambda(s) * m.  Independent route to the same value as
-    :func:`support_value` on the polyhedron built from the same data.
-    """
-    normals = [tuple(v) for v, _ in halfspace_data]
-    offsets = [Fraction(e) for _, e in halfspace_data]
-    r = len(normals)
-    n = len(m)
-    ineqs: list[tuple[int, ...]] = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    # sum s_i m_i parallel to m: all 2x2 minors with m vanish
-    for j in range(n):
-        for k in range(j + 1, n):
-            row = tuple(normals[i][j] * m[k] - normals[i][k] * m[j] for i in range(r))
-            if not is_zero_vector(row):
-                ineqs.append(row)
-                ineqs.append(tuple(-a for a in row))
-    # orientation: <sum s_i m_i, m> >= 0
-    ineqs.append(tuple(sum(normals[i][j] * m[j] for j in range(n)) for i in range(r)))
-    cone = Cone.from_halfspaces(ineqs, r)
-    values = []
-    for s in hilbert_basis(cone):
-        image = tuple(sum(s[i] * normals[i][j] for i in range(r)) for j in range(n))
-        if is_zero_vector(image):
-            continue
-        lam = next(Fraction(image[j], m[j]) for j in range(n) if m[j] != 0)
-        values.append(sum(Fraction(s[i]) * offsets[i] for i in range(r)) / lam)
-    if not values:
-        raise Unbounded(f"direction {m} not in the cone spanned by the normals")
-    return -min(values)
 
 
 def project_out_last(p: Polyhedron) -> Polyhedron:

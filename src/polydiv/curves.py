@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import polynomials as up
 from .linalg import denominator_lcm
@@ -228,12 +228,6 @@ class RationalFunction:
         return RationalFunction("spec_z", sign, items)
 
     @staticmethod
-    def one(curve: BaseCurve) -> "RationalFunction":
-        if curve is SPEC_Z:
-            return RationalFunction.rational_number(1)
-        return RationalFunction.from_factored(1)
-
-    @staticmethod
     def variable(exponent: int = 1) -> "RationalFunction":
         """t^exponent.  t is monic and irreducible, so {t: exponent} is
         already the canonical factor map :meth:`from_factored` would build."""
@@ -374,31 +368,6 @@ class RationalFunction:
         return "*".join(parts) if parts else "1"
 
 
-def function_keys(funcs: Sequence[RationalFunction]) -> list[tuple]:
-    """One hashable key per function, equal exactly when the functions are.
-
-    The key is (curve_kind, constant, exponents).  Function-field exponents
-    are taken over one gcd-free refinement of all bases in ``funcs``: each
-    base is monic and squarefree, so it is the product of the refined bases
-    that divide it, and the exponents over pairwise coprime monic bases are
-    unique.  Spec Z factors are primes and already unique.
-    """
-    bases = sorted({b for f in funcs if f.curve_kind == "function_field"
-                    for b, _ in f.factors})
-    refined: list[Poly] = []
-    for b in bases:
-        _refine_factor(refined, b)
-    parts = {b: [r for r in refined if up.multiplicity(b, r)] for b in bases}
-    keys = []
-    for f in funcs:
-        exps: dict = {}
-        for b, e in f.factors:
-            for r in parts.get(b, (b,)):
-                exps[r] = exps.get(r, 0) + e
-        keys.append((f.curve_kind, f.constant, tuple(sorted(exps.items()))))
-    return keys
-
-
 @dataclass(frozen=True)
 class Divisor:
     """Rational Weil divisor: finite map point -> coefficient, no zeros stored."""
@@ -475,12 +444,6 @@ def principal_divisor(f: RationalFunction, curve: BaseCurve) -> Divisor:
     return Divisor.of(curve, coeffs)
 
 
-def is_principal(d: Divisor) -> bool:
-    if d.curve is not PROJECTIVE_LINE:
-        raise WrongCurve("principality test is for the projective line")
-    return d.degree() == 0
-
-
 @dataclass(frozen=True)
 class SectionModule:
     """Global sections of O(floor(D)) in one of three shapes.
@@ -514,14 +477,6 @@ class SectionModule:
     def generator(self) -> RationalFunction:
         assert self.kind == "free"
         return self.generators[0]
-
-    def dimension(self) -> int | None:
-        """Q-dimension for vector spaces, None for free modules."""
-        if self.kind == "zero":
-            return 0
-        if self.kind == "space":
-            return len(self.generators)
-        return None
 
     def __repr__(self) -> str:
         if self.kind == "zero":

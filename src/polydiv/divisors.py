@@ -15,9 +15,9 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from . import polynomials as up
 from .convex import (
     Cone,
     GeometryError,
@@ -37,11 +37,10 @@ from .curves import (
     RationalFunction,
     SectionModule,
     WrongCurve,
-    function_keys,
     principal_divisor,
     sections,
 )
-from .linalg import IVec, denominator_lcm, dot, primitive, rank, spans_lattice, vadd
+from .linalg import IVec, denominator_lcm, dot, primitive, rref, spans_lattice, vadd
 
 
 class DivisorError(ValueError):
@@ -309,33 +308,6 @@ def _interior_weight(cone: Cone) -> IVec:
     return primitive(total)
 
 
-def _piece_generated(d: PolyhedralDivisor, m: IVec,
-                     products: list[RationalFunction]) -> bool:
-    """Do the given degree-m products span the graded piece at m (projective line)?
-
-    Exact linear algebra on coefficient vectors over the first basis element.
-    """
-    target = sections(evaluate(d, m))
-    if target.is_zero:
-        return True
-    if not products:
-        return False
-    basis = target.generators
-    gen0 = basis[0]
-    dim = len(basis)
-    rows = []
-    for f in products:
-        quot = f / gen0
-        num, den = quot.as_quotient()
-        if up.degree(den) != 0:
-            return False  # not even in the ambient space
-        coeffs = [num[i] / den[0] if i < len(num) else Fraction(0) for i in range(dim)]
-        if up.degree(num) >= dim:
-            return False
-        rows.append(tuple(coeffs))
-    return rank(rows) == dim
-
-
 @dataclass(frozen=True)
 class GeneratorReport:
     generators: tuple[HomogeneousElement, ...]
@@ -358,12 +330,6 @@ def probe_degrees(d: PolyhedralDivisor, denom: int) -> set[IVec]:
     return probes
 
 
-def default_box(d: PolyhedralDivisor) -> tuple[tuple[int, int], ...]:
-    """Box containing the Hilbert basis of the weight cone and the quasifan
-    breakpoints scaled by the divisor denominator."""
-    return _box_around(probe_degrees(d, d.denominator()), d.rank)
-
-
 def _box_around(probes: set[IVec], n: int) -> tuple[tuple[int, int], ...]:
     lo = [min(0, min(p[j] for p in probes)) for j in range(n)]
     hi = [max(1, max(p[j] for p in probes)) for j in range(n)]
@@ -376,10 +342,13 @@ def bounded_generators(d: PolyhedralDivisor,
     """Homogeneous elements generating every graded piece with degree in the box.
 
     Degrees are processed in increasing interior-weight order; whenever the
-    products of the current set fail to generate a piece, the canonical
-    module/basis generators of that piece are added.  Completeness is
-    certified inside the box only; the report also probes the doubled box
-    as a saturation signal.
+    products of the current set fail to generate a piece, the basis or
+    module generators of that piece not already among the products are
+    added.  Completeness is certified inside the box only (by default the
+    box around the weight cone's Hilbert basis and the scaled quasifan
+    rays); a second pass over the doubled box, adding nothing, reports the
+    degrees it misses as a saturation signal.  On the projective line both
+    passes work on coefficient vectors (:func:`_run_projective`).
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -394,11 +363,13 @@ def bounded_generators(d: PolyhedralDivisor,
             raise BoxTooSmall(f"box must contain {p}")
 
     weight = _interior_weight(d.weight_cone)
-    gens = _degree_zero_generators(d.curve, n)
-    runner = _run_affine if d.curve.is_affine else _run_projective
-    runner(d, box, gens, weight, extend=True)
     doubled = tuple((2 * lo, 2 * hi) for lo, hi in box)
-    missing = runner(d, doubled, list(gens), weight, extend=False)
+    if d.curve.is_affine:
+        gens = _degree_zero_generators(d.curve, n)
+        _run_affine(d, box, gens, weight, extend=True)
+        missing = _run_affine(d, doubled, list(gens), weight, extend=False)
+    else:
+        gens, missing = _run_projective(d, box, doubled, weight)
     return GeneratorReport(
         generators=tuple(gens),
         box=box,
@@ -453,43 +424,131 @@ def _run_affine(d: PolyhedralDivisor, box_bounds, generators, weight, extend):
     return failures
 
 
-def _run_projective(d: PolyhedralDivisor, box_bounds, generators, weight, extend):
-    degrees = _box_degrees(d, box_bounds, weight)
-    products: dict[IVec, list[RationalFunction]] = {}
-    failures = []
+# Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
+_PRIME = 2 ** 61 - 1
+
+
+def _run_projective(d: PolyhedralDivisor, box, doubled, weight):
+    """Both passes of :func:`bounded_generators` on the projective line.
+
+    Vector invariant: the piece at m is gen_m * {p(t) : deg p < dim_m} with
+    gen_m = prod_z z^(-a_z(m)) over the finite places, a_z(m) the floor of
+    D(m) at z (as :func:`curves.sections` builds its basis gen_m * t^j).
+    The product g * f of degrees m_g and r = m - m_g is gen_m * p_g * p_f * c
+    with c = prod_z z^(a_z(m) - a_z(m_g) - a_z(r)).  The floored support
+    function is superadditive, so these exponents are >= 0; a negative one
+    raises DivisorError.  Each place enters c as its primitive integer
+    polynomial, so a kept p is a trimmed int tuple equal to the exact one
+    up to a nonzero rational factor, which no span sees.  In the box pass
+    every kept p is t^J times place polynomials, so by unique factorization
+    p fixes the function: tuple equality dedupes, and p = t^j exactly for
+    the basis element gen_m * t^j.
+
+    Rank certificate, one-sided: the rank mod ``_PRIME`` is at most the rank
+    over Q, so a modular rank of dim_m proves the products span the piece;
+    only a shortfall goes to the exact rank.  The box pass keeps every
+    distinct product, since which t^j become new generators depends on
+    which occur among them.  The doubled pass needs spans only: it keeps the
+    products that raised the modular rank, stops at dim_m, and on a
+    shortfall keeps an exact basis of all its candidates.
+    """
+    degrees = _box_degrees(d, doubled, weight)
+    finite = [(z, *poly.scaled_vertices) for z, poly in d.coefficients if z.kind == "finite"]
+    at_infinity = [poly.scaled_vertices for z, poly in d.coefficients if z.kind != "finite"]
+    frames = {}  # m -> (a_z(m) per finite place, dim_m), shared by both passes
     for m in degrees:
-        prods: list[RationalFunction] = []
-        for g in generators:
-            if not any(g.degree):
-                continue
-            rest = tuple(a - b for a, b in zip(m, g.degree))
-            if not d.in_weight_cone(rest):
-                continue
+        floors = tuple(min(sum(map(mul, m, v)) for v in vs) // den for _, den, vs in finite)
+        deg = sum(z.degree * a for (z, _, _), a in zip(finite, floors)) + \
+            sum(min(sum(map(mul, m, v)) for v in vs) // den for den, vs in at_infinity)
+        frames[m] = (floors, max(deg + 1, 0))
+    places = [primitive(z.poly) for z, _, _ in finite]
+    cofactors: dict[IVec, tuple] = {}
+
+    def cofactor(exps: IVec) -> tuple:
+        if exps not in cofactors:
+            if min(exps, default=0) < 0:
+                raise DivisorError(f"floored evaluation is not superadditive: {exps}")
+            c = (1,)
+            for poly, e in zip(places, exps):
+                for _ in range(e):
+                    c = _poly_mul(c, poly)
+            cofactors[exps] = c
+        return cofactors[exps]
+
+    def products_at(m: IVec, gens, products):
+        floors = frames[m][0]
+        for g, p_g in gens:
+            rest = tuple(map(sub, m, g.degree))
             if not any(rest):
-                prods.append(g.function)
+                yield p_g
             elif rest in products:
-                prods.extend(g.function * f for f in products[rest])
-        prods = _dedupe_functions(prods)
-        if not _piece_generated(d, tuple(m), prods):
-            if not extend:
-                failures.append(tuple(m))
-                products[tuple(m)] = prods
-                continue
-            mod = sections(evaluate(d, tuple(m)))
-            merged = _dedupe_functions(prods + list(mod.generators))
-            generators.extend(HomogeneousElement(f, tuple(m))
-                              for f in merged[len(prods):])
-            prods = merged
-        products[tuple(m)] = prods
-    return failures
+                exps = tuple(a - b - c for a, b, c in
+                             zip(floors, frames[g.degree][0], frames[rest][0]))
+                p_gc = _poly_mul(p_g, cofactor(exps))
+                for p in products[rest]:
+                    yield _poly_mul(p_gc, p)
+
+    def run(degrees, gens, extend):
+        products: dict[IVec, list[tuple]] = {}
+        failures = []
+        for m in degrees:
+            dim = frames[m][1]
+            echelon: dict[int, list[int]] = {}
+            independent: list[tuple] = []
+            seen: dict[tuple, None] = {}  # every distinct product, in order
+            for p in products_at(m, gens, products):
+                if p not in seen:
+                    seen[p] = None
+                    if len(independent) < dim and _raises_rank(echelon, p):
+                        independent.append(p)
+                        if len(independent) == dim and not extend:
+                            break
+            if len(independent) < dim:
+                exact = rref([p + (0,) * (dim - len(p)) for p in seen])
+                if len(exact) < dim and extend:
+                    basis = sections(evaluate(d, m)).generators
+                    for j in range(dim):
+                        if (unit := (0,) * j + (1,)) not in seen:
+                            gens.append((HomogeneousElement(basis[j], m), unit))
+                            seen[unit] = None
+                elif len(exact) < dim:
+                    failures.append(m)
+                independent = [_trim(primitive(row)) for row in exact]
+            products[m] = list(seen) if extend else independent
+        return failures
+
+    gens: list[tuple[HomogeneousElement, tuple]] = []
+    run([m for m in degrees if all(lo <= a <= hi for a, (lo, hi) in zip(m, box))],
+        gens, extend=True)
+    return [g for g, _ in gens], run(degrees, list(gens), extend=False)
 
 
-def _dedupe_functions(funcs: list[RationalFunction]) -> list[RationalFunction]:
-    """The first of each class of equal functions, in order."""
-    seen: set = set()
-    out: list[RationalFunction] = []
-    for f, key in zip(funcs, function_keys(funcs)):
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
+def _poly_mul(p: tuple, q: tuple) -> tuple:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return tuple(out)
+
+
+def _trim(p: tuple) -> tuple:
+    while not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _raises_rank(echelon: dict[int, list[int]], p: tuple) -> bool:
+    """Reduce p mod ``_PRIME`` against the echelon rows, keyed by their
+    leading index with leading entry 1; keep it if it is independent."""
+    row = [a % _PRIME for a in p]
+    for c in range(len(row) - 1, -1, -1):
+        if x := row[c]:
+            pivot = echelon.get(c)
+            if pivot is None:
+                inv = pow(x, -1, _PRIME)
+                echelon[c] = [a * inv % _PRIME for a in row[:c + 1]]
+                return True
+            for i in range(c):
+                row[i] = (row[i] - x * pivot[i]) % _PRIME
+    return False

@@ -64,6 +64,13 @@ def _expect_keys(obj: Mapping, path: str, required: set[str], optional: set[str]
         raise SchemaError(path, f"unknown fields {sorted(unknown)}")
 
 
+def _array(obj: Mapping, key: str, path: str) -> list[tuple[str, object]]:
+    """(path, entry) for each entry of the array obj[key]."""
+    if not isinstance(obj[key], list):
+        raise SchemaError(f"{path}.{key}", "expected an array")
+    return [(f"{path}.{key}[{i}]", item) for i, item in enumerate(obj[key])]
+
+
 def parse_vector(value, path: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list):
         raise SchemaError(path, "expected an array of rationals")
@@ -80,7 +87,7 @@ def parse_integer_vector(value, path: str) -> tuple[int, ...]:
 
 def parse_curve(value, path: str = "$.curve") -> BaseCurve:
     names = {"A1": AFFINE_LINE, "P1": PROJECTIVE_LINE, "SpecZ": SPEC_Z}
-    if value not in names:
+    if not isinstance(value, str) or value not in names:
         raise SchemaError(path, f"curve must be one of {sorted(names)}")
     return names[value]
 
@@ -154,7 +161,7 @@ def element_doc(el: HomogeneousElement):
 
 def parse_cone(value, rank: int, path: str) -> Cone:
     _expect_keys(value, path, {"rays"})
-    rays = [parse_vector(r, f"{path}.rays[{i}]") for i, r in enumerate(value["rays"])]
+    rays = [parse_vector(r, ipath) for ipath, r in _array(value, "rays", path)]
     return Cone.from_rays(rays, rank)
 
 
@@ -176,15 +183,11 @@ def parse_divisor(value, curve: BaseCurve, rank: int, path: str) -> PolyhedralDi
                           f"divisor curve {value['curve']!r} differs from the "
                           f"problem curve {curve.value!r}")
     tail = parse_cone(value["tail"], rank, f"{path}.tail")
-    if not isinstance(value["coefficients"], list):
-        raise SchemaError(f"{path}.coefficients", "expected an array")
     coeffs = []
-    for i, item in enumerate(value["coefficients"]):
-        ipath = f"{path}.coefficients[{i}]"
+    for ipath, item in _array(value, "coefficients", path):
         _expect_keys(item, ipath, {"point", "vertices"}, {"tail_rays"})
         z = parse_point(item["point"], curve, f"{ipath}.point")
-        verts = [parse_vector(v, f"{ipath}.vertices[{j}]")
-                 for j, v in enumerate(item["vertices"])]
+        verts = [parse_vector(v, vpath) for vpath, v in _array(item, "vertices", ipath)]
         coeffs.append((z, Polyhedron.from_vertices_and_tail(verts, tail)))
     return PolyhedralDivisor.of(curve, tail, coeffs)
 
@@ -289,20 +292,18 @@ def _parse_object(value, problem: ProblemFile, path: str):
         return ("divisor", parse_divisor(value, curve, rank, path))
     if kind == "generators":
         _expect_keys(value, path, {"type", "elements"})
-        els = [parse_element(e, curve, f"{path}.elements[{i}]")
-               for i, e in enumerate(value["elements"])]
+        els = [parse_element(e, curve, ipath) for ipath, e in _array(value, "elements", path)]
         return ("generators", tuple(els))
     if kind == "monomial_ideal":
         _expect_keys(value, path, {"type", "weight_cone", "exponents"})
         cone = parse_cone(value["weight_cone"], rank, f"{path}.weight_cone")
-        exps = [parse_integer_vector(m, f"{path}.exponents[{i}]")
-                for i, m in enumerate(value["exponents"])]
+        exps = [parse_integer_vector(m, ipath) for ipath, m in _array(value, "exponents", path)]
         return ("monomial_ideal", MonomialIdeal.of(cone, exps))
     if kind == "ideal":
         _expect_keys(value, path, {"type", "ambient", "generators"})
         divisor = _deref(problem, value["ambient"], "divisor", f"{path}.ambient")
-        els = [parse_element(e, curve, f"{path}.generators[{i}]")
-               for i, e in enumerate(value["generators"])]
+        els = [parse_element(e, curve, ipath)
+               for ipath, e in _array(value, "generators", path)]
         pres = GradedIdealPresentation.of(divisor.weight_cone, divisor, els)
         return ("ideal", pres)
     if kind == "coloring":
@@ -315,8 +316,7 @@ def _parse_object(value, problem: ProblemFile, path: str):
             infinity = parse_point(value["infinity_point"], curve,
                                    f"{path}.infinity_point")
         colors = []
-        for i, item in enumerate(value["colors"]):
-            ipath = f"{path}.colors[{i}]"
+        for ipath, item in _array(value, "colors", path):
             _expect_keys(item, ipath, {"point", "vertex"})
             colors.append((parse_point(item["point"], curve, f"{ipath}.point"),
                            parse_vector(item["vertex"], f"{ipath}.vertex")))
@@ -328,8 +328,7 @@ def _parse_object(value, problem: ProblemFile, path: str):
         s = value["s"]
         if not isinstance(s, list) or not all(isinstance(x, int) for x in s):
             raise SchemaError(f"{path}.s", "expected an array of integers")
-        lams = [parse_rational(x, f"{path}.lambda[{i}]")
-                for i, x in enumerate(value["lambda"])]
+        lams = [parse_rational(x, ipath) for ipath, x in _array(value, "lambda", path)]
         p = value.get("p", 1)
         if not isinstance(p, int):
             raise SchemaError(f"{path}.p", "expected an integer")

@@ -1,0 +1,196 @@
+"""Test-only definitions: second routes to values polydiv computes, and small
+constructors that only tests need.
+
+The generator oracle is the route ``divisors.bounded_generators`` took on the
+projective line before it moved to coefficient vectors: every product is a
+:class:`RationalFunction`, products are deduped by canonical keys and a piece
+is generated when the exact rank of the products over its first basis
+element equals its dimension.
+"""
+
+from fractions import Fraction
+
+from polydiv import divisors, polynomials as up
+from polydiv.convex import Cone, Unbounded, hilbert_basis
+from polydiv.curves import (
+    PROJECTIVE_LINE,
+    SPEC_Z,
+    BaseCurve,
+    Divisor,
+    RationalFunction,
+    SectionModule,
+    WrongCurve,
+    _refine_factor,
+    sections,
+)
+from polydiv.divisors import GeneratorReport, HomogeneousElement, evaluate
+from polydiv.linalg import IVec, is_zero_vector, rank
+
+
+def nonnegative_orthant(ambient_rank: int) -> Cone:
+    eye = [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)]
+    return Cone.from_rays(eye, ambient_rank)
+
+
+def one(curve: BaseCurve) -> RationalFunction:
+    if curve is SPEC_Z:
+        return RationalFunction.rational_number(1)
+    return RationalFunction.from_factored(1)
+
+
+def is_principal(d: Divisor) -> bool:
+    if d.curve is not PROJECTIVE_LINE:
+        raise WrongCurve("principality test is for the projective line")
+    return d.degree() == 0
+
+
+def dimension(module: SectionModule) -> int | None:
+    """Q-dimension for vector spaces, None for free modules."""
+    if module.kind == "zero":
+        return 0
+    if module.kind == "space":
+        return len(module.generators)
+    return None
+
+
+def default_box(d) -> tuple[tuple[int, int], ...]:
+    """The box ``bounded_generators`` uses when none is given."""
+    return divisors._box_around(divisors.probe_degrees(d, d.denominator()), d.rank)
+
+
+def support_value_hilbert_oracle(halfspace_data, m: IVec) -> Fraction:
+    """Support value of {v : <m_i, v> >= -e_i} at primitive m, via Hilbert bases.
+
+    Lifts the ray L = Q>=0*m to the cone {s in Q^r_{>=0} : sum s_i m_i in L},
+    takes its Hilbert basis H_L, keeps the elements with sum s_i m_i != 0,
+    and returns -min of (sum s_i e_i) / lambda(s) where sum s_i m_i =
+    lambda(s) * m.  Independent route to the same value as
+    :func:`convex.support_value` on the polyhedron built from the same data.
+    """
+    normals = [tuple(v) for v, _ in halfspace_data]
+    offsets = [Fraction(e) for _, e in halfspace_data]
+    r = len(normals)
+    n = len(m)
+    ineqs: list[tuple[int, ...]] = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    # sum s_i m_i parallel to m: all 2x2 minors with m vanish
+    for j in range(n):
+        for k in range(j + 1, n):
+            row = tuple(normals[i][j] * m[k] - normals[i][k] * m[j] for i in range(r))
+            if not is_zero_vector(row):
+                ineqs.append(row)
+                ineqs.append(tuple(-a for a in row))
+    # orientation: <sum s_i m_i, m> >= 0
+    ineqs.append(tuple(sum(normals[i][j] * m[j] for j in range(n)) for i in range(r)))
+    cone = Cone.from_halfspaces(ineqs, r)
+    values = []
+    for s in hilbert_basis(cone):
+        image = tuple(sum(s[i] * normals[i][j] for i in range(r)) for j in range(n))
+        if is_zero_vector(image):
+            continue
+        lam = next(Fraction(image[j], m[j]) for j in range(n) if m[j] != 0)
+        values.append(sum(Fraction(s[i]) * offsets[i] for i in range(r)) / lam)
+    if not values:
+        raise Unbounded(f"direction {m} not in the cone spanned by the normals")
+    return -min(values)
+
+
+# -- generators on the projective line as rational functions -------------------
+
+def function_keys(funcs) -> list[tuple]:
+    """One hashable key per function, equal exactly when the functions are.
+
+    The key is (curve_kind, constant, exponents).  Function-field exponents
+    are taken over one gcd-free refinement of all bases in ``funcs``: each
+    base is monic and squarefree, so it is the product of the refined bases
+    that divide it, and the exponents over pairwise coprime monic bases are
+    unique.  Spec Z factors are primes and already unique.
+    """
+    bases = sorted({b for f in funcs if f.curve_kind == "function_field"
+                    for b, _ in f.factors})
+    refined: list = []
+    for b in bases:
+        _refine_factor(refined, b)
+    parts = {b: [r for r in refined if up.multiplicity(b, r)] for b in bases}
+    keys = []
+    for f in funcs:
+        exps: dict = {}
+        for b, e in f.factors:
+            for r in parts.get(b, (b,)):
+                exps[r] = exps.get(r, 0) + e
+        keys.append((f.curve_kind, f.constant, tuple(sorted(exps.items()))))
+    return keys
+
+
+def dedupe_functions(funcs: list) -> list:
+    """The first of each class of equal functions, in order."""
+    seen: set = set()
+    out = []
+    for f, key in zip(funcs, function_keys(funcs)):
+        if key not in seen:
+            seen.add(key)
+            out.append(f)
+    return out
+
+
+def piece_generated(d, m: IVec, products: list) -> bool:
+    """Do the given degree-m products span the graded piece at m?
+
+    Exact linear algebra on coefficient vectors over the first basis element.
+    """
+    target = sections(evaluate(d, m))
+    if target.is_zero:
+        return True
+    if not products:
+        return False
+    basis = target.generators
+    gen0 = basis[0]
+    dim = len(basis)
+    rows = []
+    for f in products:
+        num, den = (f / gen0).as_quotient()
+        if up.degree(den) != 0 or up.degree(num) >= dim:
+            return False
+        rows.append(tuple(num[i] / den[0] if i < len(num) else Fraction(0)
+                          for i in range(dim)))
+    return rank(rows) == dim
+
+
+def _run_projective(d, box_bounds, generators, weight, extend):
+    degrees = divisors._box_degrees(d, box_bounds, weight)
+    products: dict = {}
+    failures = []
+    for m in degrees:
+        prods = []
+        for g in generators:
+            rest = tuple(a - b for a, b in zip(m, g.degree))
+            if not d.in_weight_cone(rest):
+                continue
+            if not any(rest):
+                prods.append(g.function)
+            elif rest in products:
+                prods.extend(g.function * f for f in products[rest])
+        prods = dedupe_functions(prods)
+        if not piece_generated(d, m, prods):
+            if not extend:
+                failures.append(m)
+                products[m] = prods
+                continue
+            merged = dedupe_functions(prods + list(sections(evaluate(d, m)).generators))
+            generators.extend(HomogeneousElement(f, m) for f in merged[len(prods):])
+            prods = merged
+        products[m] = prods
+    return failures
+
+
+def bounded_generators(d, box) -> GeneratorReport:
+    """``divisors.bounded_generators`` on the projective line, by the function route."""
+    ok, cert = divisors.is_proper(d)
+    if not ok:
+        raise divisors.NotProper(cert)
+    box = tuple((int(a), int(b)) for a, b in box)
+    weight = divisors._interior_weight(d.weight_cone)
+    gens: list = []
+    _run_projective(d, box, gens, weight, extend=True)
+    doubled = tuple((2 * lo, 2 * hi) for lo, hi in box)
+    missing = _run_projective(d, doubled, list(gens), weight, extend=False)
+    return GeneratorReport(tuple(gens), box, not missing, tuple(missing))

@@ -171,6 +171,31 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("schema error: $.objects.d.coefficients: ")
 
+    def schema_error(self, capsys, tmp_path, doc, command, obj):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_capture(capsys, command, "--input", str(bad), "--object", obj)
+        assert code == 1
+        return err
+
+    @pytest.mark.parametrize("value", [[], {}])
+    def test_unhashable_curve_is_a_schema_error(self, capsys, tmp_path, value):
+        doc = {"version": "1", "curve": value, "lattice_rank": 1, "objects": {}}
+        err = self.schema_error(capsys, tmp_path, doc, "proper", "d")
+        assert err.startswith("schema error: $.curve: ")
+
+    def test_non_list_elements_is_a_schema_error(self, capsys, tmp_path):
+        doc = {"version": "1", "curve": "P1", "lattice_rank": 1, "objects": {
+            "g": {"type": "generators", "elements": 3}}}
+        err = self.schema_error(capsys, tmp_path, doc, "normalize", "g")
+        assert err.startswith("schema error: $.objects.g.elements: ")
+
+    def test_non_list_exponents_is_a_schema_error(self, capsys, tmp_path):
+        doc = {"version": "1", "curve": "A1", "lattice_rank": 1, "objects": {
+            "i": {"type": "monomial_ideal", "weight_cone": {"rays": [[1]]}, "exponents": 3}}}
+        err = self.schema_error(capsys, tmp_path, doc, "mono-normal", "i")
+        assert err.startswith("schema error: $.objects.i.exponents: ")
+
     def test_math_error_is_two(self, capsys):
         code, _, err = run_capture(
             capsys, "eval", "--input", fixture("ex345.json"),

@@ -20,11 +20,11 @@ from polydiv.convex import (
     minimal_lattice_points,
     minkowski_sum,
     support_value,
-    support_value_hilbert_oracle,
 )
 from polydiv.linalg import denominator_lcm, dot, vadd, vsub
+from oracles import nonnegative_orthant, support_value_hilbert_oracle
 
-ORTHANT2 = Cone.nonnegative_orthant(2)
+ORTHANT2 = nonnegative_orthant(2)
 
 
 def brute_dual_rays_2d(rays, box=6):
@@ -189,7 +189,7 @@ class TestPolyhedronFromHalfspaces:
 @st.composite
 def sigma_polyhedra(draw, rank=2):
     tail = draw(st.sampled_from([
-        Cone.nonnegative_orthant(rank),
+        nonnegative_orthant(rank),
         Cone.from_rays([(1, 0), (1, 2)], rank),
         Cone.from_rays([(1, 0), (1, 6)], rank),
         Cone.from_rays([(0, 1), (2, -1)], rank),
@@ -292,7 +292,7 @@ class TestNormality:
 
     def test_non_normal_witness(self):
         p = Polyhedron.from_vertices_and_tail(
-            [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.nonnegative_orthant(3))
+            [(2, 0, 0), (0, 3, 0), (0, 0, 7)], nonnegative_orthant(3))
         ok1, _ = is_polyhedron_normal(p, 1)
         ok2, wit = is_polyhedron_normal(p, 2)
         assert ok1 and not ok2
@@ -309,7 +309,7 @@ class TestNormality:
             Polyhedron.from_vertices_and_tail([(1, 0), (0, 2)],
                                               Cone.from_rays([(1, 0), (1, 2)], 2)),
             Polyhedron.from_vertices_and_tail(
-                [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.nonnegative_orthant(3)),
+                [(2, 0, 0), (0, 3, 0), (0, 0, 7)], nonnegative_orthant(3)),
         ]
         for p in cases:
             for e in (1, 2):
@@ -322,7 +322,7 @@ class TestNormality:
 
     def test_e1_is_normal_without_enumeration(self, monkeypatch):
         p = Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
-                                              Cone.nonnegative_orthant(3))
+                                              nonnegative_orthant(3))
         for name in ("dilate", "hilbert_basis", "lattice_points_in_box"):
             monkeypatch.setattr(convex, name, None)
         assert is_polyhedron_normal(p, 1) == (True, None)

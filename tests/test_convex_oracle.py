@@ -45,6 +45,7 @@ from polydiv.linalg import (
     vscale,
     vsub,
 )
+from oracles import nonnegative_orthant
 
 
 def extreme_rays_by_subsets(constraints, dim):
@@ -339,7 +340,7 @@ def sparse_simplices(draw):
     if draw(st.booleans()):
         verts, tail = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (a, b, c)], Cone.zero(3)
     else:
-        verts, tail = [(a + 1, 0, 0), (0, b + 1, 0), (0, 0, c)], Cone.nonnegative_orthant(3)
+        verts, tail = [(a + 1, 0, 0), (0, b + 1, 0), (0, 0, c)], nonnegative_orthant(3)
     return Polyhedron.from_vertices_and_tail([vadd(v, shift) for v in verts], tail)
 
 
@@ -370,7 +371,7 @@ REEVE = Polyhedron.from_vertices_and_tail(
 @given(st.one_of(polyhedra(max_rank=3), sparse_simplices()), st.integers(1, 3))
 @example(REEVE, 2)
 @example(Polyhedron.from_vertices_and_tail(
-    [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.nonnegative_orthant(3)), 2)
+    [(2, 0, 0), (0, 3, 0), (0, 0, 7)], nonnegative_orthant(3)), 2)
 @example(Polyhedron.from_vertices_and_tail(
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], Cone.from_rays([(1, 1, 2)], 3)), 3)
 def test_normality_matches_brute_force_splitting(p, e):
@@ -397,7 +398,7 @@ def skew_ideals(draw):
     """
     rays = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=3, max_size=4))
     cone = Cone.from_rays(rays, 3)
-    assume(cone.is_full_dimensional and cone != Cone.nonnegative_orthant(3))
+    assume(cone.is_full_dimensional and cone != nonnegative_orthant(3))
     if draw(st.booleans()):
         exps = [vscale(draw(st.integers(1, 3)), r) for r in cone.rays]
     else:

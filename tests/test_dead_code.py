@@ -1,10 +1,11 @@
-"""Every function, class and method in polydiv is referenced somewhere.
+"""Every function, class and method in polydiv is used by the program.
 
 A module-level function or class, or a non-dunder method, of ``src/polydiv``
 counts as used when its name occurs as a name or an attribute outside its own
-body, in ``src/`` or ``tests/``.  Name-based matching cannot tell two
-definitions of the same name apart, so this finds helpers that nothing calls
-at all, not every unreachable one.
+body, in ``src/`` or ``bench/``.  References from ``tests/`` do not count:
+code that only tests call belongs in ``tests/``.  Name-based matching cannot
+tell two definitions of the same name apart, so this finds helpers that
+nothing calls at all, not every unreachable one.
 """
 
 import ast
@@ -14,7 +15,7 @@ from collections import Counter
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "polydiv", "*.py")))
-FILES = SOURCES + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
+FILES = SOURCES + sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
 
 Definition = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polydiv import divisors, serialize
 from polydiv.convex import Cone, Polyhedron, support_value
@@ -25,7 +25,6 @@ from polydiv.divisors import (
     OutsideWeightCone,
     PolyhedralDivisor,
     bounded_generators,
-    default_box,
     degree_polyhedron,
     divisor_from_generators,
     dpd_presentation,
@@ -36,8 +35,10 @@ from polydiv.divisors import (
     quasifan,
 )
 from polydiv.linalg import vadd
+import oracles
+from oracles import default_box, nonnegative_orthant
 
-SIGMA = Cone.nonnegative_orthant(2)
+SIGMA = nonnegative_orthant(2)
 Z0 = BasePoint.rational(0)
 Z1 = BasePoint.rational(1)
 INF = BasePoint.infinity()
@@ -311,7 +312,7 @@ class TestBoundedGenerators:
 
     def test_roundtrip_random_affine(self):
         rng = random.Random(42)
-        tails = [Cone.nonnegative_orthant(2), Cone.from_rays([(1, 0), (1, 2)], 2),
+        tails = [nonnegative_orthant(2), Cone.from_rays([(1, 0), (1, 2)], 2),
                  Cone.from_rays([(0, 1), (2, -1)], 2)]
         for trial in range(50):
             curve = rng.choice([AFFINE_LINE, SPEC_Z])
@@ -370,7 +371,7 @@ class TestDedupeByKey:
         funcs += [(f * t) / t for f in funcs[:3]]
         funcs += [f * RationalFunction.from_factored(1, {(0, 1): 1, (-1, 1): -1})
                   for f in funcs[:2]]
-        got = divisors._dedupe_functions(funcs)
+        got = oracles.dedupe_functions(funcs)
         want = dedupe_pairwise(funcs)
         assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
@@ -378,9 +379,88 @@ class TestDedupeByKey:
         coarse = RationalFunction.from_factored(1, {(0, -1, 1): 1})
         fine = RationalFunction.from_factored(1, {(0, 1): 1, (-1, 1): 1})
         assert coarse.factors != fine.factors
-        assert divisors._dedupe_functions([coarse, fine, fine.scaled(2)]) == \
+        assert oracles.dedupe_functions([coarse, fine, fine.scaled(2)]) == \
             [coarse, fine.scaled(2)]
 
     def test_spec_z_functions(self):
         funcs = [RationalFunction.rational_number(a) for a in (2, F(1, 2), 2, -2, 6)]
-        assert divisors._dedupe_functions(funcs) == dedupe_pairwise(funcs)
+        assert oracles.dedupe_functions(funcs) == dedupe_pairwise(funcs)
+
+
+# -- generators on P1: coefficient vectors against the function route ---------
+
+# t, t - 1, t - 1/2, t - 1/3, t^2 + 1, t^2 + 1/3, t^3 - 2
+P1_PLACES = [BasePoint.rational(a) for a in (0, 1, F(1, 2), F(1, 3))] + \
+    [BasePoint.finite(c) for c in ((1, 0, 1), (F(1, 3), 0, 1), (-2, 0, 0, 1))]
+P1_TAILS = [nonnegative_orthant(2), Cone.from_rays([(1, 0), (1, 1)], 2),
+            Cone.from_rays([(0, 1), (1, 1)], 2)]
+
+
+def proper_on_p1(tail, coeffs, margins):
+    """Add the coefficient w + tail at infinity with <h, w> chosen so that the
+    degree polyhedron lies in <h, .> >= margin for both facet normals h of
+    the (unimodular) tail: strictly inside the tail, so the divisor is proper."""
+    (h1, h2), b = tail.halfspaces, []
+    for h, margin in zip(tail.halfspaces, margins):
+        b.append(margin - sum(z.degree * support_value(p, h) for z, p in coeffs.items()))
+    det = h1[0] * h2[1] - h1[1] * h2[0]
+    w = ((b[0] * h2[1] - b[1] * h1[1]) / det, (h1[0] * b[1] - h2[0] * b[0]) / det)
+    coeffs = {**coeffs, INF: Polyhedron.from_vertices_and_tail([w], tail)}
+    return PolyhedralDivisor.of(PROJECTIVE_LINE, tail, coeffs)
+
+
+@st.composite
+def small_p1_problems(draw):
+    tail = draw(st.sampled_from(P1_TAILS))
+    coordinate = st.sampled_from([F(-1), F(0), F(1), F(1, 2)])
+    places = draw(st.lists(st.sampled_from(P1_PLACES), min_size=1, max_size=2, unique=True))
+    coeffs = {z: Polyhedron.from_vertices_and_tail(
+        draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=2)), tail)
+        for z in places}
+    d = proper_on_p1(tail, coeffs, draw(st.tuples(st.integers(1, 2), st.integers(1, 2))))
+    box = tuple((lo, hi + draw(st.integers(0, 1))) for lo, hi in default_box(d))
+    return d, box
+
+
+def unsaturated_example():
+    tail = nonnegative_orthant(2)
+    coeffs = {BasePoint.finite((-2, 0, 0, 1)): [(F(1, 2), 0)], BasePoint.finite((1, 0, 1)): [(1, 0)],
+              INF: [(F(-5, 2), 1)]}
+    d = PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {
+        z: Polyhedron.from_vertices_and_tail(v, tail) for z, v in coeffs.items()})
+    return d, default_box(d)
+
+
+class TestGeneratorsAgainstFunctionRoute:
+    """The coefficient-vector route of ``bounded_generators`` on P1 gives the
+    same report as the rational-function route it replaced."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_p1_problems())
+    def test_same_report(self, problem):
+        d, box = problem
+        assume((box[0][1] - box[0][0] + 1) * (box[1][1] - box[1][0] + 1) <= 9)
+        assert bounded_generators(d, box) == oracles.bounded_generators(d, box)
+
+    def test_same_report_when_unsaturated(self):
+        d, box = unsaturated_example()
+        report = bounded_generators(d, box)
+        assert report.unsaturated_degrees == ((3, 0),)
+        assert report == oracles.bounded_generators(d, box)
+
+    def test_exact_rank_decides_a_modular_shortfall(self, monkeypatch):
+        """Modulo 3 the place t - 1/3, kept as 3t - 1, is a constant, so some
+        spanning product sets lose rank there and only the exact rank over Q
+        can tell that they still span."""
+        tail = P1_TAILS[2]
+        d = proper_on_p1(tail, {BasePoint.rational(F(1, 3)): Polyhedron.from_vertices_and_tail(
+            [(F(-1, 2), 0), (0, 0)], tail)}, (1, 1))
+        box = default_box(d)
+        calls = []
+        real = divisors.rref
+        monkeypatch.setattr(divisors, "rref", lambda rows: calls.append(rows) or real(rows))
+        report = bounded_generators(d, box)
+        at_large_prime = len(calls)
+        monkeypatch.setattr(divisors, "_PRIME", 3)
+        assert bounded_generators(d, box) == report == oracles.bounded_generators(d, box)
+        assert len(calls) - at_large_prime > at_large_prime

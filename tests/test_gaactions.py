@@ -45,8 +45,9 @@ from polydiv.gaactions import (
     vertical_phi,
 )
 from polydiv.linalg import dot
+from oracles import nonnegative_orthant, one
 
-SIGMA = Cone.nonnegative_orthant(2)
+SIGMA = nonnegative_orthant(2)
 Z0 = BasePoint.rational(0)
 Z1 = BasePoint.rational(1)
 INF = BasePoint.infinity()
@@ -182,7 +183,7 @@ class TestVertical:
         d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {
             Z0: Polyhedron.from_vertices_and_tail([(1, 0)], SIGMA)})
         root = is_demazure_root(SIGMA, (-1, 0))
-        el = HomogeneousElement(RationalFunction.one(AFFINE_LINE), (1, 1))
+        el = HomogeneousElement(one(AFFINE_LINE), (1, 1))
         exp = vertical_exponential(d, root, RationalFunction.variable(1), el)
         assert len(exp.terms) == 2
         assert exp.terms[1][1].degree == (0, 1)
@@ -192,7 +193,7 @@ class TestVertical:
         d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {
             Z0: Polyhedron.from_vertices_and_tail([(1, 0)], SIGMA)})
         root = is_demazure_root(SIGMA, (-1, 0))
-        el = HomogeneousElement(RationalFunction.one(AFFINE_LINE), (0, 2))
+        el = HomogeneousElement(one(AFFINE_LINE), (0, 2))
         exp = vertical_exponential(d, root, RationalFunction.variable(1), el)
         assert len(exp.terms) == 1
 
@@ -392,7 +393,7 @@ class TestHorizontalExponential:
         for _ in range(10):
             m = rng.randint(0, 4)
             l = rng.randint((m + 1) // 2, 4)
-            f = RationalFunction.variable(l) if l else RationalFunction.one(AFFINE_LINE)
+            f = RationalFunction.variable(l) if l else one(AFFINE_LINE)
             exp = horizontal_exponential(self.ca, HomogeneousElement(f, (m,)))
             for _, term in exp.terms:
                 assert member(term, self.d)
@@ -516,10 +517,10 @@ class TestAxioms:
         for _ in range(12):
             m = rng.randint(0, 4)
             l = rng.randint((m + 1) // 2, 4)
-            f = RationalFunction.variable(l) if l else RationalFunction.one(AFFINE_LINE)
+            f = RationalFunction.variable(l) if l else one(AFFINE_LINE)
             m2 = rng.randint(0, 3)
             l2 = rng.randint((m2 + 1) // 2, 3)
-            g = RationalFunction.variable(l2) if l2 else RationalFunction.one(AFFINE_LINE)
+            g = RationalFunction.variable(l2) if l2 else one(AFFINE_LINE)
             samples.append((HomogeneousElement(f, (m,)), HomogeneousElement(g, (m2,))))
         assert axiom_check(fn, samples).all_pass
 

@@ -3,8 +3,7 @@
 ``bench/golden/fixtures.json`` holds, for each command line, the exit code,
 the stdout bytes of ``--json`` output and the error class (the stderr prefix
 before the first colon, or the class of an uncaught exception).  A refactor
-must reproduce all three exactly.  ``generators`` on ex346 takes about 100 s
-and is left to the benchmark, which runs it under a budget.
+must reproduce all three exactly, ``generators`` on ex346 included.
 """
 
 import contextlib
@@ -18,10 +17,9 @@ import pytest
 from polydiv import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "bench", "golden", "fixtures.json")
-SLOW = ["generators", "--input", "ex346.json"]
 
 with open(GOLDEN) as fh:
-    RECORDS = [r for r in json.load(fh) if r["argv"][:3] != SLOW]
+    RECORDS = json.load(fh)
 
 
 def replay(argv: list[str]) -> dict:
@@ -39,7 +37,7 @@ def replay(argv: list[str]) -> dict:
 
 
 def test_transcript_size():
-    assert len(RECORDS) == 124
+    assert len(RECORDS) == 125
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])

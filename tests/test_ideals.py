@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiv.convex import Cone, Polyhedron, dilate
+from polydiv.convex import Polyhedron, dilate
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -36,16 +36,17 @@ from polydiv.ideals import (
     ptilde,
     rees_pair,
 )
+from oracles import nonnegative_orthant
 
-ORTHANT2 = Cone.nonnegative_orthant(2)
-ORTHANT3 = Cone.nonnegative_orthant(3)
+ORTHANT2 = nonnegative_orthant(2)
+ORTHANT3 = nonnegative_orthant(3)
 Z0 = BasePoint.rational(0)
 Z1 = BasePoint.rational(1)
 INF = BasePoint.infinity()
 
 
 def one():
-    return RationalFunction.one(AFFINE_LINE)
+    return RationalFunction.from_factored(1)
 
 
 def tpow(k):
@@ -138,7 +139,7 @@ class TestClosureOracle:
         rng = random.Random(17)
         for _ in range(8):
             rank = rng.choice((2, 3))
-            cone = Cone.nonnegative_orthant(rank)
+            cone = nonnegative_orthant(rank)
             exps = [tuple(rng.randint(0, 3) for _ in range(rank))
                     for _ in range(rng.randint(1, 3))]
             I = MonomialIdeal.of(cone, exps)
