@@ -470,8 +470,18 @@ def support_value(p: Polyhedron, m: Sequence) -> Fraction:
     """min over p of <m, x>; finite exactly when m lies in the dual of the tail."""
     if not all(dot(m, r) >= 0 for r in p.tail.rays):
         raise Unbounded(f"direction {m} is unbounded below on the polyhedron")
-    den, verts = p.scaled_vertices
-    return Fraction(min(dot(m, v) for v in verts), den)
+    return Fraction(_scaled_support(p, m), p.scaled_vertices[0])
+
+
+def floored_support(p: Polyhedron, m: IVec) -> int:
+    """floor of :func:`support_value` for an integer m in the dual of the
+    tail, in integer arithmetic."""
+    return _scaled_support(p, m) // p.scaled_vertices[0]
+
+
+def _scaled_support(p: Polyhedron, m: Sequence) -> int:
+    """den * support_value(p, m) over the scaled vertices (den, den * vertices)."""
+    return min(sum(map(mul, m, v)) for v in p.scaled_vertices[1])
 
 
 def dilate(p: Polyhedron, e: int) -> Polyhedron:

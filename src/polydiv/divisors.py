@@ -15,7 +15,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .convex import (
@@ -24,6 +24,7 @@ from .convex import (
     Polyhedron,
     box_points,
     dilate,
+    floored_support,
     hilbert_basis,
     minkowski_sum,
     support_value,
@@ -451,17 +452,20 @@ def _run_projective(d: PolyhedralDivisor, box, doubled, weight):
     which occur among them.  The doubled pass needs spans only: it keeps the
     products that raised the modular rank, stops at dim_m, and on a
     shortfall keeps an exact basis of all its candidates.
+
+    The box pass runs over the degrees of ``box``, the doubled pass over
+    those of ``doubled``; a box without 0 is not inside its double, so the
+    frames cover the degrees of both.
     """
+    box_degrees = _box_degrees(d, box, weight)
     degrees = _box_degrees(d, doubled, weight)
-    finite = [(z, *poly.scaled_vertices) for z, poly in d.coefficients if z.kind == "finite"]
-    at_infinity = [poly.scaled_vertices for z, poly in d.coefficients if z.kind != "finite"]
+    is_finite = [z.kind == "finite" for z, _ in d.coefficients]
     frames = {}  # m -> (a_z(m) per finite place, dim_m), shared by both passes
-    for m in degrees:
-        floors = tuple(min(sum(map(mul, m, v)) for v in vs) // den for _, den, vs in finite)
-        deg = sum(z.degree * a for (z, _, _), a in zip(finite, floors)) + \
-            sum(min(sum(map(mul, m, v)) for v in vs) // den for den, vs in at_infinity)
-        frames[m] = (floors, max(deg + 1, 0))
-    places = [primitive(z.poly) for z, _, _ in finite]
+    for m in set(box_degrees).union(degrees):
+        floors = [floored_support(poly, m) for _, poly in d.coefficients]
+        deg = sum(z.degree * a for (z, _), a in zip(d.coefficients, floors))
+        frames[m] = (tuple(itertools.compress(floors, is_finite)), max(deg + 1, 0))
+    places = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
     cofactors: dict[IVec, tuple] = {}
 
     def cofactor(exps: IVec) -> tuple:
@@ -511,15 +515,15 @@ def _run_projective(d: PolyhedralDivisor, box, doubled, weight):
                         if (unit := (0,) * j + (1,)) not in seen:
                             gens.append((HomogeneousElement(basis[j], m), unit))
                             seen[unit] = None
-                elif len(exact) < dim:
-                    failures.append(m)
-                independent = [_trim(primitive(row)) for row in exact]
+                elif not extend:
+                    if len(exact) < dim:
+                        failures.append(m)
+                    independent = [_trim(primitive(row)) for row in exact]
             products[m] = list(seen) if extend else independent
         return failures
 
     gens: list[tuple[HomogeneousElement, tuple]] = []
-    run([m for m in degrees if all(lo <= a <= hi for a, (lo, hi) in zip(m, box))],
-        gens, extend=True)
+    run(box_degrees, gens, extend=True)
     return [g for g, _ in gens], run(degrees, list(gens), extend=False)
 
 

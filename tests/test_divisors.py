@@ -392,8 +392,10 @@ class TestDedupeByKey:
 # t, t - 1, t - 1/2, t - 1/3, t^2 + 1, t^2 + 1/3, t^3 - 2
 P1_PLACES = [BasePoint.rational(a) for a in (0, 1, F(1, 2), F(1, 3))] + \
     [BasePoint.finite(c) for c in ((1, 0, 1), (F(1, 3), 0, 1), (-2, 0, 0, 1))]
+# The last tail has the weight cone cone((1, 0), (1, 1)), whose tight box
+# around the probes has a lower bound 1 > 0 and so is not inside its double.
 P1_TAILS = [nonnegative_orthant(2), Cone.from_rays([(1, 0), (1, 1)], 2),
-            Cone.from_rays([(0, 1), (1, 1)], 2)]
+            Cone.from_rays([(0, 1), (1, 1)], 2), Cone.from_rays([(0, 1), (1, -1)], 2)]
 
 
 def proper_on_p1(tail, coeffs, margins):
@@ -418,8 +420,15 @@ def small_p1_problems(draw):
         draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=2)), tail)
         for z in places}
     d = proper_on_p1(tail, coeffs, draw(st.tuples(st.integers(1, 2), st.integers(1, 2))))
-    box = tuple((lo, hi + draw(st.integers(0, 1))) for lo, hi in default_box(d))
-    return d, box
+    box = draw(st.sampled_from([default_box(d), probe_box(d)]))
+    return d, tuple((lo, hi + draw(st.integers(0, 1))) for lo, hi in box)
+
+
+def probe_box(d):
+    """The least box containing the probes; unlike the default box it need
+    not contain 0."""
+    probes = divisors.probe_degrees(d, d.denominator())
+    return tuple((min(p[j] for p in probes), max(p[j] for p in probes)) for j in range(d.rank))
 
 
 def unsaturated_example():
@@ -446,6 +455,18 @@ class TestGeneratorsAgainstFunctionRoute:
         d, box = unsaturated_example()
         report = bounded_generators(d, box)
         assert report.unsaturated_degrees == ((3, 0),)
+        assert report == oracles.bounded_generators(d, box)
+
+    def test_same_report_on_a_box_without_zero(self):
+        """Degrees (1, 0) and (1, 1) lie in the box 1:2,0:2 but not in its
+        double 2:4,0:4; the box pass must still reach them."""
+        tail = P1_TAILS[3]
+        d = proper_on_p1(tail, {BasePoint.rational(F(1, 2)): Polyhedron.from_vertices_and_tail(
+            [(F(-1), 0)], tail)}, (1, 1))
+        box = ((1, 2), (0, 2))
+        assert probe_box(d) == ((1, 1), (0, 1))
+        report = bounded_generators(d, box)
+        assert {(1, 0), (1, 1)} <= {g.degree for g in report.generators}
         assert report == oracles.bounded_generators(d, box)
 
     def test_exact_rank_decides_a_modular_shortfall(self, monkeypatch):
