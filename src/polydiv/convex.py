@@ -37,6 +37,7 @@ from .linalg import (
     denominator_lcm,
     dot,
     hnf,
+    independent_rows,
     integer_kernel_basis,
     is_zero_vector,
     primitive,
@@ -110,24 +111,6 @@ def _dual_generators(generators: tuple[IVec, ...], ambient: int) -> tuple[IVec, 
     return tuple(sorted(set(out)))
 
 
-def _independent_rows(rows: Sequence[IVec], count: int) -> list[int]:
-    """Indices of the first ``count`` linearly independent rows, in order."""
-    chosen: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    for i, r in enumerate(rows):
-        v = list(r)
-        for pc, b in echelon:
-            if v[pc]:
-                v = [b[pc] * x - v[pc] * y for x, y in zip(v, b)]
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is not None:
-            echelon.append((pc, v))
-            chosen.append(i)
-            if len(chosen) == count:
-                break
-    return chosen
-
-
 def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[IVec]:
     """Extreme rays of the pointed cone {c in Q^dim : M c >= 0}, M of rank dim.
 
@@ -143,7 +126,7 @@ def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[IVe
     pointed cone.
     """
     rows = sorted({primitive(r) for r in constraints if not is_zero_vector(r)})
-    seed = _independent_rows(rows, dim)
+    seed = independent_rows(rows, dim)
     seed_mask = sum(1 << i for i in seed)
     adj = adjugate([rows[i] for i in seed])
     rays: list[tuple[IVec, int]] = []  # (primitive ray, zero set over processed rows)
@@ -204,14 +187,6 @@ class Cone:
     def from_halfspaces(normals: Iterable[Sequence], ambient_rank: int) -> "Cone":
         return Cone.from_rays(normals, ambient_rank).dual()
 
-    @staticmethod
-    def zero(ambient_rank: int) -> "Cone":
-        return Cone.from_rays([], ambient_rank)
-
-    @staticmethod
-    def full(ambient_rank: int) -> "Cone":
-        return Cone.from_halfspaces([], ambient_rank)
-
     def contains(self, v: Sequence) -> bool:
         return all(dot(h, v) >= 0 for h in self.halfspaces)
 
@@ -222,7 +197,7 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        return len(_independent_rows(self.rays, self.ambient_rank))
+        return len(independent_rows(self.rays, self.ambient_rank))
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -259,7 +234,7 @@ def _simplicial_pieces(c: Cone) -> list[tuple[IVec, ...]]:
         facet = Cone.from_rays(tight, c.ambient_rank)
         for simplex in _simplicial_pieces(facet):
             piece = (apex,) + simplex
-            if len(_independent_rows(piece, d)) == d:
+            if len(independent_rows(piece, d)) == d:
                 pieces.append(piece)
     return pieces
 

@@ -385,10 +385,6 @@ class Divisor:
             acc[z] = acc.get(z, Fraction(0)) + Fraction(a)
         return Divisor(curve, tuple(sorted((z, a) for z, a in acc.items() if a != 0)))
 
-    @staticmethod
-    def zero(curve: BaseCurve) -> "Divisor":
-        return Divisor(curve, ())
-
     def coefficient(self, z: BasePoint) -> Fraction:
         return dict(self.coefficients).get(z, Fraction(0))
 
@@ -400,12 +396,6 @@ class Divisor:
         if self.curve != other.curve:
             raise WrongCurve("divisors on different curves")
         return Divisor.of(self.curve, list(self.coefficients) + list(other.coefficients))
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(self.curve, tuple((z, -a) for z, a in self.coefficients))
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
 
     def scaled(self, c) -> "Divisor":
         return Divisor.of(self.curve, [(z, Fraction(c) * a) for z, a in self.coefficients])

@@ -41,7 +41,16 @@ from .curves import (
     principal_divisor,
     sections,
 )
-from .linalg import IVec, denominator_lcm, dot, primitive, rref, spans_lattice, vadd
+from .linalg import (
+    IVec,
+    denominator_lcm,
+    dot,
+    independent_rows,
+    primitive,
+    spans_lattice,
+    vadd,
+    vsub,
+)
 
 
 class DivisorError(ValueError):
@@ -86,10 +95,6 @@ class HomogeneousElement:
     def __mul__(self, other: "HomogeneousElement") -> "HomogeneousElement":
         return HomogeneousElement(self.function * other.function,
                                   vadd(self.degree, other.degree))
-
-    def __pow__(self, n: int) -> "HomogeneousElement":
-        return HomogeneousElement(self.function ** n,
-                                  tuple(n * a for a in self.degree))
 
     def scaled(self, c) -> "HomogeneousElement":
         return HomogeneousElement(self.function.scaled(c), self.degree)
@@ -348,8 +353,14 @@ def bounded_generators(d: PolyhedralDivisor,
     added.  Completeness is certified inside the box only (by default the
     box around the weight cone's Hilbert basis and the scaled quasifan
     rays); a second pass over the doubled box, adding nothing, reports the
-    degrees it misses as a saturation signal.  On the projective line both
-    passes work on coefficient vectors (:func:`_run_projective`).
+    degrees it misses as a saturation signal.
+
+    Both passes compute on one integer frame per degree (:func:`_frames`),
+    built once for the degrees of the box, of its double and 0.  Over A1
+    and Spec Z a degree keeps one exponent vector (:func:`_run_affine`), on
+    the projective line a set of coefficient vectors
+    (:func:`_run_projective`); a ``Divisor`` is built only to read off a
+    new generator.
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -365,12 +376,16 @@ def bounded_generators(d: PolyhedralDivisor,
 
     weight = _interior_weight(d.weight_cone)
     doubled = tuple((2 * lo, 2 * hi) for lo, hi in box)
+    box_degrees = _box_degrees(d, box, weight)
+    degrees = _box_degrees(d, doubled, weight)
+    # a box without 0 is not inside its double, so the frames cover both
+    frames = _frames(d, set(box_degrees).union(degrees, [(0,) * n]))
     if d.curve.is_affine:
         gens = _degree_zero_generators(d.curve, n)
-        _run_affine(d, box, gens, weight, extend=True)
-        missing = _run_affine(d, doubled, list(gens), weight, extend=False)
+        _run_affine(d, frames, box_degrees, gens, extend=True)
+        missing = _run_affine(d, frames, degrees, list(gens), extend=False)
     else:
-        gens, missing = _run_projective(d, box, doubled, weight)
+        gens, missing = _run_projective(d, frames, box_degrees, degrees)
     return GeneratorReport(
         generators=tuple(gens),
         box=box,
@@ -385,43 +400,62 @@ def _box_degrees(d: PolyhedralDivisor, box_bounds, weight) -> list[IVec]:
     return degrees
 
 
-def _run_affine(d: PolyhedralDivisor, box_bounds, generators, weight, extend):
-    """Generation check over a PID base: the module reachable by products at a
-    degree is controlled by the pointwise minimum of their principal divisors,
-    which satisfies a clean dynamic program over degrees."""
-    degrees = _box_degrees(d, box_bounds, weight)
-    zero_div = Divisor.zero(d.curve)
+def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
+    """m -> (a(m), deg floor(D(m))) with a_z(m) the floor of D(m) at every
+    place z but infinity.  The piece at m lives over
+    gen_m = prod_z z^(-a_z(m)), the element :func:`curves.sections` builds
+    its generators on."""
+    is_finite = [z.kind != "infinity" for z, _ in d.coefficients]
+    frames = {}
+    for m in degrees:
+        floors = [floored_support(poly, m) for _, poly in d.coefficients]
+        deg = sum(z.degree * a for (z, _), a in zip(d.coefficients, floors))
+        frames[m] = (tuple(itertools.compress(floors, is_finite)), deg)
+    return frames
 
-    def gen_divisor(g: HomogeneousElement) -> Divisor:
-        return principal_divisor(g.function, d.curve)
 
-    reachable: dict[IVec, Divisor] = {tuple(0 for _ in range(d.rank)): zero_div}
+def _cofactor_exponents(frames, m: IVec, m_g: IVec, rest: IVec) -> IVec:
+    """a(m) - a(m_g) - a(rest) for m = m_g + rest: the product of
+    gen_{m_g} and gen_rest is gen_m times each place z to this exponent.
+    The floored support function is superadditive, so these are >= 0; a
+    negative one raises DivisorError."""
+    exps = tuple(map(sub, map(sub, frames[m][0], frames[m_g][0]), frames[rest][0]))
+    if min(exps, default=0) < 0:
+        raise DivisorError(f"floored evaluation is not superadditive: {exps}")
+    return exps
+
+
+def _run_affine(d: PolyhedralDivisor, frames, degrees, gens, extend):
+    """One pass of :func:`bounded_generators` over a PID base (A1, Spec Z).
+
+    The piece at m is the free module gen_m * Q[t] (gen_m * Z), and every
+    generator is its gen_m.  A product of generators at m is gen_m times the
+    places to an exponent vector e >= 0; the products generate the piece iff
+    their gcd does, that is iff the least e over them, place by place, is 0.
+    The least vectors satisfy an integer min-plus dynamic program over
+    degrees: e(m) is the minimum over generators g of
+    :func:`_cofactor_exponents` at (m, m_g, m - m_g) plus e(m - m_g).  The
+    degree-zero generator t of A1 never finds its own degree reached, so
+    it is skipped.  A degree that fails in the doubled pass is not reused.
+    """
+    origin = (0,) * d.rank
+    zero = frames[origin][0]  # a(0) = 0
+    least = {origin: zero}
     failures = []
     for m in degrees:
-        best: Divisor | None = None
-        for g in generators:
-            if not any(g.degree):
-                continue
-            rest = tuple(a - b for a, b in zip(m, g.degree))
-            if rest not in reachable:
-                continue
-            cand = gen_divisor(g) + reachable[rest]
-            if best is None:
-                best = cand
-            else:
-                points = set(best.support) | set(cand.support)
-                best = Divisor.of(d.curve, [
-                    (z, min(best.coefficient(z), cand.coefficient(z))) for z in points])
-        target = -evaluate(d, m).floor()
-        if best != target:
+        best = None
+        for g in gens:
+            rest = vsub(m, g.degree)
+            if rest in least:
+                e = vadd(_cofactor_exponents(frames, m, g.degree, rest), least[rest])
+                best = e if best is None else tuple(map(min, best, e))
+        if best != zero:
             if not extend:
-                failures.append(tuple(m))
+                failures.append(m)
                 continue
-            mod = sections(evaluate(d, m))
-            generators.append(HomogeneousElement(mod.generator, tuple(m)))
-            best = target
-        if best is not None:
-            reachable[tuple(m)] = best
+            gens.append(HomogeneousElement(sections(evaluate(d, m)).generator, m))
+            best = zero
+        least[m] = best
     return failures
 
 
@@ -429,49 +463,33 @@ def _run_affine(d: PolyhedralDivisor, box_bounds, generators, weight, extend):
 _PRIME = 2 ** 61 - 1
 
 
-def _run_projective(d: PolyhedralDivisor, box, doubled, weight):
+def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     """Both passes of :func:`bounded_generators` on the projective line.
 
     Vector invariant: the piece at m is gen_m * {p(t) : deg p < dim_m} with
-    gen_m = prod_z z^(-a_z(m)) over the finite places, a_z(m) the floor of
-    D(m) at z (as :func:`curves.sections` builds its basis gen_m * t^j).
-    The product g * f of degrees m_g and r = m - m_g is gen_m * p_g * p_f * c
-    with c = prod_z z^(a_z(m) - a_z(m_g) - a_z(r)).  The floored support
-    function is superadditive, so these exponents are >= 0; a negative one
-    raises DivisorError.  Each place enters c as its primitive integer
-    polynomial, so a kept p is a trimmed int tuple equal to the exact one
-    up to a nonzero rational factor, which no span sees.  In the box pass
-    every kept p is t^J times place polynomials, so by unique factorization
-    p fixes the function: tuple equality dedupes, and p = t^j exactly for
-    the basis element gen_m * t^j.
+    dim_m = deg floor(D(m)) + 1 (or 0).  The product g * f of degrees m_g
+    and r = m - m_g is gen_m * p_g * p_f * c with c the product of the
+    places to :func:`_cofactor_exponents`.  Each place enters c as its
+    primitive integer polynomial, so a kept p is a trimmed int tuple equal
+    to the exact one up to a nonzero rational factor, which no span sees.
+    In the box pass every kept p is t^J times place polynomials, so by
+    unique factorization p fixes the function: tuple equality dedupes, and
+    p = t^j exactly for the basis element gen_m * t^j.
 
     Rank certificate, one-sided: the rank mod ``_PRIME`` is at most the rank
     over Q, so a modular rank of dim_m proves the products span the piece;
-    only a shortfall goes to the exact rank.  The box pass keeps every
-    distinct product, since which t^j become new generators depends on
-    which occur among them.  The doubled pass needs spans only: it keeps the
-    products that raised the modular rank, stops at dim_m, and on a
-    shortfall keeps an exact basis of all its candidates.
-
-    The box pass runs over the degrees of ``box``, the doubled pass over
-    those of ``doubled``; a box without 0 is not inside its double, so the
-    frames cover the degrees of both.
+    only a shortfall goes to the fraction-free exact rank,
+    :func:`linalg.independent_rows`.  The box pass keeps every distinct
+    product, since which t^j become new generators depends on which occur
+    among them.  The doubled pass needs spans only: it keeps the products
+    that raised the modular rank, stops at dim_m, and on a shortfall keeps
+    the exactly independent ones among all its candidates.
     """
-    box_degrees = _box_degrees(d, box, weight)
-    degrees = _box_degrees(d, doubled, weight)
-    is_finite = [z.kind == "finite" for z, _ in d.coefficients]
-    frames = {}  # m -> (a_z(m) per finite place, dim_m), shared by both passes
-    for m in set(box_degrees).union(degrees):
-        floors = [floored_support(poly, m) for _, poly in d.coefficients]
-        deg = sum(z.degree * a for (z, _), a in zip(d.coefficients, floors))
-        frames[m] = (tuple(itertools.compress(floors, is_finite)), max(deg + 1, 0))
     places = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
     cofactors: dict[IVec, tuple] = {}
 
     def cofactor(exps: IVec) -> tuple:
         if exps not in cofactors:
-            if min(exps, default=0) < 0:
-                raise DivisorError(f"floored evaluation is not superadditive: {exps}")
             c = (1,)
             for poly, e in zip(places, exps):
                 for _ in range(e):
@@ -480,23 +498,18 @@ def _run_projective(d: PolyhedralDivisor, box, doubled, weight):
         return cofactors[exps]
 
     def products_at(m: IVec, gens, products):
-        floors = frames[m][0]
         for g, p_g in gens:
-            rest = tuple(map(sub, m, g.degree))
-            if not any(rest):
-                yield p_g
-            elif rest in products:
-                exps = tuple(a - b - c for a, b, c in
-                             zip(floors, frames[g.degree][0], frames[rest][0]))
-                p_gc = _poly_mul(p_g, cofactor(exps))
+            rest = vsub(m, g.degree)
+            if rest in products:
+                p_gc = _poly_mul(p_g, cofactor(_cofactor_exponents(frames, m, g.degree, rest)))
                 for p in products[rest]:
                     yield _poly_mul(p_gc, p)
 
     def run(degrees, gens, extend):
-        products: dict[IVec, list[tuple]] = {}
+        products: dict[IVec, list[tuple]] = {(0,) * d.rank: [(1,)]}
         failures = []
         for m in degrees:
-            dim = frames[m][1]
+            dim = max(frames[m][1] + 1, 0)
             echelon: dict[int, list[int]] = {}
             independent: list[tuple] = []
             seen: dict[tuple, None] = {}  # every distinct product, in order
@@ -508,17 +521,17 @@ def _run_projective(d: PolyhedralDivisor, box, doubled, weight):
                         if len(independent) == dim and not extend:
                             break
             if len(independent) < dim:
-                exact = rref([p + (0,) * (dim - len(p)) for p in seen])
-                if len(exact) < dim and extend:
+                rows = list(seen)
+                independent = [rows[i] for i in independent_rows(
+                    [p + (0,) * (dim - len(p)) for p in rows], dim)]
+                if len(independent) < dim and not extend:
+                    failures.append(m)
+                elif len(independent) < dim:
                     basis = sections(evaluate(d, m)).generators
                     for j in range(dim):
                         if (unit := (0,) * j + (1,)) not in seen:
                             gens.append((HomogeneousElement(basis[j], m), unit))
                             seen[unit] = None
-                elif not extend:
-                    if len(exact) < dim:
-                        failures.append(m)
-                    independent = [_trim(primitive(row)) for row in exact]
             products[m] = list(seen) if extend else independent
         return failures
 
@@ -534,12 +547,6 @@ def _poly_mul(p: tuple, q: tuple) -> tuple:
             for j, b in enumerate(q, i):
                 out[j] += a * b
     return tuple(out)
-
-
-def _trim(p: tuple) -> tuple:
-    while not p[-1]:
-        p = p[:-1]
-    return p
 
 
 def _raises_rank(echelon: dict[int, list[int]], p: tuple) -> bool:

@@ -675,14 +675,10 @@ def horizontal_kernel(ca: CoherentAssemblage) -> KernelDescription:
 
 
 def _pairing_kernel_basis(row: IVec, modulus: int, n: int) -> tuple[IVec, ...]:
-    """Canonical basis of {m in Z^n : <m, row> = 0 mod modulus}."""
-    candidates = [tuple(modulus if i == j else 0 for j in range(n)) for i in range(n)]
-    # augmented HNF trick: solutions are projections of the kernel of
-    # (row | -modulus) in Z^{n+1}
-    rows = [row + (-modulus,)]
-    full = integer_kernel_basis(rows, n + 1)
-    vecs = [v[:n] for v in full]
-    return tuple(hnf([v for v in vecs if any(v)] + candidates))
+    """Canonical basis of {m in Z^n : <m, row> = 0 mod modulus}, the
+    projection of the kernel lattice of (row | -modulus) in Z^{n+1}."""
+    kernel = integer_kernel_basis([row + (-modulus,)], n + 1)
+    return tuple(hnf([v[:n] for v in kernel]))
 
 
 def horizontal_expander(ca: CoherentAssemblage

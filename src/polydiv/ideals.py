@@ -155,10 +155,6 @@ class ReesPair:
     rees_divisor: PolyhedralDivisor  # rank n+1, tail the augmented cone
 
     @property
-    def augmented_tail(self) -> Cone:
-        return self.rees_divisor.tail
-
-    @property
     def weight_cone_augmented(self) -> Cone:
         """The cone with level-e slices e * Newton polyhedron."""
         return self.rees_divisor.tail.dual()
@@ -229,12 +225,6 @@ class ConditionReport:
     @property
     def all_pass(self) -> bool:
         return all(ok for _, ok, _ in self.results)
-
-    def outcome(self, name: str) -> tuple[bool, str]:
-        for n, ok, note in self.results:
-            if n == name:
-                return ok, note
-        raise KeyError(name)
 
     def __repr__(self) -> str:
         return "\n".join(f"[{'PASS' if ok else 'FAIL'}] {n}: {note}"

@@ -1,14 +1,18 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
 Vectors are tuples of ints (lattice vectors) or Fractions; matrices are
-lists of row tuples.  Everything is computed with exact arithmetic, no
-floating point anywhere.
+lists of row tuples.  Every elimination is fraction-free: determinants by
+Bareiss, independent rows by integer cross-multiplication, Hermite normal
+forms and kernel lattices by integer row and column operations.  The kernel
+routines clear rational rows of their denominators first; no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -56,11 +60,11 @@ def adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vscale(c, u: Sequence) -> tuple:
@@ -101,34 +105,26 @@ def primitive(u: Sequence) -> IVec:
     return tuple(a // g for a in ints)
 
 
-def rref(rows: Iterable[Sequence]) -> list[Vec]:
-    """Reduced row echelon form over Q; zero rows dropped."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]]
+def independent_rows(rows: Sequence[IVec], count: int) -> list[int]:
+    """Indices of the first ``count`` linearly independent integer rows, in order.
 
-
-def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows))
+    Fraction-free elimination: each row is reduced against the kept ones by
+    integer cross-multiplication, so no rational number is formed.
+    """
+    chosen: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for i, r in enumerate(rows):
+        v = list(r)
+        for pc, b in echelon:
+            if v[pc]:
+                v = [b[pc] * x - v[pc] * y for x, y in zip(v, b)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is not None:
+            echelon.append((pc, v))
+            chosen.append(i)
+            if len(chosen) == count:
+                break
+    return chosen
 
 
 def hnf(rows: Sequence[IVec]) -> list[IVec]:

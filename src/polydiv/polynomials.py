@@ -42,14 +42,6 @@ def add(p: Poly, q: Poly) -> Poly:
                  for i in range(n)])
 
 
-def neg(p: Poly) -> Poly:
-    return tuple(-a for a in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO

@@ -1,11 +1,14 @@
 """Test-only definitions: second routes to values polydiv computes, and small
 constructors that only tests need.
 
-The generator oracle is the route ``divisors.bounded_generators`` took on the
-projective line before it moved to coefficient vectors: every product is a
+The generator oracle is the route ``divisors.bounded_generators`` took before
+it moved to integer frames.  On the projective line every product is a
 :class:`RationalFunction`, products are deduped by canonical keys and a piece
 is generated when the exact rank of the products over its first basis
-element equals its dimension.
+element equals its dimension.  Over A1 and Spec Z a degree keeps the
+pointwise minimum of the principal divisors of its products, a
+:class:`Divisor`, and the piece is generated when that minimum is minus the
+floor of the evaluation.
 """
 
 from fractions import Fraction
@@ -21,10 +24,56 @@ from polydiv.curves import (
     SectionModule,
     WrongCurve,
     _refine_factor,
+    principal_divisor,
     sections,
 )
 from polydiv.divisors import GeneratorReport, HomogeneousElement, evaluate
-from polydiv.linalg import IVec, is_zero_vector, rank
+from polydiv.linalg import IVec, is_zero_vector
+
+
+def zero_divisor(curve: BaseCurve) -> Divisor:
+    return Divisor(curve, ())
+
+
+def zero_cone(ambient_rank: int) -> Cone:
+    return Cone.from_rays([], ambient_rank)
+
+
+def full_cone(ambient_rank: int) -> Cone:
+    return Cone.from_halfspaces([], ambient_rank)
+
+
+def outcome(report, name: str) -> tuple[bool, str]:
+    """(passed, note) of the named condition of a ``ConditionReport``."""
+    for n, ok, note in report.results:
+        if n == name:
+            return ok, note
+    raise KeyError(name)
+
+
+def rref(rows) -> list[tuple]:
+    """Reduced row echelon form over Q; zero rows dropped."""
+    m = [list(map(Fraction, r)) for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]]
+
+
+def rank(rows) -> int:
+    """Rank over Q by Fraction elimination."""
+    return len(rref(rows))
 
 
 def nonnegative_orthant(ambient_rank: int) -> Cone:
@@ -182,15 +231,44 @@ def _run_projective(d, box_bounds, generators, weight, extend):
     return failures
 
 
+def _run_affine(d, box_bounds, generators, weight, extend):
+    degrees = divisors._box_degrees(d, box_bounds, weight)
+    reachable = {tuple(0 for _ in range(d.rank)): zero_divisor(d.curve)}
+    failures = []
+    for m in degrees:
+        best = None
+        for g in generators:
+            rest = tuple(a - b for a, b in zip(m, g.degree))
+            if not any(g.degree) or rest not in reachable:
+                continue
+            cand = principal_divisor(g.function, d.curve) + reachable[rest]
+            if best is None:
+                best = cand
+            else:
+                points = set(best.support) | set(cand.support)
+                best = Divisor.of(d.curve, [
+                    (z, min(best.coefficient(z), cand.coefficient(z))) for z in points])
+        target = evaluate(d, m).floor().scaled(-1)
+        if best != target:
+            if not extend:
+                failures.append(m)
+                continue
+            generators.append(HomogeneousElement(sections(evaluate(d, m)).generator, m))
+            best = target
+        reachable[m] = best
+    return failures
+
+
 def bounded_generators(d, box) -> GeneratorReport:
-    """``divisors.bounded_generators`` on the projective line, by the function route."""
+    """``divisors.bounded_generators`` by the function and divisor routes."""
     ok, cert = divisors.is_proper(d)
     if not ok:
         raise divisors.NotProper(cert)
     box = tuple((int(a), int(b)) for a, b in box)
     weight = divisors._interior_weight(d.weight_cone)
-    gens: list = []
-    _run_projective(d, box, gens, weight, extend=True)
+    run = _run_affine if d.curve.is_affine else _run_projective
+    gens = divisors._degree_zero_generators(d.curve, d.rank)
+    run(d, box, gens, weight, extend=True)
     doubled = tuple((2 * lo, 2 * hi) for lo, hi in box)
-    missing = _run_projective(d, doubled, list(gens), weight, extend=False)
+    missing = run(d, doubled, list(gens), weight, extend=False)
     return GeneratorReport(tuple(gens), box, not missing, tuple(missing))

@@ -22,7 +22,7 @@ from polydiv.convex import (
     support_value,
 )
 from polydiv.linalg import denominator_lcm, dot, vadd, vsub
-from oracles import nonnegative_orthant, support_value_hilbert_oracle
+from oracles import full_cone, nonnegative_orthant, support_value_hilbert_oracle, zero_cone
 
 ORTHANT2 = nonnegative_orthant(2)
 
@@ -73,7 +73,7 @@ class TestConeDual:
             assert set(expected) == set(c.dual().rays)
 
     def test_zero_cone_full_space(self):
-        z = Cone.zero(2)
+        z = zero_cone(2)
         f = z.dual()
         assert f.halfspaces == ()
         assert f.dual() == z
@@ -119,7 +119,7 @@ class TestHilbertBasis:
 
     def test_not_pointed_rejected(self):
         with pytest.raises(NotPointed):
-            hilbert_basis(Cone.full(2))
+            hilbert_basis(full_cone(2))
 
     def test_against_enumeration_oracle(self):
         # oracle: all lattice points in a box, greedy minimality, then check

@@ -38,14 +38,12 @@ from polydiv.linalg import (
     hnf,
     is_zero_vector,
     primitive,
-    rank,
-    rref,
     saturated_span_basis,
     vadd,
     vscale,
     vsub,
 )
-from oracles import nonnegative_orthant
+from oracles import nonnegative_orthant, rank, rref, zero_cone
 
 
 def extreme_rays_by_subsets(constraints, dim):
@@ -338,7 +336,7 @@ def sparse_simplices(draw):
     c = draw(st.integers(1, 5))
     shift = draw(st.tuples(*[st.integers(-2, 2)] * 3))
     if draw(st.booleans()):
-        verts, tail = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (a, b, c)], Cone.zero(3)
+        verts, tail = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (a, b, c)], zero_cone(3)
     else:
         verts, tail = [(a + 1, 0, 0), (0, b + 1, 0), (0, 0, c)], nonnegative_orthant(3)
     return Polyhedron.from_vertices_and_tail([vadd(v, shift) for v in verts], tail)
@@ -364,7 +362,7 @@ def test_lattice_points_match_box_filter(data, p):
 
 
 REEVE = Polyhedron.from_vertices_and_tail(
-    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], Cone.zero(3))
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], zero_cone(3))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,11 +1,20 @@
 """Every function, class and method in polydiv is used by the program.
 
-A module-level function or class, or a non-dunder method, of ``src/polydiv``
-counts as used when its name occurs as a name or an attribute outside its own
-body, in ``src/`` or ``bench/``.  References from ``tests/`` do not count:
-code that only tests call belongs in ``tests/``.  Name-based matching cannot
-tell two definitions of the same name apart, so this finds helpers that
-nothing calls at all, not every unreachable one.
+References are resolved, not matched by bare name, so a name that two
+definitions share cannot hide either of them.  A module-level function or
+class ``name`` of module M counts as used only through
+
+- an import of it from M (``from .M import name``),
+- an attribute ``X.name`` where X names M: the module name itself, an
+  import alias such as ``up`` or ``ser``, or a module table entry
+  ``pd["M"]``,
+- a use of the bare name inside M, outside its own body.
+
+A non-dunder method or property counts as used only through an attribute
+access ``.name`` outside its own body; it still cannot be told apart from a
+method of the same name in another class.  References count from ``src/``
+and ``bench/``, not from ``tests/``: code that only tests call belongs in
+``tests/``.
 """
 
 import ast
@@ -16,38 +25,84 @@ from collections import Counter
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "polydiv", "*.py")))
 FILES = SOURCES + sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
+MODULES = {os.path.basename(path)[:-3] for path in SOURCES}
 
-Definition = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+Function = ast.FunctionDef | ast.AsyncFunctionDef
 
 
-def definitions(tree: ast.Module):
+def source_module(node: ast.ImportFrom) -> str | None:
+    """The polydiv module an import takes names from; "" for the package."""
+    if node.level == 1 or node.module == "polydiv":
+        return node.module or ""
+    if node.module and node.module.startswith("polydiv."):
+        return node.module[len("polydiv."):]
+    return None
+
+
+def module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> polydiv module, for every module import in ``tree``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and source_module(node) == "":
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name[len("polydiv."):]) for a in node.names
+                           if a.asname and a.name.startswith("polydiv."))
+    return aliases
+
+
+def module_of(node: ast.expr, aliases: dict[str, str]) -> str | None:
+    """The polydiv module an expression names, if it names one."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, node.id if node.id in MODULES else None)
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant) \
+            and node.slice.value in MODULES:
+        return node.slice.value
+    return None
+
+
+def references(node: ast.AST, module: str | None, aliases: dict[str, str]) -> Counter:
+    """(module, name) for every resolved reference under ``node``, and
+    (None, name) for every attribute access ``.name``."""
+    refs: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and module is not None:
+            refs[module, n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[None, n.attr] += 1
+            if (owner := module_of(n.value, aliases)) is not None:
+                refs[owner, n.attr] += 1
+        elif isinstance(n, ast.ImportFrom) and source_module(n):
+            refs.update((source_module(n), a.name) for a in n.names)
+    return refs
+
+
+def definitions(tree: ast.Module, module: str):
+    """(key, label, node): key (module, name) for module-level functions and
+    classes, (None, name) for the non-dunder methods and properties."""
     for node in tree.body:
-        if isinstance(node, Definition):
-            yield node
+        if isinstance(node, Function | ast.ClassDef):
+            yield (module, node.name), f"{module}.{node.name}", node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                if isinstance(item, Function) \
                         and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield item
-
-
-def names(node: ast.AST) -> Counter:
-    """How often each name or attribute occurs under ``node``."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                    yield (None, item.name), f"{module}.{node.name}.{item.name}", item
 
 
 def unreferenced() -> list[str]:
     total: Counter = Counter()
-    defs = []
+    unused = []
     for path in FILES:
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
-        total += names(tree)
-        if path in SOURCES:
-            defs += [(os.path.basename(path)[:-3], node) for node in definitions(tree)]
-    return sorted(f"{module}.{node.name}" for module, node in defs
-                  if total[node.name] == names(node)[node.name])
+        module = os.path.basename(path)[:-3] if path in SOURCES else None
+        aliases = module_aliases(tree)
+        total += references(tree, module, aliases)
+        if module is not None:
+            unused += [(key, label, references(node, module, aliases)[key])
+                       for key, label, node in definitions(tree, module)]
+    return sorted(label for key, label, own in unused if total[key] == own)
 
 
 def test_no_unreferenced_definitions():

@@ -13,7 +13,6 @@ from polydiv.curves import (
     PROJECTIVE_LINE,
     SPEC_Z,
     BasePoint,
-    Divisor,
     RationalFunction,
     WrongCurve,
     principal_divisor,
@@ -142,7 +141,7 @@ class TestEvaluate:
         assert ev.coefficient(INF) == 0
 
     def test_zero_weight(self):
-        assert evaluate(example_345_divisor(), (0, 0)) == Divisor.zero(PROJECTIVE_LINE)
+        assert evaluate(example_345_divisor(), (0, 0)) == oracles.zero_divisor(PROJECTIVE_LINE)
 
     def test_outside_weight_cone(self):
         with pytest.raises(OutsideWeightCone):
@@ -219,7 +218,7 @@ class TestDpd:
         # normalization is k[t][chi] and the presenting divisor vanishes
         gens = [HomogeneousElement(ff(t=1), (1,)), HomogeneousElement(ff(t1=1), (1,))]
         d = dpd_presentation(gens, AFFINE_LINE)
-        assert d == Divisor.zero(AFFINE_LINE)
+        assert d == oracles.zero_divisor(AFFINE_LINE)
         # mixed vanishing orders at a common point: the minimum wins
         gens = [HomogeneousElement(ff(t=2), (1,)), HomogeneousElement(ff(t=1, t1=1), (1,))]
         d = dpd_presentation(gens, AFFINE_LINE)
@@ -478,10 +477,58 @@ class TestGeneratorsAgainstFunctionRoute:
             [(F(-1, 2), 0), (0, 0)], tail)}, (1, 1))
         box = default_box(d)
         calls = []
-        real = divisors.rref
-        monkeypatch.setattr(divisors, "rref", lambda rows: calls.append(rows) or real(rows))
+        real = divisors.independent_rows
+        monkeypatch.setattr(divisors, "independent_rows",
+                            lambda rows, count: calls.append(rows) or real(rows, count))
         report = bounded_generators(d, box)
         at_large_prime = len(calls)
         monkeypatch.setattr(divisors, "_PRIME", 3)
         assert bounded_generators(d, box) == report == oracles.bounded_generators(d, box)
         assert len(calls) - at_large_prime > at_large_prime
+
+
+# -- generators over A1 and Spec Z: exponent vectors against the divisor route --
+
+AFFINE_PLACES = {AFFINE_LINE: [Z0, Z1, BasePoint.rational(F(1, 2)), BasePoint.finite((1, 0, 1))],
+                 SPEC_Z: [P2, P3, BasePoint.of_prime(5)]}
+
+
+@st.composite
+def small_affine_problems(draw):
+    """A1 and Spec Z divisors on the P1 tails.  The probe box of the last
+    tail lacks 0, so its doubled pass often reports unsaturated degrees."""
+    curve = draw(st.sampled_from([AFFINE_LINE, SPEC_Z]))
+    tail = draw(st.sampled_from(P1_TAILS))
+    coordinate = st.sampled_from([F(-1), F(0), F(1), F(1, 2), F(1, 3)])
+    places = draw(st.lists(st.sampled_from(AFFINE_PLACES[curve]), min_size=1, max_size=2,
+                           unique=True))
+    d = PolyhedralDivisor.of(curve, tail, {z: Polyhedron.from_vertices_and_tail(
+        draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=2)), tail)
+        for z in places})
+    box = draw(st.sampled_from([default_box(d), probe_box(d)]))
+    return d, tuple((lo, hi + draw(st.integers(0, 1))) for lo, hi in box)
+
+
+class TestAffineGeneratorsAgainstDivisorRoute:
+    """The exponent-vector route of ``bounded_generators`` over A1 and Spec Z
+    gives the same report as the divisor route it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_affine_problems())
+    def test_same_report(self, problem):
+        d, box = problem
+        assume((box[0][1] - box[0][0] + 1) * (box[1][1] - box[1][0] + 1) <= 25)
+        assert bounded_generators(d, box) == oracles.bounded_generators(d, box)
+
+    @pytest.mark.parametrize("place", [Z0, P2])
+    def test_same_report_when_unsaturated(self, place):
+        """The doubled box 2:8,0:4 misses the degrees 1:1,0:1 the box pass
+        reached, so the diagonal degrees stay unreached there."""
+        tail = P1_TAILS[3]
+        d = PolyhedralDivisor.of(AFFINE_LINE if place == Z0 else SPEC_Z, tail, {
+            place: Polyhedron.from_vertices_and_tail([(F(1, 2), 0), (1, -1)], tail)})
+        box = probe_box(d)
+        assert box == ((1, 4), (0, 2))
+        report = bounded_generators(d, box)
+        assert report.unsaturated_degrees == ((2, 2), (3, 3), (4, 4))
+        assert report == oracles.bounded_generators(d, box)

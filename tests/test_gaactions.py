@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polydiv.convex import Cone, Polyhedron
 from polydiv.curves import (
@@ -27,6 +29,7 @@ from polydiv.gaactions import (
     NonMember,
     PhiNotAdmissible,
     RayNotInCone,
+    _pairing_kernel_basis,
     assemblage_check,
     associated_cones,
     axiom_check,
@@ -44,8 +47,8 @@ from polydiv.gaactions import (
     vertical_min_divisor,
     vertical_phi,
 )
-from polydiv.linalg import dot
-from oracles import nonnegative_orthant, one
+from polydiv.linalg import bareiss_det, dot
+from oracles import nonnegative_orthant, one, outcome
 
 SIGMA = nonnegative_orthant(2)
 Z0 = BasePoint.rational(0)
@@ -219,7 +222,7 @@ class TestColoring:
                                 colors={Z0: (0, 0), Z1: (0, 0)},
                                 infinity_point=INF)
         rep = validate_coloring(bad)
-        ok, note = rep.outcome("colors_are_vertices")
+        ok, note = outcome(rep, "colors_are_vertices")
         assert not ok
 
     def test_all_integral_colors(self):
@@ -258,7 +261,7 @@ class TestAssemblage:
                                    scalars=[1], char_exponent=3)
         rep = assemblage_check(ca)
         assert rep.all_pass, rep
-        ok, note = rep.outcome("root_condition")
+        ok, note = outcome(rep, "root_condition")
         assert "u = -2" in note and "(1, 0, 2)" in note
 
     def test_paper_triple_own_convention(self):
@@ -275,7 +278,7 @@ class TestAssemblage:
         assert assemblage_check(good).all_pass
         bad = CoherentAssemblage.of(cd, degree=(2,), exponents=[0], scalars=[1])
         rep = assemblage_check(bad)
-        ok, note = rep.outcome("root_condition")
+        ok, note = outcome(rep, "root_condition")
         assert not ok  # u = -1/2 - (-1) = 1/2 not an integer
 
     def test_violated_uncolored_vertex(self):
@@ -292,7 +295,7 @@ class TestAssemblage:
         ca = CoherentAssemblage.of(cd, degree=(1, 2), exponents=[1],
                                    scalars=[1], char_exponent=3)
         rep = assemblage_check(ca)
-        ok, note = rep.outcome("uncolored_vertices")
+        ok, note = outcome(rep, "uncolored_vertices")
         assert not ok and "t - 1" in note
 
 
@@ -315,7 +318,7 @@ class TestHorizontalConditions:
         d, cd = example_5617()
         wrong = Cone.from_rays([(1, 1), (1, 2)], 2)
         rep = horizontal_conditions(d, wrong, (1, 2), 3, 1)
-        ok, _ = rep.outcome("kernel_cone_maximal")
+        ok, _ = outcome(rep, "kernel_cone_maximal")
         assert not ok
 
     def test_exhaustive_box_agrees(self):
@@ -365,6 +368,18 @@ class TestHorizontalKernel:
         for m, f in kd.functions:
             total = principal_divisor(f, PROJECTIVE_LINE) + evaluate(cd.divisor, m)
             assert total.restrict([INF]) == total.restrict([INF]).scaled(0)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.tuples(*[st.integers(-12, 12)] * n), st.integers(1, 12))))
+    def test_pairing_kernel_is_the_congruence_lattice(self, problem):
+        """The basis lies in L = {m : <m, row> = 0 mod modulus}, and its index
+        in Z^n is that of L, modulus / gcd(modulus, row); a sublattice of L
+        with the index of L is L."""
+        row, modulus = problem
+        basis = _pairing_kernel_basis(row, modulus, len(row))
+        assert all(dot(b, row) % modulus == 0 for b in basis)
+        assert len(basis) == len(row)
+        assert abs(bareiss_det(basis)) == modulus // gcd(modulus, *row)
 
 
 class TestHorizontalExponential:
@@ -549,8 +564,8 @@ class TestAxioms:
             return ExponentialExpansion(((i, t.scaled(5)), *rest))
         samples = [(HomogeneousElement(RationalFunction.from_factored(1), (2, 0)),
                     HomogeneousElement(RationalFunction.from_factored(2), (1, 1)))]
-        assert axiom_check(good, samples).outcome("identity")[0]
-        assert not axiom_check(scaled, samples).outcome("identity")[0]
+        assert outcome(axiom_check(good, samples), "identity")[0]
+        assert not outcome(axiom_check(scaled, samples), "identity")[0]
 
 
 class TestIntegerHelpers:

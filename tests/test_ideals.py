@@ -36,7 +36,7 @@ from polydiv.ideals import (
     ptilde,
     rees_pair,
 )
-from oracles import nonnegative_orthant
+from oracles import nonnegative_orthant, outcome
 
 ORTHANT2 = nonnegative_orthant(2)
 ORTHANT3 = nonnegative_orthant(3)
@@ -162,7 +162,7 @@ class TestReesPair:
         wc, d, (t1, t2, t3, t4) = example_345_setup()
         pair = rees_pair(GradedIdealPresentation.of(wc, d, [t2, t3, t4]))
         assert pair.newton == Polyhedron.from_vertices_and_tail([(0, 1)], ORTHANT2)
-        tail = pair.augmented_tail
+        tail = pair.rees_divisor.tail
         assert set(tail.rays) == {(1, 0, 0), (0, 0, 1), (0, 1, -1)}
         assert pair.rees_divisor.coefficient(Z0) == Polyhedron.from_vertices_and_tail(
             [(F(-1, 2), 0, 0)], tail)
@@ -254,13 +254,13 @@ class TestPairConditions:
     def test_vertex_level_violation_detected(self):
         wc, d, (t1, t2, t3, t4) = example_345_setup()
         pair = rees_pair(GradedIdealPresentation.of(wc, d, [t2, t3, t4]))
-        tail = pair.augmented_tail
+        tail = pair.rees_divisor.tail
         bad_coeff = Polyhedron.from_vertices_and_tail([(0, 1, 1)], tail)
         broken = ReesPair(
             pair.presentation, pair.newton,
             PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {Z0: bad_coeff}))
         report = pair_conditions(broken)
-        ok, note = report.outcome("projection_and_vertex_levels")
+        ok, note = outcome(report, "projection_and_vertex_levels")
         assert not ok
 
 
