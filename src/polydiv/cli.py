@@ -62,16 +62,24 @@ from .ideals import (
 MATH_ERRORS = (GeometryError, CurveError, DivisorError, IdealError, ActionError)
 
 
-def _vector(text: str) -> tuple[int, ...]:
-    return tuple(int(a) for a in text.replace("(", "").replace(")", "").split(","))
+def _vector(args, name: str, problem) -> tuple[int, ...]:
+    """The lattice vector argument ``--name``, e.g. 1,2 or (1,2), of the
+    problem's rank."""
+    text = getattr(args, name)
+    if text is None:
+        raise ser.SchemaError(f"$.{name}", "missing lattice vector")
+    entries = text.replace("(", "").replace(")", "").split(",")
+    return ser.parse_integer_vector(entries, f"$.{name}", problem.rank)
 
 
-def _box(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition(":")
-        out.append((int(lo), int(hi)))
-    return out
+def _box(args, problem) -> list[tuple[int, int]]:
+    """The ``--box`` argument lo:hi,lo:hi, one range per coordinate."""
+    parts = args.box.split(",")
+    if len(parts) != problem.rank:
+        raise ser.SchemaError("$.box", f"expected {problem.rank} comma-separated ranges "
+                                       f"lo:hi, got {len(parts)}")
+    return [ser.parse_integer_vector(part.split(":"), f"$.box[{i}]", 2)
+            for i, part in enumerate(parts)]
 
 
 def _report_doc(report) -> dict:
@@ -103,7 +111,7 @@ def _load(args) -> ser.ProblemFile:
 
 def _element_arg(args, problem) -> HomogeneousElement:
     doc = json.loads(args.element)
-    return ser.parse_element(doc, problem.curve, "$.element")
+    return ser.parse_element(doc, problem.curve, problem.rank, "$.element")
 
 
 def cmd_normalize(args, problem):
@@ -124,8 +132,8 @@ def _divisor_arg(args, problem):
 
 def cmd_eval(args, problem):
     d = _divisor_arg(args, problem)
-    ev = evaluate(d, _vector(args.m))
-    return {"m": list(_vector(args.m)), "evaluation": ser.weil_divisor_doc(ev)}
+    m = _vector(args, "m", problem)
+    return {"m": list(m), "evaluation": ser.weil_divisor_doc(evaluate(d, m))}
 
 
 def cmd_degree(args, problem):
@@ -141,7 +149,7 @@ def cmd_proper(args, problem):
 
 def cmd_sections(args, problem):
     d = _divisor_arg(args, problem)
-    piece = graded_piece(d, _vector(args.m))
+    piece = graded_piece(d, _vector(args, "m", problem))
     return {"m": list(piece.degree), "module": ser.module_doc(piece.module)}
 
 
@@ -153,7 +161,7 @@ def cmd_member(args, problem):
 
 def cmd_generators(args, problem):
     d = _divisor_arg(args, problem)
-    box = _box(args.box) if args.box else None
+    box = _box(args, problem) if args.box else None
     report = bounded_generators(d, box)
     return {
         "generators": [ser.element_doc(g) for g in report.generators],
@@ -195,7 +203,7 @@ def cmd_rees(args, problem):
 
 def cmd_closure_piece(args, problem):
     pair = rees_pair(problem.get(args.object, "ideal"))
-    piece = closure_power_piece(pair, _vector(args.m), args.e)
+    piece = closure_power_piece(pair, _vector(args, "m", problem), args.e)
     return {"m": list(piece.degree), "e": args.e,
             "module": ser.module_doc(piece.module)}
 
@@ -218,21 +226,23 @@ def cmd_normal_sufficient(args, problem):
 
 def cmd_oracle(args, problem):
     ideal = problem.get(args.object, "monomial_ideal")
-    found = closure_member_oracle(_vector(args.m), ideal, args.dmax)
-    return {"m": list(_vector(args.m)), "d_max": args.dmax,
+    m = _vector(args, "m", problem)
+    found = closure_member_oracle(m, ideal, args.dmax)
+    return {"m": list(m), "d_max": args.dmax,
             "integral_over_ideal": found,
             "note": "" if found else f"no witness up to d_max = {args.dmax}"}
 
 
 def cmd_roots(args, problem):
     d = _divisor_arg(args, problem)
-    roots = roots_with_ray(d.tail, _vector(args.ray), _box(args.box))
-    return {"ray": list(_vector(args.ray)),
+    ray = _vector(args, "ray", problem)
+    roots = roots_with_ray(d.tail, ray, _box(args, problem))
+    return {"ray": list(ray),
             "roots": [list(r.vector) for r in roots]}
 
 
-def _root_arg(args, d):
-    root = is_demazure_root(d.tail, _vector(args.e))
+def _root_arg(args, d, problem):
+    root = is_demazure_root(d.tail, _vector(args, "e", problem))
     if root is None:
         raise ActionError(f"{args.e} is not a Demazure root of the tail cone")
     return root
@@ -240,8 +250,9 @@ def _root_arg(args, d):
 
 def cmd_root_check(args, problem):
     d = _divisor_arg(args, problem)
-    root = is_demazure_root(d.tail, _vector(args.e))
-    doc = {"e": list(_vector(args.e)), "is_root": root is not None}
+    e = _vector(args, "e", problem)
+    root = is_demazure_root(d.tail, e)
+    doc = {"e": list(e), "is_root": root is not None}
     if root:
         doc["distinguished_ray"] = list(root.distinguished_ray)
     return doc
@@ -249,20 +260,21 @@ def cmd_root_check(args, problem):
 
 def cmd_toric_exp(args, problem):
     d = _divisor_arg(args, problem)
-    root = _root_arg(args, d)
-    exp = toric_exponential(d.tail, root, Fraction(args.scalar), _vector(args.m))
+    root = _root_arg(args, d, problem)
+    exp = toric_exponential(d.tail, root, ser.parse_rational(args.scalar, "$.scalar"),
+                            _vector(args, "m", problem))
     return _expansion_doc(exp)
 
 
 def cmd_vertical_exists(args, problem):
     d = _divisor_arg(args, problem)
-    return {"ray": list(_vector(args.ray)),
-            "exists": vertical_exists(d, _vector(args.ray))}
+    ray = _vector(args, "ray", problem)
+    return {"ray": list(ray), "exists": vertical_exists(d, ray)}
 
 
 def cmd_vertical_exp(args, problem):
     d = _divisor_arg(args, problem)
-    root = _root_arg(args, d)
+    root = _root_arg(args, d, problem)
     phi = ser.parse_function(json.loads(args.phi), problem.curve, "$.phi")
     exp = vertical_exponential(d, root, phi, _element_arg(args, problem))
     return _expansion_doc(exp)
@@ -332,8 +344,8 @@ def cmd_axiom_check(args, problem):
             return expander()(el)
     else:
         d = _divisor_arg(args, problem)
-        root = _root_arg(args, d)
-        lam = Fraction(args.scalar)
+        root = _root_arg(args, d, problem)
+        lam = ser.parse_rational(args.scalar, "$.scalar")
 
         def function(m):
             return RationalFunction.from_factored(Fraction(rng.randint(1, 3)))

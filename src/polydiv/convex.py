@@ -2,10 +2,10 @@
 
 A :class:`Cone` keeps both a minimal generating set ("rays") and a minimal
 set of inner halfspace normals; both are canonical (primitive, lex-sorted),
-so equality of cones is structural equality.  A :class:`Polyhedron` is a
-Minkowski sum Conv(vertices) + tail cone, again stored in canonical form
-together with an inequality description (irredundant only when the
-polyhedron is full-dimensional).
+so equality of cones is structural equality.  A :class:`Polyhedron`,
+Conv(vertices) + tail cone, is stored as one such cone, its homogenization;
+its vertices, tail rays and integer inequalities (irredundant in every
+dimension) are read off that cone's two descriptions.
 
 All conversions go through one routine, :func:`_dual_generators`: it splits
 off the lineality space with an integer kernel basis and finds the extreme
@@ -34,7 +34,6 @@ from .linalg import (
     Vec,
     adjugate,
     bareiss_det,
-    denominator_lcm,
     dot,
     hnf,
     independent_rows,
@@ -42,7 +41,6 @@ from .linalg import (
     is_zero_vector,
     primitive,
     saturated_span_basis,
-    to_fraction_vector,
     vadd,
     vscale,
     vsub,
@@ -321,37 +319,30 @@ def hilbert_basis(c: Cone) -> tuple[IVec, ...]:
     return tuple(sorted(x for _, x, _ in kept))
 
 
-Halfspace = tuple[IVec, Fraction]  # inequality <normal, x> >= offset
-
-
-def _canonical_halfspace(normal: Sequence, offset) -> Halfspace:
-    p = primitive(normal)
-    f = next(Fraction(b) / a for a, b in zip(p, normal) if a != 0)
-    # f is the positive scale with normal = f * p
-    return p, Fraction(offset) / f
-
-
 @dataclass(frozen=True)
 class Polyhedron:
-    """Conv(vertices) + tail, tail a pointed cone, in canonical form.  The
-    halfspaces are irredundant only when the polyhedron is full-dimensional:
-    x = 1, y >= 0 in the plane also stores x >= -1."""
+    """Conv(vertices) + tail, tail a pointed cone, stored as its homogenization.
 
-    vertices: tuple[Vec, ...]
+    ``cone`` is the canonical pointed cone over P x {1} in rank n + 1: a ray
+    (k*v, k) with k > 0 is a vertex v, k the least integer making k*v
+    integral, and a ray (r, 0) is a ray r of the tail.  Every other view is
+    read off it and cached.  The integer rows <a, x> >= c are the facets
+    (a, -c) of ``cone`` but the face at infinity, so they are irredundant in
+    every dimension.
+    """
+
+    cone: Cone
     tail: Cone
-    halfspaces: tuple[Halfspace, ...]
 
     @staticmethod
     def from_vertices_and_tail(points: Iterable[Sequence], tail: Cone) -> "Polyhedron":
-        pts = [to_fraction_vector(p) for p in points]
-        if not pts:
+        homog = [tuple(p) + (1,) for p in points]
+        if not homog:
             raise EmptyPolyhedron("a polyhedron needs at least one point")
         if not tail.is_pointed:
             raise UnboundedLineality("tail cone must be pointed")
         n = tail.ambient_rank
-        homog = [p + (Fraction(1),) for p in pts] + \
-                [to_fraction_vector(r) + (Fraction(0),) for r in tail.rays]
-        cone = Cone.from_rays(homog, n + 1)
+        cone = Cone.from_rays(homog + [r + (0,) for r in tail.rays], n + 1)
         return Polyhedron._from_homogenized(cone, n, tail_hint=tail)
 
     @staticmethod
@@ -359,72 +350,63 @@ class Polyhedron:
                         ambient_rank: int,
                         tail_hint: Cone | None = None) -> "Polyhedron":
         """Polyhedron {x : <n_i, x> >= c_i}; must be nonempty with pointed recession."""
-        ineqs = [(to_fraction_vector(nrm), Fraction(c)) for nrm, c in inequalities]
-        homog_normals = [nrm + (-c,) for nrm, c in ineqs]
-        homog_normals.append(tuple([Fraction(0)] * ambient_rank + [Fraction(1)]))
+        homog_normals = [tuple(nrm) + (-c,) for nrm, c in inequalities]
+        homog_normals.append((0,) * ambient_rank + (1,))
         cone = Cone.from_halfspaces(homog_normals, ambient_rank + 1)
         return Polyhedron._from_homogenized(cone, ambient_rank, tail_hint=tail_hint)
 
     @staticmethod
     def _from_homogenized(cone: Cone, n: int, tail_hint: Cone | None) -> "Polyhedron":
-        verts = []
-        tail_rays = []
-        for r in cone.rays:
-            if r[n] > 0:
-                verts.append(tuple(Fraction(a, r[n]) for a in r[:n]))
-            elif r[n] == 0:
-                tail_rays.append(r[:n])
-            else:  # r[n] < 0 cannot occur: t >= 0 is one of the constraints
-                raise GeometryError("negative homogenizing coordinate")
-        if not verts:
+        if any(r[n] < 0 for r in cone.rays):
+            # cannot occur: t >= 0 is one of the constraints
+            raise GeometryError("negative homogenizing coordinate")
+        if all(r[n] == 0 for r in cone.rays):
             raise EmptyPolyhedron("inequality system has no solutions")
         if not cone.is_pointed:
             raise UnboundedLineality("polyhedron contains a line")
+        # extreme rays of a pointed cone, so already the tail's canonical rays
+        tail_rays = tuple(r[:n] for r in cone.rays if r[n] == 0)
+        if tail_hint is not None and tail_hint.ambient_rank == n \
+                and tail_hint.rays == tail_rays:
+            return Polyhedron(cone=cone, tail=tail_hint)
         tail = Cone.from_rays(tail_rays, n)
         if tail_hint is not None and tail != tail_hint:
             raise TailMismatch(f"recession cone {tail} differs from expected {tail_hint}")
-        hs = []
-        for h in cone.halfspaces:
-            if is_zero_vector(h[:n]):
-                continue  # the homogenizing constraint t >= 0
-            hs.append(_canonical_halfspace(h[:n], -Fraction(h[n])))
-        return Polyhedron(vertices=tuple(sorted(verts)), tail=tail,
-                          halfspaces=tuple(sorted(hs)))
+        return Polyhedron(cone=cone, tail=tail)
 
     @staticmethod
     def cone_as_polyhedron(tail: Cone) -> "Polyhedron":
-        zero = tuple(Fraction(0) for _ in range(tail.ambient_rank))
-        return Polyhedron.from_vertices_and_tail([zero], tail)
+        return Polyhedron.from_vertices_and_tail([(0,) * tail.ambient_rank], tail)
 
     @property
     def ambient_rank(self) -> int:
         return self.tail.ambient_rank
 
-    def contains(self, x: Sequence) -> bool:
-        return all(dot(nrm, x) >= c for nrm, c in self.halfspaces)
+    @functools.cached_property
+    def vertex_rays(self) -> tuple[tuple[IVec, int], ...]:
+        """(k*v, k) for each vertex v, k > 0 the least integer with k*v integral."""
+        n = self.ambient_rank
+        return tuple((r[:n], r[n]) for r in self.cone.rays if r[n] > 0)
 
     @functools.cached_property
-    def lattice_rows(self) -> tuple[tuple[IVec, int], ...]:
-        """The halfspaces as integer rows (n, ceil(c)).
-
-        The normals are integral, so a lattice point x has <n, x> >= c iff
-        <n, x> >= ceil(c): the rows cut out the same lattice points.
-        """
-        return tuple((nrm, ceil(c)) for nrm, c in self.halfspaces)
-
-    def contains_lattice_point(self, x: IVec) -> bool:
-        """:meth:`contains` for an integer point, in integer arithmetic."""
-        return all(sum(map(mul, nrm, x)) >= c for nrm, c in self.lattice_rows)
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple(sorted(tuple(Fraction(a, k) for a in kv) for kv, k in self.vertex_rays))
 
     @functools.cached_property
-    def scaled_vertices(self) -> tuple[int, tuple[IVec, ...]]:
-        """(den, den * vertices) for the least den > 0 making every vertex integral."""
-        den = denominator_lcm(a for v in self.vertices for a in v)
-        return den, tuple(tuple(int(a * den) for a in v) for v in self.vertices)
+    def halfspaces(self) -> tuple[tuple[IVec, int], ...]:
+        """Integer rows (a, c), meaning <a, x> >= c: the facets of ``cone``
+        but the face at infinity, the one tight on no vertex ray."""
+        n = self.ambient_rank
+        finite = [r for r in self.cone.rays if r[n] > 0]
+        return tuple((h[:n], -h[n]) for h in self.cone.halfspaces
+                     if any(dot(h, r) == 0 for r in finite))
 
     @property
     def has_integral_vertices(self) -> bool:
-        return all(a.denominator == 1 for v in self.vertices for a in v)
+        return all(k == 1 for _, k in self.vertex_rays)
+
+    def contains(self, x: Sequence) -> bool:
+        return all(sum(map(mul, a, x)) >= c for a, c in self.halfspaces)
 
     def __repr__(self) -> str:
         vs = [tuple(str(a) for a in v) for v in self.vertices]
@@ -445,18 +427,13 @@ def support_value(p: Polyhedron, m: Sequence) -> Fraction:
     """min over p of <m, x>; finite exactly when m lies in the dual of the tail."""
     if not all(dot(m, r) >= 0 for r in p.tail.rays):
         raise Unbounded(f"direction {m} is unbounded below on the polyhedron")
-    return Fraction(_scaled_support(p, m), p.scaled_vertices[0])
+    return min(Fraction(sum(map(mul, m, kv)), k) for kv, k in p.vertex_rays)
 
 
 def floored_support(p: Polyhedron, m: IVec) -> int:
     """floor of :func:`support_value` for an integer m in the dual of the
     tail, in integer arithmetic."""
-    return _scaled_support(p, m) // p.scaled_vertices[0]
-
-
-def _scaled_support(p: Polyhedron, m: Sequence) -> int:
-    """den * support_value(p, m) over the scaled vertices (den, den * vertices)."""
-    return min(sum(map(mul, m, v)) for v in p.scaled_vertices[1])
+    return min(sum(map(mul, m, kv)) // k for kv, k in p.vertex_rays)
 
 
 def dilate(p: Polyhedron, e: int) -> Polyhedron:
@@ -474,12 +451,12 @@ def dilate(p: Polyhedron, e: int) -> Polyhedron:
 def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -> list[IVec]:
     """Lattice points x of p with lo <= x <= hi, in lexicographic order.
 
-    Works on the integer rows <n, x> >= ceil(c) of p, so no point is
-    compared in rational arithmetic.  Coordinates are fixed one at a time,
-    first to last.  For a prefix x_0..x_{k-1}, each row bounds x_k by
-    asking that the row still be met when every later coordinate takes
-    its most favourable value in the box; so the range of x_k is an
-    interval, and a prefix is dropped as soon as that interval is empty.
+    Works on the integer rows <n, x> >= c of p, so no point is compared in
+    rational arithmetic.  Coordinates are fixed one at a time, first to
+    last.  For a prefix x_0..x_{k-1}, each row bounds x_k by asking that
+    the row still be met when every later coordinate takes its most
+    favourable value in the box; so the range of x_k is an interval, and a
+    prefix is dropped as soon as that interval is empty.
     At the last coordinate the bound is exact and the interval is the set
     of completions.  The output is the box's points that lie in p, in the
     order a full scan of the box would find them.
@@ -487,7 +464,7 @@ def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -
     n = len(lo)
     if n == 0:
         return [()]  # a rank-0 polyhedron is the point () and has no rows
-    rows = p.lattice_rows
+    rows = p.halfspaces
     # per coordinate k: (row i, n_ik, largest sum_{j > k} n_ij x_j over the box)
     levels = []
     reach = [0] * len(rows)
@@ -553,7 +530,7 @@ def minimal_lattice_points(p: Polyhedron) -> tuple[IVec, ...]:
     lo, hi = reachability_box(p, hb)
     out = []
     for x in lattice_points_in_box(p, lo, hi):
-        if not any(p.contains_lattice_point(vsub(x, h)) for h in hb):
+        if not any(p.contains(vsub(x, h)) for h in hb):
             out.append(x)
     return tuple(sorted(out))
 

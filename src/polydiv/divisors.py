@@ -15,6 +15,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
@@ -43,7 +44,6 @@ from .curves import (
 )
 from .linalg import (
     IVec,
-    denominator_lcm,
     dot,
     independent_rows,
     primitive,
@@ -164,8 +164,7 @@ class PolyhedralDivisor:
 
     def denominator(self) -> int:
         """Least d > 0 with all coefficient vertices in (1/d) * N."""
-        return denominator_lcm(a for _, poly in self.coefficients
-                               for v in poly.vertices for a in v)
+        return lcm(*(k for _, poly in self.coefficients for _, k in poly.vertex_rays))
 
     def __repr__(self) -> str:
         parts = [f"{poly}*{z}" for z, poly in self.coefficients]
@@ -352,15 +351,14 @@ def bounded_generators(d: PolyhedralDivisor,
     module generators of that piece not already among the products are
     added.  Completeness is certified inside the box only (by default the
     box around the weight cone's Hilbert basis and the scaled quasifan
-    rays); a second pass over the doubled box, adding nothing, reports the
-    degrees it misses as a saturation signal.
+    rays); a second pass over the hull of the box and its double, adding
+    nothing, reports the degrees it misses as a saturation signal.
 
     Both passes compute on one integer frame per degree (:func:`_frames`),
-    built once for the degrees of the box, of its double and 0.  Over A1
-    and Spec Z a degree keeps one exponent vector (:func:`_run_affine`), on
-    the projective line a set of coefficient vectors
-    (:func:`_run_projective`); a ``Divisor`` is built only to read off a
-    new generator.
+    built once for the degrees of that hull and 0.  Over A1 and Spec Z a
+    degree keeps one exponent vector (:func:`_run_affine`), on the
+    projective line a set of coefficient vectors (:func:`_run_projective`);
+    a ``Divisor`` is built only to read off a new generator.
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -375,11 +373,12 @@ def bounded_generators(d: PolyhedralDivisor,
             raise BoxTooSmall(f"box must contain {p}")
 
     weight = _interior_weight(d.weight_cone)
-    doubled = tuple((2 * lo, 2 * hi) for lo, hi in box)
     box_degrees = _box_degrees(d, box, weight)
-    degrees = _box_degrees(d, doubled, weight)
-    # a box without 0 is not inside its double, so the frames cover both
-    frames = _frames(d, set(box_degrees).union(degrees, [(0,) * n]))
+    # the hull of the box and its double: a box without 0 is not inside its
+    # double, whose pass alone would miss the degrees the box pass reached
+    hull = tuple((min(lo, 2 * lo), max(hi, 2 * hi)) for lo, hi in box)
+    degrees = _box_degrees(d, hull, weight)
+    frames = _frames(d, degrees + [(0,) * n])
     if d.curve.is_affine:
         gens = _degree_zero_generators(d.curve, n)
         _run_affine(d, frames, box_degrees, gens, extend=True)

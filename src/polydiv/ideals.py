@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
 
@@ -284,12 +283,10 @@ def pair_conditions(pair: ReesPair, slice_box_halfwidth: int = 6,
             if level < 0:
                 facet_ok, note = False, f"facet {normal} at {z} has negative level"
                 break
-            mvec = tuple(Fraction(a, level) for a in normal[:-1])
-            evec = Fraction(offset, level)
-            if any(a.denominator != 1 for a in mvec) or evec.denominator != 1:
+            if any(a % level for a in normal) or offset % level:
                 facet_ok, note = False, f"facet {normal} at {z} not integral after scaling"
                 break
-            mvec = tuple(int(a) for a in mvec)
+            mvec = tuple(a // level for a in normal[:-1])
             if not pair.newton.contains(mvec):
                 facet_ok = False
                 note = f"facet direction {mvec} at {z} outside the Newton polyhedron"
@@ -349,7 +346,7 @@ def ptilde(pair: ReesPair, z: BasePoint) -> Polyhedron:
             [lift(m) for m in lattice_points_in_box(newton, lo, hi)], tail)
         # certificate: every lifted lattice pair in the doubled region is in the hull
         lo2, hi2 = reachability_box(newton, [tuple(2 * scale * a for a in h) for h in hb])
-        if all(out.contains_lattice_point(lift(m))
+        if all(out.contains(lift(m))
                for m in lattice_points_in_box(newton, lo2, hi2)):
             return out
         scale *= 2

@@ -75,10 +75,6 @@ def is_zero_vector(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
-def to_fraction_vector(u: Sequence) -> Vec:
-    return tuple(Fraction(a) for a in u)
-
-
 def denominator_lcm(values: Iterable) -> int:
     """Least d > 0 with d * a integral for every rational a; 1 when empty."""
     return lcm(*(a.denominator for a in values))

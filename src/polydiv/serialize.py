@@ -71,14 +71,17 @@ def _array(obj: Mapping, key: str, path: str) -> list[tuple[str, object]]:
     return [(f"{path}.{key}[{i}]", item) for i, item in enumerate(obj[key])]
 
 
-def parse_vector(value, path: str) -> tuple[Fraction, ...]:
+def parse_vector(value, path: str, rank: int | None = None) -> tuple[Fraction, ...]:
+    """An array of rationals; of length ``rank`` when one is given."""
     if not isinstance(value, list):
         raise SchemaError(path, "expected an array of rationals")
+    if rank is not None and len(value) != rank:
+        raise SchemaError(path, f"expected {rank} entries, got {len(value)}")
     return tuple(parse_rational(a, f"{path}[{i}]") for i, a in enumerate(value))
 
 
-def parse_integer_vector(value, path: str) -> tuple[int, ...]:
-    vec = parse_vector(value, path)
+def parse_integer_vector(value, path: str, rank: int) -> tuple[int, ...]:
+    vec = parse_vector(value, path, rank)
     for i, a in enumerate(vec):
         if a.denominator != 1:
             raise SchemaError(f"{path}[{i}]", f"expected an integer, got {a}")
@@ -94,17 +97,22 @@ def parse_curve(value, path: str = "$.curve") -> BaseCurve:
 
 def parse_point(value, curve: BaseCurve, path: str) -> BasePoint:
     if value == "infinity":
-        return BasePoint.infinity()
-    _expect_keys(value, path, set(), {"poly", "prime"})
-    if "poly" in value and "prime" in value:
-        raise SchemaError(path, "point has both poly and prime")
-    if "prime" in value:
-        if not isinstance(value["prime"], int):
-            raise SchemaError(f"{path}.prime", "expected an integer prime")
-        return BasePoint.of_prime(value["prime"])
-    if "poly" in value:
-        return BasePoint.finite(parse_vector(value["poly"], f"{path}.poly"))
-    raise SchemaError(path, "point needs poly, prime or \"infinity\"")
+        z = BasePoint.infinity()
+    else:
+        _expect_keys(value, path, set(), {"poly", "prime"})
+        if "poly" in value and "prime" in value:
+            raise SchemaError(path, "point has both poly and prime")
+        if "prime" in value:
+            if not isinstance(value["prime"], int):
+                raise SchemaError(f"{path}.prime", "expected an integer prime")
+            z = BasePoint.of_prime(value["prime"])
+        elif "poly" in value:
+            z = BasePoint.finite(parse_vector(value["poly"], f"{path}.poly"))
+        else:
+            raise SchemaError(path, "point needs poly, prime or \"infinity\"")
+    if not z.on_curve(curve):
+        raise SchemaError(path, f"point {z} does not lie on {curve.value}")
+    return z
 
 
 def point_doc(z: BasePoint):
@@ -148,11 +156,11 @@ def function_doc(f: RationalFunction):
     }
 
 
-def parse_element(value, curve: BaseCurve, path: str) -> HomogeneousElement:
+def parse_element(value, curve: BaseCurve, rank: int, path: str) -> HomogeneousElement:
     _expect_keys(value, path, {"function", "degree"})
     return HomogeneousElement(
         parse_function(value["function"], curve, f"{path}.function"),
-        parse_integer_vector(value["degree"], f"{path}.degree"))
+        parse_integer_vector(value["degree"], f"{path}.degree", rank))
 
 
 def element_doc(el: HomogeneousElement):
@@ -161,7 +169,7 @@ def element_doc(el: HomogeneousElement):
 
 def parse_cone(value, rank: int, path: str) -> Cone:
     _expect_keys(value, path, {"rays"})
-    rays = [parse_vector(r, ipath) for ipath, r in _array(value, "rays", path)]
+    rays = [parse_vector(r, ipath, rank) for ipath, r in _array(value, "rays", path)]
     return Cone.from_rays(rays, rank)
 
 
@@ -187,7 +195,9 @@ def parse_divisor(value, curve: BaseCurve, rank: int, path: str) -> PolyhedralDi
     for ipath, item in _array(value, "coefficients", path):
         _expect_keys(item, ipath, {"point", "vertices"}, {"tail_rays"})
         z = parse_point(item["point"], curve, f"{ipath}.point")
-        verts = [parse_vector(v, vpath) for vpath, v in _array(item, "vertices", ipath)]
+        if any(z == other for other, _ in coeffs):
+            raise SchemaError(f"{ipath}.point", f"point {z} already has a coefficient")
+        verts = [parse_vector(v, vpath, rank) for vpath, v in _array(item, "vertices", ipath)]
         coeffs.append((z, Polyhedron.from_vertices_and_tail(verts, tail)))
     return PolyhedralDivisor.of(curve, tail, coeffs)
 
@@ -292,17 +302,19 @@ def _parse_object(value, problem: ProblemFile, path: str):
         return ("divisor", parse_divisor(value, curve, rank, path))
     if kind == "generators":
         _expect_keys(value, path, {"type", "elements"})
-        els = [parse_element(e, curve, ipath) for ipath, e in _array(value, "elements", path)]
+        els = [parse_element(e, curve, rank, ipath)
+               for ipath, e in _array(value, "elements", path)]
         return ("generators", tuple(els))
     if kind == "monomial_ideal":
         _expect_keys(value, path, {"type", "weight_cone", "exponents"})
         cone = parse_cone(value["weight_cone"], rank, f"{path}.weight_cone")
-        exps = [parse_integer_vector(m, ipath) for ipath, m in _array(value, "exponents", path)]
+        exps = [parse_integer_vector(m, ipath, rank)
+                for ipath, m in _array(value, "exponents", path)]
         return ("monomial_ideal", MonomialIdeal.of(cone, exps))
     if kind == "ideal":
         _expect_keys(value, path, {"type", "ambient", "generators"})
         divisor = _deref(problem, value["ambient"], "divisor", f"{path}.ambient")
-        els = [parse_element(e, curve, ipath)
+        els = [parse_element(e, curve, rank, ipath)
                for ipath, e in _array(value, "generators", path)]
         pres = GradedIdealPresentation.of(divisor.weight_cone, divisor, els)
         return ("ideal", pres)
@@ -319,12 +331,12 @@ def _parse_object(value, problem: ProblemFile, path: str):
         for ipath, item in _array(value, "colors", path):
             _expect_keys(item, ipath, {"point", "vertex"})
             colors.append((parse_point(item["point"], curve, f"{ipath}.point"),
-                           parse_vector(item["vertex"], f"{ipath}.vertex")))
+                           parse_vector(item["vertex"], f"{ipath}.vertex", rank)))
         return ("coloring", ColoredDivisor.of(divisor, base, colors, infinity))
     if kind == "assemblage":
         _expect_keys(value, path, {"type", "coloring", "e", "s", "lambda"}, {"p"})
         colored = _deref(problem, value["coloring"], "coloring", f"{path}.coloring")
-        e = parse_integer_vector(value["e"], f"{path}.e")
+        e = parse_integer_vector(value["e"], f"{path}.e", rank)
         s = value["s"]
         if not isinstance(s, list) or not all(isinstance(x, int) for x in s):
             raise SchemaError(f"{path}.s", "expected an array of integers")

@@ -269,6 +269,6 @@ def bounded_generators(d, box) -> GeneratorReport:
     run = _run_affine if d.curve.is_affine else _run_projective
     gens = divisors._degree_zero_generators(d.curve, d.rank)
     run(d, box, gens, weight, extend=True)
-    doubled = tuple((2 * lo, 2 * hi) for lo, hi in box)
-    missing = run(d, doubled, list(gens), weight, extend=False)
+    hull = tuple((min(lo, 2 * lo), max(hi, 2 * hi)) for lo, hi in box)
+    missing = run(d, hull, list(gens), weight, extend=False)
     return GeneratorReport(tuple(gens), box, not missing, tuple(missing))

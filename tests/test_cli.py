@@ -152,6 +152,53 @@ class TestSubcommands:
         assert code == 0
 
 
+# (fixture, command, object, path of the error, change to the object table)
+SHAPE_CASES = [
+    ("hnorm_a1.json", "proper", "divisor", "$.objects.divisor.tail.rays[0]",
+     lambda o: o["divisor"]["tail"].update(rays=[[1, 0]])),
+    ("hnorm_a1.json", "proper", "divisor", "$.objects.divisor.coefficients[0].vertices[0]",
+     lambda o: o["divisor"]["coefficients"][0].update(vertices=[["-1/2", 0]])),
+    ("hnorm_a1.json", "proper", "divisor", "$.objects.divisor.coefficients[0].point",
+     lambda o: o["divisor"]["coefficients"][0].update(point={"prime": 2})),
+    ("ex5617.json", "proper", "divisor", "$.objects.divisor.coefficients[1].point",
+     lambda o: o["divisor"]["coefficients"][1].update(point={"poly": [0, 1]})),
+    ("hnorm_a1.json", "coloring-check", "coloring", "$.objects.coloring.colors[0].vertex",
+     lambda o: o["coloring"]["colors"][0].update(vertex=["-1/2", 1])),
+    ("hnorm_a1.json", "coloring-check", "coloring", "$.objects.coloring.base_point",
+     lambda o: o["coloring"].update(base_point="infinity")),
+    ("hnorm_a1.json", "assemblage-check", "assemblage", "$.objects.assemblage.e",
+     lambda o: o["assemblage"].update(e=[1, 0])),
+    ("ex345.json", "normalize", "gens", "$.objects.gens.elements[0].degree",
+     lambda o: o["gens"]["elements"][0].update(degree=[1])),
+    ("i33.json", "mono-normal", "ideal", "$.objects.ideal.exponents[0]",
+     lambda o: o["ideal"]["exponents"].__setitem__(0, [1, 2, 3])),
+]
+
+ARGUMENT_CASES = [
+    (["eval", "--input", "ex345.json", "--object", "divisor", "--m", "1,1,1"], "$.m"),
+    (["eval", "--input", "ex345.json", "--object", "divisor", "--m", "x,1"], "$.m[0]"),
+    (["sections", "--input", "ex345.json", "--object", "divisor", "--m", "1"], "$.m"),
+    (["oracle", "--input", "i33.json", "--object", "ideal", "--m", "2"], "$.m"),
+    (["roots", "--input", "ex345.json", "--object", "divisor", "--ray", "1,0",
+      "--box=-2:2"], "$.box"),
+    (["roots", "--input", "ex345.json", "--object", "divisor", "--ray", "1",
+      "--box=-2:2,-2:2"], "$.ray"),
+    (["generators", "--input", "ex345.json", "--object", "divisor", "--box=0:2"], "$.box"),
+    (["generators", "--input", "ex345.json", "--object", "divisor", "--box=0:2,a:1"],
+     "$.box[1][0]"),
+    (["generators", "--input", "ex345.json", "--object", "divisor", "--box=0:2,1"],
+     "$.box[1]"),
+    (["root-check", "--input", "ex345.json", "--object", "divisor", "--e=1,2,3"], "$.e"),
+    (["root-check", "--input", "ex345.json", "--object", "divisor"], "$.e"),
+    (["toric-exp", "--input", "ex345.json", "--object", "divisor", "--e=-1,0",
+      "--m", "1,1", "--scalar", "q"], "$.scalar"),
+    (["vertical-exists", "--input", "ex345.json", "--object", "divisor", "--ray", "1,0,0"],
+     "$.ray"),
+    (["member", "--input", "ex345.json", "--object", "divisor", "--element",
+      '{"function": {"constant": 1}, "degree": [1]}'], "$.element.degree"),
+]
+
+
 class TestExitCodes:
     def test_schema_error_is_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -195,6 +242,24 @@ class TestExitCodes:
             "i": {"type": "monomial_ideal", "weight_cone": {"rays": [[1]]}, "exponents": 3}}}
         err = self.schema_error(capsys, tmp_path, doc, "mono-normal", "i")
         assert err.startswith("schema error: $.objects.i.exponents: ")
+
+    @pytest.mark.parametrize("name, command, obj, path, mutate", SHAPE_CASES,
+                             ids=[case[3] for case in SHAPE_CASES])
+    def test_shape_is_a_schema_error(self, capsys, tmp_path, name, command, obj, path, mutate):
+        """Vectors of the wrong length and points off the curve end at their
+        JSON path, not in a traceback, a math error or a truncated answer."""
+        with open(fixture(name)) as fh:
+            doc = json.load(fh)
+        mutate(doc["objects"])
+        err = self.schema_error(capsys, tmp_path, doc, command, obj)
+        assert err.startswith(f"schema error: {path}: ")
+
+    @pytest.mark.parametrize("argv, path", ARGUMENT_CASES,
+                             ids=[f"{argv[0]}-{path}" for argv, path in ARGUMENT_CASES])
+    def test_malformed_argument_is_a_schema_error(self, capsys, argv, path):
+        code, _, err = run_capture(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"schema error: {path}: ")
 
     def test_math_error_is_two(self, capsys):
         code, _, err = run_capture(

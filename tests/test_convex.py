@@ -11,6 +11,7 @@ from polydiv.convex import (
     EmptyPolyhedron,
     NotPointed,
     Polyhedron,
+    TailMismatch,
     Unbounded,
     UnboundedLineality,
     dilate,
@@ -184,6 +185,28 @@ class TestPolyhedronFromHalfspaces:
         p = Polyhedron.from_halfspaces([((1, 2), -1), ((1, 0), 0)], 2)
         q = Polyhedron.from_halfspaces(p.halfspaces, 2, tail_hint=p.tail)
         assert p == q
+
+    def test_lower_dimensional_rows_are_irredundant(self):
+        """x = 1, y >= 0: the equation as two rows and y >= 0; the face at
+        infinity, x >= -1 here, is not a row."""
+        p = Polyhedron.from_halfspaces([((1, 0), 1), ((-1, 0), -1), ((0, 1), 0)], 2)
+        assert sorted(p.halfspaces) == [((-1, 0), -1), ((0, 1), 0), ((1, 0), 1)]
+
+    def test_rows_are_integral(self):
+        """x >= 1/2 is the row 2x >= 1; the vertex ray is (1, 2)."""
+        p = Polyhedron.from_halfspaces([((1,), F(1, 2))], 1)
+        assert p.halfspaces == (((2,), 1),)
+        assert p.vertex_rays == (((1,), 2),)
+        assert p.vertices == ((F(1, 2),),) and not p.has_integral_vertices
+        assert p.contains((1,)) and p.contains((F(1, 2),)) and not p.contains((0,))
+
+    def test_tail_hint_must_match(self):
+        triangle = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]
+        p = Polyhedron.from_halfspaces(triangle, 2, tail_hint=zero_cone(2))
+        assert p == Polyhedron.from_halfspaces(triangle, 2)
+        for hint in (zero_cone(3), zero_cone(1), ORTHANT2):
+            with pytest.raises(TailMismatch):
+                Polyhedron.from_halfspaces(triangle, 2, tail_hint=hint)
 
 
 @st.composite

@@ -3,11 +3,11 @@
 The oracles are the earlier, slower routines: extreme rays by enumerating
 every rank-(d-1) subset of constraints, fundamental parallelepiped points by
 one rational solve per candidate, the all-pairs decomposability filter, and
-lattice points by testing every point of the box in Fraction arithmetic.
-e-fold splitting is checked against a search taken straight from the
-definition.  They live here only, as references for the double description,
-the adjugate reduction, the degree-sorted filter, the pruned integer
-enumeration and the slab search in ``polydiv.convex``.
+lattice points by testing every point of the box against the homogenized
+cone.  e-fold splitting is checked against a search taken straight from
+the definition.  They live here only, as references for the double
+description, the adjugate reduction, the degree-sorted filter, the pruned
+integer enumeration and the slab search in ``polydiv.convex``.
 """
 
 import itertools
@@ -23,6 +23,7 @@ from polydiv.convex import (
     Cone,
     EmptyPolyhedron,
     Polyhedron,
+    UnboundedLineality,
     box_points,
     dilate,
     hilbert_basis,
@@ -242,8 +243,11 @@ def test_fraction_inputs_are_canonicalised():
 
 
 def lattice_points_by_box_filter(p, lo, hi):
-    """Every point of the box, kept when p contains it (Fraction offsets)."""
-    return [x for x in box_points(zip(lo, hi)) if p.contains(x)]
+    """Every point of the box, kept when (x, 1) lies in p's homogenization.
+
+    Membership comes from the cone's own normals, not from the rows of p
+    that :func:`lattice_points_in_box` reads."""
+    return [x for x in box_points(zip(lo, hi)) if p.cone.contains(x + (1,))]
 
 
 def normal_by_brute_force(p, e):
@@ -307,7 +311,7 @@ def polyhedra(draw, min_rank=0, max_rank=4, integral=True):
     tail is pointed without being an orthant.  Confining everything to the
     hyperplane x_0 = x_1 gives lower-dimensional polyhedra, whose
     descriptions hold equalities.  Unless ``integral``, vertices have
-    denominators 2 and 3, so the offsets are fractional.
+    denominators 2 and 3.
     """
     n = draw(st.integers(min_rank, max_rank))
     bound = 3 if n < 3 else 2 if n < 4 else 1
@@ -358,7 +362,20 @@ def test_lattice_points_match_box_filter(data, p):
     lo, hi = data.draw(boxes(p.ambient_rank))
     want = lattice_points_by_box_filter(p, lo, hi)
     assert lattice_points_in_box(p, lo, hi) == want
-    assert all(p.contains_lattice_point(x) == p.contains(x) for x in box_points(zip(lo, hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhedra(integral=False))
+def test_rows_are_an_irredundant_description(p):
+    """The rows rebuild p, and each is needed: without it the polyhedron
+    grows, or its recession cone holds a line."""
+    n, rows = p.ambient_rank, p.halfspaces
+    assert Polyhedron.from_halfspaces(rows, n, tail_hint=p.tail) == p
+    for i in range(len(rows)):
+        try:
+            assert Polyhedron.from_halfspaces(rows[:i] + rows[i + 1:], n) != p
+        except UnboundedLineality:
+            pass
 
 
 REEVE = Polyhedron.from_vertices_and_tail(

@@ -496,7 +496,7 @@ AFFINE_PLACES = {AFFINE_LINE: [Z0, Z1, BasePoint.rational(F(1, 2)), BasePoint.fi
 @st.composite
 def small_affine_problems(draw):
     """A1 and Spec Z divisors on the P1 tails.  The probe box of the last
-    tail lacks 0, so its doubled pass often reports unsaturated degrees."""
+    tail lacks 0."""
     curve = draw(st.sampled_from([AFFINE_LINE, SPEC_Z]))
     tail = draw(st.sampled_from(P1_TAILS))
     coordinate = st.sampled_from([F(-1), F(0), F(1), F(1, 2), F(1, 3)])
@@ -522,13 +522,35 @@ class TestAffineGeneratorsAgainstDivisorRoute:
 
     @pytest.mark.parametrize("place", [Z0, P2])
     def test_same_report_when_unsaturated(self, place):
-        """The doubled box 2:8,0:4 misses the degrees 1:1,0:1 the box pass
-        reached, so the diagonal degrees stay unreached there."""
-        tail = P1_TAILS[3]
-        d = PolyhedralDivisor.of(AFFINE_LINE if place == Z0 else SPEC_Z, tail, {
-            place: Polyhedron.from_vertices_and_tail([(F(1, 2), 0), (1, -1)], tail)})
+        """The box 1:4,0:2 lacks 0, so its double 2:8,0:4 misses the degrees
+        1:1,0:1 the box pass reached.  The doubled pass runs over the hull
+        1:8,0:4 of both and reaches the diagonal degrees (2,2), (3,3) and
+        (4,4), which the double alone would report as unsaturated."""
+        d = self.diagonal_example(place)
         box = probe_box(d)
         assert box == ((1, 4), (0, 2))
         report = bounded_generators(d, box)
-        assert report.unsaturated_degrees == ((2, 2), (3, 3), (4, 4))
+        assert report.unsaturated_degrees == ()
         assert report == oracles.bounded_generators(d, box)
+
+    @staticmethod
+    def diagonal_example(place):
+        tail = P1_TAILS[3]
+        return PolyhedralDivisor.of(AFFINE_LINE if place == Z0 else SPEC_Z, tail, {
+            place: Polyhedron.from_vertices_and_tail([(F(1, 2), 0), (1, -1)], tail)})
+
+    @pytest.mark.parametrize("place", [Z0, P2])
+    def test_doubled_pass_reports_a_missing_generator(self, place):
+        """Without one generator of nonzero degree, the doubled pass fails
+        first at that generator's degree: lighter degrees do not involve it,
+        and no other product reaches it."""
+        d = self.diagonal_example(place)
+        box = probe_box(d)
+        gens = bounded_generators(d, box).generators
+        dropped = next(g for g in reversed(gens) if any(g.degree))
+        degrees = divisors._box_degrees(d, box, divisors._interior_weight(d.weight_cone))
+        frames = divisors._frames(d, degrees + [(0, 0)])
+        rest = [g for g in gens if g is not dropped]
+        assert divisors._run_affine(d, frames, degrees, list(gens), extend=False) == []
+        missing = divisors._run_affine(d, frames, degrees, rest, extend=False)
+        assert missing[0] == dropped.degree
