@@ -1,7 +1,7 @@
 """Command-line front end: problem files in, canonical JSON or tables out.
 
-Exit codes: 0 success, 1 schema/usage error, 2 mathematical precondition
-failure (the error class name is reported).
+Exit codes: 0 success, 1 schema/usage error or invalid problem file, 2 failed
+mathematical precondition of a command (the error class name is reported).
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import serialize as ser
-from .convex import GeometryError, hilbert_basis
-from .curves import CurveError, RationalFunction, sections
+from .convex import hilbert_basis
+from .curves import RationalFunction, sections
 from .divisors import (
-    DivisorError,
     HomogeneousElement,
     bounded_generators,
     degree_polyhedron,
@@ -47,7 +46,6 @@ from .gaactions import (
     vertical_exponential,
 )
 from .ideals import (
-    IdealError,
     MonomialIdeal,
     closure_member_oracle,
     closure_power_piece,
@@ -58,8 +56,6 @@ from .ideals import (
     pair_conditions,
     rees_pair,
 )
-
-MATH_ERRORS = (GeometryError, CurveError, DivisorError, IdealError, ActionError)
 
 
 def _vector(args, name: str, problem) -> tuple[int, ...]:
@@ -479,7 +475,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
-    except MATH_ERRORS as err:
+    except ser.MATH_ERRORS as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2
     document = {"command": args.command,

@@ -7,15 +7,16 @@ Conv(vertices) + tail cone, is stored as one such cone, its homogenization;
 its vertices, tail rays and integer inequalities (irredundant in every
 dimension) are read off that cone's two descriptions.
 
-All conversions go through one routine, :func:`_dual_generators`: it splits
-off the lineality space with an integer kernel basis and finds the extreme
-rays of the pointed part by incremental double description with the
-combinatorial adjacency test (Fukuda & Prodon, "Double description method
-revisited", 1996), fraction-free.  Its result depends only on the set of
-primitive generators, so it is memoised on that canonical input.  Hilbert
-bases come from a triangulation and the fundamental parallelepipeds of its
-simplices, reduced in order of a positive grading as in the primal
-algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010).
+Every cone comes from one routine, :func:`_convert`: one incremental double
+description, fraction-free, with the combinatorial adjacency test (Fukuda &
+Prodon, "Double description method revisited", 1996) finds the facets, and
+the minimal generators are read off the facets' incidence with the inputs.
+Its result depends only on the set of primitive generators, so it is
+memoised on that canonical input, and its dual under the facets.  Hilbert
+bases come from a triangulation on the ray-facet incidence and the
+fundamental parallelepipeds of its simplices, reduced in order of a positive
+grading as in the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
+2010).
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from operator import mul, sub
+from operator import ge, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -80,38 +82,64 @@ class Unbounded(GeometryError):
 _DUAL_CACHE_SIZE = 1024
 
 
-@functools.lru_cache(maxsize=_DUAL_CACHE_SIZE)
-def _dual_generators(generators: tuple[IVec, ...], ambient: int) -> tuple[IVec, ...]:
-    """Minimal generating set of {y : <g, y> >= 0 for all g}.
+class _ConeMemo(OrderedDict):
+    """Cones by canonical input (sorted distinct nonzero primitive generators,
+    ambient rank), least recently used first; ``hits`` counts lookups served."""
 
-    ``generators`` is the canonical input: a sorted tuple of distinct
-    nonzero primitive vectors.  The output is canonical in the same sense,
-    so it can be fed back in.  The lineality part (orthogonal complement of
-    span(generators)) contributes +/- the HNF basis of its lattice, the
-    pointed part contributes its primitive extreme rays.
+    hits = 0
+
+
+_memo = _ConeMemo()
+
+
+def _convert(generators: tuple[IVec, ...], ambient: int) -> "Cone":
+    """The cone generated by a canonical input, from one double description.
+
+    Halfspaces: +/- the HNF basis of the lattice of span(generators)^perp
+    and the facets, the extreme rays of the dual in coordinates of the
+    lattice S = span(generators) ∩ Z^n.  Rays are read off the facet
+    incidence of the inputs.  If no input lies on every facet, the cone is
+    pointed and an input is extreme iff no other input is tight on every
+    facet it is tight on.  Otherwise those inputs span the lineality space
+    L, and the rays are +/- the HNF basis B of L ∩ Z^n and the projections
+    det(G) g - B^T adj(G) B g (G = B B^T) onto L^perp that pass that test.
     """
-    out: list[IVec] = []
     lin = integer_kernel_basis(generators, ambient) if generators else [
         tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
-    for b in lin:
-        out.append(tuple(b))
-        out.append(tuple(-a for a in b))
-    if not generators:
-        return tuple(sorted(set(out)))
-    # pointed part lives in S = span(generators); work in coordinates of the
-    # lattice S ∩ Z^n, the integer kernel of the lineality basis
-    sbasis = integer_kernel_basis(lin, ambient)
-    # constraint matrix in S-coordinates: row per generator, of rank dim S
-    mat = [tuple(dot(g, b) for b in sbasis) for g in generators]
-    for c in _extreme_rays_pointed(mat, len(sbasis)):
-        y = tuple(sum(ci * bi for ci, bi in zip(c, col)) for col in zip(*sbasis))
-        out.append(primitive(y))
-    return tuple(sorted(set(out)))
+    hs = set(lin) | {vscale(-1, b) for b in lin}
+    rays: set[IVec] = set()
+    if generators:
+        sbasis = integer_kernel_basis(lin, ambient)
+        rows = [primitive(tuple(dot(g, b) for b in sbasis)) for g in generators]
+        facets = _extreme_rays_pointed(rows, len(sbasis))
+        hs.update(primitive(tuple(sum(map(mul, c, col)) for col in zip(*sbasis)))
+                  for c, _ in facets)
+        zsets = [sum((tight >> i & 1) << j for j, (_, tight) in enumerate(facets))
+                 for i in range(len(generators))]  # bit j: input i is on facet j
+        on_all = (1 << len(facets)) - 1
+        images = {g: z for g, z in zip(generators, zsets) if z != on_all}
+        if len(images) < len(generators):
+            basis = integer_kernel_basis(hs, ambient)
+            rays = set(basis) | {vscale(-1, b) for b in basis}
+            gram = [[dot(a, b) for b in basis] for a in basis]
+            adj = adjugate(gram)
+            det = dot(gram[0], [row[0] for row in adj])
+            projected = {}
+            for g, z in images.items():
+                u = [dot(row, [dot(b, g) for b in basis]) for row in adj]
+                projected[primitive(tuple(det * x - dot(u, col)
+                                          for x, col in zip(g, zip(*basis))))] = z
+            images = projected
+        rays.update(p for p, z in images.items()
+                    if not any(q != p and zq & z == z for q, zq in images.items()))
+    return Cone(rays=tuple(sorted(rays)), halfspaces=tuple(sorted(hs)), ambient_rank=ambient)
 
 
-def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[IVec]:
+def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[tuple[IVec, int]]:
     """Extreme rays of the pointed cone {c in Q^dim : M c >= 0}, M of rank dim.
 
+    Returns (primitive ray, zero set) pairs sorted by ray; bit i of a zero
+    set is the i-th distinct primitive row of M, in input order.
     Incremental double description, fraction-free.  The first ``dim``
     independent rows cut out a simplicial cone whose rays are the columns
     of their integer adjugate (ray i is tight on every seed row but row i).
@@ -123,7 +151,7 @@ def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[IVe
     them, which is exact because the rays kept are the extreme rays of a
     pointed cone.
     """
-    rows = sorted({primitive(r) for r in constraints if not is_zero_vector(r)})
+    rows = list(dict.fromkeys(primitive(r) for r in constraints if not is_zero_vector(r)))
     seed = independent_rows(rows, dim)
     seed_mask = sum(1 << i for i in seed)
     adj = adjugate([rows[i] for i in seed])
@@ -154,10 +182,10 @@ def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[IVe
                     g = gcd(*w)
                     kept.append((tuple(x // g for x in w), common | bit))
         rays = kept
-    return sorted(v for v, _ in rays)
+    return sorted(rays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cone:
     """Rational polyhedral cone, canonical dual pair of descriptions.
 
@@ -177,9 +205,16 @@ class Cone:
         for v in vecs:
             if len(v) != ambient_rank:
                 raise GeometryError("ray of wrong length")
-        hs = _dual_generators(vecs, ambient_rank)
-        rays = _dual_generators(hs, ambient_rank)
-        return Cone(rays=rays, halfspaces=hs, ambient_rank=ambient_rank)
+        key = (vecs, ambient_rank)
+        if key in _memo:
+            _memo.hits += 1
+            _memo.move_to_end(key)
+            return _memo[key]
+        cone = _memo[key] = _convert(vecs, ambient_rank)
+        _memo[cone.halfspaces, ambient_rank] = cone.dual()  # from_halfspaces(cone.halfspaces)
+        while len(_memo) > _DUAL_CACHE_SIZE:
+            _memo.popitem(last=False)
+        return cone
 
     @staticmethod
     def from_halfspaces(normals: Iterable[Sequence], ambient_rank: int) -> "Cone":
@@ -205,36 +240,33 @@ class Cone:
         return Cone(rays=self.halfspaces, halfspaces=self.rays,
                     ambient_rank=self.ambient_rank)
 
-    def facet_ray_sets(self) -> list[tuple[IVec, tuple[IVec, ...]]]:
-        """(normal, rays on the facet) for each proper facet."""
-        out = []
-        for h in self.halfspaces:
-            tight = tuple(r for r in self.rays if dot(h, r) == 0)
-            if len(tight) < len(self.rays):
-                out.append((h, tight))
-        return out
-
     def __repr__(self) -> str:
         return f"Cone(rays={list(self.rays)})"
 
 
 def _simplicial_pieces(c: Cone) -> list[tuple[IVec, ...]]:
-    """Star triangulation of a pointed cone into simplicial subcones."""
-    d = c.dim
+    """Pulling triangulation of a pointed cone into simplicial subcones.
+
+    Reads only the ray-facet incidence; a face is the bitmask of its rays,
+    and the facets of a face F are the inclusion-maximal proper sets F ∩ G,
+    G a facet of c.  A face with as many rays as its dimension is a simplex;
+    any other is pulled from its first ray a: a joined to the pieces of each
+    facet of F not holding a."""
     rays = c.rays
-    if len(rays) <= d:
-        return [rays] if rays else []
-    apex = rays[0]
-    pieces = []
-    for normal, tight in c.facet_ray_sets():
-        if dot(normal, apex) == 0:
-            continue
-        facet = Cone.from_rays(tight, c.ambient_rank)
-        for simplex in _simplicial_pieces(facet):
-            piece = (apex,) + simplex
-            if len(independent_rows(piece, d)) == d:
-                pieces.append(piece)
-    return pieces
+    facets = [sum(1 << i for i, r in enumerate(rays) if dot(h, r) == 0) for h in c.halfspaces]
+    pieces = _pulled((1 << len(rays)) - 1, c.dim, facets) if rays else []
+    return [tuple(rays[i] for i in piece) for piece in pieces]
+
+
+def _pulled(face: int, dim: int, facets: list[int]) -> list[list[int]]:
+    """Ray indices of the pieces of :func:`_simplicial_pieces` on a face."""
+    if face.bit_count() == dim:
+        return [[i for i in range(face.bit_length()) if face >> i & 1]]
+    apex = face & -face
+    subs = dict.fromkeys(face & g for g in facets if face & g != face)
+    return [[apex.bit_length() - 1] + piece for f in subs
+            if not f & apex and not any(f != g and f & g == f for g in subs)
+            for piece in _pulled(f, dim - 1, facets)]
 
 
 def box_points(box: Iterable[tuple[int, int]]) -> Iterator[IVec]:
@@ -259,11 +291,11 @@ def _parallelepiped_points(rays: Sequence[IVec]) -> list[IVec]:
     det = bareiss_det(ray_coords)
     sign, volume = (1, det) if det > 0 else (-1, -det)
     columns = list(zip(*adjugate(ray_coords)))
+    ray_columns = list(zip(*rays))
     points = []
     for cand in itertools.product(*[range(d) for d in diag]):
-        num = [sign * dot(cand, col) % volume for col in columns]
-        points.append(tuple(sum(k * r[j] for k, r in zip(num, rays)) // volume
-                            for j in range(n)))
+        num = [sign * sum(map(mul, cand, col)) % volume for col in columns]
+        points.append(tuple(sum(map(mul, num, col)) // volume for col in ray_columns))
     return points
 
 
@@ -308,13 +340,12 @@ def hilbert_basis(c: Cone) -> tuple[IVec, ...]:
                 candidates.add(p)
     graded = []
     for x in candidates:
-        values = tuple(dot(h, x) for h in c.halfspaces)
+        values = tuple(sum(map(mul, h, x)) for h in c.halfspaces)
         graded.append((sum(values), x, values))
     graded.sort()
     kept: list[tuple[int, IVec, IVec]] = []
     for deg, x, values in graded:
-        if not any(dy < deg and all(a >= b for a, b in zip(values, vy))
-                   for dy, _, vy in kept):
+        if not any(dy < deg and all(map(ge, values, vy)) for dy, _, vy in kept):
             kept.append((deg, x, values))
     return tuple(sorted(x for _, x, _ in kept))
 

@@ -2,10 +2,10 @@
 
 Vectors are tuples of ints (lattice vectors) or Fractions; matrices are
 lists of row tuples.  Every elimination is fraction-free: determinants by
-Bareiss, independent rows by integer cross-multiplication, Hermite normal
-forms and kernel lattices by integer row and column operations.  The kernel
-routines clear rational rows of their denominators first; no floating
-point anywhere.
+Bareiss, adjugates by Gauss-Jordan in Bareiss's form, independent rows by
+integer cross-multiplication, Hermite normal forms and kernel lattices by
+integer row and column operations.  The kernel routines clear rational rows
+of their denominators first; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -49,14 +49,27 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer adjugate of a square integer matrix: A adj(A) = det(A) I.
+    """Integer adjugate of a nonsingular square integer matrix: A adj(A) = det(A) I.
 
-    Entry (i, j) is the cofactor of A at (j, i), one Bareiss minor each.
+    One fraction-free Gauss-Jordan elimination on [A | I] (Bareiss): every
+    entry is an integer minor, every division exact.  It ends at [D I | D A^-1]
+    with D = +/- det(A) the last pivot, so the right block times the sign of
+    the row swaps is adj(A).  A singular A raises ``ValueError``.
     """
     n = len(rows)
-    return [[(-1) ** (i + j) * bareiss_det([r[:i] + r[i + 1:]
-                                            for k, r in enumerate(rows) if k != j])
-             for j in range(n)] for i in range(n)]
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        pivot, a = m[k], m[k][k]
+        m = [row if i == k else [(a * x - row[k] * y) // prev for x, y in zip(row, pivot)]
+             for i, row in enumerate(m)]
+        prev = a
+    return [[sign * x for x in row[n:]] for row in m]
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
@@ -88,17 +101,8 @@ def primitive(u: Sequence) -> IVec:
     if all(type(a) is int for a in u):
         g = gcd(*u)
         return tuple(a // g for a in u) if g else tuple(u)
-    fracs = [Fraction(a) for a in u]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    return tuple(a // g for a in ints)
+    d = lcm(*(Fraction(a).denominator for a in u))
+    return primitive([int(a * d) for a in u])
 
 
 def independent_rows(rows: Sequence[IVec], count: int) -> list[int]:
@@ -159,8 +163,7 @@ def hnf(rows: Sequence[IVec]) -> list[IVec]:
             r += 1
             if r == len(m):
                 break
-    out = [tuple(row) for row in m[:r] if not is_zero_vector(row)]
-    return out
+    return [tuple(row) for row in m[:r] if not is_zero_vector(row)]
 
 
 def _clear_row_denominators(row: Sequence) -> list[int]:
@@ -209,10 +212,4 @@ def saturated_span_basis(vectors: Sequence[Sequence], ncols: int) -> list[IVec]:
 def spans_lattice(vectors: Sequence[IVec], n: int) -> bool:
     """True iff the integer vectors generate Z^n as a lattice."""
     h = hnf(list(vectors))
-    if len(h) < n:
-        return False
-    prod = 1
-    for i, row in enumerate(h):
-        pc = next(c for c in range(n) if row[c] != 0)
-        prod *= row[pc]
-    return prod == 1
+    return len(h) == n and all(next(a for a in row if a) == 1 for row in h)

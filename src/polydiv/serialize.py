@@ -13,20 +13,24 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .convex import Cone, Polyhedron
+from .convex import Cone, GeometryError, Polyhedron
 from .curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
     SPEC_Z,
     BaseCurve,
     BasePoint,
+    CurveError,
     Divisor,
     RationalFunction,
     SectionModule,
 )
-from .divisors import HomogeneousElement, PolyhedralDivisor
-from .gaactions import CoherentAssemblage, ColoredDivisor
-from .ideals import GradedIdealPresentation, MonomialIdeal
+from .divisors import DivisorError, HomogeneousElement, PolyhedralDivisor
+from .gaactions import ActionError, CoherentAssemblage, ColoredDivisor
+from .ideals import GradedIdealPresentation, IdealError, MonomialIdeal
+
+# failed preconditions: a SchemaError in a problem file, exit 2 in a command
+MATH_ERRORS = (GeometryError, CurveError, DivisorError, IdealError, ActionError)
 
 
 class SchemaError(ValueError):
@@ -269,6 +273,8 @@ def parse_problem(doc) -> ProblemFile:
                 parsed = _parse_object(value, problem, path)
             except _Unresolved:
                 continue
+            except MATH_ERRORS as err:
+                raise SchemaError(path, f"{type(err).__name__}: {err}") from None
             problem.objects[name] = parsed
             del pending[name]
             progress = True

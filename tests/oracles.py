@@ -1,6 +1,11 @@
 """Test-only definitions: second routes to values polydiv computes, and small
 constructors that only tests need.
 
+The cone oracles are the routes ``convex`` took before it read a cone's rays
+off the incidence of one conversion: :func:`two_pass_cone` converts rays to
+halfspaces and back, and :func:`facet_triangulation` rebuilds every facet of
+a cone as a :class:`Cone` and pulls from its first ray.
+
 The generator oracle is the route ``divisors.bounded_generators`` took before
 it moved to integer frames.  On the projective line every product is a
 :class:`RationalFunction`, products are deduped by canonical keys and a piece
@@ -28,7 +33,7 @@ from polydiv.curves import (
     sections,
 )
 from polydiv.divisors import GeneratorReport, HomogeneousElement, evaluate
-from polydiv.linalg import IVec, is_zero_vector
+from polydiv.linalg import IVec, dot, integer_kernel_basis, is_zero_vector, primitive
 
 
 def zero_divisor(curve: BaseCurve) -> Divisor:
@@ -41,6 +46,54 @@ def zero_cone(ambient_rank: int) -> Cone:
 
 def full_cone(ambient_rank: int) -> Cone:
     return Cone.from_halfspaces([], ambient_rank)
+
+
+def dual_generators(generators, ambient: int, extreme_rays) -> tuple[IVec, ...]:
+    """Minimal generating set of {y : <g, y> >= 0 for all g}, canonical.
+
+    ``generators`` is a sorted tuple of distinct nonzero primitive vectors.
+    The lineality part, the orthogonal complement of their span, gives +/-
+    its HNF lattice basis; the pointed part gives the primitive extreme rays
+    that ``extreme_rays(M, dim)`` finds for {c : M c >= 0} in coordinates of
+    the span's lattice.
+    """
+    out: list[IVec] = []
+    lin = integer_kernel_basis(generators, ambient) if generators else [
+        tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
+    for b in lin:
+        out += [tuple(b), tuple(-a for a in b)]
+    if generators:
+        sbasis = integer_kernel_basis(lin, ambient)
+        mat = [tuple(dot(g, b) for b in sbasis) for g in generators]
+        for c in extreme_rays(mat, len(sbasis)):
+            out.append(primitive(tuple(sum(ci * bi for ci, bi in zip(c, col))
+                                       for col in zip(*sbasis))))
+    return tuple(sorted(set(out)))
+
+
+def two_pass_cone(vectors, ambient: int, extreme_rays) -> Cone:
+    """``Cone.from_rays`` by two conversions, rays -> halfspaces -> rays,
+    without a memo."""
+    gens = tuple(sorted({primitive(v) for v in vectors} - {(0,) * ambient}))
+    hs = dual_generators(gens, ambient, extreme_rays)
+    return Cone(rays=dual_generators(hs, ambient, extreme_rays), halfspaces=hs,
+                ambient_rank=ambient)
+
+
+def facet_triangulation(c: Cone) -> list[tuple[IVec, ...]]:
+    """Star triangulation of a pointed cone: every facet not holding the
+    first ray is rebuilt as a cone and triangulated, and the first ray is
+    joined to its pieces."""
+    rays = c.rays
+    if len(rays) <= c.dim:
+        return [rays] if rays else []
+    pieces = []
+    for h in c.halfspaces:
+        tight = tuple(r for r in rays if dot(h, r) == 0)
+        if len(tight) < len(rays) and dot(h, rays[0]) != 0:
+            facet = Cone.from_rays(tight, c.ambient_rank)
+            pieces += [(rays[0],) + simplex for simplex in facet_triangulation(facet)]
+    return pieces
 
 
 def outcome(report, name: str) -> tuple[bool, str]:

@@ -1,13 +1,16 @@
 """Differential tests of the V/H conversion, Hilbert-basis and lattice core.
 
 The oracles are the earlier, slower routines: extreme rays by enumerating
-every rank-(d-1) subset of constraints, fundamental parallelepiped points by
-one rational solve per candidate, the all-pairs decomposability filter, and
-lattice points by testing every point of the box against the homogenized
-cone.  e-fold splitting is checked against a search taken straight from
-the definition.  They live here only, as references for the double
-description, the adjugate reduction, the degree-sorted filter, the pruned
-integer enumeration and the slab search in ``polydiv.convex``.
+every rank-(d-1) subset of constraints, both sides of a cone by two
+conversions (``oracles.two_pass_cone``), a triangulation that rebuilds each
+facet as a cone (``oracles.facet_triangulation``), fundamental
+parallelepiped points by one rational solve per candidate, the all-pairs
+decomposability filter, and lattice points by testing every point of the
+box against the homogenized cone.  e-fold splitting is checked against a
+search taken straight from the definition.  They are references for the
+double description and its incidence, the triangulation on ray bitmasks,
+the adjugate reduction, the degree-sorted filter, the pruned integer
+enumeration and the slab search in ``polydiv.convex``.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from fractions import Fraction as F
 from math import ceil, floor
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polydiv import convex
@@ -37,6 +41,7 @@ from polydiv.linalg import (
     bareiss_det,
     dot,
     hnf,
+    integer_kernel_basis,
     is_zero_vector,
     primitive,
     saturated_span_basis,
@@ -44,7 +49,14 @@ from polydiv.linalg import (
     vscale,
     vsub,
 )
-from oracles import nonnegative_orthant, rank, rref, zero_cone
+from oracles import (
+    facet_triangulation,
+    nonnegative_orthant,
+    rank,
+    rref,
+    two_pass_cone,
+    zero_cone,
+)
 
 
 def extreme_rays_by_subsets(constraints, dim):
@@ -111,21 +123,18 @@ def parallelepiped_points_by_solve(rays):
 
 
 def hilbert_basis_all_pairs(c):
-    """Hilbert basis by the all-pairs filter over the same candidates."""
+    """Hilbert basis by the all-pairs filter over the candidates of the
+    facet-rebuilding triangulation."""
     candidates = set(c.rays)
-    for piece in convex._simplicial_pieces(c):
+    for piece in facet_triangulation(c):
         candidates.update(p for p in parallelepiped_points_by_solve(piece) if any(p))
     return tuple(sorted(x for x in candidates
                         if not any(y != x and c.contains(vsub(x, y)) for y in candidates)))
 
 
 def oracle_cone(vectors, n):
-    """Cone.from_rays with the subset-enumeration routine and no memo."""
-    gens = tuple(sorted({primitive(v) for v in vectors} - {(0,) * n}))
-    with mock.patch.object(convex, "_extreme_rays_pointed", extreme_rays_by_subsets):
-        dual = convex._dual_generators.__wrapped__
-        hs = dual(gens, n)
-        return Cone(rays=dual(hs, n), halfspaces=hs, ambient_rank=n)
+    """Cone.from_rays by two conversions with the subset-enumeration routine."""
+    return two_pass_cone(vectors, n, extreme_rays_by_subsets)
 
 
 @st.composite
@@ -149,6 +158,28 @@ def vector_sets(draw, min_rank=1, max_rank=5, lo=-3, hi=3):
 
 
 @st.composite
+def lined_vector_sets(draw):
+    """Vectors of rank 2..5 whose cone holds a line or a plane: +/- one or
+    two lineality vectors are added, and the set may be confined to the
+    subspace x_0 = x_1 = x_2, so the lines need not be coordinate axes and
+    the cone need not be full-dimensional."""
+    n, vecs = draw(vector_sets(min_rank=2))
+    lines = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=2))
+    vecs = vecs + lines + [vscale(-1, v) for v in lines]
+    if n > 2 and draw(st.booleans()):
+        vecs = [(v[2], v[2]) + v[2:] for v in vecs]
+    return n, vecs
+
+
+LINED = [
+    (3, [(1, 0, 0), (-1, 0, 0), (1, 1, 0)]),
+    (3, [(1, 1, 0), (-1, -1, 0), (0, 1, 1), (2, 0, 1)]),
+    (4, [(1, 1, 1, 0), (-1, -1, -1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, -1, -1, 0)]),
+    (2, [(1, 2), (-1, -2), (3, 1)]),
+]
+
+
+@st.composite
 def full_rank_rows(draw, max_dim=5):
     """Constraint matrices of full column rank, with repeats and +/- pairs."""
     dim = draw(st.integers(1, max_dim))
@@ -164,22 +195,55 @@ def full_rank_rows(draw, max_dim=5):
 @settings(max_examples=150, deadline=None)
 @given(full_rank_rows())
 def test_extreme_rays_match_subset_enumeration(data):
+    """The rays match, and each zero set holds exactly the distinct
+    primitive rows, in input order, that the ray is tight on."""
     rows, dim = data
-    assert convex._extreme_rays_pointed(rows, dim) == extreme_rays_by_subsets(rows, dim)
+    out = convex._extreme_rays_pointed(rows, dim)
+    assert [v for v, _ in out] == extreme_rays_by_subsets(rows, dim)
+    distinct = list(dict.fromkeys(primitive(r) for r in rows if not is_zero_vector(r)))
+    for v, zeros in out:
+        assert zeros == sum(1 << i for i, r in enumerate(distinct) if dot(r, v) == 0)
+
+
+def fresh_cone(vecs, n, halfspaces=False):
+    """Cone.from_rays (or from_halfspaces) with an empty memo, so the
+    conversion runs."""
+    with mock.patch.object(convex, "_memo", convex._ConeMemo()):
+        return Cone.from_halfspaces(vecs, n) if halfspaces else Cone.from_rays(vecs, n)
 
 
 @settings(max_examples=100, deadline=None)
-@given(vector_sets())
+@given(st.one_of(vector_sets(), lined_vector_sets()))
+@example(LINED[0])
+@example(LINED[1])
+@example(LINED[2])
+@example(LINED[3])
 def test_from_rays_matches_oracle(data):
     n, vecs = data
-    assert Cone.from_rays(vecs, n) == oracle_cone(vecs, n)
+    assert fresh_cone(vecs, n) == oracle_cone(vecs, n)
 
 
-@settings(max_examples=60, deadline=None)
-@given(vector_sets())
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(vector_sets(), lined_vector_sets()))
+@example(LINED[0])
+@example(LINED[2])
 def test_from_halfspaces_matches_oracle(data):
     n, normals = data
-    assert Cone.from_halfspaces(normals, n) == oracle_cone(normals, n).dual()
+    assert fresh_cone(normals, n, halfspaces=True) == oracle_cone(normals, n).dual()
+
+
+@pytest.mark.parametrize("n, vecs", LINED)
+def test_cone_with_lines_rays_are_projected(n, vecs):
+    """A cone with lineality L has rays +/- the HNF basis of L ∩ Z^n and
+    extreme rays orthogonal to L: not an input that only differs from one
+    by a vector of L."""
+    c = fresh_cone(vecs, n)
+    assert not c.is_pointed
+    lines = integer_kernel_basis(c.halfspaces, n)
+    assert set(lines) | {vscale(-1, b) for b in lines} <= set(c.rays)
+    for r in c.rays:
+        if vscale(-1, r) not in c.rays:
+            assert all(dot(r, b) == 0 for b in lines)
 
 
 @st.composite
@@ -200,6 +264,24 @@ def test_hilbert_basis_matches_all_pairs_filter(c):
     assert hilbert_basis(c) == hilbert_basis_all_pairs(c)
 
 
+# A rank-6 cone, found by search, on which recursing on every proper F ∩ G,
+# not only on the inclusion-maximal ones, gives pieces of rank 5.  In lower
+# ranks the non-maximal sets have too few rays to pass for a simplex.
+RANK6 = Cone.from_rays([(1, 1, -1, -1, -1, 0), (1, 0, 1, 0, 1, 0), (1, 0, -1, 1, 1, 0),
+                        (1, 0, -1, 0, -1, -1), (1, 0, 1, 1, 0, -1), (1, 0, 0, 1, 1, -1),
+                        (1, 0, 1, 0, 0, -1), (1, -1, 1, -1, 1, 1), (1, 0, 0, -1, 1, -1)], 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pointed_cones())
+@example(RANK6)
+def test_pieces_are_full_dimensional_simplices(c):
+    d = c.dim
+    for piece in convex._simplicial_pieces(c):
+        assert len(piece) == d == rank(piece)
+        assert set(piece) <= set(c.rays)
+
+
 @settings(max_examples=60, deadline=None)
 @given(pointed_cones())
 def test_parallelepiped_points_match_rational_solve(c):
@@ -213,33 +295,58 @@ def test_parallelepiped_points_match_rational_solve(c):
     lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
                        min_size=n, max_size=n)))
 def test_adjugate_times_matrix_is_determinant(rows):
+    """Every draw is checked: a singular one must raise."""
     n = len(rows)
-    adj = adjugate(rows)
     det = bareiss_det(rows)
+    if det == 0:
+        with pytest.raises(ValueError):
+            adjugate(rows)
+        return
+    adj = adjugate(rows)
     for i in range(n):
         for j in range(n):
             assert dot(rows[i], [adj[k][j] for k in range(n)]) == det * (i == j)
 
 
 def test_equal_inputs_share_one_conversion():
+    """Inputs equal up to order, scaling, repeats and zeros are one memo
+    entry: each build after the first is one hit and runs no conversion."""
     rng = random.Random(3)
     rays = [(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 5), (2, 1, 0, 3)]
     first = Cone.from_rays(rays, 4)
-    for _ in range(5):
-        shuffled = rng.sample(rays, len(rays))
-        scaled = [tuple(k * a for a in r) for k, r in
-                  zip((rng.randint(1, 4) for _ in shuffled), shuffled)]
-        before = convex._dual_generators.cache_info()
-        again = Cone.from_rays(scaled + shuffled[:2] + [(0, 0, 0, 0)], 4)
-        after = convex._dual_generators.cache_info()
-        assert again == first
-        assert after.hits == before.hits + 2 and after.misses == before.misses
-    assert Cone.from_halfspaces(first.halfspaces[::-1], 4) == first
+    with mock.patch.object(convex, "_convert", side_effect=AssertionError("converted")):
+        for _ in range(5):
+            shuffled = rng.sample(rays, len(rays))
+            scaled = [tuple(k * a for a in r) for k, r in
+                      zip((rng.randint(1, 4) for _ in shuffled), shuffled)]
+            hits = convex._memo.hits
+            again = Cone.from_rays(scaled + shuffled[:2] + [(0, 0, 0, 0)], 4)
+            assert again == first
+            assert convex._memo.hits == hits + 1
+        assert Cone.from_halfspaces(first.halfspaces[::-1], 4) == first
+
+
+def test_halfspaces_of_a_built_cone_are_a_memo_hit():
+    """A conversion also stores the dual cone under the halfspaces."""
+    c = Cone.from_rays([(3, 1, 0, 2), (1, 3, 1, 0), (0, 2, 5, 1), (1, 1, 1, 7), (4, 0, 1, 1)], 4)
+    hits = convex._memo.hits
+    with mock.patch.object(convex, "_convert", side_effect=AssertionError("converted")):
+        assert Cone.from_halfspaces(c.halfspaces, 4) == c
+    assert convex._memo.hits == hits + 1
+
+
+def test_memo_is_bounded():
+    memo = convex._ConeMemo()
+    with mock.patch.object(convex, "_memo", memo):
+        for k in range(convex._DUAL_CACHE_SIZE + 5):
+            Cone.from_rays([(1, k)], 2)
+        assert len(memo) == convex._DUAL_CACHE_SIZE
 
 
 def test_fraction_inputs_are_canonicalised():
     assert Cone.from_rays([(F(1, 2), F(1, 3)), (2, 0)], 2) == \
         Cone.from_rays([(3, 2), (1, 0)], 2)
+    assert primitive((F(4, 3), F(2, 3), F(0))) == (2, 1, 0)
 
 
 def lattice_points_by_box_filter(p, lo, hi):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiv.convex import Polyhedron, dilate
+from polydiv.convex import Cone, Polyhedron, dilate
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -262,6 +262,36 @@ class TestPairConditions:
         report = pair_conditions(broken)
         ok, note = outcome(report, "projection_and_vertex_levels")
         assert not ok
+
+    def test_negative_level_facet_detected(self):
+        """A coefficient whose tail has the inner normal (0, 0, -1) has a
+        facet of level -1."""
+        wc, d, (t1, t2, t3, t4) = example_345_setup()
+        pair = rees_pair(GradedIdealPresentation.of(wc, d, [t2, t3, t4]))
+        tail = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, -1)], 3)
+        coeff = Polyhedron.from_vertices_and_tail([(1, 0, 0)], tail)
+        assert ((0, 0, -1), 0) in coeff.halfspaces
+        broken = ReesPair(pair.presentation, pair.newton,
+                          PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {Z0: coeff}))
+        ok, note = outcome(pair_conditions(broken), "facets_from_newton_points")
+        assert not ok and note == f"facet (0, 0, -1) at {Z0} has negative level"
+
+    @pytest.mark.parametrize("vertices, row", [
+        ([(-1, -1, 2), (-1, 1, -1)], ((0, 3, 2), 1)),
+        ([(-2, -1, 2), (0, -1, 1)], ((1, 2, 2), 0)),
+    ], ids=["offset-and-normal", "normal-only"])
+    def test_facet_not_integral_after_scaling_detected(self, vertices, row):
+        """A coefficient row of level 2 whose normal (and in the first case
+        also its offset) is not divisible by 2."""
+        wc, d, (t1, t2, t3, t4) = example_345_setup()
+        pair = rees_pair(GradedIdealPresentation.of(wc, d, [t2, t3, t4]))
+        tail = pair.rees_divisor.tail
+        coeff = Polyhedron.from_vertices_and_tail(vertices, tail)
+        assert row in coeff.halfspaces
+        broken = ReesPair(pair.presentation, pair.newton,
+                          PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {Z0: coeff}))
+        ok, note = outcome(pair_conditions(broken), "facets_from_newton_points")
+        assert not ok and note == f"facet {row[0]} at {Z0} not integral after scaling"
 
 
 class TestPtildeAndNormality:
