@@ -28,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from operator import ge, mul, sub
+from operator import ge, itemgetter, le, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -285,8 +285,11 @@ def _parallelepiped_points(rays: Sequence[IVec]) -> list[IVec]:
     and the determinant are computed once per simplex.
     """
     n = len(rays[0])
-    sbasis = saturated_span_basis(rays, n)
-    ray_coords = [_echelon_coordinates(sbasis, r) for r in rays]
+    if len(rays) == n:  # full-dimensional: the saturated span lattice is Z^n
+        ray_coords = rays
+    else:
+        sbasis = saturated_span_basis(rays, n)
+        ray_coords = [_echelon_coordinates(sbasis, r) for r in rays]
     diag = [next(a for a in row if a != 0) for row in hnf(ray_coords)]
     det = bareiss_det(ray_coords)
     sign, volume = (1, det) if det > 0 else (-1, -det)
@@ -580,14 +583,15 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     e*p and e-fold decomposability are stable under adding h back.
 
     Let w be the sum of the tail's inner normals, positive on the tail
-    minus the origin, and wmin its least value on p.  A summand of a target
-    x has weight at most w(x) - (e-1)*wmin <= bound, the same bound over
-    all targets, so every summand lies in the slab of p where w <= bound;
-    its lattice points are enumerated once, with their weights as ints.
-    A k-fold sum is searched with its lightest summand first, whose weight
-    is at most w(x) // k.  Every remainder also has weight <= bound, so
-    the last one (k = 1) is in p exactly when it is a slab point, which is
-    a set lookup.
+    minus the origin, wmin its least value on p and W the largest weight
+    of a target.  A k-fold sum is searched with its lightest summand
+    first, whose weight is at most w(x) // k; the e - k summands already
+    taken weigh at least wmin each, so at level k that is at most
+    (W - (e-k)*wmin) // k, which is largest at k = 2.  Only the lattice
+    points of p with w <= (W - (e-2)*wmin) // 2 are enumerated, once, with
+    their weights and their values on the integer rows <a, .> >= c of p.
+    The last remainder x - m is in p exactly when every row value of m is
+    at most the slack <a, x> - c of x, so it needs no enumeration.
     """
     if not p.has_integral_vertices:
         raise NonIntegralVertices("normality is defined for lattice polyhedra")
@@ -605,47 +609,48 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     weight = tuple(map(sum, zip(*p.tail.halfspaces)))
     wmin = min(dot(weight, v) for v in p.vertices)
     target_weights = [sum(map(mul, weight, x)) for x in targets]
-    bound = max(target_weights) - (e - 1) * wmin
-    # lattice points of p in the slab <weight, .> <= bound hold every possible summand
-    try:
-        slab = Polyhedron.from_halfspaces(
-            list(p.halfspaces) + [(vscale(-1, weight), -bound)], n)
-    except EmptyPolyhedron:
-        return False, targets[0]
+    bound = (max(target_weights) - (e - 2) * wmin) // 2
+    # not empty: W >= e*wmin, so the vertex of weight wmin is in the slab
+    slab = Polyhedron.from_halfspaces(list(p.halfspaces) + [(vscale(-1, weight), -bound)], n)
     slo = [floor(min(v[j] for v in slab.vertices)) for j in range(n)]
     shi = [ceil(max(v[j] for v in slab.vertices)) for j in range(n)]
-    summands = lattice_points_in_box(slab, slo, shi)
-    slab_points = set(summands)
-    summands.sort(key=lambda m: sum(map(mul, weight, m)))
-    weights = [sum(map(mul, weight, m)) for m in summands]
+    light = sorted([(sum(map(mul, weight, m)), m) for m in lattice_points_in_box(slab, slo, shi)],
+                   key=itemgetter(0))
+    weights = [w for w, _ in light]
+    summands = [m for _, m in light]
+    values = [tuple(sum(map(mul, a, m)) for a, _ in p.halfspaces) for m in summands]
     memo: dict[tuple[IVec, int], bool] = {}
     for x, wx in zip(targets, target_weights):
-        if not _splits(x, wx, e, summands, weights, slab_points, memo):
+        if not _splits(x, wx, e, summands, weights, values, p.halfspaces, memo):
             return False, x
     return True, None
 
 
 def _splits(x: IVec, wx: int, k: int, summands: list[IVec], weights: list[int],
-            slab_points: set[IVec], memo: dict[tuple[IVec, int], bool]) -> bool:
-    """Is x, of weight wx, a sum of k >= 2 slab points?
+            values: list[IVec], rows: Sequence[tuple[IVec, int]],
+            memo: dict[tuple[IVec, int], bool]) -> bool:
+    """Is x, of weight wx, a sum of k >= 2 lattice points of p?
 
-    ``summands`` are the slab points sorted by weight, ``weights`` theirs,
-    ``slab_points`` the same points as a set; ``memo`` holds the verdicts of
+    ``summands`` are the light lattice points of p sorted by weight,
+    ``weights`` theirs and ``values`` their values on the normals of
+    ``rows``, the integer rows of p; ``memo`` holds the verdicts of
     remainders.  See :func:`is_polyhedron_normal`.  Module level, not a
     closure: a recursive closure refers to itself, and its memo would wait
     for the cycle collector.
     """
     cut = bisect_right(weights, wx // k)
+    if k == 2:
+        slack = [sum(map(mul, a, x)) - c for a, c in rows]
+        for v in values[:cut]:
+            if all(map(le, v, slack)):
+                return True
+        return False
     for m, wm in zip(summands[:cut], weights):
         rest = tuple(map(sub, x, m))
-        if k == 2:
-            if rest in slab_points:
-                return True
-            continue
         key = (rest, k - 1)
         ok = memo.get(key)
         if ok is None:
-            ok = memo[key] = _splits(rest, wx - wm, k - 1, summands, weights, slab_points, memo)
+            ok = memo[key] = _splits(rest, wx - wm, k - 1, summands, weights, values, rows, memo)
         if ok:
             return True
     return False

@@ -760,11 +760,15 @@ def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansio
                 ) -> ConditionReport:
     """Iterative higher-derivation axioms on sample pairs.
 
-    Checks the identity term, local finiteness (expansions are finite by
-    construction), the Leibniz rule via multiplicativity of exponentials,
+    Checks the identity term, local finiteness (the indices of each
+    expansion of x strictly increase from 0 and term i has degree
+    deg(x) + i*delta, for one lattice vector delta, the degree of the
+    derivation), the Leibniz rule via multiplicativity of exponentials,
     and iterativity binom(i+j, i) * term_{i+j} = expansion-of-term_i at j.
     """
     identity_ok, id_note = True, "zeroth term is the input"
+    finite_ok, finite_note = True, "every expansion is a finite sum"
+    delta = None  # set by the first term of positive index
     leibniz_ok, leib_note = True, "exponential is multiplicative on all samples"
     iter_ok, iter_note = True, "iterative rule holds on all samples"
     for a, b in samples:
@@ -772,7 +776,19 @@ def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansio
         for x, ex in ((a, ea), (b, eb)):
             if ex.terms[0][0] != 0 or not ex.terms[0][1].same_as(x):
                 identity_ok, id_note = False, f"zeroth term mismatch for {x}"
-        eab = expansion_of(a * b)
+        ab = a * b
+        eab = expansion_of(ab)
+        for x, ex in ((a, ea), (b, eb), (ab, eab)):
+            indices = [i for i, _ in ex.terms]
+            if indices[0] or indices != sorted(set(indices)):
+                finite_ok, finite_note = False, f"{x}: indices {indices} not increasing from 0"
+            for i, term in ex.terms:
+                shift = vsub(term.degree, x.degree)
+                if delta is None and i:
+                    delta = tuple(c // i for c in shift)
+                # delta is unset only at index 0, where the shift must be 0
+                if shift != tuple(i * c for c in delta or shift):
+                    finite_ok, finite_note = False, f"{x}: term {i} not of degree deg + {i}*delta"
         if not eab.same_as(ea * eb):
             leibniz_ok, leib_note = False, f"e(ab) != e(a)e(b) for {a}, {b}"
         for i, term in ea.terms:
@@ -791,7 +807,7 @@ def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansio
                     iter_note = f"iterativity fails at ({i},{j}) on {a}"
     return ConditionReport((
         ("identity", identity_ok, id_note),
-        ("local_finiteness", True, "every expansion is a finite sum"),
+        ("local_finiteness", finite_ok, finite_note),
         ("leibniz_multiplicativity", leibniz_ok, leib_note),
         ("iterativity", iter_ok, iter_note),
     ))

@@ -496,13 +496,24 @@ REEVE = Polyhedron.from_vertices_and_tail(
     [(2, 0, 0), (0, 3, 0), (0, 0, 7)], nonnegative_orthant(3)), 2)
 @example(Polyhedron.from_vertices_and_tail(
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], Cone.from_rays([(1, 1, 2)], 3)), 3)
+@example(Polyhedron.from_vertices_and_tail([(2, 1), (-2, -1)], Cone.from_rays([(1, 0)], 2)), 2)
 def test_normality_matches_brute_force_splitting(p, e):
     assert is_polyhedron_normal(p, e) == normal_by_brute_force(p, e)
 
 
+SKEW4 = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)], 4)
+
+
 @settings(max_examples=25, deadline=None)
 @given(polyhedra(min_rank=4), st.integers(1, 2))
+@example(Polyhedron.from_vertices_and_tail([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], SKEW4), 3)
+@example(Polyhedron.from_vertices_and_tail([(1, 0, 0, 1), (0, 1, 1, 0)], SKEW4), 3)
+@example(Polyhedron.from_vertices_and_tail(
+    [(2, 0, 2, 3), (1, 1, 2, 0), (2, 2, 0, 2)], SKEW4), 3)
 def test_rank4_normality_matches_brute_force_splitting(p, e):
+    """Drawn cases stop at e = 2, where the oracle is fast; the examples
+    search three summands on the skew tail of the ideal-normality workload,
+    and the last is not normal (witness (5, 3, 5, 3))."""
     assert is_polyhedron_normal(p, e) == normal_by_brute_force(p, e)
 
 

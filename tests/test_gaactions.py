@@ -567,6 +567,29 @@ class TestAxioms:
         assert outcome(axiom_check(good, samples), "identity")[0]
         assert not outcome(axiom_check(scaled, samples), "identity")[0]
 
+    @pytest.mark.parametrize("fault, note", [
+        ("repeated index", "not increasing from 0"),
+        ("shifted degree", "not of degree deg + 2*delta"),
+    ])
+    def test_broken_expansion_fails_local_finiteness(self, fault, note):
+        root = is_demazure_root(SIGMA, (-1, 1))
+        good = toric_expansion_fn(root, 1)
+
+        def broken(el):
+            terms = list(good(el).terms)
+            i, t = terms[-1]
+            if fault == "repeated index":
+                terms.append((i, t))
+            elif i == 2:
+                terms[-1] = (i, HomogeneousElement(t.function, (t.degree[0], t.degree[1] + 1)))
+            return ExponentialExpansion(tuple(terms))
+        samples = [(HomogeneousElement(RationalFunction.from_factored(1), (2, 0)),
+                    HomogeneousElement(RationalFunction.from_factored(1), (1, 0)))]
+        assert outcome(axiom_check(good, samples), "local_finiteness") == \
+            (True, "every expansion is a finite sum")
+        ok, got = outcome(axiom_check(broken, samples), "local_finiteness")
+        assert not ok and got.endswith(note)
+
 
 class TestIntegerHelpers:
     def test_p_power_part_brute_force(self):

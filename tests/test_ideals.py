@@ -279,10 +279,12 @@ class TestPairConditions:
     @pytest.mark.parametrize("vertices, row", [
         ([(-1, -1, 2), (-1, 1, -1)], ((0, 3, 2), 1)),
         ([(-2, -1, 2), (0, -1, 1)], ((1, 2, 2), 0)),
-    ], ids=["offset-and-normal", "normal-only"])
+        ([(0, 0, F(1, 2))], ((0, 2, 2), 1)),
+    ], ids=["offset-and-normal", "normal-only", "offset-only"])
     def test_facet_not_integral_after_scaling_detected(self, vertices, row):
-        """A coefficient row of level 2 whose normal (and in the first case
-        also its offset) is not divisible by 2."""
+        """A coefficient row of level 2 whose normal, offset or both are
+        not divisible by 2.  Rows are primitive, so an even normal needs an
+        odd offset, which only a vertex off the lattice gives."""
         wc, d, (t1, t2, t3, t4) = example_345_setup()
         pair = rees_pair(GradedIdealPresentation.of(wc, d, [t2, t3, t4]))
         tail = pair.rees_divisor.tail
