@@ -45,7 +45,6 @@ from .linalg import (
     saturated_span_basis,
     vadd,
     vscale,
-    vsub,
 )
 
 
@@ -543,44 +542,54 @@ def _extend_prefix(prefix: IVec, need: list[int], levels, lo: Sequence[int],
         _extend_prefix(prefix + (t,), rest, levels, lo, hi, out)
 
 
-def reachability_box(p: Polyhedron, hilbert: Sequence[IVec]) -> tuple[list[int], list[int]]:
-    """Coordinate box containing conv(vertices) + zonotope(hilbert).
-
-    Every minimal lattice point of p (one with no Hilbert-basis element of
-    the tail splittable off) lies in this region.
-    """
+def reachability_box(p: Polyhedron, generators: Sequence[IVec]) -> tuple[list[int], list[int]]:
+    """The coordinate box around conv(vertices of p) + zonotope(generators),
+    the zonotope being the sums of the generators with coefficients in [0, 1]."""
     n = p.ambient_rank
     lo, hi = [], []
     for j in range(n):
         vj = [v[j] for v in p.vertices]
-        lo.append(floor(min(vj) + sum(min(0, h[j]) for h in hilbert)))
-        hi.append(ceil(max(vj) + sum(max(0, h[j]) for h in hilbert)))
+        lo.append(floor(min(vj) + sum(min(0, g[j]) for g in generators)))
+        hi.append(ceil(max(vj) + sum(max(0, g[j]) for g in generators)))
     return lo, hi
 
 
 def minimal_lattice_points(p: Polyhedron) -> tuple[IVec, ...]:
-    """Lattice points of p not of the form q + s with q in p, s nonzero in the tail monoid."""
-    hb = hilbert_basis(p.tail)
-    lo, hi = reachability_box(p, hb)
+    """Lattice points x of p, in lexicographic order, with x - h outside p
+    for every Hilbert-basis element h of the tail: not q + s with q in p
+    and s nonzero in the tail monoid.
+
+    By Caratheodory, x = v + sum l_i r_i with v in conv(V) and r_i linearly
+    independent extreme rays, which are in the Hilbert basis; l_i >= 1
+    puts x - r_i in p.  So minimal points lie in the box around conv(V) +
+    zonotope(extreme rays).  On the integer rows (a, c) of p, x - h is in p
+    iff <a, x> >= <a, h> + c on every row.
+    """
+    rows = p.halfspaces
+    needs = [tuple(sum(map(mul, a, h)) + c for a, c in rows) for h in hilbert_basis(p.tail)]
+    lo, hi = reachability_box(p, p.tail.rays)
     out = []
     for x in lattice_points_in_box(p, lo, hi):
-        if not any(p.contains(vsub(x, h)) for h in hb):
+        values = [sum(map(mul, a, x)) for a, _ in rows]
+        if not any(all(map(ge, values, need)) for need in needs):
             out.append(x)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     """Does every lattice point of e*p split into e lattice points of p?
 
-    Returns (verdict, witness), the witness being the first non-splitting
-    lattice point of e*p in lexicographic order when the verdict is False.
-    Every lattice point of p is trivially a 1-fold sum, so e = 1 is True
-    without enumeration.
+    Returns (verdict, witness), the witness being the lexicographically
+    first minimal lattice point of e*p (see :func:`minimal_lattice_points`)
+    that does not split, when the verdict is False.  Every lattice point of
+    p is trivially a 1-fold sum, so e = 1 is True without enumeration.
 
-    Targets are restricted to conv(e*vertices) + zonotope(Hilbert basis of
-    the tail): a lattice point of e*p outside that region splits off a
-    Hilbert-basis element h with x - h still in e*p, and both membership in
-    e*p and e-fold decomposability are stable under adding h back.
+    Only the minimal points of e*p are searched, as in the Normaliz primal
+    algorithm (Bruns & Ichim, J. Algebra 2010).  A lattice point of e*p
+    that is not minimal is x = q + h with q in e*p and h a Hilbert-basis
+    element of the tail; if q splits, adding h to one summand splits x.
+    Such steps down end at a minimal point, since the weight w below falls
+    by w(h) > 0 at each.  So e*p splits iff its minimal points do.
 
     Let w be the sum of the tail's inner normals, positive on the tail
     minus the origin, wmin its least value on p and W the largest weight
@@ -600,12 +609,8 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     if e == 1:
         return True, None
     n = p.ambient_rank
-    scaled = dilate(p, e)
-    hb = hilbert_basis(p.tail)
-    lo, hi = reachability_box(scaled, hb)
-    targets = lattice_points_in_box(scaled, lo, hi)
-    if not targets:
-        return True, None
+    # not empty: e*p has integral vertices, and a descent from one ends at a minimal point
+    targets = minimal_lattice_points(dilate(p, e))
     weight = tuple(map(sum, zip(*p.tail.halfspaces)))
     wmin = min(dot(weight, v) for v in p.vertices)
     target_weights = [sum(map(mul, weight, x)) for x in targets]

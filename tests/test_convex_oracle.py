@@ -6,11 +6,16 @@ conversions (``oracles.two_pass_cone``), a triangulation that rebuilds each
 facet as a cone (``oracles.facet_triangulation``), fundamental
 parallelepiped points by one rational solve per candidate, the all-pairs
 decomposability filter, and lattice points by testing every point of the
-box against the homogenized cone.  e-fold splitting is checked against a
-search taken straight from the definition.  They are references for the
-double description and its incidence, the triangulation on ray bitmasks,
-the adjugate reduction, the degree-sorted filter, the pruned integer
-enumeration and the slab search in ``polydiv.convex``.
+box against the homogenized cone.  Minimal lattice points come from the
+definition: the box filter over the larger Hilbert-basis box, less every
+point from which a Hilbert-basis element of the tail can be taken.
+e-fold splitting of those minimal points is checked against a search
+taken straight from the definition, so both sides report the same
+witness, the first minimal point that does not split.  They are
+references for the double description and its incidence, the
+triangulation on ray bitmasks, the adjugate reduction, the degree-sorted
+filter, the pruned integer enumeration, the ray box and row test of the
+minimal points and the slab search in ``polydiv.convex``.
 """
 
 import itertools
@@ -33,6 +38,7 @@ from polydiv.convex import (
     hilbert_basis,
     is_polyhedron_normal,
     lattice_points_in_box,
+    minimal_lattice_points,
     reachability_box,
 )
 from polydiv.ideals import MonomialIdeal, monomial_is_normal, newton_polyhedron
@@ -357,19 +363,30 @@ def lattice_points_by_box_filter(p, lo, hi):
     return [x for x in box_points(zip(lo, hi)) if p.cone.contains(x + (1,))]
 
 
-def normal_by_brute_force(p, e):
-    """(verdict, first non-splitting target) over the same targets, e = 1 included.
+def minimal_points_by_filter(p):
+    """Lattice points x of p with x - h outside p for every Hilbert-basis
+    element h of the tail, by the box filter over the box around conv(V) +
+    zonotope(Hilbert basis), which holds every such x."""
+    hb = hilbert_basis(p.tail)
+    lo, hi = reachability_box(p, hb)
+    return [x for x in lattice_points_by_box_filter(p, lo, hi)
+            if not any(p.contains(vsub(x, h)) for h in hb)]
 
-    From the definition alone: if a target x = m_1 + ... + m_e with every
-    m_i a lattice point of p, then x - m_i is in (e-1)*p, so each m_i lies
-    in p ∩ (B - (e-1)*p) for the box B of the targets.  That region is a
-    polytope (the tail is pointed); its lattice points, found by the box
-    filter over its vertex box, are every possible summand, and a search
-    over them decides each target.
+
+def normal_by_brute_force(p, e):
+    """(verdict, first non-splitting target), e = 1 included.
+
+    The targets are the minimal lattice points of e*p, found by
+    :func:`minimal_points_by_filter`.  From the definition alone: if a
+    target x = m_1 + ... + m_e with every m_i a lattice point of p, then
+    x - m_i is in (e-1)*p, so each m_i lies in p ∩ (B - (e-1)*p) for the
+    box B of the targets.  That region is a polytope (the tail is pointed);
+    its lattice points, found by the box filter over its vertex box, are
+    every possible summand, and a search over them decides each target.
     """
-    scaled = dilate(p, e)
-    lo, hi = reachability_box(scaled, hilbert_basis(p.tail))
-    targets = lattice_points_by_box_filter(scaled, lo, hi)
+    targets = minimal_points_by_filter(dilate(p, e))
+    lo = [min(col) for col in zip(*targets)]
+    hi = [max(col) for col in zip(*targets)]
     n = p.ambient_rank
     corners = itertools.product(*zip(lo, hi))
     reach = Polyhedron.from_vertices_and_tail(
@@ -415,7 +432,9 @@ def polyhedra(draw, min_rank=0, max_rank=4, integral=True):
     """Polyhedra of rank min_rank..max_rank with a pointed tail, possibly skew.
 
     Tail rays lie in the open halfspace where x_0 + sum(x) > 0, so the
-    tail is pointed without being an orthant.  Confining everything to the
+    tail is pointed without being an orthant.  About a third of the tails
+    drawn are one ray, the shape on which the light bound of
+    :func:`is_polyhedron_normal` is tight.  Confining everything to the
     hyperplane x_0 = x_1 gives lower-dimensional polyhedra, whose
     descriptions hold equalities.  Unless ``integral``, vertices have
     denominators 2 and 3.
@@ -473,6 +492,16 @@ def test_lattice_points_match_box_filter(data, p):
 
 @settings(max_examples=150, deadline=None)
 @given(polyhedra(integral=False))
+@example(Polyhedron.from_vertices_and_tail([(F(1, 2), 0), (2, F(5, 3)), (-1, 1)], zero_cone(2)))
+@example(Polyhedron.from_vertices_and_tail([(0, 0), (0, 1)], Cone.from_rays([(2, 1)], 2)))
+def test_minimal_lattice_points_match_filter(p):
+    """The second example's minimal point (1, 1) is outside the box of the
+    vertices: a box without the rays' zonotope misses it."""
+    assert minimal_lattice_points(p) == tuple(minimal_points_by_filter(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhedra(integral=False))
 def test_rows_are_an_irredundant_description(p):
     """The rows rebuild p, and each is needed: without it the polyhedron
     grows, or its recession cone holds a line."""
@@ -487,6 +516,9 @@ def test_rows_are_an_irredundant_description(p):
 
 REEVE = Polyhedron.from_vertices_and_tail(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], zero_cone(3))
+# a tail with the lex-negative Hilbert-basis element (-1, 2, 1)
+LEX_NEGATIVE = Polyhedron.from_vertices_and_tail(
+    [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.from_rays([(0, 1, 0), (0, 0, 1), (-1, 2, 1)], 3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -497,6 +529,7 @@ REEVE = Polyhedron.from_vertices_and_tail(
 @example(Polyhedron.from_vertices_and_tail(
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], Cone.from_rays([(1, 1, 2)], 3)), 3)
 @example(Polyhedron.from_vertices_and_tail([(2, 1), (-2, -1)], Cone.from_rays([(1, 0)], 2)), 2)
+@example(LEX_NEGATIVE, 2)
 def test_normality_matches_brute_force_splitting(p, e):
     assert is_polyhedron_normal(p, e) == normal_by_brute_force(p, e)
 
@@ -520,6 +553,7 @@ def test_rank4_normality_matches_brute_force_splitting(p, e):
 def test_brute_force_oracle_can_fail():
     assert not normal_by_brute_force(REEVE, 2)[0]
     assert is_polyhedron_normal(REEVE, 2) == normal_by_brute_force(REEVE, 2)
+    assert normal_by_brute_force(LEX_NEGATIVE, 2) == (False, (1, 2, 6))
 
 
 @st.composite
