@@ -2,7 +2,10 @@
 
 Rational functions are kept in factored form over a gcd-free basis of monic
 squarefree polynomials (or of primes, over Spec Z); every algorithm
-downstream consumes only vanishing orders and residue degrees.
+downstream consumes only vanishing orders and residue degrees.  The keys of
+a factor map are the coarsest pairwise-coprime base of every factor the
+function was built from, so two maps of one function can differ (t^2 - t
+against t * (t - 1)); equality of functions is :meth:`RationalFunction.same_as`.
 
 Precondition: a finite place must be an irreducible polynomial.
 :meth:`BasePoint.finite` rejects rational roots only in degrees 2 and 3, so
@@ -143,32 +146,33 @@ def _factor_integer(n: int) -> dict[int, int]:
     return out
 
 
-def _refine_factor(basis: list[Poly], f: Poly) -> dict[Poly, int]:
-    """Express the squarefree monic f over a growing pairwise-coprime basis."""
-    exps: dict[Poly, int] = {}
+def _refine(exps: dict[Poly, int], f: Poly, e: int) -> None:
+    """Multiply the factor map ``exps`` by f^e, f monic and squarefree.
+
+    The keys stay the coarsest pairwise-coprime base of every factor the map
+    has seen, zero exponents included: a key b that meets f in a nonconstant
+    d = gcd(f, b) splits into d, with exponent e_b + e, and b/d, with e_b,
+    and f/d goes on (factor refinement; Bach, Driscoll & Shallit 1993).
+    """
     queue = [f]
     while queue:
         g = queue.pop()
-        if up.degree(g) < 1:
+        if g in exps:
+            exps[g] += e
             continue
-        for b in list(basis):
+        for b in exps:
             d = up.gcd(g, b)
-            if up.degree(d) < 1:
-                continue
-            if d == b:
-                exps[b] = exps.get(b, 0) + 1
-                queue.append(up.monic(up.exact_div(g, b)))
+            if up.degree(d) > 0:
                 break
-            # split the basis element itself
-            basis.remove(b)
-            basis.append(d)
-            basis.append(up.monic(up.exact_div(b, d)))
-            queue.append(g)
-            break
         else:
-            basis.append(g)
-            exps[g] = exps.get(g, 0) + 1
-    return exps
+            exps[g] = e
+            continue
+        eb = exps.pop(b)
+        exps[d] = eb + e
+        if d != b:
+            exps[up.exact_div(b, d)] = eb
+        if d != g:
+            queue.append(up.exact_div(g, d))
 
 
 @dataclass(frozen=True)
@@ -176,8 +180,10 @@ class RationalFunction:
     """Nonzero element of Q(t) (or Q*, over Spec Z) in factored form.
 
     ``factors`` maps monic squarefree pairwise-coprime polynomials to
-    integer exponents; over Spec Z it maps primes to exponents and the
-    constant is +/-1.
+    nonzero integer exponents: the coarsest coprime base of every factor the
+    function was built from, so it depends on how the function was built
+    and equality is :meth:`same_as`.  Over Spec Z it maps primes to
+    exponents and the constant is +/-1.
     """
 
     curve_kind: str  # "function_field" | "spec_z"
@@ -189,29 +195,15 @@ class RationalFunction:
         c = Fraction(constant)
         if c == 0:
             raise CurveError("rational functions are nonzero")
-        basis: list[Poly] = []
         exps: dict[Poly, int] = {}
         for f, e in (factored or {}).items():
-            f = up.monic(up.poly(f))
+            f = up.poly(f)
             if up.degree(f) < 1:
                 raise CurveError("factors must be nonconstant")
+            c *= up.leading(f) ** e
             for sf, mult in up.squarefree_decomposition(f):
-                for b, k in _refine_factor(basis, sf).items():
-                    exps[b] = exps.get(b, 0) + k * mult * e
-        # re-express everything over the final refined basis
-        final: dict[Poly, int] = {}
-        for b, e in exps.items():
-            if e == 0:
-                continue
-            rem = b
-            for bb in basis:
-                m = up.multiplicity(rem, bb)
-                if m:
-                    final[bb] = final.get(bb, 0) + m * e
-                    for _ in range(m):
-                        rem = up.exact_div(rem, bb)
-        items = tuple(sorted((b, e) for b, e in final.items() if e != 0))
-        return RationalFunction("function_field", c, items)
+                _refine(exps, sf, mult * e)
+        return RationalFunction._build("function_field", c, exps)
 
     @staticmethod
     def rational_number(value) -> "RationalFunction":
@@ -242,23 +234,14 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.curve_kind != other.curve_kind:
             raise CurveError("cannot mix function fields")
-        merged: dict = {}
-        for b, e in self.factors + other.factors:
-            merged[b] = merged.get(b, 0) + e
-        if self.curve_kind == "spec_z":
-            return RationalFunction._build("spec_z", self.constant * other.constant,
-                                           merged)
-        # both operands are internally refined; only cross-basis overlaps can
-        # force a new refinement
-        mine = {b for b, _ in self.factors}
-        theirs = {b for b, _ in other.factors}
-        compatible = all(
-            up.degree(up.gcd(a, b)) == 0
-            for a in mine - theirs for b in theirs - mine)
-        if compatible:
-            return RationalFunction._build("function_field",
-                                           self.constant * other.constant, merged)
-        return RationalFunction.from_factored(self.constant * other.constant, merged)
+        exps = dict(self.factors)
+        for b, e in other.factors:
+            if self.curve_kind == "spec_z":
+                exps[b] = exps.get(b, 0) + e  # primes are coprime already
+            else:
+                _refine(exps, b, e)
+        return RationalFunction._build(self.curve_kind,
+                                       self.constant * other.constant, exps)
 
     def inverse(self) -> "RationalFunction":
         return RationalFunction._build(
@@ -344,10 +327,9 @@ class RationalFunction:
             raise WrongCurve("function-field elements have no prime places")
         if z.kind == "infinity":
             return -sum(e * up.degree(b) for b, e in self.factors)
-        total = 0
-        for b, e in self.factors:
-            total += e * up.multiplicity(b, z.poly)
-        return total
+        # keys are squarefree, so the place divides a key at most once
+        return sum(e for b, e in self.factors
+                   if up.is_zero(up.divmod_poly(b, z.poly)[1]))
 
     def is_one(self) -> bool:
         return self.constant == 1 and not self.factors
@@ -425,10 +407,17 @@ class Divisor:
         return " + ".join(f"{a}*{z}" for z, a in self.coefficients)
 
 
-def principal_divisor(f: RationalFunction, curve: BaseCurve) -> Divisor:
+def principal_divisor(f: RationalFunction, curve: BaseCurve,
+                      places: Iterable[BasePoint] = ()) -> Divisor:
+    """div(f), one point per key of f's factor map refined against the finite
+    ``places``: t^2 - t counts at the place t itself when t is among them."""
     if curve is SPEC_Z:
         return Divisor.of(curve, [(BasePoint.of_prime(p), e) for p, e in f.factors])
-    coeffs = [(BasePoint(kind="finite", poly=b), e) for b, e in f.factors]
+    exps = dict(f.factors)
+    for z in places:
+        if z.kind == "finite":
+            _refine(exps, z.poly, 0)
+    coeffs = [(BasePoint(kind="finite", poly=b), e) for b, e in exps.items()]
     if curve is PROJECTIVE_LINE:
         coeffs.append((BasePoint.infinity(), f.ord_at(BasePoint.infinity())))
     return Divisor.of(curve, coeffs)

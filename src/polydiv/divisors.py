@@ -267,7 +267,8 @@ def member(el: HomogeneousElement, d: PolyhedralDivisor) -> bool:
     """Is f*chi^m a member of the section algebra of d?"""
     if not d.in_weight_cone(el.degree):
         return False
-    total = principal_divisor(el.function, d.curve) + evaluate(d, el.degree).floor()
+    total = principal_divisor(el.function, d.curve, d.support) + \
+        evaluate(d, el.degree).floor()
     return total.is_effective
 
 

@@ -216,7 +216,7 @@ def vertical_exponential(d: PolyhedralDivisor, root: DemazureRoot,
                          phi: RationalFunction,
                          el: HomogeneousElement) -> ExponentialExpansion:
     """Expansion of the vertical action phi * root-derivation on a member."""
-    admissible = principal_divisor(phi, d.curve) + \
+    admissible = principal_divisor(phi, d.curve, d.support) + \
         vertical_min_divisor(d, root.vector).floor()
     if not admissible.is_effective:
         raise PhiNotAdmissible(f"{phi} is not a section of the multiplier module")

@@ -230,8 +230,11 @@ class ConditionReport:
                          for n, ok, note in self.results)
 
 
-def pair_conditions(pair: ReesPair, slice_box_halfwidth: int = 6,
-                    max_level: int = 4) -> ConditionReport:
+SLICE_BOX_HALFWIDTH = 6  # check (ii) samples the box [-6, 6]^n
+MAX_LEVEL = 4  # at the levels 0..4
+
+
+def pair_conditions(pair: ReesPair) -> ConditionReport:
     """Check the Rees-pair axioms with witnesses.
 
     (i)  Newton polyhedron has integral vertices inside the weight cone;
@@ -254,10 +257,10 @@ def pair_conditions(pair: ReesPair, slice_box_halfwidth: int = 6,
                     f"vertices {_fmt_vertices(pair.newton)}"))
 
     n = d.rank
-    lo, hi = [-slice_box_halfwidth] * n, [slice_box_halfwidth] * n
+    lo, hi = [-SLICE_BOX_HALFWIDTH] * n, [SLICE_BOX_HALFWIDTH] * n
     box = tuple(zip(lo, hi))
-    slice_ok, note = True, "levels 0..%d agree on the sampled box" % max_level
-    for e in range(max_level + 1):
+    slice_ok, note = True, "levels 0..%d agree on the sampled box" % MAX_LEVEL
+    for e in range(MAX_LEVEL + 1):
         want = set(lattice_points_in_box(dilate(pair.newton, e), lo, hi))
         got = _augmented_slice_points(pair, e, box)
         if want != got:

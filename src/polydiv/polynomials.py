@@ -1,7 +1,7 @@
 """Univariate polynomials over Q as ascending coefficient tuples.
 
-Only what the curve layer needs: exact division, monic gcd, squarefree
-(Yun) decomposition and repeated-division multiplicities.
+Only what the curve layer needs: exact division, monic gcd and squarefree
+(Yun) decomposition.
 """
 
 from __future__ import annotations
@@ -115,18 +115,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         w, g = y, exact_div(g, y)
         i += 1
     return out
-
-
-def multiplicity(p: Poly, q: Poly) -> int:
-    """Largest k with q^k dividing p (q nonconstant, p nonzero)."""
-    k = 0
-    while degree(p) >= degree(q):
-        quo, rem = divmod_poly(p, q)
-        if not is_zero(rem):
-            break
-        p = quo
-        k += 1
-    return k
 
 
 def evaluate(p: Poly, x) -> Fraction:

@@ -24,6 +24,7 @@ from .curves import (
     Divisor,
     RationalFunction,
     SectionModule,
+    is_prime,
 )
 from .divisors import DivisorError, HomogeneousElement, PolyhedralDivisor
 from .gaactions import ActionError, CoherentAssemblage, ColoredDivisor
@@ -50,6 +51,12 @@ def parse_rational(value, path: str = "$") -> Fraction:
         except (ValueError, ZeroDivisionError) as err:
             raise SchemaError(path, f"malformed rational {value!r}: {err}") from None
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
+
+
+def parse_integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+    return value
 
 
 def rational_str(value) -> str | int:
@@ -107,9 +114,7 @@ def parse_point(value, curve: BaseCurve, path: str) -> BasePoint:
         if "poly" in value and "prime" in value:
             raise SchemaError(path, "point has both poly and prime")
         if "prime" in value:
-            if not isinstance(value["prime"], int):
-                raise SchemaError(f"{path}.prime", "expected an integer prime")
-            z = BasePoint.of_prime(value["prime"])
+            z = BasePoint.of_prime(parse_integer(value["prime"], f"{path}.prime"))
         elif "poly" in value:
             z = BasePoint.finite(parse_vector(value["poly"], f"{path}.poly"))
         else:
@@ -130,23 +135,21 @@ def point_doc(z: BasePoint):
 def parse_function(value, curve: BaseCurve, path: str) -> RationalFunction:
     _expect_keys(value, path, {"constant"}, {"factors"})
     const = parse_rational(value["constant"], f"{path}.constant")
-    factors = value.get("factors", [])
-    if not isinstance(factors, list):
-        raise SchemaError(f"{path}.factors", "expected an array")
-    if curve is SPEC_Z:
-        out = RationalFunction.rational_number(const)
-        for i, fac in enumerate(factors):
-            _expect_keys(fac, f"{path}.factors[{i}]", {"prime", "exp"})
-            out = out * RationalFunction.rational_number(
-                Fraction(fac["prime"]) ** fac["exp"])
-        return out
+    base = "prime" if curve is SPEC_Z else "poly"
     fmap: dict = {}
-    for i, fac in enumerate(factors):
-        _expect_keys(fac, f"{path}.factors[{i}]", {"poly", "exp"})
-        if not isinstance(fac["exp"], int):
-            raise SchemaError(f"{path}.factors[{i}].exp", "expected an integer")
-        poly = parse_vector(fac["poly"], f"{path}.factors[{i}].poly")
-        fmap[poly] = fmap.get(poly, 0) + fac["exp"]
+    for fpath, fac in _array(value, "factors", path) if "factors" in value else ():
+        _expect_keys(fac, fpath, {base, "exp"})
+        exp = parse_integer(fac["exp"], f"{fpath}.exp")
+        if curve is SPEC_Z:
+            key = parse_integer(fac["prime"], f"{fpath}.prime")
+            if not is_prime(key):
+                raise SchemaError(f"{fpath}.prime", f"{key} is not prime")
+        else:
+            key = parse_vector(fac["poly"], f"{fpath}.poly")
+        fmap[key] = fmap.get(key, 0) + exp
+    if curve is SPEC_Z:
+        return RationalFunction.rational_number(const) * \
+            RationalFunction._build("spec_z", Fraction(1), fmap)
     return RationalFunction.from_factored(const, fmap)
 
 

@@ -14,6 +14,11 @@ element equals its dimension.  Over A1 and Spec Z a degree keeps the
 pointwise minimum of the principal divisors of its products, a
 :class:`Divisor`, and the piece is generated when that minimum is minus the
 floor of the evaluation.
+
+The factor-map oracle is the route ``RationalFunction.from_factored`` took
+before factor refinement ran in one pass: :func:`two_pass_factor_map` grows a
+gcd-free basis factor by factor, then re-expresses every exponent over the
+final basis by repeated division.
 """
 
 from fractions import Fraction
@@ -28,7 +33,7 @@ from polydiv.curves import (
     RationalFunction,
     SectionModule,
     WrongCurve,
-    _refine_factor,
+    _refine,
     principal_divisor,
     sections,
 )
@@ -196,6 +201,80 @@ def support_value_hilbert_oracle(halfspace_data, m: IVec) -> Fraction:
     return -min(values)
 
 
+# -- factor maps in two passes --------------------------------------------------
+
+def multiplicity(p, q) -> int:
+    """Largest k with q^k dividing p (q nonconstant, p nonzero)."""
+    k = 0
+    while up.degree(p) >= up.degree(q):
+        quo, rem = up.divmod_poly(p, q)
+        if not up.is_zero(rem):
+            break
+        p = quo
+        k += 1
+    return k
+
+
+def refine_factor(basis: list, f) -> dict:
+    """Express the squarefree monic f over a growing pairwise-coprime basis."""
+    exps: dict = {}
+    queue = [f]
+    while queue:
+        g = queue.pop()
+        if up.degree(g) < 1:
+            continue
+        for b in list(basis):
+            d = up.gcd(g, b)
+            if up.degree(d) < 1:
+                continue
+            if d == b:
+                exps[b] = exps.get(b, 0) + 1
+                queue.append(up.monic(up.exact_div(g, b)))
+                break
+            # split the basis element itself
+            basis.remove(b)
+            basis.append(d)
+            basis.append(up.monic(up.exact_div(b, d)))
+            queue.append(g)
+            break
+        else:
+            basis.append(g)
+            exps[g] = exps.get(g, 0) + 1
+    return exps
+
+
+def two_pass_factor_map(factored) -> tuple:
+    """The sorted factor map of prod f^e: refine every squarefree part of
+    every f (zero exponents too) into one basis, then re-express each
+    exponent over the final basis."""
+    basis: list = []
+    exps: dict = {}
+    for f, e in factored.items():
+        for sf, mult in up.squarefree_decomposition(up.monic(up.poly(f))):
+            for b, k in refine_factor(basis, sf).items():
+                exps[b] = exps.get(b, 0) + k * mult * e
+    final: dict = {}
+    for b, e in exps.items():
+        if e == 0:
+            continue
+        rem = b
+        for bb in basis:
+            m = multiplicity(rem, bb)
+            if m:
+                final[bb] = final.get(bb, 0) + m * e
+                for _ in range(m):
+                    rem = up.exact_div(rem, bb)
+    return tuple(sorted((b, e) for b, e in final.items() if e != 0))
+
+
+def two_pass_product(f, g) -> tuple:
+    """The sorted factor map of f*g: both maps merged, then two passes."""
+    merged: dict = {}
+    for b, e in f.factors + g.factors:
+        merged[b] = merged.get(b, 0) + e
+    return two_pass_factor_map(merged)
+
+
 # -- generators on the projective line as rational functions -------------------
 
 def function_keys(funcs) -> list[tuple]:
@@ -209,10 +288,10 @@ def function_keys(funcs) -> list[tuple]:
     """
     bases = sorted({b for f in funcs if f.curve_kind == "function_field"
                     for b, _ in f.factors})
-    refined: list = []
+    refined: dict = {}
     for b in bases:
-        _refine_factor(refined, b)
-    parts = {b: [r for r in refined if up.multiplicity(b, r)] for b in bases}
+        _refine(refined, b, 0)
+    parts = {b: [r for r in refined if multiplicity(b, r)] for b in bases}
     keys = []
     for f in funcs:
         exps: dict = {}

@@ -119,6 +119,18 @@ class TestSubcommands:
         assert doc["result"]["witness"]["exponent"] == 2
         assert doc["result"]["witness"]["point"] == [1, 2, 6]
 
+    @pytest.mark.parametrize("factors", [
+        [{"poly": [0, -1, 1], "exp": 1}],
+        [{"poly": [0, 1], "exp": 1}, {"poly": [-1, 1], "exp": 1}]])
+    def test_member_does_not_depend_on_how_factors_are_grouped(self, capsys, factors):
+        # t^2 - t and t * (t - 1) are one function, a member at degree 1
+        element = {"function": {"constant": 1, "factors": factors}, "degree": [1]}
+        code, out, _ = run_capture(
+            capsys, "member", "--input", fixture("hnorm_a1.json"),
+            "--object", "divisor", "--element", json.dumps(element), "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["member"] is True
+
     def test_eval_zero_weight(self, capsys):
         code, out, _ = run_capture(
             capsys, "eval", "--input", fixture("ex345.json"),
@@ -242,6 +254,20 @@ class TestExitCodes:
             "i": {"type": "monomial_ideal", "weight_cone": {"rays": [[1]]}, "exponents": 3}}}
         err = self.schema_error(capsys, tmp_path, doc, "mono-normal", "i")
         assert err.startswith("schema error: $.objects.i.exponents: ")
+
+    @pytest.mark.parametrize("name, factor, path", [
+        ("ex445.json", {"prime": 2, "exp": 0.5}, "exp"),
+        ("ex445.json", {"prime": "x", "exp": 1}, "prime"),
+        ("ex345.json", {"poly": [0, 1], "exp": True}, "exp")])
+    def test_bad_factor_is_a_schema_error(self, capsys, tmp_path, name, factor, path):
+        """The parser's factor checks end at their JSON path with exit 1; the
+        other bad factors are in test_parse_fuzz."""
+        with open(fixture(name)) as fh:
+            doc = json.load(fh)
+        doc["objects"]["gens"]["elements"][0]["function"]["factors"] = [factor]
+        err = self.schema_error(capsys, tmp_path, doc, "normalize", "gens")
+        assert err.startswith(
+            f"schema error: $.objects.gens.elements[0].function.factors[0].{path}: ")
 
     @pytest.mark.parametrize("name, command, obj, path, mutate", SHAPE_CASES,
                              ids=[case[3] for case in SHAPE_CASES])

@@ -1,9 +1,10 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiv import polynomials as up
+from polydiv import polynomials as up, serialize
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -16,7 +17,13 @@ from polydiv.curves import (
     principal_divisor,
     sections,
 )
-from oracles import dimension, is_principal, zero_divisor
+from oracles import (
+    dimension,
+    is_principal,
+    two_pass_factor_map,
+    two_pass_product,
+    zero_divisor,
+)
 
 Z0 = BasePoint.rational(0)
 Z1 = BasePoint.rational(1)
@@ -308,3 +315,52 @@ class TestFastPaths:
         two = RationalFunction.rational_number(2)
         s = two.add(two)
         assert s.value() == 4 and s.constant == 1 and s.factors == ((2, 2),)
+
+
+# t, t - 1, t + 1, t + 2, t^2 + 1, t^2 - 2: a drawn factor multiplies one to
+# three of them, repeats allowed, so factors overlap and need not be squarefree
+SMALL = [(0, 1), (-1, 1), (1, 1), (2, 1), (1, 0, 1), (-2, 0, 1)]
+PRODUCTS = st.lists(st.sampled_from(SMALL), min_size=1, max_size=3).map(
+    lambda ps: functools.reduce(up.mul, map(up.poly, ps)))
+PRODUCT_MAPS = st.dictionaries(PRODUCTS, st.integers(-3, 3), max_size=4)
+
+
+class TestOnePassRefinement:
+    @settings(max_examples=150, deadline=None)
+    @given(PRODUCT_MAPS)
+    def test_from_factored_matches_the_two_pass_route(self, fac):
+        assert RationalFunction.from_factored(1, fac).factors == two_pass_factor_map(fac)
+
+    @settings(max_examples=150, deadline=None)
+    @given(PRODUCT_MAPS, PRODUCT_MAPS)
+    def test_product_matches_the_two_pass_route(self, fa, fb):
+        f, g = RationalFunction.from_factored(2, fa), RationalFunction.from_factored(3, fb)
+        product = f * g
+        assert product.factors == two_pass_product(f, g)
+        assert product.constant == 6
+
+    def test_zero_sum_factor_still_splits(self):
+        # t^0 cancels, but t still splits t^2 + t into t and t + 1
+        for fac in ({(0, 1, 1): 1, (0, 1): 0}, {(0, 1): 0, (0, 1, 1): 1}):
+            f = RationalFunction.from_factored(1, fac)
+            assert f.factors == ((up.X, 1), (up.poly((1, 1)), 1))
+
+    def test_leading_coefficient_goes_into_the_constant(self):
+        one_minus_t = serialize.parse_function(
+            {"constant": 1, "factors": [{"poly": [1, -1], "exp": 1}]}, AFFINE_LINE, "$")
+        assert one_minus_t.as_quotient() == (up.poly((1, -1)), up.ONE)
+        two_t_cubed = RationalFunction.from_factored(1, {(0, 2): 3})
+        assert two_t_cubed.constant == 8 and two_t_cubed.factors == ((up.X, 3),)
+        assert RationalFunction.from_factored(1, {(0, 0, 3): -1}).constant == F(1, 3)
+
+    def test_order_at_a_place_inside_a_coarse_key(self):
+        f = RationalFunction.from_factored(1, {(0, -1, 1): 2, (1, 0, 1): -1})
+        assert [f.ord_at(z) for z in (Z0, Z1, BasePoint.finite((1, 0, 1)), INF)] == \
+            [2, 2, -1, -2]
+
+    def test_principal_divisor_refines_against_places(self):
+        f = RationalFunction.from_factored(1, {(0, -1, 1): 1})  # t^2 - t
+        coarse = principal_divisor(f, AFFINE_LINE)
+        assert coarse.coefficient(Z0) == 0
+        fine = principal_divisor(f, AFFINE_LINE, (Z0, BasePoint.rational(5)))
+        assert fine == Divisor.of(AFFINE_LINE, {Z0: 1, Z1: 1})

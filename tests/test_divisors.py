@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polydiv import divisors, serialize
+from polydiv import divisors, polynomials as up, serialize
 from polydiv.convex import Cone, Polyhedron, support_value
 from polydiv.curves import (
     AFFINE_LINE,
@@ -62,6 +62,11 @@ def example_345_generators():
 
 def example_345_divisor():
     return divisor_from_generators(example_345_generators(), PROJECTIVE_LINE)[1]
+
+
+def hnorm_a1_divisor():
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "hnorm_a1.json")
+    return serialize.load_problem(path).get("divisor", "divisor")
 
 
 def example_346_generators():
@@ -256,6 +261,25 @@ class TestMember:
             assert member(a * b, d)
             members.append(a * b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.sampled_from([(0, 1), (-1, 1), (1, 1), (1, 0, 1)]),
+                           st.integers(-2, 2), min_size=1),
+           st.sampled_from([1, 2, F(-1, 3)]))
+    def test_merged_keys_do_not_change_the_answer(self, fac, c):
+        """f and the same function with the keys of one exponent multiplied
+        into one key are one element: t * (t - 1) against t^2 - t."""
+        merged: dict = {}
+        for p, e in fac.items():
+            merged[e] = up.mul(merged.get(e, up.ONE), up.poly(p))
+        f = RationalFunction.from_factored(c, fac)
+        g = RationalFunction.from_factored(c, {p: e for e, p in merged.items()})
+        assert f.same_as(g)
+        for d, degrees in ((example_345_divisor(), itertools.product(range(4), repeat=2)),
+                           (hnorm_a1_divisor(), [(k,) for k in range(4)])):
+            for m in degrees:
+                assert member(HomogeneousElement(f, m), d) == \
+                    member(HomogeneousElement(g, m), d), (d, m)
+
 
 class TestGradedPieces:
     def test_pieces_over_z(self):
@@ -335,8 +359,7 @@ class TestBoundedGenerators:
             assert all(lo <= a <= hi for a, (lo, hi) in zip(h, box))
 
     def test_default_box_probes_the_quasifan_once(self, monkeypatch):
-        path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "hnorm_a1.json")
-        d = serialize.load_problem(path).get("divisor", "divisor")
+        d = hnorm_a1_divisor()
         calls = []
         real = divisors.quasifan
         monkeypatch.setattr(divisors, "quasifan", lambda q: calls.append(q) or real(q))

@@ -12,6 +12,7 @@ import copy
 import glob
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,6 +24,17 @@ DOCS = []
 for path in sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.json"))):
     with open(path) as fh:
         DOCS.append(json.load(fh))
+
+# no fixture writes a Spec Z function with prime factors; this one does
+SPEC_Z_FACTORS = {
+    "version": "1", "curve": "SpecZ", "lattice_rank": 2, "objects": {"gens": {
+        "type": "generators", "elements": [
+            {"degree": [1, 2], "function": {"constant": "2/3", "factors": [
+                {"prime": 5, "exp": 1}, {"prime": 3, "exp": -2}]}},
+            {"degree": [1, 0], "function": {"constant": "1/9", "factors": [
+                {"prime": 2, "exp": 0}]}},
+            {"degree": [2, 1], "function": {"constant": "4/3"}}]}}}
+DOCS.append(SPEC_Z_FACTORS)
 
 VALUES = [None, True, False, 0, 1, -1, 2, 7, 1.5, "x", "1/0", "1/2", "infinity",
           [], {}, [0], [[1]], [1, 2], [[1, 0], [0, 1]], ["1/2", 3], {"a": 1}]
@@ -79,3 +91,21 @@ def test_precondition_failure_is_a_schema_error_at_the_object():
     with pytest.raises(serialize.SchemaError) as err:
         serialize.parse_problem(doc)
     assert str(err.value) == "$.objects.divisor: UnboundedLineality: tail cone must be pointed"
+
+
+def test_spec_z_prime_factors_parse():
+    gens = serialize.parse_problem(SPEC_Z_FACTORS).get("gens", "generators")
+    assert [g.function.value() for g in gens] == [
+        Fraction(10, 27), Fraction(1, 9), Fraction(4, 3)]
+
+
+@pytest.mark.parametrize("factor, field", [
+    ({"prime": 5, "exp": 0.5}, "exp"), ({"prime": 5, "exp": "1/2"}, "exp"),
+    ({"prime": 5, "exp": True}, "exp"), ({"prime": "x", "exp": 1}, "prime"),
+    ({"prime": 9, "exp": 1}, "prime"), ({"prime": True, "exp": 1}, "prime")])
+def test_spec_z_factor_is_checked(factor, field):
+    doc = copy.deepcopy(SPEC_Z_FACTORS)
+    doc["objects"]["gens"]["elements"][0]["function"]["factors"][0] = factor
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.parse_problem(doc)
+    assert err.value.path == f"$.objects.gens.elements[0].function.factors[0].{field}"
