@@ -1,11 +1,11 @@
 """One-dimensional bases: the affine and projective lines over Q, and Spec Z.
 
 Rational functions are kept in factored form over a gcd-free basis of monic
-squarefree polynomials (or of primes, over Spec Z); every algorithm
-downstream consumes only vanishing orders and residue degrees.  The keys of
-a factor map are the coarsest pairwise-coprime base of every factor the
-function was built from, so two maps of one function can differ (t^2 - t
-against t * (t - 1)); equality of functions is :meth:`RationalFunction.same_as`.
+squarefree polynomials, and over Spec Z as their rational value.  Every
+algorithm downstream consumes only vanishing orders and residue degrees.
+The keys of a factor map are the coarsest pairwise-coprime base of every
+factor the function was built from, so two maps of one function can differ
+(t^2 - t against t * (t - 1)); equality is :meth:`RationalFunction.same_as`.
 
 Precondition: a finite place must be an irreducible polynomial.
 :meth:`BasePoint.finite` rejects rational roots only in degrees 2 and 3, so
@@ -18,8 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
-from typing import Iterable, Mapping
+from math import floor, gcd, prod
+from typing import Iterable, Mapping, Sequence
 
 from . import polynomials as up
 from .linalg import denominator_lcm
@@ -111,8 +111,30 @@ class BasePoint:
         return f"[{up.to_string(self.poly)}]"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # the first 13 primes
+_MR_BOUND = 3_317_044_064_679_887_385_961_981  # proven for them: Sorenson & Webster 2017
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin; n past the proven bound with no witness raises."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
+            return False
+    if n >= _MR_BOUND:
+        raise CurveError(f"{n} is beyond the proven range of the primality test")
+    return True
+
+
+def p_power_part(d: int, p: int) -> int:
+    """k with d = l * p^k, gcd(l, p) = 1; 0 when p is 1 (characteristic zero)."""
+    k = 0
+    while p != 1 and d % p == 0:
+        d, k = d // p, k + 1
+    return k
 
 
 def _has_rational_root(p: Poly) -> bool:
@@ -122,28 +144,35 @@ def _has_rational_root(p: Poly) -> bool:
     if ints[0] == 0:
         return True
     lead, const = abs(ints[-1]), abs(ints[0])
-    num_divs = [d for d in range(1, const + 1) if const % d == 0]
-    den_divs = [d for d in range(1, lead + 1) if lead % d == 0]
-    for pn in num_divs:
-        for qd in den_divs:
-            for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
-                if up.evaluate(p, cand) == 0:
-                    return True
-    return False
+    return any(up.evaluate(p, Fraction(sign * pn, qd)) == 0
+               for pn in range(1, const + 1) if const % pn == 0
+               for qd in range(1, lead + 1) if lead % qd == 0 for sign in (1, -1))
 
 
 def _factor_integer(n: int) -> dict[int, int]:
+    """Prime powers of n >= 1: one prime p at a time, its whole power at once."""
     out: dict[int, int] = {}
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    while n > 1:
+        p = n
+        while not is_prime(p):
+            p = _split(p)
+        out[p] = p_power_part(n, p)
+        n //= p ** out[p]
     return out
+
+
+def _split(n: int) -> int:
+    """A proper factor of the composite n: a base of is_prime that divides it, else
+    Pollard's rho with Floyd's cycle search, about sqrt(p) steps for n's least prime p."""
+    c, g = 0, next((a for a in _MR_BASES if n % a == 0), n)
+    while g == n:  # no base divides n, or the cycle closed mod n at once: next c
+        c, x, y, g = c + 1, 2, 2, 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+    return g
 
 
 def _refine(exps: dict[Poly, int], f: Poly, e: int) -> None:
@@ -177,18 +206,18 @@ def _refine(exps: dict[Poly, int], f: Poly, e: int) -> None:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Nonzero element of Q(t) (or Q*, over Spec Z) in factored form.
+    """Nonzero element of Q(t) in factored form, or of Q* over Spec Z.
 
     ``factors`` maps monic squarefree pairwise-coprime polynomials to
     nonzero integer exponents: the coarsest coprime base of every factor the
     function was built from, so it depends on how the function was built
-    and equality is :meth:`same_as`.  Over Spec Z it maps primes to
-    exponents and the constant is +/-1.
+    and equality is :meth:`same_as`.  A Spec Z element is its value:
+    ``constant`` holds it and ``factors`` is empty.
     """
 
     curve_kind: str  # "function_field" | "spec_z"
     constant: Fraction
-    factors: tuple[tuple, ...]  # sorted ((poly or prime, exponent), ...)
+    factors: tuple[tuple, ...]  # sorted ((poly, exponent), ...)
 
     @staticmethod
     def from_factored(constant, factored: Mapping[Poly, int] | None = None) -> "RationalFunction":
@@ -210,14 +239,7 @@ class RationalFunction:
         v = Fraction(value)
         if v == 0:
             raise CurveError("rational functions are nonzero")
-        fac: dict[int, int] = {}
-        for p, e in _factor_integer(v.numerator).items():
-            fac[p] = fac.get(p, 0) + e
-        for p, e in _factor_integer(v.denominator).items():
-            fac[p] = fac.get(p, 0) - e
-        sign = Fraction(1 if v > 0 else -1)
-        items = tuple(sorted((p, e) for p, e in fac.items() if e != 0))
-        return RationalFunction("spec_z", sign, items)
+        return RationalFunction("spec_z", v, ())
 
     @staticmethod
     def variable(exponent: int = 1) -> "RationalFunction":
@@ -236,10 +258,7 @@ class RationalFunction:
             raise CurveError("cannot mix function fields")
         exps = dict(self.factors)
         for b, e in other.factors:
-            if self.curve_kind == "spec_z":
-                exps[b] = exps.get(b, 0) + e  # primes are coprime already
-            else:
-                _refine(exps, b, e)
+            _refine(exps, b, e)
         return RationalFunction._build(self.curve_kind,
                                        self.constant * other.constant, exps)
 
@@ -251,8 +270,6 @@ class RationalFunction:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "RationalFunction":
-        if n == 0:
-            return RationalFunction._build(self.curve_kind, Fraction(1), {})
         return RationalFunction._build(
             self.curve_kind, self.constant ** n, {b: n * e for b, e in self.factors})
 
@@ -260,51 +277,31 @@ class RationalFunction:
         c = Fraction(c)
         if c == 0:
             raise CurveError("rational functions are nonzero")
-        if self.curve_kind == "spec_z":
-            return RationalFunction.rational_number(self.value() * c)
-        return RationalFunction._build("function_field", self.constant * c,
-                                       dict(self.factors))
-
-    def value(self) -> Fraction:
-        """The rational number this represents (Spec Z functions only)."""
-        if self.curve_kind != "spec_z":
-            raise CurveError("value() is for Spec Z elements")
-        v = self.constant
-        for p, e in self.factors:
-            v *= Fraction(p) ** e
-        return v
+        return RationalFunction(self.curve_kind, self.constant * c, self.factors)
 
     def as_quotient(self) -> tuple[Poly, Poly]:
         """(numerator, denominator) polynomials, exact."""
         if self.curve_kind != "function_field":
             raise CurveError("as_quotient() is for function-field elements")
-        num = up.poly([self.constant])
-        den = up.ONE
+        num, den = up.poly([self.constant]), up.ONE
         for b, e in self.factors:
             for _ in range(abs(e)):
-                if e > 0:
-                    num = up.mul(num, b)
-                else:
-                    den = up.mul(den, b)
+                num, den = (up.mul(num, b), den) if e > 0 else (num, up.mul(den, b))
         return num, den
 
     def add(self, other: "RationalFunction") -> "RationalFunction | None":
         """Exact sum; None encodes zero (which is not a RationalFunction).
 
-        Two function-field elements with equal ``factors`` are c1*F and c2*F
-        for one canonical F, so their sum is (c1 + c2)*F with the factor map
-        kept as it is.  Over Spec Z the constant is only a sign, so the sum
-        always goes through the rational value.
+        Two elements with equal ``factors`` are c1*F and c2*F for one
+        canonical F (F = 1 over Spec Z), so their sum is (c1 + c2)*F with the
+        factor map kept as it is.
         """
         if self.curve_kind != other.curve_kind:
             raise CurveError("cannot mix function fields")
-        if self.curve_kind == "spec_z":
-            s = self.value() + other.value()
-            return None if s == 0 else RationalFunction.rational_number(s)
         if self.factors == other.factors:
             c = self.constant + other.constant
             return None if c == 0 else RationalFunction(
-                "function_field", c, self.factors)
+                self.curve_kind, c, self.factors)
         n1, d1 = self.as_quotient()
         n2, d2 = other.as_quotient()
         num = up.add(up.mul(n1, d2), up.mul(n2, d1))
@@ -319,12 +316,11 @@ class RationalFunction:
         return RationalFunction.from_factored(c, fac)
 
     def ord_at(self, z: BasePoint) -> int:
-        if self.curve_kind == "spec_z":
-            if z.kind != "prime":
-                raise WrongCurve("Spec Z elements have orders at primes")
-            return dict(self.factors).get(z.prime, 0)
-        if z.kind == "prime":
-            raise WrongCurve("function-field elements have no prime places")
+        if (z.kind == "prime") != (self.curve_kind == "spec_z"):
+            raise WrongCurve(f"{z} is no place of a {self.curve_kind} element")
+        if z.kind == "prime":  # the p-adic valuation
+            c = self.constant
+            return p_power_part(c.numerator, z.prime) - p_power_part(c.denominator, z.prime)
         if z.kind == "infinity":
             return -sum(e * up.degree(b) for b, e in self.factors)
         # keys are squarefree, so the place divides a key at most once
@@ -341,8 +337,6 @@ class RationalFunction:
         return (self / other).is_one()
 
     def __repr__(self) -> str:
-        if self.curve_kind == "spec_z":
-            return str(self.value())
         parts = [] if self.constant == 1 and self.factors else [str(self.constant)]
         for b, e in self.factors:
             s = f"({up.to_string(b)})"
@@ -410,9 +404,12 @@ class Divisor:
 def principal_divisor(f: RationalFunction, curve: BaseCurve,
                       places: Iterable[BasePoint] = ()) -> Divisor:
     """div(f), one point per key of f's factor map refined against the finite
-    ``places``: t^2 - t counts at the place t itself when t is among them."""
+    ``places``: t^2 - t counts at the place t itself when t is among them.
+    Over Spec Z the points are the primes of the value's factorization."""
     if curve is SPEC_Z:
-        return Divisor.of(curve, [(BasePoint.of_prime(p), e) for p, e in f.factors])
+        primes = _factor_integer(abs(f.constant.numerator) * f.constant.denominator)
+        return Divisor.of(curve, [(z, f.ord_at(z)) for z in
+                                  (BasePoint(kind="prime", prime=p) for p in primes)])
     exps = dict(f.factors)
     for z in places:
         if z.kind == "finite":
@@ -421,6 +418,14 @@ def principal_divisor(f: RationalFunction, curve: BaseCurve,
     if curve is PROJECTIVE_LINE:
         coeffs.append((BasePoint.infinity(), f.ord_at(BasePoint.infinity())))
     return Divisor.of(curve, coeffs)
+
+
+def principal_divisors(fs: Sequence[RationalFunction], curve: BaseCurve,
+                       places: Iterable[BasePoint] = ()) -> list[Divisor]:
+    """div(f) for each f, refined against the keys of all of them and the finite
+    ``places``; a key that no other key meets stays one point, reducible or not."""
+    keys = [BasePoint(kind="finite", poly=b) for f in fs for b, _ in f.factors] + list(places)
+    return [principal_divisor(f, curve, keys) for f in fs]
 
 
 @dataclass(frozen=True)
@@ -469,10 +474,8 @@ def sections(d: Divisor) -> SectionModule:
     """H^0 of O(floor(D)): free over Q[t] or Z on affine bases, a Q-space on P1."""
     dd = d.floor()
     if d.curve is SPEC_Z:
-        gen = Fraction(1)
-        for z, a in dd.coefficients:
-            gen *= Fraction(z.prime) ** (-int(a))
-        return SectionModule.free(RationalFunction.rational_number(gen))
+        return SectionModule.free(RationalFunction.rational_number(
+            prod(Fraction(z.prime) ** -int(a) for z, a in dd.coefficients)))
     gen_factors = {z.poly: -int(a) for z, a in dd.coefficients if z.kind == "finite"}
     gen = RationalFunction.from_factored(1, gen_factors)
     if d.curve is AFFINE_LINE:

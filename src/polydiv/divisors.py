@@ -40,6 +40,7 @@ from .curves import (
     SectionModule,
     WrongCurve,
     principal_divisor,
+    principal_divisors,
     sections,
 )
 from .linalg import (
@@ -234,12 +235,10 @@ def divisor_from_generators(gens: Sequence[HomogeneousElement], curve: BaseCurve
     tail = weight_cone.dual()
     if not tail.is_pointed:
         raise NonPointedDual("dual of the weight cone is not pointed")
-    points: set[BasePoint] = set()
-    for g in gens:
-        points.update(principal_divisor(g.function, curve).support)
+    divs = principal_divisors([g.function for g in gens], curve)
     coeffs = []
-    for z in sorted(points):
-        ineqs = [(g.degree, -g.function.ord_at(z)) for g in gens]
+    for z in sorted({z for div in divs for z in div.support}):
+        ineqs = [(g.degree, -div.coefficient(z)) for g, div in zip(gens, divs)]
         coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n, tail_hint=tail)))
     div = PolyhedralDivisor.of(curve, tail, coeffs)
     if curve is PROJECTIVE_LINE:
@@ -254,13 +253,10 @@ def dpd_presentation(gens: Sequence[HomogeneousElement], curve: BaseCurve) -> Di
     for g in gens:
         if len(g.degree) != 1 or g.degree[0] <= 0:
             raise NonPositiveDegree(f"degree {g.degree} is not a positive integer")
-    divisors = [principal_divisor(g.function, curve).scaled(Fraction(-1, g.degree[0]))
-                for g in gens]
-    points: set[BasePoint] = set()
-    for d in divisors:
-        points.update(d.support)
+    divisors = [div.scaled(Fraction(-1, g.degree[0])) for g, div in
+                zip(gens, principal_divisors([g.function for g in gens], curve))]
     return Divisor.of(curve, [(z, max(d.coefficient(z) for d in divisors))
-                              for z in sorted(points)])
+                              for z in {z for d in divisors for z in d.support}])
 
 
 def member(el: HomogeneousElement, d: PolyhedralDivisor) -> bool:

@@ -27,6 +27,7 @@ from .curves import (
     SectionModule,
     WrongCurve,
     is_prime,
+    p_power_part,
     principal_divisor,
     sections,
 )
@@ -385,16 +386,6 @@ class CoherentAssemblage:
             raise ActionError("characteristic zero admits a single exponent")
         return CoherentAssemblage(colored, tuple(int(a) for a in degree),
                                   exps, lams, p)
-
-
-def p_power_part(d: int, p: int) -> int:
-    """k with d = l * p^k, gcd(l, p) = 1; 0 when p is 1 (characteristic zero)."""
-    k = 0
-    if p != 1:
-        while d % p == 0:
-            d //= p
-            k += 1
-    return k
 
 
 def assemblage_check(ca: CoherentAssemblage) -> ConditionReport:

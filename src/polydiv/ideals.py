@@ -33,7 +33,7 @@ from .curves import (
     PROJECTIVE_LINE,
     BasePoint,
     WrongCurve,
-    principal_divisor,
+    principal_divisors,
     sections,
 )
 from .divisors import (
@@ -171,12 +171,11 @@ def rees_pair(pres: GradedIdealPresentation) -> ReesPair:
     augmented_tail = Cone.from_rays(
         [tuple(g.degree) + (1,) for g in pres.generators] +
         [tuple(r) + (0,) for r in weight_cone.rays], n + 1).dual()
-    points: set[BasePoint] = set(d.support)
-    for g in pres.generators:
-        points.update(principal_divisor(g.function, d.curve).support)
+    gens = pres.generators
+    divs = principal_divisors([g.function for g in gens], d.curve, d.support)
     coeffs = []
-    for z in sorted(points):
-        ineqs = [(tuple(g.degree) + (1,), -g.function.ord_at(z)) for g in pres.generators]
+    for z in sorted({z for div in divs for z in div.support} | set(d.support)):
+        ineqs = [(tuple(g.degree) + (1,), -div.coefficient(z)) for g, div in zip(gens, divs)]
         for normal, offset in d.coefficient(z).halfspaces:
             ineqs.append((tuple(normal) + (0,), offset))
         coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n + 1,

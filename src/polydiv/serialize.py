@@ -24,7 +24,6 @@ from .curves import (
     Divisor,
     RationalFunction,
     SectionModule,
-    is_prime,
 )
 from .divisors import DivisorError, HomogeneousElement, PolyhedralDivisor
 from .gaactions import ActionError, CoherentAssemblage, ColoredDivisor
@@ -106,6 +105,13 @@ def parse_curve(value, path: str = "$.curve") -> BaseCurve:
     return names[value]
 
 
+def parse_prime(value, path: str) -> BasePoint:
+    try:
+        return BasePoint.of_prime(parse_integer(value, path))
+    except CurveError as err:
+        raise SchemaError(path, str(err)) from None
+
+
 def parse_point(value, curve: BaseCurve, path: str) -> BasePoint:
     if value == "infinity":
         z = BasePoint.infinity()
@@ -114,7 +120,7 @@ def parse_point(value, curve: BaseCurve, path: str) -> BasePoint:
         if "poly" in value and "prime" in value:
             raise SchemaError(path, "point has both poly and prime")
         if "prime" in value:
-            z = BasePoint.of_prime(parse_integer(value["prime"], f"{path}.prime"))
+            z = parse_prime(value["prime"], f"{path}.prime")
         elif "poly" in value:
             z = BasePoint.finite(parse_vector(value["poly"], f"{path}.poly"))
         else:
@@ -132,6 +138,9 @@ def point_doc(z: BasePoint):
     return {"poly": [rational_str(a) for a in z.poly]}
 
 
+SPEC_Z_BITS = 512  # a Spec Z element is its value, factored wherever its divisor is read
+
+
 def parse_function(value, curve: BaseCurve, path: str) -> RationalFunction:
     _expect_keys(value, path, {"constant"}, {"factors"})
     const = parse_rational(value["constant"], f"{path}.constant")
@@ -141,26 +150,25 @@ def parse_function(value, curve: BaseCurve, path: str) -> RationalFunction:
         _expect_keys(fac, fpath, {base, "exp"})
         exp = parse_integer(fac["exp"], f"{fpath}.exp")
         if curve is SPEC_Z:
-            key = parse_integer(fac["prime"], f"{fpath}.prime")
-            if not is_prime(key):
-                raise SchemaError(f"{fpath}.prime", f"{key} is not prime")
+            p = parse_prime(fac["prime"], f"{fpath}.prime").prime
+            bits = abs(exp) * p.bit_length() + (const.numerator * const.denominator).bit_length()
+            if bits > SPEC_Z_BITS:
+                raise SchemaError(f"{fpath}.exp", f"value past {SPEC_Z_BITS} bits at {p}^{exp}")
+            const *= Fraction(p) ** exp
         else:
             key = parse_vector(fac["poly"], f"{fpath}.poly")
-        fmap[key] = fmap.get(key, 0) + exp
+            fmap[key] = fmap.get(key, 0) + exp
     if curve is SPEC_Z:
-        return RationalFunction.rational_number(const) * \
-            RationalFunction._build("spec_z", Fraction(1), fmap)
+        return RationalFunction.rational_number(const)
     return RationalFunction.from_factored(const, fmap)
 
 
 def function_doc(f: RationalFunction):
-    if f.curve_kind == "spec_z":
-        return {"constant": rational_str(f.value())}
-    return {
-        "constant": rational_str(f.constant),
-        "factors": [{"poly": [rational_str(a) for a in b], "exp": e}
-                    for b, e in f.factors],
-    }
+    doc = {"constant": rational_str(f.constant)}
+    if f.curve_kind == "function_field":
+        doc["factors"] = [{"poly": [rational_str(a) for a in b], "exp": e}
+                          for b, e in f.factors]
+    return doc
 
 
 def parse_element(value, curve: BaseCurve, rank: int, path: str) -> HomogeneousElement:

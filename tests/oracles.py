@@ -284,7 +284,7 @@ def function_keys(funcs) -> list[tuple]:
     are taken over one gcd-free refinement of all bases in ``funcs``: each
     base is monic and squarefree, so it is the product of the refined bases
     that divide it, and the exponents over pairwise coprime monic bases are
-    unique.  Spec Z factors are primes and already unique.
+    unique.  A Spec Z element has no factors: its constant is its value.
     """
     bases = sorted({b for f in funcs if f.curve_kind == "function_field"
                     for b, _ in f.factors})

@@ -131,6 +131,58 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["result"]["member"] is True
 
+    def run_on_overlapping_keys(self, capsys, tmp_path, command, obj):
+        """``command`` on A1, rank 1, with the generators (t^2 - t)^-1 and
+        t^-2 of degree 1 and, for ideals, the divisor [2, oo)*t + [1, oo)*(t-1)."""
+        elements = [{"function": {"constant": 1, "factors": [{"poly": poly, "exp": e}]},
+                     "degree": [1]} for poly, e in (([0, -1, 1], -1), ([0, 1], -2))]
+        coefficients = [{"point": {"poly": poly}, "vertices": [[v]]}
+                        for poly, v in (([0, 1], 2), ([-1, 1], 1))]
+        doc = {"version": "1", "curve": "A1", "lattice_rank": 1, "objects": {
+            "gens": {"type": "generators", "elements": elements},
+            "divisor": {"type": "divisor", "tail": {"rays": [[1]]},
+                        "coefficients": coefficients},
+            "ideal": {"type": "ideal", "ambient": "divisor", "generators": elements}}}
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_capture(capsys, command, "--input", str(path),
+                                   "--object", obj, "--json")
+        assert code == 0
+        return {tuple(c["point"]["poly"]): c.get("value", c.get("vertices"))
+                for c in json.loads(out)["result"][
+                    "rees_divisor" if command == "rees" else "divisor"]["coefficients"]}
+
+    # t^2 - t is no place: its key is split against t, so t - 1 is one
+    def test_normalize_splits_a_key_another_key_meets(self, capsys, tmp_path):
+        got = self.run_on_overlapping_keys(capsys, tmp_path, "normalize", "gens")
+        assert got == {(0, 1): [[2]], (-1, 1): [[1]]}
+
+    def test_dpd_splits_a_key_another_key_meets(self, capsys, tmp_path):
+        got = self.run_on_overlapping_keys(capsys, tmp_path, "dpd", "gens")
+        assert got == {(0, 1): 2, (-1, 1): 1}
+
+    def test_rees_splits_a_key_another_key_meets(self, capsys, tmp_path):
+        got = self.run_on_overlapping_keys(capsys, tmp_path, "rees", "ideal")
+        assert got == {(0, 1): [[2, 0]], (-1, 1): [[1, 0]]}
+
+    # a Spec Z element keeps no factors: written-out primes are found again in
+    # its value, a power past the proven bound of is_prime, two primes near 10^12
+    @pytest.mark.parametrize("factors", [
+        [{"prime": 43, "exp": 16}],
+        [{"prime": 999999999989, "exp": 1}, {"prime": 1000000000039, "exp": -1}]])
+    def test_normalize_finds_written_primes_again(self, capsys, tmp_path, factors):
+        with open(fixture("ex445.json")) as fh:
+            doc = json.load(fh)
+        doc["objects"]["gens"]["elements"][0]["function"] = {"constant": 1, "factors": factors}
+        path = tmp_path / "primes.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_capture(capsys, "normalize", "--input", str(path),
+                                   "--object", "gens", "--json")
+        assert code == 0
+        coefficients = json.loads(out)["result"]["divisor"]["coefficients"]
+        assert [c["point"]["prime"] for c in coefficients] == \
+            [3] + [f["prime"] for f in factors]
+
     def test_eval_zero_weight(self, capsys):
         code, out, _ = run_capture(
             capsys, "eval", "--input", fixture("ex345.json"),

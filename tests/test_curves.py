@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polydiv import polynomials as up, serialize
 from polydiv.curves import (
@@ -10,6 +10,7 @@ from polydiv.curves import (
     PROJECTIVE_LINE,
     SPEC_Z,
     BasePoint,
+    CurveError,
     Divisor,
     RationalFunction,
     WrongCurve,
@@ -116,6 +117,23 @@ class TestPrincipalDivisor:
         assert d.coefficient(BasePoint.of_prime(2)) == 1
         assert d.coefficient(BasePoint.of_prime(3)) == -1
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-10 ** 9, 10 ** 9).filter(bool), st.integers(1, 10 ** 9))
+    @example(43 ** 16, 1)  # past the proven bound of is_prime, 43 no base of it
+    @example(999999999989 * 1000000000039, 7)  # two primes of about 10^12
+    def test_spec_z_orders_match_sympy(self, num, den):
+        sympy = pytest.importorskip("sympy")
+        f = RationalFunction.rational_number(F(num, den))
+        v = f.constant
+        want = sympy.factorint(v.numerator)
+        for p, e in sympy.factorint(v.denominator).items():
+            want[p] = -e
+        want.pop(-1, None)
+        d = principal_divisor(f, SPEC_Z)
+        assert {z.prime: a for z, a in d.coefficients} == want
+        for p in set(want) | {2, 3, 5}:
+            assert f.ord_at(BasePoint.of_prime(p)) == want.get(p, 0)
+
     def test_constant_on_affine_line(self):
         d = principal_divisor(RationalFunction.from_factored(F(5, 9)), AFFINE_LINE)
         assert d == zero_divisor(AFFINE_LINE)
@@ -153,7 +171,7 @@ class TestSections:
         d = Divisor.of(SPEC_Z, {BasePoint.of_prime(2): -1, BasePoint.of_prime(3): 1})
         mod = sections(d)
         assert mod.kind == "free"
-        assert mod.generator.value() == F(2, 3)
+        assert mod.generator.constant == F(2, 3)
 
     def test_projective_zero_space(self):
         for r in range(6):
@@ -224,6 +242,24 @@ class TestPointValidation:
         sympy = pytest.importorskip("sympy")
         assert [n for n in range(5001) if is_prime(n)] == \
             [n for n in range(5001) if sympy.isprime(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10, 10 ** 6))
+    @example(561)  # Carmichael
+    @example(2047)  # strong pseudoprime to base 2
+    @example(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    def test_miller_rabin_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(n) == sympy.isprime(n)
+
+    def test_large_prime_is_decided_at_once(self):
+        assert BasePoint.of_prime(10 ** 18 + 3).prime == 10 ** 18 + 3
+        assert not is_prime(2 ** 200)  # a base divides it: decided at any size
+        assert not is_prime(43 ** 16)  # a witness proves it composite past the bound
+
+    def test_beyond_the_proven_bound_is_rejected(self):
+        with pytest.raises(CurveError, match="proven range"):
+            is_prime(3_317_044_064_679_887_385_961_981)
 
 
 def add_by_quotient(f, g):
@@ -309,12 +345,12 @@ class TestFastPaths:
             assert s is None
         else:
             assert s == RationalFunction.rational_number(a + b)
-            assert s.constant in (1, -1)
+            assert s.constant == a + b and s.factors == ()
 
     def test_spec_z_equal_factors_stay_a_sign(self):
         two = RationalFunction.rational_number(2)
         s = two.add(two)
-        assert s.value() == 4 and s.constant == 1 and s.factors == ((2, 2),)
+        assert s.constant == 4 and s.factors == ()
 
 
 # t, t - 1, t + 1, t + 2, t^2 + 1, t^2 - 2: a drawn factor multiplies one to

@@ -287,7 +287,7 @@ class TestGradedPieces:
         for m1, r in ((1, 1), (2, 1), (3, 2)):
             gp = graded_piece(d, (m1, 2 * r))
             assert gp.module.kind == "free"
-            assert gp.module.generator.value() == F(2 ** r, 3 ** (2 * m1 - r))
+            assert gp.module.generator.constant == F(2 ** r, 3 ** (2 * m1 - r))
 
     def test_zero_pieces(self):
         d = PolyhedralDivisor.of(PROJECTIVE_LINE, SIGMA, {
@@ -312,7 +312,7 @@ class TestGradedPieces:
 class TestBoundedGenerators:
     def test_eq_41_generators(self):
         rep = bounded_generators(example_445_divisor(), box=[(0, 8), (0, 8)])
-        got = sorted((g.degree, g.function.value()) for g in rep.generators)
+        got = sorted((g.degree, g.function.constant) for g in rep.generators)
         assert got == [((1, 0), F(1, 9)), ((1, 1), F(2, 3)), ((1, 2), F(2, 3))]
         assert rep.saturated_in_doubled_box
 

@@ -36,6 +36,9 @@ SPEC_Z_FACTORS = {
             {"degree": [2, 1], "function": {"constant": "4/3"}}]}}}
 DOCS.append(SPEC_Z_FACTORS)
 
+# the proven bound of the deterministic primality test, itself no prime
+BEYOND_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
 VALUES = [None, True, False, 0, 1, -1, 2, 7, 1.5, "x", "1/0", "1/2", "infinity",
           [], {}, [0], [[1]], [1, 2], [[1, 0], [0, 1]], ["1/2", 3], {"a": 1}]
 
@@ -95,17 +98,36 @@ def test_precondition_failure_is_a_schema_error_at_the_object():
 
 def test_spec_z_prime_factors_parse():
     gens = serialize.parse_problem(SPEC_Z_FACTORS).get("gens", "generators")
-    assert [g.function.value() for g in gens] == [
+    assert [g.function.constant for g in gens] == [
         Fraction(10, 27), Fraction(1, 9), Fraction(4, 3)]
 
 
 @pytest.mark.parametrize("factor, field", [
     ({"prime": 5, "exp": 0.5}, "exp"), ({"prime": 5, "exp": "1/2"}, "exp"),
     ({"prime": 5, "exp": True}, "exp"), ({"prime": "x", "exp": 1}, "prime"),
-    ({"prime": 9, "exp": 1}, "prime"), ({"prime": True, "exp": 1}, "prime")])
+    ({"prime": 9, "exp": 1}, "prime"), ({"prime": True, "exp": 1}, "prime"),
+    ({"prime": BEYOND_PRIMALITY_BOUND, "exp": 1}, "prime"),
+    ({"prime": 2, "exp": 10 ** 12}, "exp")])  # a value past SPEC_Z_BITS
 def test_spec_z_factor_is_checked(factor, field):
     doc = copy.deepcopy(SPEC_Z_FACTORS)
     doc["objects"]["gens"]["elements"][0]["function"]["factors"][0] = factor
     with pytest.raises(serialize.SchemaError) as err:
         serialize.parse_problem(doc)
     assert err.value.path == f"$.objects.gens.elements[0].function.factors[0].{field}"
+
+
+@pytest.mark.parametrize("prime, message", [
+    (6, "6 is not prime"), (BEYOND_PRIMALITY_BOUND, "proven range")])
+def test_spec_z_point_is_checked(prime, message):
+    doc = {"version": "1", "curve": "SpecZ", "lattice_rank": 1, "objects": {"d": {
+        "type": "divisor", "tail": {"rays": [[1]]},
+        "coefficients": [{"point": {"prime": prime}, "vertices": [[1]]}]}}}
+    with pytest.raises(serialize.SchemaError, match=message) as err:
+        serialize.parse_problem(doc)
+    assert err.value.path == "$.objects.d.coefficients[0].point.prime"
+
+
+def test_spec_z_element_is_its_value():
+    f = serialize.parse_problem(SPEC_Z_FACTORS).get("gens", "generators")[0].function
+    assert f.factors == () and f.constant == Fraction(10, 27)
+    assert serialize.function_doc(f) == {"constant": "10/27"}
