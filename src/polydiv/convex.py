@@ -464,8 +464,8 @@ def support_value(p: Polyhedron, m: Sequence) -> Fraction:
 
 
 def floored_support(p: Polyhedron, m: IVec) -> int:
-    """floor of :func:`support_value` for an integer m in the dual of the
-    tail, in integer arithmetic."""
+    """floor of the least <m, v> over the vertices v of p, for an integer m, in
+    integer arithmetic: floor of :func:`support_value` for m in the dual of the tail."""
     return min(sum(map(mul, m, kv)) // k for kv, k in p.vertex_rays)
 
 

@@ -11,6 +11,8 @@ Precondition: a finite place must be an irreducible polynomial.
 :meth:`BasePoint.finite` rejects rational roots only in degrees 2 and 3, so
 a reducible place of higher degree is accepted, and orders there are wrong:
 the order of t^2+1 at the place t^4+3t^2+2 = (t^2+1)(t^2+2) comes out as 0.
+Membership (:func:`in_sections`) relies on it too: it reads the order at a
+place by dividing each key once.
 """
 
 from __future__ import annotations
@@ -383,10 +385,6 @@ class Divisor:
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for _, a in self.coefficients)
 
-    @property
-    def is_effective(self) -> bool:
-        return all(a >= 0 for _, a in self.coefficients)
-
     def degree(self) -> Fraction:
         return sum((Fraction(z.degree) * a for z, a in self.coefficients), Fraction(0))
 
@@ -426,6 +424,34 @@ def principal_divisors(fs: Sequence[RationalFunction], curve: BaseCurve,
     ``places``; a key that no other key meets stays one point, reducible or not."""
     keys = [BasePoint(kind="finite", poly=b) for f in fs for b, _ in f.factors] + list(places)
     return [principal_divisor(f, curve, keys) for f in fs]
+
+
+def in_sections(f: RationalFunction, curve: BaseCurve, floors: Mapping[BasePoint, int]) -> bool:
+    """Is f in H^0(O(D)) for D = sum floors[z] * z, that is ord_z(f) + floors[z] >= 0
+    at every place z?  One walk over f's factor map divides each key by each
+    support place that divides it; a pole left in a key is off the support.
+    Over Spec Z the denominator may have no prime but the support's, so
+    nothing is factored."""
+    if (curve is SPEC_Z) != (f.curve_kind == "spec_z"):
+        raise WrongCurve(f"{f} is no function on {curve.value}")
+    if curve is SPEC_Z:
+        den = f.constant.denominator
+        for z, a in floors.items():
+            if f.ord_at(z) + a < 0:
+                return False
+            den //= z.prime ** p_power_part(den, z.prime)
+        return den == 1
+    left = {z: a for z, a in floors.items() if z.kind == "finite"}
+    at_infinity = floors.get(BasePoint.infinity(), 0)
+    for b, e in f.factors:
+        at_infinity -= e * up.degree(b)
+        for z in left:
+            q, r = (up.ONE, up.ZERO) if b == z.poly else up.divmod_poly(b, z.poly)
+            if up.is_zero(r):  # keys are squarefree: z divides b at most once
+                b, left[z] = q, left[z] + e
+        if e < 0 and up.degree(b) > 0:
+            return False
+    return min(left.values(), default=0) >= 0 and (curve.is_affine or at_infinity >= 0)
 
 
 @dataclass(frozen=True)

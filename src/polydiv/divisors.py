@@ -39,7 +39,7 @@ from .curves import (
     RationalFunction,
     SectionModule,
     WrongCurve,
-    principal_divisor,
+    in_sections,
     principal_divisors,
     sections,
 )
@@ -157,6 +157,11 @@ class PolyhedralDivisor:
     def in_weight_cone(self, m: Sequence) -> bool:
         return self.tail.rays == () or all(dot(m, r) >= 0 for r in self.tail.rays)
 
+    def floors(self, m: Sequence) -> dict[BasePoint, int]:
+        """z -> the floor of the least <m, v> over the vertices v at z; floor(D(m))
+        for m in the weight cone."""
+        return {z: floored_support(poly, m) for z, poly in self.coefficients}
+
     def restrict(self, excluded: Iterable[BasePoint]) -> "PolyhedralDivisor":
         cut = set(excluded)
         return PolyhedralDivisor(self.curve, self.tail,
@@ -261,11 +266,7 @@ def dpd_presentation(gens: Sequence[HomogeneousElement], curve: BaseCurve) -> Di
 
 def member(el: HomogeneousElement, d: PolyhedralDivisor) -> bool:
     """Is f*chi^m a member of the section algebra of d?"""
-    if not d.in_weight_cone(el.degree):
-        return False
-    total = principal_divisor(el.function, d.curve, d.support) + \
-        evaluate(d, el.degree).floor()
-    return total.is_effective
+    return d.in_weight_cone(el.degree) and in_sections(el.function, d.curve, d.floors(el.degree))
 
 
 @dataclass(frozen=True)
@@ -401,12 +402,11 @@ def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
     place z but infinity.  The piece at m lives over
     gen_m = prod_z z^(-a_z(m)), the element :func:`curves.sections` builds
     its generators on."""
-    is_finite = [z.kind != "infinity" for z, _ in d.coefficients]
     frames = {}
     for m in degrees:
-        floors = [floored_support(poly, m) for _, poly in d.coefficients]
-        deg = sum(z.degree * a for (z, _), a in zip(d.coefficients, floors))
-        frames[m] = (tuple(itertools.compress(floors, is_finite)), deg)
+        floors = d.floors(m)
+        frames[m] = (tuple(a for z, a in floors.items() if z.kind != "infinity"),
+                     sum(z.degree * a for z, a in floors.items()))
     return frames
 
 

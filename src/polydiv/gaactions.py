@@ -26,9 +26,9 @@ from .curves import (
     RationalFunction,
     SectionModule,
     WrongCurve,
+    in_sections,
     is_prime,
     p_power_part,
-    principal_divisor,
     sections,
 )
 from .divisors import (
@@ -217,9 +217,7 @@ def vertical_exponential(d: PolyhedralDivisor, root: DemazureRoot,
                          phi: RationalFunction,
                          el: HomogeneousElement) -> ExponentialExpansion:
     """Expansion of the vertical action phi * root-derivation on a member."""
-    admissible = principal_divisor(phi, d.curve, d.support) + \
-        vertical_min_divisor(d, root.vector).floor()
-    if not admissible.is_effective:
+    if not in_sections(phi, d.curve, d.floors(root.vector)):  # e may leave the weight cone
         raise PhiNotAdmissible(f"{phi} is not a section of the multiplier module")
     if not member(el, d):
         raise NonMember(f"{el} is not in the section algebra")

@@ -59,6 +59,8 @@ def scale(c, p: Poly) -> Poly:
 def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     if is_zero(q):
         raise ZeroDivisionError("polynomial division by zero")
+    if len(p) < len(q):
+        return ZERO, p
     rem = list(p)
     quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     while len(rem) >= len(q) and rem:

@@ -15,6 +15,11 @@ pointwise minimum of the principal divisors of its products, a
 :class:`Divisor`, and the piece is generated when that minimum is minus the
 floor of the evaluation.
 
+The membership oracle :func:`member_by_divisors` is the route
+``divisors.member`` took before it read integer floors place by place: the
+principal divisor of f refined against the support, plus the floor of the
+evaluation as a :class:`Divisor`, is effective.
+
 The factor-map oracle is the route ``RationalFunction.from_factored`` took
 before factor refinement ran in one pass: :func:`two_pass_factor_map` grows a
 gcd-free basis factor by factor, then re-expresses every exponent over the
@@ -143,6 +148,18 @@ def one(curve: BaseCurve) -> RationalFunction:
     if curve is SPEC_Z:
         return RationalFunction.rational_number(1)
     return RationalFunction.from_factored(1)
+
+
+def is_effective(d: Divisor) -> bool:
+    return all(a >= 0 for _, a in d.coefficients)
+
+
+def member_by_divisors(el: HomogeneousElement, d) -> bool:
+    """``divisors.member`` through Divisors: div(f) + floor(D(m)) >= 0."""
+    if not d.in_weight_cone(el.degree):
+        return False
+    return is_effective(principal_divisor(el.function, d.curve, d.support)
+                        + evaluate(d, el.degree).floor())
 
 
 def is_principal(d: Divisor) -> bool:

@@ -14,12 +14,14 @@ from polydiv.curves import (
     Divisor,
     RationalFunction,
     WrongCurve,
+    in_sections,
     is_prime,
     principal_divisor,
     sections,
 )
 from oracles import (
     dimension,
+    is_effective,
     is_principal,
     two_pass_factor_map,
     two_pass_product,
@@ -194,7 +196,8 @@ class TestSections:
             # membership check: every basis element is a section
             for f in sections(d).generators:
                 dv = principal_divisor(f, PROJECTIVE_LINE) + d.floor()
-                assert dv.is_effective
+                assert is_effective(dv)
+                assert in_sections(f, PROJECTIVE_LINE, dict(d.floor().coefficients))
 
     def test_multiplicativity_into_sum(self):
         d1 = Divisor.of(AFFINE_LINE, {Z0: F(1, 2)})
@@ -203,7 +206,7 @@ class TestSections:
         g2 = sections(d2).generator
         prod_sections = sections(d1.floor() + d2.floor())
         dv = principal_divisor(g1 * g2, AFFINE_LINE) + (d1 + d2).floor()
-        assert dv.is_effective
+        assert is_effective(dv)
         # surjectivity onto generators over the affine line
         assert (g1 * g2).same_as(prod_sections.generator) or \
             principal_divisor(g1 * g2, AFFINE_LINE) != \

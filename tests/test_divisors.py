@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polydiv import divisors, polynomials as up, serialize
+from polydiv import curves, divisors, polynomials as up, serialize
 from polydiv.convex import Cone, Polyhedron, support_value
 from polydiv.curves import (
     AFFINE_LINE,
@@ -279,6 +280,113 @@ class TestMember:
             for m in degrees:
                 assert member(HomogeneousElement(f, m), d) == \
                     member(HomogeneousElement(g, m), d), (d, m)
+
+
+LINE = Cone.from_rays([(1,)], 1)
+QUAD = BasePoint.finite((1, 0, 1))  # t^2 + 1, an irreducible quadratic place
+MEMBER_TAILS = [LINE, SIGMA, Cone.from_rays([(1, 0), (1, 2)], 2)]
+MEMBER_PLACES = {AFFINE_LINE: [Z0, Z1, QUAD], PROJECTIVE_LINE: [Z0, Z1, QUAD, INF],
+                 SPEC_Z: [P2, P3, BasePoint.of_prime(5)]}
+# places, products of places (t^2 - t, (t - 1)(t^2 + 1)) and keys off every
+# support (t + 2, t^2 + 2)
+MEMBER_KEYS = [(0, 1), (-1, 1), (1, 0, 1), (0, -1, 1), (-1, 1, -1, 1), (2, 1), (2, 0, 1)]
+
+
+@st.composite
+def member_problems(draw):
+    """An element and a divisor on A1, P1 or Spec Z; the degree is drawn
+    from a box around the weight cone, so it may lie outside."""
+    curve = draw(st.sampled_from(list(MEMBER_PLACES)))
+    tail = draw(st.sampled_from(MEMBER_TAILS))
+    rank = tail.ambient_rank
+    coordinate = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    d = PolyhedralDivisor.of(curve, tail, {z: Polyhedron.from_vertices_and_tail(
+        draw(st.lists(st.tuples(*[coordinate] * rank), min_size=1, max_size=2)), tail)
+        for z in draw(st.lists(st.sampled_from(MEMBER_PLACES[curve]), max_size=3,
+                               unique=True))})
+    sign = draw(st.sampled_from([1, -1]))
+    if curve is SPEC_Z:
+        f = RationalFunction.rational_number(sign * math.prod(
+            F(p) ** draw(st.integers(-3, 3)) for p in (2, 3, 5, 7)))
+    else:
+        f = RationalFunction.from_factored(sign * draw(st.sampled_from([1, 2, F(1, 3)])),
+                                           draw(st.dictionaries(st.sampled_from(MEMBER_KEYS),
+                                                                st.integers(-3, 3), max_size=3)))
+    return HomogeneousElement(f, draw(st.tuples(*[st.integers(-2, 4)] * rank))), d
+
+
+HALF_AT_T = PolyhedralDivisor.of(AFFINE_LINE, LINE, {
+    Z0: Polyhedron.from_vertices_and_tail([(F(1, 2),)], LINE)})
+
+
+class TestMemberAgainstDivisorRoute:
+    """``member`` reads integer floors place by place; the route through
+    principal divisors and floored evaluations must give the same verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(member_problems())
+    def test_same_verdict(self, problem):
+        el, d = problem
+        assert member(el, d) == oracles.member_by_divisors(el, d)
+
+    def test_mixing_curve_kinds_raises(self):
+        with pytest.raises(WrongCurve):  # a Spec Z element on P1
+            member(HomogeneousElement(RationalFunction.rational_number(F(2, 3)), (1, 1)),
+                   example_345_divisor())
+        with pytest.raises(WrongCurve):  # a function of Q(t) over Spec Z
+            member(HomogeneousElement(ff(t=1), (1, 1)), example_445_divisor())
+
+    # one non-member per clause of the test, next to a member the clause lets in
+
+    def test_outside_the_weight_cone(self):
+        """The element meets every floor, but <(-1, 0), (1, 0)> < 0."""
+        trivial = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {})
+        assert member(HomogeneousElement(ff(), (0, 0)), trivial)
+        assert not member(HomogeneousElement(ff(), (-1, 0)), trivial)
+
+    def test_pole_beyond_the_floor(self):
+        """floor(2 * 1/2) = 1 at t absorbs a simple pole there, not a double one."""
+        assert member(HomogeneousElement(ff(t=-1), (2,)), HALF_AT_T)
+        assert not member(HomogeneousElement(ff(t=-2), (2,)), HALF_AT_T)
+
+    def test_pole_off_the_support(self):
+        """t^2 - t: the t half sits on the support, the t - 1 half is off it."""
+        f = RationalFunction.from_factored(1, {(0, -1, 1): 1})
+        assert member(HomogeneousElement(f, (2,)), HALF_AT_T)
+        assert not member(HomogeneousElement(f.inverse(), (2,)), HALF_AT_T)
+
+    def test_order_at_infinity(self):
+        """floor(2 * 1) = 2 at infinity: t^2 has order -2 there, t^3 order -3."""
+        d = PolyhedralDivisor.of(PROJECTIVE_LINE, LINE, {
+            INF: Polyhedron.from_vertices_and_tail([(1,)], LINE)})
+        assert member(HomogeneousElement(ff(t=2), (2,)), d)
+        assert not member(HomogeneousElement(ff(t=3), (2,)), d)
+
+    @pytest.mark.parametrize("value, verdict", [
+        (F(1, 2), True), (3, True), (F(1, 4), False), (F(1, 3), False)])
+    def test_spec_z_denominator_off_the_support(self, value, verdict):
+        """floor(1) = 1 at 2: 1/2 and 3 are members, 1/4 has a pole beyond
+        the floor and 1/3 the prime 3, off the support, in its denominator."""
+        d = PolyhedralDivisor.of(SPEC_Z, LINE, {
+            P2: Polyhedron.from_vertices_and_tail([(1,)], LINE)})
+        el = HomogeneousElement(RationalFunction.rational_number(value), (1,))
+        assert member(el, d) == verdict == oracles.member_by_divisors(el, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.integers(-4, 4)] * 4), st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    def test_spec_z_never_factors(self, exps, m):
+        """The verdict over Spec Z reads p-adic orders at the support primes
+        only, so it holds with factoring switched off, 7 and 1000003 included."""
+        el = HomogeneousElement(RationalFunction.rational_number(math.prod(
+            F(p) ** e for p, e in zip((2, 3, 7, 1000003), exps))), m)
+        d = example_445_divisor()
+        expected = oracles.member_by_divisors(el, d)
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curves, "_factor_integer", refuse)
+            assert member(el, d) == expected
 
 
 class TestGradedPieces:

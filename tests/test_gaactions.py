@@ -207,6 +207,26 @@ class TestVertical:
         with pytest.raises(PhiNotAdmissible):
             vertical_exponential(d, root, RationalFunction.from_factored(1), el)
 
+    @pytest.mark.parametrize("phi, admissible", [
+        ({(0, 1): -1}, True),  # the pole at t is absorbed by floor(1) = 1
+        ({(0, 1): -2}, False),  # a double pole at t is not
+        ({(-1, 1): -1}, False),  # a pole at t - 1, off the support
+        ({(0, -1, 1): -1}, False)])  # t^2 - t: the t - 1 half is off the support
+    def test_phi_admissibility(self, phi, admissible):
+        """The vertex minimum of (-1, 0) over the vertex (-1, 0) at t is 1."""
+        d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {
+            Z0: Polyhedron.from_vertices_and_tail([(-1, 0)], SIGMA)})
+        root = is_demazure_root(SIGMA, (-1, 0))
+        phi = RationalFunction.from_factored(1, phi)
+        el = HomogeneousElement(RationalFunction.variable(1), (1, 0))
+        if not admissible:
+            with pytest.raises(PhiNotAdmissible):
+                vertical_exponential(d, root, phi, el)
+            return
+        exp = vertical_exponential(d, root, phi, el)
+        assert [(i, term.degree) for i, term in exp.terms] == [(0, (1, 0)), (1, (0, 0))]
+        assert exp.terms[1][1].function.is_one()
+
 
 class TestColoring:
     def test_example_5617(self):

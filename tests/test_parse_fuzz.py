@@ -6,10 +6,16 @@ another shape (null, booleans, numbers, strings, short arrays and objects)
 or by a copy of another subtree of the same document, or a key or array
 entry deleted.  ``serialize.parse_problem`` must either succeed or raise a
 ``SchemaError``; any other exception is a hole in the parser.
+
+The same mutations of the ``--element`` and ``--phi`` documents of the
+recorded ``member`` and ``vertical-exp`` command lines must end ``cli.main``
+with exit 0, 1 or 2, never with an exception.
 """
 
+import contextlib
 import copy
 import glob
+import io
 import json
 import os
 from fractions import Fraction
@@ -17,7 +23,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polydiv import serialize
+from polydiv import cli, serialize
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DOCS = []
@@ -58,11 +64,13 @@ def at(node, path):
     return node
 
 
-@st.composite
-def mutated_documents(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+def mutate(draw, doc, values=VALUES):
+    """One to three mutations of a copy of ``doc``; the root is kept."""
+    doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(places(doc))[1:]
+        if not paths:
+            break
         path = draw(st.sampled_from(paths))
         parent, key = at(doc, path[:-1]), path[-1]
         action = draw(st.sampled_from(["replace", "replace", "copy", "delete"]))
@@ -71,8 +79,13 @@ def mutated_documents(draw):
         elif action == "copy":
             parent[key] = copy.deepcopy(at(doc, draw(st.sampled_from(paths))))
         else:
-            parent[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
+            parent[key] = copy.deepcopy(draw(st.sampled_from(values)))
     return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    return mutate(draw, draw(st.sampled_from(DOCS)))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -131,3 +144,40 @@ def test_spec_z_element_is_its_value():
     f = serialize.parse_problem(SPEC_Z_FACTORS).get("gens", "generators")[0].function
     assert f.factors == () and f.constant == Fraction(10, 27)
     assert serialize.function_doc(f) == {"constant": "10/27"}
+
+
+GOLDEN = os.path.join(ROOT, "bench", "golden", "fixtures.json")
+with open(GOLDEN) as fh:
+    # every fixture with a divisor or generators object; i33 and rem357 hold
+    # monomial ideals only
+    COMMANDS = [r["argv"] for r in json.load(fh) if r["argv"][0] in ("member", "vertical-exp")]
+
+# values a function or an element may take: places, products of places, keys
+# off the support, primes and a large exponent
+FUNCTION_VALUES = VALUES + [
+    {"poly": [0, -1, 1], "exp": -1}, {"poly": [1, 0, 1], "exp": -2}, {"poly": [2, 1], "exp": 3},
+    {"prime": 3, "exp": -2}, {"prime": 7, "exp": 1}, {"poly": [0, 1], "exp": 40}, "-4/9"]
+
+
+def test_commands_cover_every_divisor_fixture():
+    assert {argv[2] for argv in COMMANDS} == {
+        "ex345.json", "ex346.json", "ex445.json", "ex5617.json", "hnorm_a1.json",
+        "rem3314.json", "trivial_a1.json"}
+
+
+@st.composite
+def mutated_command_lines(draw):
+    argv = list(draw(st.sampled_from(COMMANDS)))
+    flags = [i for i, a in enumerate(argv) if a in ("--element", "--phi")]
+    i = draw(st.sampled_from(flags)) + 1
+    argv[i] = json.dumps(mutate(draw, json.loads(argv[i]), FUNCTION_VALUES))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_command_lines())
+def test_mutated_element_or_phi_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--json"])
+    assert code in (0, 1, 2), err.getvalue()
