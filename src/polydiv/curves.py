@@ -370,11 +370,6 @@ class Divisor:
     def support(self) -> tuple[BasePoint, ...]:
         return tuple(z for z, _ in self.coefficients)
 
-    def __add__(self, other: "Divisor") -> "Divisor":
-        if self.curve != other.curve:
-            raise WrongCurve("divisors on different curves")
-        return Divisor.of(self.curve, list(self.coefficients) + list(other.coefficients))
-
     def scaled(self, c) -> "Divisor":
         return Divisor.of(self.curve, [(z, Fraction(c) * a) for z, a in self.coefficients])
 

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .convex import (
@@ -354,9 +354,11 @@ def bounded_generators(d: PolyhedralDivisor,
 
     Both passes compute on one integer frame per degree (:func:`_frames`),
     built once for the degrees of that hull and 0.  Over A1 and Spec Z a
-    degree keeps one exponent vector (:func:`_run_affine`), on the
-    projective line a set of coefficient vectors (:func:`_run_projective`);
-    a ``Divisor`` is built only to read off a new generator.
+    degree keeps one exponent vector (:func:`_run_affine`).  On the
+    projective line (:func:`_run_projective`) a product is the exponent
+    vector of gen_m * t^J * prod_z z^e, and a piece is certified by the
+    intervals of powers of t its products cover before any rank test; a
+    ``Divisor`` is built only to read off a new generator.
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -392,21 +394,25 @@ def bounded_generators(d: PolyhedralDivisor,
 
 
 def _box_degrees(d: PolyhedralDivisor, box_bounds, weight) -> list[IVec]:
-    degrees = [m for m in box_points(box_bounds) if d.in_weight_cone(m) and any(m)]
-    degrees.sort(key=lambda m: (dot(m, weight), m))
+    rays = d.tail.rays
+    degrees = [m for m in box_points(box_bounds)
+               if any(m) and all(sum(map(mul, m, r)) >= 0 for r in rays)]
+    degrees.sort(key=lambda m: (sum(map(mul, m, weight)), m))
     return degrees
 
 
 def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
     """m -> (a(m), deg floor(D(m))) with a_z(m) the floor of D(m) at every
-    place z but infinity.  The piece at m lives over
-    gen_m = prod_z z^(-a_z(m)), the element :func:`curves.sections` builds
-    its generators on."""
+    place z but infinity, in integers from each place's vertex rays.  The
+    piece at m lives over gen_m = prod_z z^(-a_z(m)), the element
+    :func:`curves.sections` builds its generators on."""
+    rays = [poly.vertex_rays for _, poly in d.coefficients]
+    finite = [i for i, (z, _) in enumerate(d.coefficients) if z.kind != "infinity"]
+    degs = [z.degree for z, _ in d.coefficients]
     frames = {}
     for m in degrees:
-        floors = d.floors(m)
-        frames[m] = (tuple(a for z, a in floors.items() if z.kind != "infinity"),
-                     sum(z.degree * a for z, a in floors.items()))
+        floors = [min(sum(map(mul, m, kv)) // k for kv, k in vr) for vr in rays]
+        frames[m] = (tuple(floors[i] for i in finite), sum(map(mul, degs, floors)))
     return frames
 
 
@@ -462,78 +468,106 @@ _PRIME = 2 ** 61 - 1
 def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     """Both passes of :func:`bounded_generators` on the projective line.
 
-    Vector invariant: the piece at m is gen_m * {p(t) : deg p < dim_m} with
-    dim_m = deg floor(D(m)) + 1 (or 0).  The product g * f of degrees m_g
-    and r = m - m_g is gen_m * p_g * p_f * c with c the product of the
-    places to :func:`_cofactor_exponents`.  Each place enters c as its
-    primitive integer polynomial, so a kept p is a trimmed int tuple equal
-    to the exact one up to a nonzero rational factor, which no span sees.
-    In the box pass every kept p is t^J times place polynomials, so by
-    unique factorization p fixes the function: tuple equality dedupes, and
-    p = t^j exactly for the basis element gen_m * t^j.
+    Exponent vectors: the piece at m is gen_m * {p(t) : deg p < dim_m} with
+    dim_m = deg floor(D(m)) + 1 (or 0), and every product of generators at
+    m is gen_m * t^J * prod_z z^e, kept as the vector of J and the e over
+    the finite places (t is one coordinate, also when it is a place).  The
+    product of g at m_g with a product v at r = m - m_g is g's vector plus
+    :func:`_cofactor_exponents` at (m, m_g, r) plus v.  The basis element
+    gen_m * t^j is the unit vector j at t.  A vector becomes an integer
+    polynomial, each place its primitive one, only for a rank test.
 
-    Rank certificate, one-sided: the rank mod ``_PRIME`` is at most the rank
-    over Q, so a modular rank of dim_m proves the products span the piece;
-    only a shortfall goes to the fraction-free exact rank,
-    :func:`linalg.independent_rows`.  The box pass keeps every distinct
-    product, since which t^j become new generators depends on which occur
-    among them.  The doubled pass needs spans only: it keeps the products
-    that raised the modular rank, stops at dim_m, and on a shortfall keeps
-    the exactly independent ones among all its candidates.
+    Interval certificate: a degree is full once its products are known to
+    span its piece, and a full degree's products are spanned by the unit
+    vectors 0 .. dim - 1.  If g's vector plus the cofactor is nu at t and 0
+    elsewhere, and r is full, the products g * A_r are
+    gen_m * t^nu * Q[t]_{<dim_r}; when such intervals [nu, nu + dim_r)
+    cover [0, dim_m), m is full without a rank test.  Only a degree they leave uncovered has its
+    products reduced mod ``_PRIME``; the modular rank is at most the rank
+    over Q, so reaching dim_m proves the span, and only a shortfall goes to
+    the exact rank, :func:`linalg.independent_rows`.
+
+    The box pass leaves every degree full: where the products fall short it
+    adds the basis elements gen_m * t^j that are not among them.  A
+    product is t^j only if g's term and the product at r are powers of t,
+    so the pass tracks, per degree, which powers of t occur.  The doubled
+    pass needs spans only: a box degree is full already, since the box pass
+    made it so from lighter degrees; a degree that fails keeps its exactly
+    independent products.
     """
-    places = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
-    cofactors: dict[IVec, tuple] = {}
+    finite = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
+    places = finite if (0, 1) in finite else finite + [(0, 1)]  # t is one coordinate
+    t, pad = places.index((0, 1)), (0,) * (len(places) - len(finite))
+    one = (0,) * len(places)
+    units = [one[:t] + (j,) + one[t + 1:] for j in range(max(f[1] for f in frames.values()) + 1)]
+    box = set(box_degrees)
+    polys: dict[IVec, tuple] = {}
 
-    def cofactor(exps: IVec) -> tuple:
-        if exps not in cofactors:
-            c = (1,)
-            for poly, e in zip(places, exps):
-                for _ in range(e):
-                    c = _poly_mul(c, poly)
-            cofactors[exps] = c
-        return cofactors[exps]
+    def poly(v: IVec) -> tuple:
+        if v not in polys:
+            p = (0,) * v[t] + (1,)
+            for i, e in enumerate(v):
+                if i != t:
+                    for _ in range(e):
+                        p = _poly_mul(p, places[i])
+            polys[v] = p
+        return polys[v]
 
-    def products_at(m: IVec, gens, products):
-        for g, p_g in gens:
-            rest = vsub(m, g.degree)
-            if rest in products:
-                p_gc = _poly_mul(p_g, cofactor(_cofactor_exponents(frames, m, g.degree, rest)))
-                for p in products[rest]:
-                    yield _poly_mul(p_gc, p)
+    def independent(rows: list[IVec], dim: int) -> list[IVec]:
+        """Independent rows, dim of them if the rows span the piece."""
+        echelon: dict[int, list[int]] = {}
+        kept = []
+        for v in rows:
+            if _raises_rank(echelon, poly(v)):
+                kept.append(v)
+                if len(kept) == dim:
+                    return kept
+        return [rows[i] for i in independent_rows(
+            [p + (0,) * (dim - len(p)) for p in map(poly, rows)], dim)]
 
     def run(degrees, gens, extend):
-        products: dict[IVec, list[tuple]] = {(0,) * d.rank: [(1,)]}
+        origin = (0,) * d.rank
+        spans = {origin: [one]}  # vectors spanning the products; dim_m of them if full
+        powers = {origin: {0}}  # box pass: the j with t^j among the products
         failures = []
         for m in degrees:
             dim = max(frames[m][1] + 1, 0)
-            echelon: dict[int, list[int]] = {}
-            independent: list[tuple] = []
-            seen: dict[tuple, None] = {}  # every distinct product, in order
-            for p in products_at(m, gens, products):
-                if p not in seen:
-                    seen[p] = None
-                    if len(independent) < dim and _raises_rank(echelon, p):
-                        independent.append(p)
-                        if len(independent) == dim and not extend:
-                            break
-            if len(independent) < dim:
-                rows = list(seen)
-                independent = [rows[i] for i in independent_rows(
-                    [p + (0,) * (dim - len(p)) for p in rows], dim)]
-                if len(independent) < dim and not extend:
-                    failures.append(m)
-                elif len(independent) < dim:
-                    basis = sections(evaluate(d, m)).generators
-                    for j in range(dim):
-                        if (unit := (0,) * j + (1,)) not in seen:
-                            gens.append((HomogeneousElement(basis[j], m), unit))
-                            seen[unit] = None
-            products[m] = list(seen) if extend else independent
+            if extend or m not in box:
+                terms = [(vadd(u, _cofactor_exponents(frames, m, g.degree, r) + pad), r)
+                         for g, u in gens if (r := vsub(m, g.degree)) in spans]
+                # b >= 0, so b is a power of t iff its t entry is its sum
+                monomials = [(b[t], r) for b, r in terms if b[t] == sum(b)]
+                if extend:
+                    powers[m] = {nu + j for nu, r in monomials for j in powers[r]}
+                if not _covers([(nu, nu + len(spans[r])) for nu, r in monomials
+                                if r not in failures], dim):
+                    rows = list(dict.fromkeys(vadd(b, v) for b, r in terms for v in spans[r]))
+                    kept = independent(rows, dim)
+                    if len(kept) < dim and not extend:
+                        failures.append(m)
+                        spans[m] = kept
+                        continue
+                    if len(kept) < dim:
+                        basis = sections(evaluate(d, m)).generators
+                        gens.extend((HomogeneousElement(basis[j], m), units[j])
+                                    for j in range(dim) if j not in powers[m])
+                        powers[m] = set(range(dim))
+            spans[m] = units[:dim]
         return failures
 
-    gens: list[tuple[HomogeneousElement, tuple]] = []
+    gens: list[tuple[HomogeneousElement, IVec]] = []
     run(box_degrees, gens, extend=True)
     return [g for g, _ in gens], run(degrees, list(gens), extend=False)
+
+
+def _covers(intervals: list[tuple[int, int]], dim: int) -> bool:
+    """Do the half-open intervals cover [0, dim)?"""
+    reach = 0
+    for lo, hi in sorted(intervals):
+        if lo > reach:
+            break
+        reach = max(reach, hi)
+    return reach >= dim
 
 
 def _poly_mul(p: tuple, q: tuple) -> tuple:

@@ -15,6 +15,13 @@ pointwise minimum of the principal divisors of its products, a
 :class:`Divisor`, and the piece is generated when that minimum is minus the
 floor of the evaluation.
 
+The product oracle :func:`run_projective_by_products` is the route
+``divisors._run_projective`` took before it kept exponent vectors and
+certified pieces by intervals of powers of t: every product is multiplied
+out as an integer polynomial, the box pass keeps every distinct one, and
+every piece is decided by a modular rank test with the exact rank as
+fallback.  :func:`generators_by_products` runs ``bounded_generators`` on it.
+
 The membership oracle :func:`member_by_divisors` is the route
 ``divisors.member`` took before it read integer floors place by place: the
 principal divisor of f refined against the support, plus the floor of the
@@ -27,6 +34,7 @@ final basis by repeated division.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from polydiv import divisors, polynomials as up
 from polydiv.convex import Cone, Unbounded, hilbert_basis
@@ -42,8 +50,24 @@ from polydiv.curves import (
     principal_divisor,
     sections,
 )
-from polydiv.divisors import GeneratorReport, HomogeneousElement, evaluate
-from polydiv.linalg import IVec, dot, integer_kernel_basis, is_zero_vector, primitive
+from polydiv.divisors import (
+    GeneratorReport,
+    HomogeneousElement,
+    PolyhedralDivisor,
+    _cofactor_exponents,
+    _poly_mul,
+    _raises_rank,
+    evaluate,
+)
+from polydiv.linalg import (
+    IVec,
+    dot,
+    independent_rows,
+    integer_kernel_basis,
+    is_zero_vector,
+    primitive,
+    vsub,
+)
 
 
 def zero_divisor(curve: BaseCurve) -> Divisor:
@@ -154,12 +178,19 @@ def is_effective(d: Divisor) -> bool:
     return all(a >= 0 for _, a in d.coefficients)
 
 
+def divisor_sum(first: Divisor, *rest: Divisor) -> Divisor:
+    """The sum of Weil divisors on one curve."""
+    if any(d.curve != first.curve for d in rest):
+        raise WrongCurve("divisors on different curves")
+    return Divisor.of(first.curve, [c for d in (first, *rest) for c in d.coefficients])
+
+
 def member_by_divisors(el: HomogeneousElement, d) -> bool:
     """``divisors.member`` through Divisors: div(f) + floor(D(m)) >= 0."""
     if not d.in_weight_cone(el.degree):
         return False
-    return is_effective(principal_divisor(el.function, d.curve, d.support)
-                        + evaluate(d, el.degree).floor())
+    return is_effective(divisor_sum(principal_divisor(el.function, d.curve, d.support),
+                                    evaluate(d, el.degree).floor()))
 
 
 def is_principal(d: Divisor) -> bool:
@@ -390,7 +421,7 @@ def _run_affine(d, box_bounds, generators, weight, extend):
             rest = tuple(a - b for a, b in zip(m, g.degree))
             if not any(g.degree) or rest not in reachable:
                 continue
-            cand = principal_divisor(g.function, d.curve) + reachable[rest]
+            cand = divisor_sum(principal_divisor(g.function, d.curve), reachable[rest])
             if best is None:
                 best = cand
             else:
@@ -421,3 +452,87 @@ def bounded_generators(d, box) -> GeneratorReport:
     hull = tuple((min(lo, 2 * lo), max(hi, 2 * hi)) for lo, hi in box)
     missing = run(d, hull, list(gens), weight, extend=False)
     return GeneratorReport(tuple(gens), box, not missing, tuple(missing))
+
+
+def run_projective_by_products(d: PolyhedralDivisor, frames, box_degrees, degrees):
+    """Both passes of :func:`bounded_generators` on the projective line.
+
+    Vector invariant: the piece at m is gen_m * {p(t) : deg p < dim_m} with
+    dim_m = deg floor(D(m)) + 1 (or 0).  The product g * f of degrees m_g
+    and r = m - m_g is gen_m * p_g * p_f * c with c the product of the
+    places to :func:`_cofactor_exponents`.  Each place enters c as its
+    primitive integer polynomial, so a kept p is a trimmed int tuple equal
+    to the exact one up to a nonzero rational factor, which no span sees.
+    In the box pass every kept p is t^J times place polynomials, so by
+    unique factorization p fixes the function: tuple equality dedupes, and
+    p = t^j exactly for the basis element gen_m * t^j.
+
+    Rank certificate, one-sided: the rank mod ``_PRIME`` is at most the rank
+    over Q, so a modular rank of dim_m proves the products span the piece;
+    only a shortfall goes to the fraction-free exact rank,
+    :func:`linalg.independent_rows`.  The box pass keeps every distinct
+    product, since which t^j become new generators depends on which occur
+    among them.  The doubled pass needs spans only: it keeps the products
+    that raised the modular rank, stops at dim_m, and on a shortfall keeps
+    the exactly independent ones among all its candidates.
+    """
+    places = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
+    cofactors: dict[IVec, tuple] = {}
+
+    def cofactor(exps: IVec) -> tuple:
+        if exps not in cofactors:
+            c = (1,)
+            for poly, e in zip(places, exps):
+                for _ in range(e):
+                    c = _poly_mul(c, poly)
+            cofactors[exps] = c
+        return cofactors[exps]
+
+    def products_at(m: IVec, gens, products):
+        for g, p_g in gens:
+            rest = vsub(m, g.degree)
+            if rest in products:
+                p_gc = _poly_mul(p_g, cofactor(_cofactor_exponents(frames, m, g.degree, rest)))
+                for p in products[rest]:
+                    yield _poly_mul(p_gc, p)
+
+    def run(degrees, gens, extend):
+        products: dict[IVec, list[tuple]] = {(0,) * d.rank: [(1,)]}
+        failures = []
+        for m in degrees:
+            dim = max(frames[m][1] + 1, 0)
+            echelon: dict[int, list[int]] = {}
+            independent: list[tuple] = []
+            seen: dict[tuple, None] = {}  # every distinct product, in order
+            for p in products_at(m, gens, products):
+                if p not in seen:
+                    seen[p] = None
+                    if len(independent) < dim and _raises_rank(echelon, p):
+                        independent.append(p)
+                        if len(independent) == dim and not extend:
+                            break
+            if len(independent) < dim:
+                rows = list(seen)
+                independent = [rows[i] for i in independent_rows(
+                    [p + (0,) * (dim - len(p)) for p in rows], dim)]
+                if len(independent) < dim and not extend:
+                    failures.append(m)
+                elif len(independent) < dim:
+                    basis = sections(evaluate(d, m)).generators
+                    for j in range(dim):
+                        if (unit := (0,) * j + (1,)) not in seen:
+                            gens.append((HomogeneousElement(basis[j], m), unit))
+                            seen[unit] = None
+            products[m] = list(seen) if extend else independent
+        return failures
+
+    gens: list[tuple[HomogeneousElement, tuple]] = []
+    run(box_degrees, gens, extend=True)
+    return [g for g, _ in gens], run(degrees, list(gens), extend=False)
+
+
+def generators_by_products(d, box) -> GeneratorReport:
+    """``divisors.bounded_generators`` with :func:`run_projective_by_products`
+    for its passes on the projective line."""
+    with mock.patch.object(divisors, "_run_projective", run_projective_by_products):
+        return divisors.bounded_generators(d, box)

@@ -169,7 +169,7 @@ class TestEvaluate:
             for m1 in cone.rays:
                 for m2 in cone.rays:
                     s = evaluate(d, vadd(m1, m2))
-                    assert s == evaluate(d, m1) + evaluate(d, m2)
+                    assert s == oracles.divisor_sum(evaluate(d, m1), evaluate(d, m2))
 
     def test_degree_polyhedron_support_compatibility(self):
         d = example_345_divisor()
@@ -616,6 +616,129 @@ class TestGeneratorsAgainstFunctionRoute:
         monkeypatch.setattr(divisors, "_PRIME", 3)
         assert bounded_generators(d, box) == report == oracles.bounded_generators(d, box)
         assert len(calls) - at_large_prime > at_large_prime
+
+
+def example_346_divisor():
+    return divisor_from_generators(example_346_generators(), PROJECTIVE_LINE)[1]
+
+
+def with_default_box(d):
+    return d, default_box(d)
+
+
+def gap_example():
+    """1/2 [t - 1] + 1/3 [inf] on P1, rank 1: the piece at m is
+    (t - 1)^-floor(m/2) Q[t]_{<dim m}, dim m = floor(m/2) + floor(m/3) + 1."""
+    tail = Cone.from_rays([(1,)], 1)
+    return with_default_box(PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {
+        z: Polyhedron.from_vertices_and_tail([(a,)], tail) for z, a in ((Z1, F(1, 2)), (INF, F(1, 3)))}))
+
+
+def one_third_example():
+    tail = P1_TAILS[2]
+    coeffs = {BasePoint.rational(F(1, 3)): Polyhedron.from_vertices_and_tail(
+        [(F(-1, 2), 0), (0, 0)], tail)}
+    return with_default_box(proper_on_p1(tail, coeffs, (1, 1)))
+
+
+def obtuse_example():
+    """Weight cone cone((1, 0), (-3, 1)), so degree (1, 0) has weight -2 and
+    comes after (2, 0) in the processing order: a rest can be processed
+    after its degree, and only rests processed so far may count."""
+    return with_default_box(proper_on_p1(Cone.from_rays([(1, 0), (-3, 1)], 2).dual(), {}, (1, 1)))
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(divisors, name)
+    monkeypatch.setattr(divisors, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestGeneratorsAgainstProductRoute:
+    """Exponent vectors and the interval certificate give the same report as
+    the route that multiplied every product out and rank-tested every piece."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_p1_problems())
+    def test_same_report(self, problem):
+        d, box = problem
+        assume((box[0][1] - box[0][0] + 1) * (box[1][1] - box[1][0] + 1) <= 49)
+        assert bounded_generators(d, box) == oracles.generators_by_products(d, box)
+
+    @pytest.mark.parametrize("example", [
+        lambda: with_default_box(example_345_divisor()),
+        lambda: with_default_box(example_346_divisor()),
+        unsaturated_example, one_third_example, gap_example, obtuse_example],
+        ids=["ex345", "ex346", "unsaturated", "t-1/3", "gap", "obtuse"])
+    def test_same_report_on_examples(self, example):
+        d, box = example()
+        assert bounded_generators(d, box) == oracles.generators_by_products(d, box)
+
+    def test_a_failed_rest_gives_no_interval(self):
+        """1/3 [t - 1] - 3/2 [t] + 4/3 [inf], rank 1, with a box pass over
+        the degrees 1 .. 4 only: the generators sit at 3 and 4, and the
+        piece at 6 (dim 2) gets only the square of the one at 3,
+        gen_6 * t, so 6 fails.  At 10 the generator at 4 times the piece at
+        6 and the one at 3 times the piece at 7 give gen_10 * t again, so 10
+        fails too; reading the failed 6 as if its one product were
+        gen_6 * t^0 would cover it."""
+        tail = Cone.from_rays([(1,)], 1)
+        d = PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {
+            z: Polyhedron.from_vertices_and_tail([(a,)], tail)
+            for z, a in ((Z1, F(1, 3)), (Z0, F(-3, 2)), (INF, F(4, 3)))})
+        degrees = divisors._box_degrees(d, ((0, 10),), (1,))
+        frames = divisors._frames(d, degrees + [(0,)])
+        gens, failures = divisors._run_projective(d, frames, degrees[:4], degrees)
+        assert failures == [(6,), (9,), (10,)]
+        assert (gens, failures) == oracles.run_projective_by_products(d, frames, degrees[:4], degrees)
+
+    def test_ex346_doubled_pass_makes_no_rank_test(self, monkeypatch):
+        """Every degree of ex346's doubled pass is spanned by intervals of
+        powers of t, so none is reduced modulo the prime."""
+        d, box = with_default_box(example_346_divisor())
+        weight = divisors._interior_weight(d.weight_cone)
+        box_degrees = divisors._box_degrees(d, box, weight)
+        hull = tuple((min(lo, 2 * lo), max(hi, 2 * hi)) for lo, hi in box)
+        degrees = divisors._box_degrees(d, hull, weight)
+        frames = divisors._frames(d, degrees + [(0, 0)])
+        calls = count_calls(monkeypatch, "_raises_rank")
+        divisors._run_projective(d, frames, box_degrees, [])
+        box_pass = len(calls)
+        assert divisors._run_projective(d, frames, box_degrees, degrees)[1] == []
+        assert len(degrees) > 1000 and len(calls) == box_pass
+
+    def test_echelon_fills_a_gap_the_intervals_leave(self, monkeypatch):
+        """At m = 4 of :func:`gap_example` (dim 4) the two generators at 2
+        times the piece at 2 give the powers t^0 .. t^2 only; the products
+        through 1 and 3 carry the cofactor t - 1, and only the echelon sees
+        (t - 1) t^2 reach t^3.  So no generator is added at 4."""
+        d, box = gap_example()
+        calls = count_calls(monkeypatch, "_raises_rank")
+        report = bounded_generators(d, box)
+        assert calls
+        assert [g.degree for g in report.generators] == [(1,), (2,), (2,), (3,)]
+        assert report == oracles.generators_by_products(d, box)
+
+    @pytest.mark.parametrize("example, m, place", [
+        # ex346's places are t - 1 and t; (37, 0) lies in the doubled box
+        # only and is spanned by intervals
+        (lambda: with_default_box(example_346_divisor()), (37, 0), 1),
+        # the piece at 4 is decided by the echelon
+        (gap_example, (4,), 0)], ids=["interval", "echelon"])
+    def test_non_superadditive_frame_raises(self, monkeypatch, example, m, place):
+        d, box = example()
+        real = divisors._frames
+
+        def frames(d, degrees):
+            out = real(d, degrees)
+            a, deg = out[m]
+            out[m] = (a[:place] + (a[place] - 50,) + a[place + 1:], deg)
+            return out
+
+        monkeypatch.setattr(divisors, "_frames", frames)
+        with pytest.raises(divisors.DivisorError, match="superadditive"):
+            bounded_generators(d, box)
 
 
 # -- generators over A1 and Spec Z: exponent vectors against the divisor route --

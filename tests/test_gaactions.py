@@ -48,7 +48,7 @@ from polydiv.gaactions import (
     vertical_phi,
 )
 from polydiv.linalg import bareiss_det, dot
-from oracles import nonnegative_orthant, one, outcome
+from oracles import divisor_sum, nonnegative_orthant, one, outcome
 
 SIGMA = nonnegative_orthant(2)
 Z0 = BasePoint.rational(0)
@@ -386,7 +386,7 @@ class TestHorizontalKernel:
                                    scalars=[1], char_exponent=3)
         kd = horizontal_kernel(ca)
         for m, f in kd.functions:
-            total = principal_divisor(f, PROJECTIVE_LINE) + evaluate(cd.divisor, m)
+            total = divisor_sum(principal_divisor(f, PROJECTIVE_LINE), evaluate(cd.divisor, m))
             assert total.restrict([INF]) == total.restrict([INF]).scaled(0)
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(

@@ -36,7 +36,7 @@ from polydiv.ideals import (
     ptilde,
     rees_pair,
 )
-from oracles import nonnegative_orthant, outcome
+from oracles import divisor_sum, nonnegative_orthant, outcome
 
 ORTHANT2 = nonnegative_orthant(2)
 ORTHANT3 = nonnegative_orthant(3)
@@ -339,9 +339,7 @@ def closed_powers_closed(pair, e, box=5):
             s = tuple(map(sum, zip(*combo)))
             if any(a - b < 0 for a, b in zip(m, s)):
                 continue
-            dv = piece_div[combo[0]]
-            for q in combo[1:]:
-                dv = dv + piece_div[q]
+            dv = divisor_sum(*(piece_div[q] for q in combo))
             best = dv if best is None else Divisor.of(AFFINE_LINE, [
                 (z, min(best.coefficient(z), dv.coefficient(z)))
                 for z in set(best.support) | set(dv.support)])

@@ -9,7 +9,10 @@ entry deleted.  ``serialize.parse_problem`` must either succeed or raise a
 
 The same mutations of the ``--element`` and ``--phi`` documents of the
 recorded ``member`` and ``vertical-exp`` command lines must end ``cli.main``
-with exit 0, 1 or 2, never with an exception.
+with exit 0, 1 or 2, never with an exception; so must the recorded
+``generators``, ``sections`` and ``eval`` command lines with a drawn ``--box``
+or ``--m``: wrong lengths, non-integers, lo > hi and coordinates of absolute
+value at most 8, which keeps every run short.
 """
 
 import contextlib
@@ -148,9 +151,11 @@ def test_spec_z_element_is_its_value():
 
 GOLDEN = os.path.join(ROOT, "bench", "golden", "fixtures.json")
 with open(GOLDEN) as fh:
-    # every fixture with a divisor or generators object; i33 and rem357 hold
-    # monomial ideals only
-    COMMANDS = [r["argv"] for r in json.load(fh) if r["argv"][0] in ("member", "vertical-exp")]
+    RECORDED = [r["argv"] for r in json.load(fh)]
+# every fixture with a divisor or generators object; i33 and rem357 hold
+# monomial ideals only
+COMMANDS = [argv for argv in RECORDED if argv[0] in ("member", "vertical-exp")]
+VECTOR_COMMANDS = [argv for argv in RECORDED if argv[0] in ("generators", "sections", "eval")]
 
 # values a function or an element may take: places, products of places, keys
 # off the support, primes and a large exponent
@@ -177,6 +182,55 @@ def mutated_command_lines(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_command_lines())
 def test_mutated_element_or_phi_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--json"])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+def rank_of(argv) -> int:
+    with open(os.path.join(ROOT, "fixtures", argv[argv.index("--input") + 1])) as fh:
+        return json.load(fh)["lattice_rank"]
+
+
+# an integer three times in four
+ENTRIES = st.one_of(*[st.integers(-8, 8).map(str)] * 3,
+                    st.sampled_from(["", "x", "1.5", "1/2", "-1/2", "1e1", "(1", "inf"]))
+
+
+@st.composite
+def joined(draw, entries, counts, sep):
+    count = draw(st.sampled_from(counts))
+    return sep.join(draw(st.lists(entries, min_size=count, max_size=count)))
+
+
+@st.composite
+def mutated_box_or_m(draw):
+    """A recorded command line with a drawn ``--m``, or ``--box`` for
+    ``generators``: rank entries, or one more or one fewer; a range is lo:hi
+    around 0 half the time, else drawn entries (lo > hi about half the
+    time) in one to three parts."""
+    argv = list(draw(st.sampled_from(VECTOR_COMMANDS)))
+    rank = rank_of(argv)
+    counts = [rank] * 4 + [rank - 1, rank + 1]
+    if argv[0] == "generators":
+        around_zero = st.tuples(st.integers(-8, 0), st.integers(1, 8)).map("{0[0]}:{0[1]}".format)
+        ranges = st.one_of(around_zero, joined(ENTRIES, [2] * 4 + [1, 3], ":"))
+        return argv + ["--box=" + draw(joined(ranges, counts, ","))]
+    i = argv.index("--m")
+    return argv[:i] + ["--m=" + draw(joined(ENTRIES, counts, ","))] + argv[i + 2:]
+
+
+def test_vector_commands_cover_every_divisor_fixture():
+    assert {argv[2] for argv in VECTOR_COMMANDS} == {
+        "ex345.json", "ex346.json", "ex445.json", "ex5617.json", "hnorm_a1.json",
+        "rem3314.json", "trivial_a1.json"}
+    assert {argv[0] for argv in VECTOR_COMMANDS} == {"generators", "sections", "eval"}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_box_or_m())
+def test_mutated_box_or_m_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv + ["--json"])
