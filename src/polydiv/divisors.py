@@ -394,24 +394,21 @@ def bounded_generators(d: PolyhedralDivisor,
 
 
 def _box_degrees(d: PolyhedralDivisor, box_bounds, weight) -> list[IVec]:
-    rays = d.tail.rays
-    degrees = [m for m in box_points(box_bounds)
-               if any(m) and all(sum(map(mul, m, r)) >= 0 for r in rays)]
-    degrees.sort(key=lambda m: (sum(map(mul, m, weight)), m))
+    degrees = [m for m in box_points(box_bounds) if d.in_weight_cone(m) and any(m)]
+    degrees.sort(key=lambda m: (dot(m, weight), m))
     return degrees
 
 
 def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
     """m -> (a(m), deg floor(D(m))) with a_z(m) the floor of D(m) at every
-    place z but infinity, in integers from each place's vertex rays.  The
-    piece at m lives over gen_m = prod_z z^(-a_z(m)), the element
-    :func:`curves.sections` builds its generators on."""
-    rays = [poly.vertex_rays for _, poly in d.coefficients]
+    place z but infinity, in integers.  The piece at m lives over
+    gen_m = prod_z z^(-a_z(m)), the element :func:`curves.sections` builds
+    its generators on."""
     finite = [i for i, (z, _) in enumerate(d.coefficients) if z.kind != "infinity"]
     degs = [z.degree for z, _ in d.coefficients]
     frames = {}
     for m in degrees:
-        floors = [min(sum(map(mul, m, kv)) // k for kv, k in vr) for vr in rays]
+        floors = [floored_support(poly, m) for _, poly in d.coefficients]
         frames[m] = (tuple(floors[i] for i in finite), sum(map(mul, degs, floors)))
     return frames
 
@@ -482,18 +479,18 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     vectors 0 .. dim - 1.  If g's vector plus the cofactor is nu at t and 0
     elsewhere, and r is full, the products g * A_r are
     gen_m * t^nu * Q[t]_{<dim_r}; when such intervals [nu, nu + dim_r)
-    cover [0, dim_m), m is full without a rank test.  Only a degree they leave uncovered has its
-    products reduced mod ``_PRIME``; the modular rank is at most the rank
-    over Q, so reaching dim_m proves the span, and only a shortfall goes to
-    the exact rank, :func:`linalg.independent_rows`.
+    cover [0, dim_m), m is full without a rank test.  Only a degree they
+    leave uncovered has its products reduced mod ``_PRIME``; the modular
+    rank is at most the rank over Q, so reaching dim_m proves the span,
+    and only a shortfall goes to the exact rank,
+    :func:`linalg.independent_rows`.
 
-    The box pass leaves every degree full: where the products fall short it
-    adds the basis elements gen_m * t^j that are not among them.  A
+    The box pass leaves every degree full: where the products fall short
+    it adds the basis elements gen_m * t^j that are not among them.  A
     product is t^j only if g's term and the product at r are powers of t,
     so the pass tracks, per degree, which powers of t occur.  The doubled
-    pass needs spans only: a box degree is full already, since the box pass
-    made it so from lighter degrees; a degree that fails keeps its exactly
-    independent products.
+    pass takes the box degrees as full and tests the others; a degree that
+    fails keeps its exactly independent products.
     """
     finite = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
     places = finite if (0, 1) in finite else finite + [(0, 1)]  # t is one coordinate
@@ -529,7 +526,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
         origin = (0,) * d.rank
         spans = {origin: [one]}  # vectors spanning the products; dim_m of them if full
         powers = {origin: {0}}  # box pass: the j with t^j among the products
-        failures = []
+        failed = set()
         for m in degrees:
             dim = max(frames[m][1] + 1, 0)
             if extend or m not in box:
@@ -540,11 +537,11 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
                 if extend:
                     powers[m] = {nu + j for nu, r in monomials for j in powers[r]}
                 if not _covers([(nu, nu + len(spans[r])) for nu, r in monomials
-                                if r not in failures], dim):
+                                if r not in failed], dim):
                     rows = list(dict.fromkeys(vadd(b, v) for b, r in terms for v in spans[r]))
                     kept = independent(rows, dim)
                     if len(kept) < dim and not extend:
-                        failures.append(m)
+                        failed.add(m)
                         spans[m] = kept
                         continue
                     if len(kept) < dim:
@@ -553,7 +550,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
                                     for j in range(dim) if j not in powers[m])
                         powers[m] = set(range(dim))
             spans[m] = units[:dim]
-        return failures
+        return [m for m in degrees if m in failed]
 
     gens: list[tuple[HomogeneousElement, IVec]] = []
     run(box_degrees, gens, extend=True)
