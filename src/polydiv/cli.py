@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import serialize as ser
 from .convex import hilbert_basis
-from .curves import RationalFunction, sections
+from .curves import RationalFunction
 from .divisors import (
     HomogeneousElement,
     bounded_generators,
@@ -330,7 +330,7 @@ def cmd_axiom_check(args, problem):
         d = ca.colored.divisor
 
         def function(m):
-            gen = sections(evaluate(d, m).floor()).generators[0]
+            gen = graded_piece(d, m).module.generators[0]
             return gen * RationalFunction.variable(rng.randint(0, 2))
 
         # built on the first expansion, so that sampling errors come first

@@ -13,6 +13,11 @@ a reducible place of higher degree is accepted, and orders there are wrong:
 the order of t^2+1 at the place t^4+3t^2+2 = (t^2+1)(t^2+2) comes out as 0.
 Membership (:func:`in_sections`) relies on it too: it reads the order at a
 place by dividing each key once.
+
+Sections and membership read one kind of divisor, an integer floor map
+z -> a_z for D = sum a_z * z, the map ``PolyhedralDivisor.floors`` gives:
+zero entries are allowed and change nothing, and the entry at infinity is
+read only on P1.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, prod
+from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import polynomials as up
@@ -373,15 +378,9 @@ class Divisor:
     def scaled(self, c) -> "Divisor":
         return Divisor.of(self.curve, [(z, Fraction(c) * a) for z, a in self.coefficients])
 
-    def floor(self) -> "Divisor":
-        return Divisor.of(self.curve, [(z, floor(a)) for z, a in self.coefficients])
-
     @property
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for _, a in self.coefficients)
-
-    def degree(self) -> Fraction:
-        return sum((Fraction(z.degree) * a for z, a in self.coefficients), Fraction(0))
 
     def restrict(self, excluded: Iterable[BasePoint]) -> "Divisor":
         cut = set(excluded)
@@ -422,11 +421,11 @@ def principal_divisors(fs: Sequence[RationalFunction], curve: BaseCurve,
 
 
 def in_sections(f: RationalFunction, curve: BaseCurve, floors: Mapping[BasePoint, int]) -> bool:
-    """Is f in H^0(O(D)) for D = sum floors[z] * z, that is ord_z(f) + floors[z] >= 0
-    at every place z?  One walk over f's factor map divides each key by each
-    support place that divides it; a pole left in a key is off the support.
-    Over Spec Z the denominator may have no prime but the support's, so
-    nothing is factored."""
+    """Is f in H^0(O(D)) for the floor map D = sum floors[z] * z, that is
+    ord_z(f) + floors[z] >= 0 at every place z?  One walk over f's factor map
+    divides each key by each support place that divides it; a pole left in a
+    key is off the support.  Over Spec Z the denominator may have no prime but
+    the support's, so nothing is factored."""
     if (curve is SPEC_Z) != (f.curve_kind == "spec_z"):
         raise WrongCurve(f"{f} is no function on {curve.value}")
     if curve is SPEC_Z:
@@ -491,17 +490,17 @@ class SectionModule:
         return "span{" + ", ".join(map(str, self.generators)) + "}"
 
 
-def sections(d: Divisor) -> SectionModule:
-    """H^0 of O(floor(D)): free over Q[t] or Z on affine bases, a Q-space on P1."""
-    dd = d.floor()
-    if d.curve is SPEC_Z:
+def sections(curve: BaseCurve, floors: Mapping[BasePoint, int]) -> SectionModule:
+    """H^0(O(D)) for the floor map D = sum floors[z] * z: free over Q[t] or Z
+    on affine bases, a Q-space of dimension deg D + 1 (or 0) on P1."""
+    if curve is SPEC_Z:
         return SectionModule.free(RationalFunction.rational_number(
-            prod(Fraction(z.prime) ** -int(a) for z, a in dd.coefficients)))
-    gen_factors = {z.poly: -int(a) for z, a in dd.coefficients if z.kind == "finite"}
-    gen = RationalFunction.from_factored(1, gen_factors)
-    if d.curve is AFFINE_LINE:
+            prod(Fraction(z.prime) ** -a for z, a in floors.items())))
+    gen = RationalFunction.from_factored(
+        1, {z.poly: -a for z, a in floors.items() if z.kind == "finite" and a})
+    if curve is AFFINE_LINE:
         return SectionModule.free(gen)
-    deg = int(dd.degree())
+    deg = sum(z.degree * a for z, a in floors.items())
     if deg < 0:
         return SectionModule.zero()
     return SectionModule.space(

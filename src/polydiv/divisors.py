@@ -2,11 +2,13 @@
 
 A polyhedral divisor assigns to finitely many points of the base curve a
 polyhedron with a fixed pointed tail cone; its evaluation at a weight
-vector is a rational Weil divisor, and the graded pieces are the section
-modules of the floors.  This module implements evaluation, degree
-polyhedra, properness, the generators -> divisor normalization map, the
-rank-one presentation, membership, graded pieces and box-certified
-generator extraction.
+vector m is a rational Weil divisor D(m).  Graded pieces, membership and
+generator frames read its floor through one integer map,
+:meth:`PolyhedralDivisor.floors`; :func:`evaluate` gives the rational D(m)
+where that value is itself the answer.  This module implements
+evaluation, degree polyhedra, properness, the generators -> divisor
+normalization map, the rank-one presentation, membership, graded pieces
+and box-certified generator extraction.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .convex import (
@@ -155,11 +157,12 @@ class PolyhedralDivisor:
         return self.tail.dual()
 
     def in_weight_cone(self, m: Sequence) -> bool:
-        return self.tail.rays == () or all(dot(m, r) >= 0 for r in self.tail.rays)
+        return all(dot(m, r) >= 0 for r in self.tail.rays)
 
     def floors(self, m: Sequence) -> dict[BasePoint, int]:
-        """z -> the floor of the least <m, v> over the vertices v at z; floor(D(m))
-        for m in the weight cone."""
+        """z -> the floor of the least <m, v> over the vertices v at z, an
+        integer floor map for :func:`curves.sections`: floor(D(m)) for m in the
+        weight cone, and the floored vertex minimum off it."""
         return {z: floored_support(poly, m) for z, poly in self.coefficients}
 
     def restrict(self, excluded: Iterable[BasePoint]) -> "PolyhedralDivisor":
@@ -278,7 +281,7 @@ class GradedPiece:
 def graded_piece(d: PolyhedralDivisor, m: Sequence) -> GradedPiece:
     if not d.in_weight_cone(m):
         raise OutsideWeightCone(f"{m} is outside the weight cone")
-    return GradedPiece(tuple(m), sections(evaluate(d, m)))
+    return GradedPiece(tuple(m), sections(d.curve, d.floors(m)))
 
 
 def quasifan(d: PolyhedralDivisor) -> tuple[Cone, ...]:
@@ -357,8 +360,7 @@ def bounded_generators(d: PolyhedralDivisor,
     degree keeps one exponent vector (:func:`_run_affine`).  On the
     projective line (:func:`_run_projective`) a product is the exponent
     vector of gen_m * t^J * prod_z z^e, and a piece is certified by the
-    intervals of powers of t its products cover before any rank test; a
-    ``Divisor`` is built only to read off a new generator.
+    intervals of powers of t its products cover before any rank test.
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -400,16 +402,15 @@ def _box_degrees(d: PolyhedralDivisor, box_bounds, weight) -> list[IVec]:
 
 
 def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
-    """m -> (a(m), deg floor(D(m))) with a_z(m) the floor of D(m) at every
-    place z but infinity, in integers.  The piece at m lives over
+    """m -> (a(m), deg floor(D(m))) with a_z(m) = ``d.floors(m)`` at every
+    place z but infinity.  The piece at m lives over
     gen_m = prod_z z^(-a_z(m)), the element :func:`curves.sections` builds
     its generators on."""
-    finite = [i for i, (z, _) in enumerate(d.coefficients) if z.kind != "infinity"]
-    degs = [z.degree for z, _ in d.coefficients]
     frames = {}
     for m in degrees:
-        floors = [floored_support(poly, m) for _, poly in d.coefficients]
-        frames[m] = (tuple(floors[i] for i in finite), sum(map(mul, degs, floors)))
+        floors = d.floors(m)
+        frames[m] = (tuple(a for z, a in floors.items() if z.kind != "infinity"),
+                     sum(z.degree * a for z, a in floors.items()))
     return frames
 
 
@@ -452,7 +453,7 @@ def _run_affine(d: PolyhedralDivisor, frames, degrees, gens, extend):
             if not extend:
                 failures.append(m)
                 continue
-            gens.append(HomogeneousElement(sections(evaluate(d, m)).generator, m))
+            gens.append(HomogeneousElement(sections(d.curve, d.floors(m)).generator, m))
             best = zero
         least[m] = best
     return failures
@@ -545,7 +546,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
                         spans[m] = kept
                         continue
                     if len(kept) < dim:
-                        basis = sections(evaluate(d, m)).generators
+                        basis = sections(d.curve, d.floors(m)).generators
                         gens.extend((HomogeneousElement(basis[j], m), units[j])
                                     for j in range(dim) if j not in powers[m])
                         powers[m] = set(range(dim))

@@ -22,7 +22,6 @@ from .curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
     BasePoint,
-    Divisor,
     RationalFunction,
     SectionModule,
     WrongCurve,
@@ -167,20 +166,12 @@ def toric_exponential(cone: Cone, root: DemazureRoot, lam,
     return ExponentialExpansion(tuple(terms))
 
 
-def vertical_min_divisor(d: PolyhedralDivisor, e: Sequence) -> Divisor:
-    """Vertex-minimum evaluation at e (defined even for e outside the weight cone)."""
-    coeffs = []
-    for z, poly in d.coefficients:
-        coeffs.append((z, min(dot(e, v) for v in poly.vertices)))
-    return Divisor.of(d.curve, coeffs)
-
-
 def vertical_phi(d: PolyhedralDivisor, root: DemazureRoot) -> SectionModule:
     """Admissible multiplier sections for the vertical action of a root."""
     ok, cert = is_proper(d)
     if not ok:
         raise ActionError(f"divisor is not proper: {cert}")
-    return sections(vertical_min_divisor(d, root.vector))
+    return sections(d.curve, d.floors(root.vector))  # e may leave the weight cone
 
 
 def vertical_exists(d: PolyhedralDivisor, ray: Sequence) -> bool:
@@ -372,8 +363,8 @@ class CoherentAssemblage:
     def of(colored: ColoredDivisor, degree: Sequence, exponents: Sequence[int],
            scalars: Sequence, char_exponent: int = 1) -> "CoherentAssemblage":
         exps = tuple(int(s) for s in exponents)
-        if list(exps) != sorted(set(exps)):
-            raise ActionError("exponent sequence must be strictly increasing")
+        if list(exps) != sorted(set(exps)) or min(exps, default=0) < 0:
+            raise ActionError("exponent sequence must be nonnegative and strictly increasing")
         lams = tuple(Fraction(l) for l in scalars)
         if len(lams) != len(exps) or not lams or any(l == 0 for l in lams):
             raise ActionError("scalars must be nonzero, one per exponent")
@@ -723,8 +714,6 @@ def horizontal_expander(ca: CoherentAssemblage
         terms = []
         for i in range(a + 1):
             coeff = scale0 * comb(a, i) * lam ** i
-            if coeff == 0:
-                continue
             func_i = RationalFunction.variable(ell + i * u).scaled(coeff) \
                 if ell + i * u else RationalFunction.from_factored(coeff)
             term = HomogeneousElement(func_i, vadd(el.degree,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil
 from typing import Iterable, Sequence
 
 from .convex import (
@@ -21,26 +20,25 @@ from .convex import (
     Polyhedron,
     box_points,
     dilate,
+    floored_support,
     hilbert_basis,
     is_polyhedron_normal,
     lattice_points_in_box,
     minimal_lattice_points,
     project_out_last,
     reachability_box,
-    support_value,
 )
 from .curves import (
     PROJECTIVE_LINE,
     BasePoint,
     WrongCurve,
     principal_divisors,
-    sections,
 )
 from .divisors import (
     GradedPiece,
     HomogeneousElement,
     PolyhedralDivisor,
-    evaluate,
+    graded_piece,
     member,
 )
 from .linalg import IVec, vsub
@@ -203,8 +201,7 @@ def closure_power_piece(pair: ReesPair, m: Sequence, e: int) -> GradedPiece:
     scaled = dilate(pair.newton, e)
     if not scaled.contains(m):
         raise DegreeOutsideDilate(f"{tuple(m)} is not in the {e}-fold Newton polyhedron")
-    ev = evaluate(pair.rees_divisor, tuple(m) + (e,))
-    return GradedPiece(tuple(m), sections(ev))
+    return GradedPiece(tuple(m), graded_piece(pair.rees_divisor, tuple(m) + (e,)).module)
 
 
 def _augmented_slice_points(pair: ReesPair, e: int, box) -> set[IVec]:
@@ -305,12 +302,10 @@ def pair_conditions(pair: ReesPair) -> ConditionReport:
 
 
 def _sections_attain_order(pair: ReesPair, mvec: IVec, z: BasePoint) -> bool:
-    ev = evaluate(pair.rees_divisor, tuple(mvec) + (1,)).floor()
-    mod = sections(ev)
-    if mod.is_zero:
-        return False
-    best = min(f.ord_at(z) for f in mod.generators)
-    return best == -ev.coefficient(z)
+    m = tuple(mvec) + (1,)
+    mod = graded_piece(pair.rees_divisor, m).module
+    return not mod.is_zero and \
+        min(f.ord_at(z) for f in mod.generators) == -pair.rees_divisor.floors(m).get(z, 0)
 
 
 def _fmt_vertices(p: Polyhedron) -> str:
@@ -337,7 +332,7 @@ def ptilde(pair: ReesPair, z: BasePoint) -> Polyhedron:
     tail = Cone.from_halfspaces(tail_normals, n + 1)
 
     def lift(m):
-        return tuple(m) + (ceil(-support_value(poly, tuple(m) + (1,))),)
+        return tuple(m) + (-floored_support(poly, tuple(m) + (1,)),)  # ceil(-x) = -floor(x)
 
     denom = pair.rees_divisor.denominator()
     hb = [tuple(denom * a for a in h) for h in hilbert_basis(wc)]

@@ -265,8 +265,8 @@ def parse_problem(doc) -> ProblemFile:
     if doc["version"] != "1":
         raise SchemaError("$.version", f"unsupported version {doc['version']!r}")
     curve = parse_curve(doc["curve"])
-    rank = doc["lattice_rank"]
-    if not isinstance(rank, int) or rank < 1 or rank > 6:
+    rank = parse_integer(doc["lattice_rank"], "$.lattice_rank")
+    if not 1 <= rank <= 6:
         raise SchemaError("$.lattice_rank", "expected an integer between 1 and 6")
     raw = doc["objects"]
     if not isinstance(raw, Mapping):
@@ -354,13 +354,9 @@ def _parse_object(value, problem: ProblemFile, path: str):
         _expect_keys(value, path, {"type", "coloring", "e", "s", "lambda"}, {"p"})
         colored = _deref(problem, value["coloring"], "coloring", f"{path}.coloring")
         e = parse_integer_vector(value["e"], f"{path}.e", rank)
-        s = value["s"]
-        if not isinstance(s, list) or not all(isinstance(x, int) for x in s):
-            raise SchemaError(f"{path}.s", "expected an array of integers")
+        s = [parse_integer(x, ipath) for ipath, x in _array(value, "s", path)]
         lams = [parse_rational(x, ipath) for ipath, x in _array(value, "lambda", path)]
-        p = value.get("p", 1)
-        if not isinstance(p, int):
-            raise SchemaError(f"{path}.p", "expected an integer")
+        p = parse_integer(value.get("p", 1), f"{path}.p")
         return ("assemblage",
                 CoherentAssemblage.of(colored, e, s, lams, p))
     raise SchemaError(f"{path}.type", f"unknown object type {kind!r}")

@@ -27,6 +27,12 @@ The membership oracle :func:`member_by_divisors` is the route
 principal divisor of f refined against the support, plus the floor of the
 evaluation as a :class:`Divisor`, is effective.
 
+The sections oracle :func:`sections_of_divisor` is the route
+``curves.sections`` took before it read the integer floor map
+``PolyhedralDivisor.floors``: it floors a rational :class:`Divisor`, such
+as the evaluation ``divisors.evaluate(d, m)``, and reads the degree of the
+floor off it.  The older oracles above reach graded pieces through it.
+
 The factor-map oracle is the route ``RationalFunction.from_factored`` took
 before factor refinement ran in one pass: :func:`two_pass_factor_map` grows a
 gcd-free basis factor by factor, then re-expresses every exponent over the
@@ -34,11 +40,13 @@ final basis by repeated division.
 """
 
 from fractions import Fraction
+from math import floor, prod
 from unittest import mock
 
 from polydiv import divisors, polynomials as up
 from polydiv.convex import Cone, Unbounded, hilbert_basis
 from polydiv.curves import (
+    AFFINE_LINE,
     PROJECTIVE_LINE,
     SPEC_Z,
     BaseCurve,
@@ -48,7 +56,6 @@ from polydiv.curves import (
     WrongCurve,
     _refine,
     principal_divisor,
-    sections,
 )
 from polydiv.divisors import (
     GeneratorReport,
@@ -185,18 +192,53 @@ def divisor_sum(first: Divisor, *rest: Divisor) -> Divisor:
     return Divisor.of(first.curve, [c for d in (first, *rest) for c in d.coefficients])
 
 
+def divisor_floor(d: Divisor) -> Divisor:
+    """The integral Weil divisor floor(D), coefficient by coefficient."""
+    return Divisor.of(d.curve, [(z, floor(a)) for z, a in d.coefficients])
+
+
+def divisor_degree(d: Divisor) -> Fraction:
+    """sum deg z * a_z over the coefficients, infinity included."""
+    return sum((Fraction(z.degree) * a for z, a in d.coefficients), Fraction(0))
+
+
+def sections_of_divisor(d: Divisor) -> SectionModule:
+    """``curves.sections`` of a rational Divisor: H^0 of O(floor(D))."""
+    dd = divisor_floor(d)
+    if d.curve is SPEC_Z:
+        return SectionModule.free(RationalFunction.rational_number(
+            prod(Fraction(z.prime) ** -int(a) for z, a in dd.coefficients)))
+    gen_factors = {z.poly: -int(a) for z, a in dd.coefficients if z.kind == "finite"}
+    gen = RationalFunction.from_factored(1, gen_factors)
+    if d.curve is AFFINE_LINE:
+        return SectionModule.free(gen)
+    deg = int(divisor_degree(dd))
+    if deg < 0:
+        return SectionModule.zero()
+    return SectionModule.space(
+        gen * RationalFunction.variable(j) if j else gen for j in range(deg + 1))
+
+
+def vertex_minimum_divisor(d: PolyhedralDivisor, e) -> Divisor:
+    """The least <e, v> over the vertices v at each place, a rational Divisor
+    defined off the weight cone too: ``gaactions.vertical_phi`` took the
+    sections of its floor before it read ``d.floors(e)``."""
+    return Divisor.of(d.curve, [(z, min(dot(e, v) for v in poly.vertices))
+                                for z, poly in d.coefficients])
+
+
 def member_by_divisors(el: HomogeneousElement, d) -> bool:
     """``divisors.member`` through Divisors: div(f) + floor(D(m)) >= 0."""
     if not d.in_weight_cone(el.degree):
         return False
     return is_effective(divisor_sum(principal_divisor(el.function, d.curve, d.support),
-                                    evaluate(d, el.degree).floor()))
+                                    divisor_floor(evaluate(d, el.degree))))
 
 
 def is_principal(d: Divisor) -> bool:
     if d.curve is not PROJECTIVE_LINE:
         raise WrongCurve("principality test is for the projective line")
-    return d.degree() == 0
+    return divisor_degree(d) == 0
 
 
 def dimension(module: SectionModule) -> int | None:
@@ -366,7 +408,7 @@ def piece_generated(d, m: IVec, products: list) -> bool:
 
     Exact linear algebra on coefficient vectors over the first basis element.
     """
-    target = sections(evaluate(d, m))
+    target = sections_of_divisor(evaluate(d, m))
     if target.is_zero:
         return True
     if not products:
@@ -404,7 +446,7 @@ def _run_projective(d, box_bounds, generators, weight, extend):
                 failures.append(m)
                 products[m] = prods
                 continue
-            merged = dedupe_functions(prods + list(sections(evaluate(d, m)).generators))
+            merged = dedupe_functions(prods + list(sections_of_divisor(evaluate(d, m)).generators))
             generators.extend(HomogeneousElement(f, m) for f in merged[len(prods):])
             prods = merged
         products[m] = prods
@@ -428,12 +470,12 @@ def _run_affine(d, box_bounds, generators, weight, extend):
                 points = set(best.support) | set(cand.support)
                 best = Divisor.of(d.curve, [
                     (z, min(best.coefficient(z), cand.coefficient(z))) for z in points])
-        target = evaluate(d, m).floor().scaled(-1)
+        target = divisor_floor(evaluate(d, m)).scaled(-1)
         if best != target:
             if not extend:
                 failures.append(m)
                 continue
-            generators.append(HomogeneousElement(sections(evaluate(d, m)).generator, m))
+            generators.append(HomogeneousElement(sections_of_divisor(evaluate(d, m)).generator, m))
             best = target
         reachable[m] = best
     return failures
@@ -518,7 +560,7 @@ def run_projective_by_products(d: PolyhedralDivisor, frames, box_degrees, degree
                 if len(independent) < dim and not extend:
                     failures.append(m)
                 elif len(independent) < dim:
-                    basis = sections(evaluate(d, m)).generators
+                    basis = sections_of_divisor(evaluate(d, m)).generators
                     for j in range(dim):
                         if (unit := (0,) * j + (1,)) not in seen:
                             gens.append((HomogeneousElement(basis[j], m), unit))

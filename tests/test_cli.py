@@ -8,7 +8,7 @@ import pytest
 
 from polydiv import gaactions, serialize as ser
 from polydiv.cli import main
-from polydiv.curves import PROJECTIVE_LINE, SPEC_Z
+from polydiv.curves import PROJECTIVE_LINE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 

@@ -21,6 +21,8 @@ from polydiv.curves import (
 )
 from oracles import (
     dimension,
+    divisor_degree,
+    divisor_floor,
     divisor_sum,
     is_effective,
     is_principal,
@@ -113,7 +115,7 @@ class TestPrincipalDivisor:
         assert d.coefficient(Z0) == 1
         assert d.coefficient(Z1) == -1
         assert d.coefficient(INF) == 0
-        assert d.degree() == 0
+        assert divisor_degree(d) == 0
 
     def test_over_spec_z(self):
         d = principal_divisor(RationalFunction.rational_number(F(2, 3)), SPEC_Z)
@@ -146,72 +148,84 @@ class TestPrincipalDivisor:
                            st.integers(-3, 3), min_size=1))
     def test_degree_zero_on_projective_line(self, fac):
         f = RationalFunction.from_factored(F(3, 7), fac)
-        assert principal_divisor(f, PROJECTIVE_LINE).degree() == 0
+        assert divisor_degree(principal_divisor(f, PROJECTIVE_LINE)) == 0
 
 
 class TestFloorsAndDegrees:
+    """The floor and degree of a rational Divisor, as the sections oracle reads them."""
+
     def test_floor(self):
         d = Divisor.of(PROJECTIVE_LINE, {Z0: F(-1, 2), Z1: F(3, 2)})
-        assert d.floor() == Divisor.of(PROJECTIVE_LINE, {Z0: -1, Z1: 1})
-        assert Divisor.of(PROJECTIVE_LINE, {Z0: F(1, 2)}).floor() == \
+        assert divisor_floor(d) == Divisor.of(PROJECTIVE_LINE, {Z0: -1, Z1: 1})
+        assert divisor_floor(Divisor.of(PROJECTIVE_LINE, {Z0: F(1, 2)})) == \
             zero_divisor(PROJECTIVE_LINE)
 
     def test_floor_fixes_integral(self):
         d = Divisor.of(AFFINE_LINE, {Z0: 2, Z1: -3})
-        assert d.floor() == d
+        assert divisor_floor(d) == d
 
     def test_degree_weights_residue_degree(self):
         quad = BasePoint.finite((1, 0, 1))  # t^2 + 1, degree 2
         d = Divisor.of(PROJECTIVE_LINE, {quad: F(1, 2)})
-        assert d.degree() == 1
+        assert divisor_degree(d) == 1
 
     def test_zero_divisor_degree(self):
-        assert zero_divisor(PROJECTIVE_LINE).degree() == 0
+        assert divisor_degree(zero_divisor(PROJECTIVE_LINE)) == 0
 
 
 class TestSections:
+    """``sections`` reads an integer floor map: zero entries allowed, the
+    entry at infinity read only on P1."""
+
     def test_spec_z_fractional_ideal(self):
-        d = Divisor.of(SPEC_Z, {BasePoint.of_prime(2): -1, BasePoint.of_prime(3): 1})
-        mod = sections(d)
+        mod = sections(SPEC_Z, {BasePoint.of_prime(2): -1, BasePoint.of_prime(3): 1})
         assert mod.kind == "free"
         assert mod.generator.constant == F(2, 3)
 
     def test_projective_zero_space(self):
         for r in range(6):
-            d = Divisor.of(PROJECTIVE_LINE, {Z0: r, Z1: -(r + 1)})
-            assert sections(d).is_zero
+            assert sections(PROJECTIVE_LINE, {Z0: r, Z1: -(r + 1)}).is_zero
 
     def test_affine_generator(self):
-        d = Divisor.of(AFFINE_LINE, {Z0: 1})
-        mod = sections(d)
+        mod = sections(AFFINE_LINE, {Z0: 1})
         assert mod.kind == "free"
         assert mod.generator.same_as(RationalFunction.variable(-1))
 
     def test_projective_dimension_formula(self):
         quad = BasePoint.finite((1, 0, 1))
-        for coeffs in ({Z0: 2}, {Z0: F(5, 2), Z1: -1}, {quad: 1}, {INF: 3, Z0: -1}):
-            d = Divisor.of(PROJECTIVE_LINE, coeffs)
-            expected = int(d.floor().degree()) + 1
-            got = dimension(sections(d))
-            assert got == max(0, expected)
+        for floors in ({Z0: 2}, {Z0: 2, Z1: -1}, {quad: 1}, {INF: 3, Z0: -1}, {INF: -1}):
+            expected = sum(z.degree * a for z, a in floors.items()) + 1
+            mod = sections(PROJECTIVE_LINE, floors)
+            assert dimension(mod) == max(0, expected)
             # membership check: every basis element is a section
-            for f in sections(d).generators:
-                dv = divisor_sum(principal_divisor(f, PROJECTIVE_LINE), d.floor())
+            for f in mod.generators:
+                dv = divisor_sum(principal_divisor(f, PROJECTIVE_LINE),
+                                 Divisor.of(PROJECTIVE_LINE, floors))
                 assert is_effective(dv)
-                assert in_sections(f, PROJECTIVE_LINE, dict(d.floor().coefficients))
+                assert in_sections(f, PROJECTIVE_LINE, floors)
+
+    @pytest.mark.parametrize("curve, floors", [
+        (AFFINE_LINE, {Z0: 1, Z1: -2}), (PROJECTIVE_LINE, {Z0: 1, INF: 2}),
+        (SPEC_Z, {BasePoint.of_prime(2): -1, BasePoint.of_prime(5): 2})])
+    def test_zero_entries_change_nothing(self, curve, floors):
+        extra = BasePoint.of_prime(3) if curve is SPEC_Z else BasePoint.finite((1, 0, 1))
+        assert sections(curve, {**floors, extra: 0}) == sections(curve, floors)
+
+    def test_infinity_is_read_only_on_p1(self):
+        assert sections(AFFINE_LINE, {Z0: 1, INF: -5}) == sections(AFFINE_LINE, {Z0: 1})
+        assert sections(PROJECTIVE_LINE, {Z0: 1, INF: -5}).is_zero
 
     def test_multiplicativity_into_sum(self):
         d1 = Divisor.of(AFFINE_LINE, {Z0: F(1, 2)})
         d2 = Divisor.of(AFFINE_LINE, {Z0: F(1, 2), Z1: 1})
-        g1 = sections(d1).generator
-        g2 = sections(d2).generator
-        prod_sections = sections(divisor_sum(d1.floor(), d2.floor()))
-        dv = divisor_sum(principal_divisor(g1 * g2, AFFINE_LINE), divisor_sum(d1, d2).floor())
+        g1, g2, g12 = (sections(AFFINE_LINE, dict(divisor_floor(d).coefficients)).generator
+                       for d in (d1, d2, divisor_sum(divisor_floor(d1), divisor_floor(d2))))
+        dv = divisor_sum(principal_divisor(g1 * g2, AFFINE_LINE),
+                         divisor_floor(divisor_sum(d1, d2)))
         assert is_effective(dv)
         # surjectivity onto generators over the affine line
-        assert (g1 * g2).same_as(prod_sections.generator) or \
-            principal_divisor(g1 * g2, AFFINE_LINE) != \
-            principal_divisor(prod_sections.generator, AFFINE_LINE)
+        assert (g1 * g2).same_as(g12) or \
+            principal_divisor(g1 * g2, AFFINE_LINE) != principal_divisor(g12, AFFINE_LINE)
 
 
 class TestIsPrincipal:

@@ -15,6 +15,10 @@ access ``.name`` outside its own body; it still cannot be told apart from a
 method of the same name in another class.  References count from ``src/``
 and ``bench/``, not from ``tests/``: code that only tests call belongs in
 ``tests/``.
+
+Every name an import binds, in ``src/``, ``bench/`` and ``tests/``, is used
+in its file: as a name, as the base of an attribute, or inside a quoted
+annotation.  ``from __future__`` imports bind no name.
 """
 
 import ast
@@ -22,9 +26,12 @@ import glob
 import os
 from collections import Counter
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "polydiv", "*.py")))
 FILES = SOURCES + sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
+TESTS = sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 MODULES = {os.path.basename(path)[:-3] for path in SOURCES}
 
 Function = ast.FunctionDef | ast.AsyncFunctionDef
@@ -107,3 +114,26 @@ def unreferenced() -> list[str]:
 
 def test_no_unreferenced_definitions():
     assert unreferenced() == []
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names an import in ``tree`` binds that nothing in it reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+    annotations = [n.annotation for n in ast.walk(tree)
+                   if isinstance(n, ast.arg | ast.AnnAssign) and n.annotation] + \
+        [n.returns for n in ast.walk(tree) if isinstance(n, Function) and n.returns]
+    quoted = [ast.parse(c.value, mode="eval") for a in annotations for c in ast.walk(a)
+              if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    used = {n.id for root in [tree] + quoted for n in ast.walk(root) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES + TESTS, ids=lambda path: os.path.relpath(path, ROOT))
+def test_no_unused_imports(path):
+    with open(path) as fh:
+        assert unused_imports(ast.parse(fh.read(), path)) == []

@@ -16,7 +16,6 @@ from polydiv.curves import (
     BasePoint,
     RationalFunction,
     WrongCurve,
-    principal_divisor,
 )
 from polydiv.divisors import (
     DegreesDoNotSpan,
@@ -34,6 +33,7 @@ from polydiv.divisors import (
     member,
     quasifan,
 )
+from polydiv.gaactions import ActionError, roots_with_ray, vertical_phi
 from polydiv.linalg import vadd
 import oracles
 from oracles import default_box, nonnegative_orthant
@@ -175,7 +175,7 @@ class TestEvaluate:
         d = example_345_divisor()
         deg = degree_polyhedron(d)
         for m in itertools.product(range(4), repeat=2):
-            assert support_value(deg, m) == evaluate(d, m).degree()
+            assert support_value(deg, m) == oracles.divisor_degree(evaluate(d, m))
 
 
 class TestDegreeAndProper:
@@ -415,6 +415,40 @@ class TestGradedPieces:
         for m in itertools.product(range(5), repeat=2):
             if d.in_weight_cone(m):
                 assert graded_piece(d, m).module.kind == "free"
+
+
+def same_module(a, b) -> bool:
+    return a.kind == b.kind and len(a.generators) == len(b.generators) and \
+        all(f.same_as(g) for f, g in zip(a.generators, b.generators))
+
+
+class TestPiecesAgainstDivisorRoute:
+    """``graded_piece`` and ``vertical_phi`` read the integer floor map
+    ``PolyhedralDivisor.floors``; flooring the rational evaluation, or the
+    vertex minimum off the weight cone, as a Divisor gives the same module."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(member_problems())
+    def test_same_module(self, problem):
+        el, d = problem
+        m = el.degree
+        if d.in_weight_cone(m):
+            assert same_module(graded_piece(d, m).module,
+                               oracles.sections_of_divisor(evaluate(d, m)))
+        else:
+            for route in (graded_piece, evaluate):
+                with pytest.raises(OutsideWeightCone):
+                    route(d, m)
+        proper = is_proper(d)[0]
+        for ray in d.tail.rays:
+            for root in roots_with_ray(d.tail, ray, [(-2, 2)] * d.rank):
+                assert not d.in_weight_cone(root.vector)
+                if not proper:
+                    with pytest.raises(ActionError):
+                        vertical_phi(d, root)
+                    continue
+                assert same_module(vertical_phi(d, root), oracles.sections_of_divisor(
+                    oracles.vertex_minimum_divisor(d, root.vector)))
 
 
 class TestBoundedGenerators:

@@ -44,7 +44,6 @@ from polydiv.gaactions import (
     validate_coloring,
     vertical_exists,
     vertical_exponential,
-    vertical_min_divisor,
     vertical_phi,
 )
 from polydiv.linalg import bareiss_det, dot
@@ -148,10 +147,7 @@ class TestVertical:
 
     def test_min_divisor_values(self):
         d = example_345_divisor()
-        dv = vertical_min_divisor(d, (-1, 0))
-        assert dv.coefficient(Z0) == F(1, 2)
-        assert dv.coefficient(Z1) == F(-1, 2)
-        assert dv.coefficient(INF) == F(-1, 2)
+        assert d.floors((-1, 0)) == {Z0: 0, Z1: -1, INF: -1}
 
     def test_phi_on_shifted_cone(self):
         d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {
