@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import serialize as ser
 from .convex import hilbert_basis
@@ -36,7 +35,6 @@ from .gaactions import (
     axiom_check,
     horizontal_conditions,
     horizontal_expander,
-    horizontal_exponential,
     horizontal_kernel,
     is_demazure_root,
     roots_with_ray,
@@ -76,6 +74,14 @@ def _box(args, problem) -> list[tuple[int, int]]:
                                        f"lo:hi, got {len(parts)}")
     return [ser.parse_integer_vector(part.split(":"), f"$.box[{i}]", 2)
             for i, part in enumerate(parts)]
+
+
+def _at_least(args, name: str, low: int) -> int | None:
+    """The integer option ``--name``, which must be at least ``low``."""
+    value = getattr(args, name)
+    if value is not None and value < low:
+        raise ser.SchemaError(f"$.{name}", f"must be at least {low}, got {value}")
+    return value
 
 
 def _report_doc(report) -> dict:
@@ -257,9 +263,9 @@ def cmd_root_check(args, problem):
 def cmd_toric_exp(args, problem):
     d = _divisor_arg(args, problem)
     root = _root_arg(args, d, problem)
-    exp = toric_exponential(d.tail, root, ser.parse_rational(args.scalar, "$.scalar"),
-                            _vector(args, "m", problem))
-    return _expansion_doc(exp)
+    lam = ser.parse_rational(args.scalar, "$.scalar")
+    el = HomogeneousElement(RationalFunction.from_factored(1), _vector(args, "m", problem))
+    return _expansion_doc(toric_exponential(d.tail, root, lam, el))
 
 
 def cmd_vertical_exists(args, problem):
@@ -300,13 +306,13 @@ def cmd_horizontal_check(args, problem):
         ca.colored.divisor, omega, ca.degree, ca.char_exponent, ca.exponents[0],
         base_point=ca.colored.base_point,
         infinity_point=ca.colored.infinity_point,
-        exhaustive_box=args.exhaustive_box)
+        exhaustive_box=_at_least(args, "exhaustive_box", 0))
     return _report_doc(report)
 
 
 def cmd_horizontal_exp(args, problem):
     ca = problem.get(args.object, "assemblage")
-    exp = horizontal_exponential(ca, _element_arg(args, problem))
+    exp = horizontal_expander(ca)(_element_arg(args, problem))
     return _expansion_doc(exp)
 
 
@@ -324,6 +330,7 @@ def cmd_kernel(args, problem):
 def cmd_axiom_check(args, problem):
     """Samples t^k times a section generator on an assemblage's divisor, or a
     constant on a divisor's; degrees are random Hilbert-basis sums."""
+    count = _at_least(args, "samples", 1)
     rng = random.Random(args.seed)
     kind, ca = problem.objects.get(args.object, (None, None))
     if kind == "assemblage":
@@ -344,20 +351,16 @@ def cmd_axiom_check(args, problem):
         lam = ser.parse_rational(args.scalar, "$.scalar")
 
         def function(m):
-            return RationalFunction.from_factored(Fraction(rng.randint(1, 3)))
+            return RationalFunction.from_factored(rng.randint(1, 3))
 
-        def expand(el):
-            base = toric_exponential(d.tail, root, lam, el.degree)
-            c = el.function.constant
-            return ExponentialExpansion(
-                tuple((i, x.scaled(c)) for i, x in base.terms))
+        expand = functools.partial(toric_exponential, d.tail, root, lam)
     basis = hilbert_basis(d.weight_cone)
 
     def sample() -> HomogeneousElement:
         m = tuple(sum(rng.randint(0, 2) * b[j] for b in basis) for j in range(d.rank))
         return HomogeneousElement(function(m), m)
 
-    samples = [(sample(), sample()) for _ in range(args.samples)]
+    samples = [(sample(), sample()) for _ in range(count)]
     return _report_doc(axiom_check(expand, samples))
 
 
@@ -463,8 +466,10 @@ def _print_human(doc, indent=0):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if stop.code else 0
     handler, _ = COMMANDS[args.command]
     try:
         problem = _load(args)

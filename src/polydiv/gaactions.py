@@ -7,12 +7,18 @@ and horizontal type (classified by colored divisors and coherent
 assemblages).  All exponential evaluation is characteristic zero; a prime
 exponent characteristic enters the horizontal classification only through
 integer arithmetic in the admissibility conditions.
+
+Every action of degree e expands f chi^m by one binomial series
+(:func:`_series`): term i is binom(h, i) g^i f chi^(m + i e), i = 0..h, where
+toric h = <m, rho>, g = lambda; vertical h = <m, rho>, g = phi; horizontal
+h = d (h(m) + l), g = lambda t^u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, floor
 from typing import Callable, Sequence
 
@@ -146,24 +152,35 @@ class ExponentialExpansion:
         return " + ".join(f"({el})x^{i}" if i else f"{el}" for i, el in self.terms)
 
 
-def toric_exponential(cone: Cone, root: DemazureRoot, lam,
-                      m: Sequence) -> ExponentialExpansion:
-    """Exponential of the homogeneous derivation of a Demazure root on chi^m."""
-    lam = Fraction(lam)
-    e, rho = root.vector, root.distinguished_ray
-    weight = cone.dual()
-    m = tuple(int(a) for a in m)
-    if not weight.contains(m):
-        raise OutsideWeightCone(f"{m} is outside the weight cone")
-    height = dot(m, rho)
+def _series(el: HomogeneousElement, height: int, step: RationalFunction, e: Sequence,
+            check: Callable[[HomogeneousElement], None]) -> ExponentialExpansion:
+    """Terms binom(height, i) step^i el chi^(i e), i = 0..height, each passed to ``check``."""
     terms = []
     for i in range(height + 1):
-        coeff = comb(height, i) * lam ** i
-        deg = vadd(m, tuple(i * a for a in e))
-        assert weight.contains(deg)
-        terms.append((i, HomogeneousElement(
-            RationalFunction.from_factored(coeff), deg)))
+        func = el.function.scaled(comb(height, i))
+        term = HomogeneousElement(func * step ** i if i else func,
+                                  vadd(el.degree, tuple(i * a for a in e)))
+        check(term)
+        terms.append((i, term))
     return ExponentialExpansion(tuple(terms))
+
+
+def _check_member(d: PolyhedralDivisor, term: HomogeneousElement) -> None:
+    if not member(term, d):
+        raise NonMember(f"term {term} left the section algebra")
+
+
+def toric_exponential(cone: Cone, root: DemazureRoot, lam,
+                      el: HomogeneousElement) -> ExponentialExpansion:
+    """Exponential of the homogeneous derivation of a Demazure root on c chi^m."""
+    step = RationalFunction.from_factored(lam)
+    weight = cone.dual()
+    if not weight.contains(el.degree):
+        raise OutsideWeightCone(f"{el.degree} is outside the weight cone")
+
+    def check(term: HomogeneousElement) -> None:
+        assert weight.contains(term.degree)
+    return _series(el, dot(el.degree, root.distinguished_ray), step, root.vector, check)
 
 
 def vertical_phi(d: PolyhedralDivisor, root: DemazureRoot) -> SectionModule:
@@ -212,17 +229,8 @@ def vertical_exponential(d: PolyhedralDivisor, root: DemazureRoot,
         raise PhiNotAdmissible(f"{phi} is not a section of the multiplier module")
     if not member(el, d):
         raise NonMember(f"{el} is not in the section algebra")
-    e, rho = root.vector, root.distinguished_ray
-    height = dot(el.degree, rho)
-    terms = []
-    for i in range(height + 1):
-        coeff = comb(height, i)
-        func = el.function.scaled(coeff) * phi ** i if i else el.function.scaled(coeff)
-        term = HomogeneousElement(func, vadd(el.degree, tuple(i * a for a in e)))
-        if not member(term, d):
-            raise NonMember(f"term {term} left the section algebra")
-        terms.append((i, term))
-    return ExponentialExpansion(tuple(terms))
+    return _series(el, dot(el.degree, root.distinguished_ray), phi, root.vector,
+                   partial(_check_member, d))
 
 
 @dataclass(frozen=True)
@@ -663,18 +671,14 @@ def _pairing_kernel_basis(row: IVec, modulus: int, n: int) -> tuple[IVec, ...]:
 
 def horizontal_expander(ca: CoherentAssemblage
                         ) -> Callable[[HomogeneousElement], ExponentialExpansion]:
-    """Characteristic-zero expansion of the horizontal action, as a function
-    of the element t^l chi^m.
+    """Characteristic-zero expansion of the horizontal action on c t^l chi^m.
 
-    Works in the degree-d root cover of the parameter: the i-th term is
-    binom(d(h(m) + l), i) lambda^i t^{l + i u} chi^{m + i e}, every term
-    checked to land back in the section algebra.  The characteristic, the
-    coherence axioms (:func:`assemblage_check`) and the position of the
-    marked points depend on ``ca`` only, so they are checked here once; the
-    returned function checks membership of each element.  The errors come
-    in the order of :func:`horizontal_exponential` on each element: the
-    characteristic and ``ConditionsFail`` raise here, then ``NonMember``,
-    then marked points that are not normalized.
+    Works in the degree-d root cover of the parameter: term i is
+    binom(d(h(m) + l), i) lambda^i c t^{l + i u} chi^{m + i e}, and must stay
+    in the section algebra.  The characteristic and the coherence axioms
+    (:func:`assemblage_check`) depend on ``ca`` only and raise here; the
+    returned function raises, per element, ``NonMember``, then marked points
+    that are not normalized, then an element not of the form c t^l chi^m.
     """
     cd = ca.colored
     d = cd.divisor
@@ -691,46 +695,24 @@ def horizontal_expander(ca: CoherentAssemblage
         points_error = str(err)
     v0 = cd.color(cd.base_point)
     dd = cd.color_denominator
-    lam = ca.scalars[0]
     u = -Fraction(1, dd) - dot(ca.degree, v0)
     assert u.denominator == 1
-    u = int(u)
-    origin = BasePoint.rational(0)
+    step = RationalFunction.variable(int(u)).scaled(ca.scalars[0])
+    origin = BasePoint.rational(0)  # once: building a place checks its polynomial
 
     def expand(el: HomogeneousElement) -> ExponentialExpansion:
         if not member(el, d):
             raise NonMember(f"{el} is not in the section algebra")
         if points_error:
             raise ActionError(points_error)
-        func = el.function
-        ell = func.ord_at(origin)
-        quot = func / RationalFunction.variable(ell) if ell else func
-        if quot.factors:
+        ell = el.function.ord_at(origin)
+        if (el.function / RationalFunction.variable(ell)).factors:
             raise ActionError("exponentials expect elements of the form c * t^l chi^m")
-        scale0 = quot.constant
         a = dd * (dot(el.degree, v0) + ell)
         assert a == int(a) and a >= 0, a
-        a = int(a)
-        terms = []
-        for i in range(a + 1):
-            coeff = scale0 * comb(a, i) * lam ** i
-            func_i = RationalFunction.variable(ell + i * u).scaled(coeff) \
-                if ell + i * u else RationalFunction.from_factored(coeff)
-            term = HomogeneousElement(func_i, vadd(el.degree,
-                                                   tuple(i * c for c in ca.degree)))
-            if not member(term, d):
-                raise NonMember(f"term {term} left the section algebra")
-            terms.append((i, term))
-        return ExponentialExpansion(tuple(terms))
+        return _series(el, int(a), step, ca.degree, partial(_check_member, d))
 
     return expand
-
-
-def horizontal_exponential(ca: CoherentAssemblage, el: HomogeneousElement,
-                           ) -> ExponentialExpansion:
-    """Characteristic-zero expansion of the horizontal action on t^l chi^m
-    (see :func:`horizontal_expander`)."""
-    return horizontal_expander(ca)(el)
 
 
 def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansion],

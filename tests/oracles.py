@@ -37,10 +37,17 @@ The factor-map oracle is the route ``RationalFunction.from_factored`` took
 before factor refinement ran in one pass: :func:`two_pass_factor_map` grows a
 gcd-free basis factor by factor, then re-expresses every exponent over the
 final basis by repeated division.
+
+The expansion oracles :func:`toric_by_terms`, :func:`vertical_by_terms` and
+:func:`horizontal_by_terms` are the routes the three additive-group actions
+took before they shared ``gaactions._series``: each builds the coefficient of
+its i-th term on its own, the toric one from binom(h, i) lambda^i alone and
+rescaled by the element's constant afterwards, the horizontal one as
+c binom(a, i) lambda^i t^(l + i u).
 """
 
 from fractions import Fraction
-from math import floor, prod
+from math import comb, floor, prod
 from unittest import mock
 
 from polydiv import divisors, polynomials as up
@@ -50,11 +57,13 @@ from polydiv.curves import (
     PROJECTIVE_LINE,
     SPEC_Z,
     BaseCurve,
+    BasePoint,
     Divisor,
     RationalFunction,
     SectionModule,
     WrongCurve,
     _refine,
+    in_sections,
     principal_divisor,
 )
 from polydiv.divisors import (
@@ -65,6 +74,16 @@ from polydiv.divisors import (
     _poly_mul,
     _raises_rank,
     evaluate,
+    member,
+)
+from polydiv.gaactions import (
+    ActionError,
+    CoherentAssemblage,
+    DemazureRoot,
+    ExponentialExpansion,
+    NonMember,
+    OutsideWeightCone,
+    PhiNotAdmissible,
 )
 from polydiv.linalg import (
     IVec,
@@ -73,6 +92,7 @@ from polydiv.linalg import (
     integer_kernel_basis,
     is_zero_vector,
     primitive,
+    vadd,
     vsub,
 )
 
@@ -578,3 +598,76 @@ def generators_by_products(d, box) -> GeneratorReport:
     for its passes on the projective line."""
     with mock.patch.object(divisors, "_run_projective", run_projective_by_products):
         return divisors.bounded_generators(d, box)
+
+
+def toric_by_terms(cone: Cone, root: DemazureRoot, lam,
+                   el: HomogeneousElement) -> ExponentialExpansion:
+    """``gaactions.toric_exponential`` by its own loop on chi^m, every term
+    then rescaled by the constant c of the element c chi^m."""
+    lam = Fraction(lam)
+    e, rho = root.vector, root.distinguished_ray
+    weight = cone.dual()
+    m = tuple(int(a) for a in el.degree)
+    if not weight.contains(m):
+        raise OutsideWeightCone(f"{m} is outside the weight cone")
+    height = dot(m, rho)
+    terms = []
+    for i in range(height + 1):
+        coeff = comb(height, i) * lam ** i
+        deg = vadd(m, tuple(i * a for a in e))
+        assert weight.contains(deg)
+        terms.append((i, HomogeneousElement(
+            RationalFunction.from_factored(coeff), deg).scaled(el.function.constant)))
+    return ExponentialExpansion(tuple(terms))
+
+
+def vertical_by_terms(d: PolyhedralDivisor, root: DemazureRoot, phi: RationalFunction,
+                      el: HomogeneousElement) -> ExponentialExpansion:
+    """``gaactions.vertical_exponential`` by its own loop."""
+    if not in_sections(phi, d.curve, d.floors(root.vector)):
+        raise PhiNotAdmissible(f"{phi} is not a section of the multiplier module")
+    if not member(el, d):
+        raise NonMember(f"{el} is not in the section algebra")
+    e, rho = root.vector, root.distinguished_ray
+    height = dot(el.degree, rho)
+    terms = []
+    for i in range(height + 1):
+        coeff = comb(height, i)
+        func = el.function.scaled(coeff) * phi ** i if i else el.function.scaled(coeff)
+        term = HomogeneousElement(func, vadd(el.degree, tuple(i * a for a in e)))
+        if not member(term, d):
+            raise NonMember(f"term {term} left the section algebra")
+        terms.append((i, term))
+    return ExponentialExpansion(tuple(terms))
+
+
+def horizontal_by_terms(ca: CoherentAssemblage,
+                        el: HomogeneousElement) -> ExponentialExpansion:
+    """``gaactions.horizontal_expander(ca)(el)`` by its own loop, for a
+    coherent characteristic-zero ``ca`` whose base point is 0 (its other
+    checks are the expander's)."""
+    cd = ca.colored
+    d = cd.divisor
+    v0 = cd.color(cd.base_point)
+    dd = cd.color_denominator
+    lam = ca.scalars[0]
+    u = int(-Fraction(1, dd) - dot(ca.degree, v0))
+    if not member(el, d):
+        raise NonMember(f"{el} is not in the section algebra")
+    func = el.function
+    ell = func.ord_at(BasePoint.rational(0))
+    quot = func / RationalFunction.variable(ell) if ell else func
+    if quot.factors:
+        raise ActionError("exponentials expect elements of the form c * t^l chi^m")
+    scale0 = quot.constant
+    a = int(dd * (dot(el.degree, v0) + ell))
+    terms = []
+    for i in range(a + 1):
+        coeff = scale0 * comb(a, i) * lam ** i
+        func_i = RationalFunction.variable(ell + i * u).scaled(coeff) \
+            if ell + i * u else RationalFunction.from_factored(coeff)
+        term = HomogeneousElement(func_i, vadd(el.degree, tuple(i * c for c in ca.degree)))
+        if not member(term, d):
+            raise NonMember(f"term {term} left the section algebra")
+        terms.append((i, term))
+    return ExponentialExpansion(tuple(terms))

@@ -339,6 +339,43 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith(f"schema error: {path}: ")
 
+    @pytest.mark.parametrize("argv, path", [
+        (["horizontal-check", "--input", "ex5617.json", "--object", "assemblage",
+          "--exhaustive-box=-1"], "$.exhaustive_box"),
+        (["axiom-check", "--input", "ex345.json", "--object", "divisor", "--e=0,-1",
+          "--samples=0"], "$.samples"),
+        (["axiom-check", "--input", "hnorm_a1.json", "--object", "assemblage",
+          "--samples=-3"], "$.samples")], ids=["box-1", "samples0", "samples-3"])
+    def test_an_empty_sample_is_a_schema_error(self, capsys, argv, path):
+        """A checker run on no sample would pass whatever the object."""
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"schema error: {path}: must be at least ")
+
+    def test_exhaustive_box_zero_checks_the_origin(self, capsys):
+        code, out, _ = run_capture(capsys, "horizontal-check", "--input", "ex5617.json",
+                                   "--object", "assemblage", "--exhaustive-box=0", "--json")
+        assert code == 0 and json.loads(out)["result"]["all_pass"]
+
+    @pytest.mark.parametrize("argv", [
+        ["closure-piece", "--input", "ex345.json", "--object", "ideal", "--m", "2,2",
+         "--e", "x"],
+        ["oracle", "--input", "i33.json", "--object", "ideal", "--m", "1,1", "--dmax=1.5"],
+        ["axiom-check", "--input", "ex345.json", "--object", "divisor", "--samples=x"],
+        ["axiom-check", "--input", "ex345.json", "--object", "divisor", "--seed=1/2"],
+        ["horizontal-check", "--input", "ex5617.json", "--exhaustive-box="],
+        ["eval", "--input", "ex345.json", "--object", "divisor"],
+        ["no-such-command"]], ids=["e", "dmax", "samples", "seed", "box", "missing", "command"])
+    def test_usage_error_is_one(self, capsys, argv):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: polydiv") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["toric-exp", "--help"]])
+    def test_help_is_zero(self, capsys, argv):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: polydiv")
+
     def test_math_error_is_two(self, capsys):
         code, _, err = run_capture(
             capsys, "eval", "--input", fixture("ex345.json"),

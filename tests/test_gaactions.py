@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from polydiv.convex import Cone, Polyhedron
 from polydiv.curves import (
@@ -18,6 +19,7 @@ from polydiv.divisors import (
     HomogeneousElement,
     PolyhedralDivisor,
     divisor_from_generators,
+    graded_piece,
     member,
 )
 from polydiv.gaactions import (
@@ -35,7 +37,6 @@ from polydiv.gaactions import (
     axiom_check,
     horizontal_conditions,
     horizontal_expander,
-    horizontal_exponential,
     horizontal_kernel,
     is_demazure_root,
     p_power_part,
@@ -47,7 +48,15 @@ from polydiv.gaactions import (
     vertical_phi,
 )
 from polydiv.linalg import bareiss_det, dot
-from oracles import divisor_sum, nonnegative_orthant, one, outcome
+from oracles import (
+    divisor_sum,
+    horizontal_by_terms,
+    nonnegative_orthant,
+    one,
+    outcome,
+    toric_by_terms,
+    vertical_by_terms,
+)
 
 SIGMA = nonnegative_orthant(2)
 Z0 = BasePoint.rational(0)
@@ -106,27 +115,32 @@ class TestDemazureRoots:
             roots_with_ray(SIGMA, (1, 1), [(-1, 1), (-1, 1)])
 
 
+def chi(m, c=1) -> HomogeneousElement:
+    """The element c chi^m."""
+    return HomogeneousElement(RationalFunction.from_factored(c), tuple(m))
+
+
 class TestToricExponential:
     def test_kernel_face(self):
         root = is_demazure_root(SIGMA, (-1, 1))
-        exp = toric_exponential(SIGMA, root, 5, (0, 2))
+        exp = toric_exponential(SIGMA, root, 5, chi((0, 2)))
         assert len(exp.terms) == 1
 
     def test_height_one(self):
         root = is_demazure_root(SIGMA, (-1, 1))
-        exp = toric_exponential(SIGMA, root, F(1, 2), (1, 0))
+        exp = toric_exponential(SIGMA, root, F(1, 2), chi((1, 0)))
         assert [i for i, _ in exp.terms] == [0, 1]
         assert exp.terms[1][1].function.constant == F(1, 2)
         assert exp.terms[1][1].degree == (0, 1)
 
     def test_binomial_row(self):
         root = is_demazure_root(SIGMA, (-1, 1))
-        exp = toric_exponential(SIGMA, root, 1, (3, 0))
+        exp = toric_exponential(SIGMA, root, 1, chi((3, 0)))
         assert [el.function.constant for _, el in exp.terms] == [1, 3, 3, 1]
 
     def test_degree_shift(self):
         root = is_demazure_root(SIGMA, (-1, 2))
-        exp = toric_exponential(SIGMA, root, 1, (2, 1))
+        exp = toric_exponential(SIGMA, root, 1, chi((2, 1)))
         for i, el in exp.terms:
             assert el.degree == (2 - i, 1 + 2 * i)
 
@@ -134,7 +148,7 @@ class TestToricExponential:
         # the x-degree of the expansion recovers <m, rho>
         root = is_demazure_root(SIGMA, (-1, 0))
         for m in ((1, 0), (2, 3), (4, 1)):
-            exp = toric_exponential(SIGMA, root, 1, m)
+            exp = toric_exponential(SIGMA, root, 1, chi(m))
             assert exp.terms[-1][0] == dot(m, root.distinguished_ray)
             assert exp.terms[-1][1].function.constant == 1
 
@@ -408,7 +422,7 @@ class TestHorizontalExponential:
 
     def test_normal_form_derivative_of_t(self):
         el = HomogeneousElement(RationalFunction.variable(1), (0,))
-        exp = horizontal_exponential(self.ca, el)
+        exp = horizontal_expander(self.ca)(el)
         # a = d(h(0) + 1) = 2, u = 0: terms t, 2t chi, t chi^2
         assert [i for i, _ in exp.terms] == [0, 1, 2]
         assert exp.terms[1][1].function.same_as(RationalFunction.variable(1).scaled(2))
@@ -416,7 +430,7 @@ class TestHorizontalExponential:
 
     def test_kernel_element(self):
         el = HomogeneousElement(RationalFunction.variable(1), (2,))
-        exp = horizontal_exponential(self.ca, el)
+        exp = horizontal_expander(self.ca)(el)
         assert len(exp.terms) == 1
 
     def test_all_terms_members(self):
@@ -425,7 +439,7 @@ class TestHorizontalExponential:
             m = rng.randint(0, 4)
             l = rng.randint((m + 1) // 2, 4)
             f = RationalFunction.variable(l) if l else one(AFFINE_LINE)
-            exp = horizontal_exponential(self.ca, HomogeneousElement(f, (m,)))
+            exp = horizontal_expander(self.ca)(HomogeneousElement(f, (m,)))
             for _, term in exp.terms:
                 assert member(term, self.d)
 
@@ -439,8 +453,7 @@ class TestHorizontalExponential:
                                colors={Z0: (F(-1, 2),), Z1: (F(1, 3),)})
         with pytest.raises((ConditionsFail, Exception)):
             ca = CoherentAssemblage.of(cd, degree=(1,), exponents=[0], scalars=[1])
-            horizontal_exponential(ca, HomogeneousElement(
-                RationalFunction.variable(1), (0,)))
+            horizontal_expander(ca)(HomogeneousElement(RationalFunction.variable(1), (0,)))
 
 
 SIG1 = Cone.from_rays([(1,)], 1)
@@ -478,34 +491,98 @@ class TestHorizontalErrorOrder:
     ], ids=["char-before-coherence", "coherence-before-member",
             "member", "member-before-points", "points"])
     def test_first_failing_check_raises(self, ca, el, error, text):
-        for expand in (lambda x: horizontal_exponential(ca, x),
-                       lambda x: horizontal_expander(ca)(x)):
-            with pytest.raises(ActionError) as err:
-                expand(el)
-            assert type(err.value) is error and text in str(err.value)
+        with pytest.raises(ActionError) as err:
+            horizontal_expander(ca)(el)
+        assert type(err.value) is error and text in str(err.value)
 
     def test_one_expander_serves_many_elements(self):
         ca = half_assemblage(Z0)
         expand = horizontal_expander(ca)
         for el in (T_CHI0, HomogeneousElement(RationalFunction.variable(2), (3,))):
-            assert expand(el) == horizontal_exponential(ca, el)
+            assert expand(el) == horizontal_expander(ca)(el)
         with pytest.raises(NonMember):
             expand(OUTSIDE)
 
 
-def toric_expansion_fn(root, lam):
-    def fn(el):
-        base = toric_exponential(SIGMA, root, lam, el.degree)
-        c = el.function.constant
-        return ExponentialExpansion(tuple((i, x.scaled(c)) for i, x in base.terms))
-    return fn
+def terms_or_error(route, *args):
+    """Every term of an expansion exactly as it serializes, or the error."""
+    try:
+        exp = route(*args)
+    except (ActionError, CurveError) as err:
+        return type(err).__name__, str(err)
+    return [(i, t.function.curve_kind, t.function.constant, t.function.factors, t.degree)
+            for i, t in exp.terms]
+
+
+SCALARS = st.sampled_from([1, 2, -1, F(1, 2), F(-2, 3), F(5, 4)])
+SMALL_CONES = [SIGMA, Cone.from_rays([(1, 0), (1, 3)], 2),
+               Cone.from_rays([(1, 0), (1, 1), (0, 1), (-1, 2)], 2)]
+
+
+class TestOneSeries:
+    """The three actions share ``gaactions._series``; the loops each built
+    before are the oracles, compared term by term and error by error."""
+
+    @given(st.sampled_from(SMALL_CONES), st.data(), SCALARS, SCALARS,
+           st.tuples(st.integers(-1, 5), st.integers(-1, 5)))
+    def test_toric_matches_its_loop(self, cone, data, lam, c, m):
+        ray = data.draw(st.sampled_from(cone.rays))
+        root = data.draw(st.sampled_from(roots_with_ray(cone, ray, [(-3, 3), (-3, 3)])))
+        el = chi(m, c)
+        assert terms_or_error(toric_exponential, cone, root, lam, el) == \
+            terms_or_error(toric_by_terms, cone, root, lam, el)
+
+    @given(st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+           st.tuples(st.integers(-3, 3), st.integers(1, 3)), st.booleans(),
+           st.sampled_from([(-1, 0), (-1, 2), (1, -1), (0, -1)]),
+           st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           st.integers(-1, 2), st.integers(-1, 2), SCALARS, SCALARS)
+    def test_vertical_matches_its_loop(self, a, b, second, e, m, k, j, c, g):
+        """phi is the multiplier generator times g t^k and the element the
+        piece's generator times c t^j; k or j = -1 may leave the algebra."""
+        coeffs = {Z0: Polyhedron.from_vertices_and_tail([(F(*a), F(*b))], SIGMA)}
+        if second:
+            coeffs[Z1] = Polyhedron.from_vertices_and_tail([(F(*b), F(*a))], SIGMA)
+        d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, coeffs)
+        root = is_demazure_root(SIGMA, e)
+        phi = vertical_phi(d, root).generator * RationalFunction.variable(k).scaled(g)
+        el = HomogeneousElement(graded_piece(d, m).module.generator *
+                                RationalFunction.variable(j).scaled(c), m)
+        assert terms_or_error(vertical_exponential, d, root, phi, el) == \
+            terms_or_error(vertical_by_terms, d, root, phi, el)
+
+    @given(st.integers(-7, 7), st.integers(1, 4), st.sampled_from([None, -1, 0, 2]),
+           st.integers(0, 3), SCALARS, st.integers(0, 4), st.integers(-3, 4),
+           st.booleans(), SCALARS)
+    def test_horizontal_matches_its_loop(self, p, q, w, e, lam, m, ell, off_zero, c):
+        """c t^l chi^m on coherent rank-one assemblages over A1, colored at 0
+        and perhaps at 1; a factor t - 1 breaks the element's shape."""
+        coeffs, colors = {Z0: [(F(p, q),)]}, {Z0: (F(p, q),)}
+        if w is not None:
+            coeffs[Z1], colors[Z1] = [(w,)], (w,)
+        d = PolyhedralDivisor.of(AFFINE_LINE, SIG1, {
+            z: Polyhedron.from_vertices_and_tail(v, SIG1) for z, v in coeffs.items()})
+        ca = CoherentAssemblage.of(ColoredDivisor.of(d, base_point=Z0, colors=colors),
+                                   degree=(e,), exponents=[0], scalars=[lam])
+        assume(assemblage_check(ca).all_pass)
+        f = RationalFunction.from_factored(c, {(0, 1): ell, (-1, 1): int(off_zero)})
+        el = HomogeneousElement(f, (m,))
+        assert terms_or_error(horizontal_expander(ca), el) == \
+            terms_or_error(horizontal_by_terms, ca, el)
+
+    @pytest.mark.parametrize("m", [(0, 2), (1, 0), (3, 1)], ids=["height-0", "height-1",
+                                                                   "height-3"])
+    def test_zero_scalar_raises_at_every_height(self, m):
+        root = is_demazure_root(SIGMA, (-1, 1))
+        with pytest.raises(CurveError, match="nonzero"):
+            toric_exponential(SIGMA, root, 0, chi(m))
 
 
 class TestAxioms:
     def test_toric_axioms(self):
         rng = random.Random(1)
         root = is_demazure_root(SIGMA, (-1, 1))
-        fn = toric_expansion_fn(root, F(1, 2))
+        fn = partial(toric_exponential, SIGMA, root, F(1, 2))
         samples = []
         for _ in range(20):
             a = HomogeneousElement(RationalFunction.from_factored(rng.choice((1, 2, F(1, 3)))),
@@ -542,8 +619,7 @@ class TestAxioms:
         cd = ColoredDivisor.of(d, base_point=Z0, colors={Z0: (F(-1, 2),)})
         ca = CoherentAssemblage.of(cd, degree=(1,), exponents=[0], scalars=[F(1, 3)])
 
-        def fn(el):
-            return horizontal_exponential(ca, el)
+        fn = horizontal_expander(ca)
         samples = []
         for _ in range(12):
             m = rng.randint(0, 4)
@@ -557,7 +633,7 @@ class TestAxioms:
 
     def test_corrupted_coefficient_detected(self):
         root = is_demazure_root(SIGMA, (-1, 1))
-        good = toric_expansion_fn(root, 1)
+        good = partial(toric_exponential, SIGMA, root, 1)
 
         def corrupted(el):
             exp = good(el)
@@ -573,7 +649,7 @@ class TestAxioms:
 
     def test_scaled_zeroth_term_fails_identity(self):
         root = is_demazure_root(SIGMA, (-1, 1))
-        good = toric_expansion_fn(root, 1)
+        good = partial(toric_exponential, SIGMA, root, 1)
 
         def scaled(el):
             (i, t), *rest = good(el).terms
@@ -589,7 +665,7 @@ class TestAxioms:
     ])
     def test_broken_expansion_fails_local_finiteness(self, fault, note):
         root = is_demazure_root(SIGMA, (-1, 1))
-        good = toric_expansion_fn(root, 1)
+        good = partial(toric_exponential, SIGMA, root, 1)
 
         def broken(el):
             terms = list(good(el).terms)
