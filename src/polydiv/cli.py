@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 from . import serialize as ser
 from .convex import hilbert_basis
@@ -30,6 +31,7 @@ from .divisors import (
 from .gaactions import (
     ActionError,
     ExponentialExpansion,
+    Monomial,
     assemblage_check,
     associated_cones,
     axiom_check,
@@ -91,8 +93,8 @@ def _report_doc(report) -> dict:
 
 
 def _expansion_doc(exp: ExponentialExpansion) -> dict:
-    return {"terms": [{"x_power": i, "element": ser.element_doc(el)}
-                      for i, el in exp.terms]}
+    return {"terms": [{"x_power": i, "element": ser.element_doc(
+        el.element() if isinstance(el, Monomial) else el)} for i, el in exp.terms]}
 
 
 def _fixture_path(name: str) -> str:
@@ -264,7 +266,7 @@ def cmd_toric_exp(args, problem):
     d = _divisor_arg(args, problem)
     root = _root_arg(args, d, problem)
     lam = ser.parse_rational(args.scalar, "$.scalar")
-    el = HomogeneousElement(RationalFunction.from_factored(1), _vector(args, "m", problem))
+    el = Monomial(Fraction(1), 0, _vector(args, "m", problem))
     return _expansion_doc(toric_exponential(d.tail, root, lam, el))
 
 
@@ -336,9 +338,9 @@ def cmd_axiom_check(args, problem):
     if kind == "assemblage":
         d = ca.colored.divisor
 
-        def function(m):
+        def element(m):
             gen = graded_piece(d, m).module.generators[0]
-            return gen * RationalFunction.variable(rng.randint(0, 2))
+            return HomogeneousElement(gen * RationalFunction.variable(rng.randint(0, 2)), m)
 
         # built on the first expansion, so that sampling errors come first
         expander = functools.cache(lambda: horizontal_expander(ca))
@@ -350,15 +352,15 @@ def cmd_axiom_check(args, problem):
         root = _root_arg(args, d, problem)
         lam = ser.parse_rational(args.scalar, "$.scalar")
 
-        def function(m):
-            return RationalFunction.from_factored(rng.randint(1, 3))
+        def element(m):
+            return Monomial(Fraction(rng.randint(1, 3)), 0, m)
 
         expand = functools.partial(toric_exponential, d.tail, root, lam)
     basis = hilbert_basis(d.weight_cone)
 
-    def sample() -> HomogeneousElement:
-        m = tuple(sum(rng.randint(0, 2) * b[j] for b in basis) for j in range(d.rank))
-        return HomogeneousElement(function(m), m)
+    def sample() -> HomogeneousElement | Monomial:
+        return element(tuple(sum(rng.randint(0, 2) * b[j] for b in basis)
+                             for j in range(d.rank)))
 
     samples = [(sample(), sample()) for _ in range(count)]
     return _report_doc(axiom_check(expand, samples))

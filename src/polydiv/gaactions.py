@@ -12,6 +12,13 @@ Every action of degree e expands f chi^m by one binomial series
 (:func:`_series`): term i is binom(h, i) g^i f chi^(m + i e), i = 0..h, where
 toric h = <m, rho>, g = lambda; vertical h = <m, rho>, g = phi; horizontal
 h = d (h(m) + l), g = lambda t^u.
+
+Toric and horizontal terms are :class:`Monomial` triples (c, l, m) for
+c t^l chi^m: their input and multiplier are of that form, so products,
+sums and comparisons are integer and scalar arithmetic, and membership of
+a term is a few integer comparisons on the floors of D(m).  Vertical terms
+stay :class:`HomogeneousElement`s, because phi and f there are arbitrary
+sections, which a triple cannot carry.
 """
 
 from __future__ import annotations
@@ -20,14 +27,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, floor
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import polynomials as up
-from .convex import Cone, GeometryError, Polyhedron, box_points, hilbert_basis, support_value
+from .convex import (
+    Cone,
+    GeometryError,
+    Polyhedron,
+    box_points,
+    floored_support,
+    hilbert_basis,
+    support_value,
+)
 from .curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
     BasePoint,
+    CurveError,
     RationalFunction,
     SectionModule,
     WrongCurve,
@@ -114,55 +130,124 @@ def roots_with_ray(cone: Cone, ray: Sequence, box: Sequence[tuple[int, int]]
     return tuple(out)
 
 
+class Monomial(NamedTuple):
+    """The element c t^ell chi^degree, a term of a toric or horizontal expansion."""
+
+    c: Fraction
+    ell: int
+    degree: IVec
+
+    def __mul__(self, other: "Monomial") -> "Monomial":
+        return Monomial(self.c * other.c, self.ell + other.ell, vadd(self.degree, other.degree))
+
+    def scaled(self, k) -> "Monomial":
+        return Monomial(self.c * k, self.ell, self.degree)
+
+    def same_as(self, other: "Term") -> bool:
+        return self == _monomial(other)
+
+    def element(self) -> HomogeneousElement:
+        """The same element with its function in factored form."""
+        return HomogeneousElement(RationalFunction.variable(self.ell).scaled(self.c),
+                                  self.degree)
+
+    def __repr__(self) -> str:
+        return repr(self.element())
+
+
+Term = Monomial | HomogeneousElement
+
+
+def _monomial(el: Term) -> Monomial | None:
+    """``el`` as a monomial: a monomial itself, an element c t^l chi^m as
+    (c, l, m), anything else None.  Factor keys are pairwise coprime, so f is
+    c t^l exactly when t is its only key; a Spec Z element is c chi^m."""
+    if isinstance(el, Monomial):
+        return el
+    f = el.function
+    if any(b != up.X for b, _ in f.factors):
+        return None
+    return Monomial(f.constant, sum(e for _, e in f.factors), el.degree)
+
+
+def _start(el: Term) -> Monomial:
+    start = _monomial(el)
+    if start is None:
+        raise ActionError("exponentials expect elements of the form c * t^l chi^m")
+    return start
+
+
 @dataclass(frozen=True)
 class ExponentialExpansion:
-    """Finite expansion sum_i term_i x^i of e^{x d} applied to one element."""
+    """Finite expansion sum_i term_i x^i of e^{x d} applied to one element;
+    the terms are all monomials or all elements, in index order."""
 
-    terms: tuple[tuple[int, HomogeneousElement], ...]
+    terms: tuple[tuple[int, Term], ...]
 
-    def term(self, i: int) -> HomogeneousElement | None:
+    def term(self, i: int) -> Term | None:
         for j, el in self.terms:
             if j == i:
                 return el
         return None
 
     def __mul__(self, other: "ExponentialExpansion") -> "ExponentialExpansion":
+        """The product series.  Monomials add their coefficients per index
+        and t^l chi^m, so unlike terms of one index stay apart; elements add
+        their functions per index."""
+        products = [(i + j, a * b) for i, a in self.terms for j, b in other.terms]
+        if products and isinstance(products[0][1], Monomial):
+            coeffs: dict[tuple, Fraction] = {}
+            for k, (c, ell, m) in products:
+                coeffs[k, ell, m] = coeffs.get((k, ell, m), 0) + c
+            return ExponentialExpansion(tuple((k, Monomial(c, ell, m))
+                                              for (k, ell, m), c in sorted(coeffs.items()) if c))
         acc: dict[int, HomogeneousElement] = {}
-        for i, a in self.terms:
-            for j, b in other.terms:
-                prod = a * b
-                if i + j in acc:
-                    summed = acc[i + j].function.add(prod.function)
-                    if summed is None:
-                        del acc[i + j]
-                    else:
-                        acc[i + j] = HomogeneousElement(summed, prod.degree)
+        for k, prod in products:
+            if k in acc:
+                summed = acc[k].function.add(prod.function)
+                if summed is None:
+                    del acc[k]
                 else:
-                    acc[i + j] = prod
+                    acc[k] = HomogeneousElement(summed, prod.degree)
+            else:
+                acc[k] = prod
         return ExponentialExpansion(tuple(sorted(acc.items())))
 
     def same_as(self, other: "ExponentialExpansion") -> bool:
-        mine = {i: el for i, el in self.terms}
-        theirs = {i: el for i, el in other.terms}
-        if set(mine) != set(theirs):
-            return False
-        return all(mine[i].same_as(theirs[i]) for i in mine)
+        return len(self.terms) == len(other.terms) and all(
+            i == j and a.same_as(b) for (i, a), (j, b) in zip(self.terms, other.terms))
 
     def __repr__(self) -> str:
         return " + ".join(f"({el})x^{i}" if i else f"{el}" for i, el in self.terms)
 
 
-def _series(el: HomogeneousElement, height: int, step: RationalFunction, e: Sequence,
-            check: Callable[[HomogeneousElement], None]) -> ExponentialExpansion:
-    """Terms binom(height, i) step^i el chi^(i e), i = 0..height, each passed to ``check``."""
-    terms = []
+def _series(el: Term, height: int, step: Term, check: Callable[[Term], None]
+            ) -> ExponentialExpansion:
+    """Terms binom(height, i) el step^i, i = 0..height, each passed to ``check``.
+
+    ``el`` and ``step`` are of one kind: monomials (toric and horizontal,
+    step = lambda t^u chi^e) or elements (vertical, step = phi chi^e).
+    step^i is one multiplication on from step^(i-1).
+    """
+    terms, term, power = [], el, step
     for i in range(height + 1):
-        func = el.function.scaled(comb(height, i))
-        term = HomogeneousElement(func * step ** i if i else func,
-                                  vadd(el.degree, tuple(i * a for a in e)))
+        if i:
+            if i > 1:
+                power = power * step
+            term = _term(el, comb(height, i), power)
         check(term)
         terms.append((i, term))
     return ExponentialExpansion(tuple(terms))
+
+
+def _term(el: Term, k: int, power: Term) -> Term:
+    """k el power.  A monomial's coefficient is made once, from the integer
+    numerators and denominators of c and lambda^i."""
+    if isinstance(el, HomogeneousElement):
+        return el.scaled(k) * power
+    c, g = el.c, power.c
+    return Monomial(Fraction(k * c.numerator * g.numerator, c.denominator * g.denominator),
+                    el.ell + power.ell, vadd(el.degree, power.degree))
 
 
 def _check_member(d: PolyhedralDivisor, term: HomogeneousElement) -> None:
@@ -170,17 +255,39 @@ def _check_member(d: PolyhedralDivisor, term: HomogeneousElement) -> None:
         raise NonMember(f"term {term} left the section algebra")
 
 
-def toric_exponential(cone: Cone, root: DemazureRoot, lam,
-                      el: HomogeneousElement) -> ExponentialExpansion:
-    """Exponential of the homogeneous derivation of a Demazure root on c chi^m."""
-    step = RationalFunction.from_factored(lam)
-    weight = cone.dual()
-    if not weight.contains(el.degree):
+def _monomial_member(d: PolyhedralDivisor, term: Monomial) -> bool:
+    """:func:`divisors.member` of c t^l chi^m over A1 or P1: m in the weight
+    cone, and on the floors of D(m) the floor at t plus l, every other finite
+    floor and, on P1, the floor at infinity minus l all >= 0."""
+    m, ell = term.degree, term.ell
+    if not d.in_weight_cone(m):
+        return False
+    at_t, at_infinity = ell, -ell  # the floors are 0 off the support
+    for z, poly in d.coefficients:
+        a = floored_support(poly, m)
+        if z.poly == up.X:
+            at_t += a
+        elif z.kind == "infinity":
+            at_infinity += a
+        elif a < 0:
+            return False
+    return at_t >= 0 and (d.curve is AFFINE_LINE or at_infinity >= 0)
+
+
+def toric_exponential(cone: Cone, root: DemazureRoot, lam, el: Term) -> ExponentialExpansion:
+    """Exponential of the homogeneous derivation of a Demazure root on c chi^m
+    (c t^l chi^m carries t^l along); the terms are monomials."""
+    lam = Fraction(lam)
+    if not lam:
+        raise CurveError("the scalar lambda must be nonzero")
+    start = _start(el)
+    if any(dot(start.degree, r) < 0 for r in cone.rays):
         raise OutsideWeightCone(f"{el.degree} is outside the weight cone")
 
-    def check(term: HomogeneousElement) -> None:
-        assert weight.contains(term.degree)
-    return _series(el, dot(el.degree, root.distinguished_ray), step, root.vector, check)
+    def check(term: Monomial) -> None:
+        assert all(dot(term.degree, r) >= 0 for r in cone.rays)
+    return _series(start, dot(start.degree, root.distinguished_ray),
+                   Monomial(lam, 0, root.vector), check)
 
 
 def vertical_phi(d: PolyhedralDivisor, root: DemazureRoot) -> SectionModule:
@@ -229,8 +336,8 @@ def vertical_exponential(d: PolyhedralDivisor, root: DemazureRoot,
         raise PhiNotAdmissible(f"{phi} is not a section of the multiplier module")
     if not member(el, d):
         raise NonMember(f"{el} is not in the section algebra")
-    return _series(el, dot(el.degree, root.distinguished_ray), phi, root.vector,
-                   partial(_check_member, d))
+    return _series(el, dot(el.degree, root.distinguished_ray),
+                   HomogeneousElement(phi, root.vector), partial(_check_member, d))
 
 
 @dataclass(frozen=True)
@@ -512,6 +619,8 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     results = []
     e = tuple(int(a) for a in e)
     p = int(char_exponent)
+    if exhaustive_box is not None and exhaustive_box < 0:
+        raise ActionError(f"exhaustive box half-width must be at least 0, got {exhaustive_box}")
     if not d.curve.function_field_is_rational:
         raise WrongCurve("horizontal actions live over the affine or projective line")
     ok, cert = is_proper(d)
@@ -669,16 +778,16 @@ def _pairing_kernel_basis(row: IVec, modulus: int, n: int) -> tuple[IVec, ...]:
     return tuple(hnf([v[:n] for v in kernel]))
 
 
-def horizontal_expander(ca: CoherentAssemblage
-                        ) -> Callable[[HomogeneousElement], ExponentialExpansion]:
+def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialExpansion]:
     """Characteristic-zero expansion of the horizontal action on c t^l chi^m.
 
     Works in the degree-d root cover of the parameter: term i is
-    binom(d(h(m) + l), i) lambda^i c t^{l + i u} chi^{m + i e}, and must stay
-    in the section algebra.  The characteristic and the coherence axioms
-    (:func:`assemblage_check`) depend on ``ca`` only and raise here; the
-    returned function raises, per element, ``NonMember``, then marked points
-    that are not normalized, then an element not of the form c t^l chi^m.
+    binom(d(h(m) + l), i) lambda^i c t^{l + i u} chi^{m + i e}, a monomial,
+    and must stay in the section algebra.  The characteristic and the
+    coherence axioms (:func:`assemblage_check`) depend on ``ca`` only and
+    raise here; the returned function raises, per input, ``NonMember`` (by
+    :func:`divisors.member` for an element), then marked points that are not
+    normalized, then an element not of the form c t^l chi^m.
     """
     cd = ca.colored
     d = cd.divisor
@@ -697,27 +806,27 @@ def horizontal_expander(ca: CoherentAssemblage
     dd = cd.color_denominator
     u = -Fraction(1, dd) - dot(ca.degree, v0)
     assert u.denominator == 1
-    step = RationalFunction.variable(int(u)).scaled(ca.scalars[0])
-    origin = BasePoint.rational(0)  # once: building a place checks its polynomial
+    step = Monomial(ca.scalars[0], int(u), ca.degree)
 
-    def expand(el: HomogeneousElement) -> ExponentialExpansion:
-        if not member(el, d):
+    def check(term: Monomial) -> None:
+        if not _monomial_member(d, term):
+            raise NonMember(f"term {term} left the section algebra")
+
+    def expand(el: Term) -> ExponentialExpansion:
+        if not (_monomial_member(d, el) if isinstance(el, Monomial) else member(el, d)):
             raise NonMember(f"{el} is not in the section algebra")
         if points_error:
             raise ActionError(points_error)
-        ell = el.function.ord_at(origin)
-        if (el.function / RationalFunction.variable(ell)).factors:
-            raise ActionError("exponentials expect elements of the form c * t^l chi^m")
-        a = dd * (dot(el.degree, v0) + ell)
+        start = _start(el)
+        a = dd * (dot(start.degree, v0) + start.ell)
         assert a == int(a) and a >= 0, a
-        return _series(el, int(a), step, ca.degree, partial(_check_member, d))
+        return _series(start, int(a), step, check)
 
     return expand
 
 
-def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansion],
-                samples: Sequence[tuple[HomogeneousElement, HomogeneousElement]],
-                ) -> ConditionReport:
+def axiom_check(expansion_of: Callable[[Term], ExponentialExpansion],
+                samples: Sequence[tuple[Term, Term]]) -> ConditionReport:
     """Iterative higher-derivation axioms on sample pairs.
 
     Checks the identity term, local finiteness (the indices of each
@@ -725,7 +834,10 @@ def axiom_check(expansion_of: Callable[[HomogeneousElement], ExponentialExpansio
     deg(x) + i*delta, for one lattice vector delta, the degree of the
     derivation), the Leibniz rule via multiplicativity of exponentials,
     and iterativity binom(i+j, i) * term_{i+j} = expansion-of-term_i at j.
+    An empty sample raises, since no axiom can fail on it.
     """
+    if not samples:
+        raise ActionError("the axioms need at least one sample pair")
     identity_ok, id_note = True, "zeroth term is the input"
     finite_ok, finite_note = True, "every expansion is a finite sum"
     delta = None  # set by the first term of positive index

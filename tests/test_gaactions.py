@@ -4,7 +4,7 @@ from functools import partial
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polydiv.convex import Cone, Polyhedron
 from polydiv.curves import (
@@ -28,9 +28,11 @@ from polydiv.gaactions import (
     ColoredDivisor,
     ConditionsFail,
     ExponentialExpansion,
+    Monomial,
     NonMember,
     PhiNotAdmissible,
     RayNotInCone,
+    _monomial_member,
     _pairing_kernel_basis,
     assemblage_check,
     associated_cones,
@@ -130,13 +132,12 @@ class TestToricExponential:
         root = is_demazure_root(SIGMA, (-1, 1))
         exp = toric_exponential(SIGMA, root, F(1, 2), chi((1, 0)))
         assert [i for i, _ in exp.terms] == [0, 1]
-        assert exp.terms[1][1].function.constant == F(1, 2)
-        assert exp.terms[1][1].degree == (0, 1)
+        assert exp.terms[1][1] == Monomial(F(1, 2), 0, (0, 1))
 
     def test_binomial_row(self):
         root = is_demazure_root(SIGMA, (-1, 1))
         exp = toric_exponential(SIGMA, root, 1, chi((3, 0)))
-        assert [el.function.constant for _, el in exp.terms] == [1, 3, 3, 1]
+        assert [el.c for _, el in exp.terms] == [1, 3, 3, 1]
 
     def test_degree_shift(self):
         root = is_demazure_root(SIGMA, (-1, 2))
@@ -150,7 +151,7 @@ class TestToricExponential:
         for m in ((1, 0), (2, 3), (4, 1)):
             exp = toric_exponential(SIGMA, root, 1, chi(m))
             assert exp.terms[-1][0] == dot(m, root.distinguished_ray)
-            assert exp.terms[-1][1].function.constant == 1
+            assert exp.terms[-1][1].c == 1
 
 
 class TestVertical:
@@ -358,6 +359,13 @@ class TestHorizontalConditions:
         b = horizontal_conditions(d, omega, (1, 2), 3, 1, exhaustive_box=6)
         assert a.all_pass == b.all_pass
 
+    def test_negative_exhaustive_box_raises(self):
+        """A box of half-width -1 holds no degree, so nothing would be checked."""
+        d, cd = example_5617()
+        omega, _ = associated_cones(cd)
+        with pytest.raises(ActionError, match="at least 0"):
+            horizontal_conditions(d, omega, (1, 2), 3, 1, exhaustive_box=-1)
+
     def test_matches_assemblage_check(self):
         d, cd = example_5617()
         omega, _ = associated_cones(cd)
@@ -425,8 +433,7 @@ class TestHorizontalExponential:
         exp = horizontal_expander(self.ca)(el)
         # a = d(h(0) + 1) = 2, u = 0: terms t, 2t chi, t chi^2
         assert [i for i, _ in exp.terms] == [0, 1, 2]
-        assert exp.terms[1][1].function.same_as(RationalFunction.variable(1).scaled(2))
-        assert exp.terms[1][1].degree == (1,)
+        assert exp.terms[1][1] == Monomial(2, 1, (1,))
 
     def test_kernel_element(self):
         el = HomogeneousElement(RationalFunction.variable(1), (2,))
@@ -441,7 +448,7 @@ class TestHorizontalExponential:
             f = RationalFunction.variable(l) if l else one(AFFINE_LINE)
             exp = horizontal_expander(self.ca)(HomogeneousElement(f, (m,)))
             for _, term in exp.terms:
-                assert member(term, self.d)
+                assert member(term.element(), self.d)
 
     def test_stability_failure_detected(self):
         # corrupting the divisor by an extra point makes terms leave the algebra
@@ -510,8 +517,9 @@ def terms_or_error(route, *args):
         exp = route(*args)
     except (ActionError, CurveError) as err:
         return type(err).__name__, str(err)
+    terms = [(i, t.element() if isinstance(t, Monomial) else t) for i, t in exp.terms]
     return [(i, t.function.curve_kind, t.function.constant, t.function.factors, t.degree)
-            for i, t in exp.terms]
+            for i, t in terms]
 
 
 SCALARS = st.sampled_from([1, 2, -1, F(1, 2), F(-2, 3), F(5, 4)])
@@ -552,18 +560,23 @@ class TestOneSeries:
             terms_or_error(vertical_by_terms, d, root, phi, el)
 
     @given(st.integers(-7, 7), st.integers(1, 4), st.sampled_from([None, -1, 0, 2]),
-           st.integers(0, 3), SCALARS, st.integers(0, 4), st.integers(-3, 4),
-           st.booleans(), SCALARS)
-    def test_horizontal_matches_its_loop(self, p, q, w, e, lam, m, ell, off_zero, c):
-        """c t^l chi^m on coherent rank-one assemblages over A1, colored at 0
-        and perhaps at 1; a factor t - 1 breaks the element's shape."""
+           st.one_of(st.none(), st.integers(-3, 3)), st.integers(0, 3), SCALARS,
+           st.integers(0, 4), st.integers(-3, 4), st.booleans(), SCALARS)
+    def test_horizontal_matches_its_loop(self, p, q, w, at_inf, e, lam, m, ell, off_zero, c):
+        """c t^l chi^m on coherent rank-one assemblages colored at 0 and
+        perhaps at 1, over A1 or, with a vertex ``at_inf`` at infinity, over
+        P1; a factor t - 1 breaks the element's shape."""
         coeffs, colors = {Z0: [(F(p, q),)]}, {Z0: (F(p, q),)}
         if w is not None:
             coeffs[Z1], colors[Z1] = [(w,)], (w,)
-        d = PolyhedralDivisor.of(AFFINE_LINE, SIG1, {
+        curve, zinf = AFFINE_LINE, None
+        if at_inf is not None:
+            curve, zinf, coeffs[INF] = PROJECTIVE_LINE, INF, [(at_inf,)]
+        d = PolyhedralDivisor.of(curve, SIG1, {
             z: Polyhedron.from_vertices_and_tail(v, SIG1) for z, v in coeffs.items()})
-        ca = CoherentAssemblage.of(ColoredDivisor.of(d, base_point=Z0, colors=colors),
-                                   degree=(e,), exponents=[0], scalars=[lam])
+        ca = CoherentAssemblage.of(
+            ColoredDivisor.of(d, base_point=Z0, colors=colors, infinity_point=zinf),
+            degree=(e,), exponents=[0], scalars=[lam])
         assume(assemblage_check(ca).all_pass)
         f = RationalFunction.from_factored(c, {(0, 1): ell, (-1, 1): int(off_zero)})
         el = HomogeneousElement(f, (m,))
@@ -576,6 +589,48 @@ class TestOneSeries:
         root = is_demazure_root(SIGMA, (-1, 1))
         with pytest.raises(CurveError, match="nonzero"):
             toric_exponential(SIGMA, root, 0, chi(m))
+
+
+MONOMIAL_TAILS = [SIG1, SIGMA, Cone.from_rays([(1, 0), (1, 2)], 2)]
+MONOMIAL_PLACES = {AFFINE_LINE: [Z0, Z1, BasePoint.finite((1, 0, 1))],
+                   PROJECTIVE_LINE: [Z0, Z1, BasePoint.finite((1, 0, 1)), INF]}
+
+
+@st.composite
+def monomial_problems(draw):
+    """c t^l chi^m with l in [-3, 3] and a divisor on A1 or P1; the degree is
+    drawn from a box around the weight cone, so it may lie outside."""
+    curve = draw(st.sampled_from(list(MONOMIAL_PLACES)))
+    tail = draw(st.sampled_from(MONOMIAL_TAILS))
+    rank = tail.ambient_rank
+    coordinate = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    d = PolyhedralDivisor.of(curve, tail, {z: Polyhedron.from_vertices_and_tail(
+        draw(st.lists(st.tuples(*[coordinate] * rank), min_size=1, max_size=2)), tail)
+        for z in draw(st.lists(st.sampled_from(MONOMIAL_PLACES[curve]), max_size=3,
+                               unique=True))})
+    term = Monomial(draw(st.sampled_from([1, -2, F(1, 3)])), draw(st.integers(-3, 3)),
+                    draw(st.tuples(*[st.integers(-2, 4)] * rank)))
+    return term, d
+
+
+class TestMonomialMember:
+    """Membership of c t^l chi^m on integer floors agrees with the general
+    ``divisors.member`` on the same element in factored form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_problems())
+    def test_same_verdict_as_member(self, problem):
+        term, d = problem
+        assert _monomial_member(d, term) == member(term.element(), d)
+
+    @pytest.mark.parametrize("ell, inside", [(-4, False), (-3, True), (-1, True), (0, False)])
+    def test_power_of_t_between_the_floors_at_t_and_infinity(self, ell, inside):
+        """On P1 with D(1) = 3[t] - [infinity], t^l chi^1 is a section iff -3 <= l <= -1."""
+        d = PolyhedralDivisor.of(PROJECTIVE_LINE, SIG1, {
+            Z0: Polyhedron.from_vertices_and_tail([(3,)], SIG1),
+            INF: Polyhedron.from_vertices_and_tail([(-1,)], SIG1)})
+        term = Monomial(1, ell, (1,))
+        assert _monomial_member(d, term) is inside is member(term.element(), d)
 
 
 class TestAxioms:
@@ -631,6 +686,15 @@ class TestAxioms:
             samples.append((HomogeneousElement(f, (m,)), HomogeneousElement(g, (m2,))))
         assert axiom_check(fn, samples).all_pass
 
+    @pytest.mark.parametrize("route", ["toric", "horizontal"])
+    def test_empty_sample_raises(self, route):
+        """No axiom can fail on no sample, so an empty one is refused."""
+        root = is_demazure_root(SIGMA, (-1, 1))
+        expand = partial(toric_exponential, SIGMA, root, 1) if route == "toric" \
+            else horizontal_expander(half_assemblage(Z0))
+        with pytest.raises(ActionError, match="at least one sample"):
+            axiom_check(expand, [])
+
     def test_corrupted_coefficient_detected(self):
         root = is_demazure_root(SIGMA, (-1, 1))
         good = partial(toric_exponential, SIGMA, root, 1)
@@ -673,7 +737,7 @@ class TestAxioms:
             if fault == "repeated index":
                 terms.append((i, t))
             elif i == 2:
-                terms[-1] = (i, HomogeneousElement(t.function, (t.degree[0], t.degree[1] + 1)))
+                terms[-1] = (i, Monomial(t.c, t.ell, (t.degree[0], t.degree[1] + 1)))
             return ExponentialExpansion(tuple(terms))
         samples = [(HomogeneousElement(RationalFunction.from_factored(1), (2, 0)),
                     HomogeneousElement(RationalFunction.from_factored(1), (1, 0)))]
