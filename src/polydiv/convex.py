@@ -222,6 +222,10 @@ class Cone:
     def contains(self, v: Sequence) -> bool:
         return all(dot(h, v) >= 0 for h in self.halfspaces)
 
+    def dual_contains(self, m: Sequence) -> bool:
+        """Is m in the dual cone, <m, r> >= 0 for every ray r?"""
+        return all(dot(m, r) >= 0 for r in self.rays)
+
     @property
     def is_pointed(self) -> bool:
         rays = set(self.rays)
@@ -458,7 +462,7 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 def support_value(p: Polyhedron, m: Sequence) -> Fraction:
     """min over p of <m, x>; finite exactly when m lies in the dual of the tail."""
-    if not all(dot(m, r) >= 0 for r in p.tail.rays):
+    if not p.tail.dual_contains(m):
         raise Unbounded(f"direction {m} is unbounded below on the polyhedron")
     return min(Fraction(sum(map(mul, m, kv)), k) for kv, k in p.vertex_rays)
 

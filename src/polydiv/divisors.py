@@ -102,7 +102,11 @@ class HomogeneousElement:
     def scaled(self, c) -> "HomogeneousElement":
         return HomogeneousElement(self.function.scaled(c), self.degree)
 
-    def same_as(self, other: "HomogeneousElement") -> bool:
+    def same_as(self, other) -> bool:
+        """Equality of elements; another kind of term (``gaactions.Monomial``)
+        compares itself with this element."""
+        if not isinstance(other, HomogeneousElement):
+            return other.same_as(self)
         return self.degree == other.degree and self.function.same_as(other.function)
 
     def __repr__(self) -> str:
@@ -157,7 +161,7 @@ class PolyhedralDivisor:
         return self.tail.dual()
 
     def in_weight_cone(self, m: Sequence) -> bool:
-        return all(dot(m, r) >= 0 for r in self.tail.rays)
+        return self.tail.dual_contains(m)
 
     def floors(self, m: Sequence) -> dict[BasePoint, int]:
         """z -> the floor of the least <m, v> over the vertices v at z, an

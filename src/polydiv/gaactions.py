@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, floor
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from . import polynomials as up
 from .convex import (
@@ -42,6 +42,7 @@ from .convex import (
 from .curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
+    SPEC_Z,
     BasePoint,
     CurveError,
     RationalFunction,
@@ -130,7 +131,8 @@ def roots_with_ray(cone: Cone, ray: Sequence, box: Sequence[tuple[int, int]]
     return tuple(out)
 
 
-class Monomial(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Monomial:
     """The element c t^ell chi^degree, a term of a toric or horizontal expansion."""
 
     c: Fraction
@@ -170,11 +172,7 @@ def _monomial(el: Term) -> Monomial | None:
     return Monomial(f.constant, sum(e for _, e in f.factors), el.degree)
 
 
-def _start(el: Term) -> Monomial:
-    start = _monomial(el)
-    if start is None:
-        raise ActionError("exponentials expect elements of the form c * t^l chi^m")
-    return start
+_SHAPE_ERROR = "exponentials expect elements of the form c * t^l chi^m"
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,9 @@ class ExponentialExpansion:
         products = [(i + j, a * b) for i, a in self.terms for j, b in other.terms]
         if products and isinstance(products[0][1], Monomial):
             coeffs: dict[tuple, Fraction] = {}
-            for k, (c, ell, m) in products:
-                coeffs[k, ell, m] = coeffs.get((k, ell, m), 0) + c
+            for k, t in products:
+                key = (k, t.ell, t.degree)
+                coeffs[key] = coeffs.get(key, 0) + t.c
             return ExponentialExpansion(tuple((k, Monomial(c, ell, m))
                                               for (k, ell, m), c in sorted(coeffs.items()) if c))
         acc: dict[int, HomogeneousElement] = {}
@@ -234,20 +233,10 @@ def _series(el: Term, height: int, step: Term, check: Callable[[Term], None]
         if i:
             if i > 1:
                 power = power * step
-            term = _term(el, comb(height, i), power)
+            term = el.scaled(comb(height, i)) * power
         check(term)
         terms.append((i, term))
     return ExponentialExpansion(tuple(terms))
-
-
-def _term(el: Term, k: int, power: Term) -> Term:
-    """k el power.  A monomial's coefficient is made once, from the integer
-    numerators and denominators of c and lambda^i."""
-    if isinstance(el, HomogeneousElement):
-        return el.scaled(k) * power
-    c, g = el.c, power.c
-    return Monomial(Fraction(k * c.numerator * g.numerator, c.denominator * g.denominator),
-                    el.ell + power.ell, vadd(el.degree, power.degree))
 
 
 def _check_member(d: PolyhedralDivisor, term: HomogeneousElement) -> None:
@@ -256,12 +245,15 @@ def _check_member(d: PolyhedralDivisor, term: HomogeneousElement) -> None:
 
 
 def _monomial_member(d: PolyhedralDivisor, term: Monomial) -> bool:
-    """:func:`divisors.member` of c t^l chi^m over A1 or P1: m in the weight
-    cone, and on the floors of D(m) the floor at t plus l, every other finite
-    floor and, on P1, the floor at infinity minus l all >= 0."""
+    """:func:`divisors.member` of c t^l chi^m: m in the weight cone, and on the
+    floors of D(m) the floor at t plus l, every other finite floor and, on P1,
+    the floor at infinity minus l all >= 0.  Over Spec Z (l = 0) the constant c
+    has valuations at the primes, so it goes to :func:`curves.in_sections`."""
     m, ell = term.degree, term.ell
     if not d.in_weight_cone(m):
         return False
+    if d.curve is SPEC_Z:
+        return in_sections(RationalFunction.rational_number(term.c), SPEC_Z, d.floors(m))
     at_t, at_infinity = ell, -ell  # the floors are 0 off the support
     for z, poly in d.coefficients:
         a = floored_support(poly, m)
@@ -280,12 +272,14 @@ def toric_exponential(cone: Cone, root: DemazureRoot, lam, el: Term) -> Exponent
     lam = Fraction(lam)
     if not lam:
         raise CurveError("the scalar lambda must be nonzero")
-    start = _start(el)
-    if any(dot(start.degree, r) < 0 for r in cone.rays):
+    start = _monomial(el)
+    if start is None:
+        raise ActionError(_SHAPE_ERROR)
+    if not cone.dual_contains(start.degree):
         raise OutsideWeightCone(f"{el.degree} is outside the weight cone")
 
     def check(term: Monomial) -> None:
-        assert all(dot(term.degree, r) >= 0 for r in cone.rays)
+        assert cone.dual_contains(term.degree)
     return _series(start, dot(start.degree, root.distinguished_ray),
                    Monomial(lam, 0, root.vector), check)
 
@@ -786,8 +780,8 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
     and must stay in the section algebra.  The characteristic and the
     coherence axioms (:func:`assemblage_check`) depend on ``ca`` only and
     raise here; the returned function raises, per input, ``NonMember`` (by
-    :func:`divisors.member` for an element), then marked points that are not
-    normalized, then an element not of the form c t^l chi^m.
+    :func:`divisors.member` for an element not of the form c t^l chi^m), then
+    marked points that are not normalized, then the form.
     """
     cd = ca.colored
     d = cd.divisor
@@ -813,11 +807,13 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
             raise NonMember(f"term {term} left the section algebra")
 
     def expand(el: Term) -> ExponentialExpansion:
-        if not (_monomial_member(d, el) if isinstance(el, Monomial) else member(el, d)):
+        start = _monomial(el)
+        if not (member(el, d) if start is None else _monomial_member(d, start)):
             raise NonMember(f"{el} is not in the section algebra")
         if points_error:
             raise ActionError(points_error)
-        start = _start(el)
+        if start is None:
+            raise ActionError(_SHAPE_ERROR)
         a = dd * (dot(start.degree, v0) + start.ell)
         assert a == int(a) and a >= 0, a
         return _series(start, int(a), step, check)

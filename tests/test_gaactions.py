@@ -10,6 +10,7 @@ from polydiv.convex import Cone, Polyhedron
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
+    SPEC_Z,
     BasePoint,
     CurveError,
     RationalFunction,
@@ -631,6 +632,46 @@ class TestMonomialMember:
             INF: Polyhedron.from_vertices_and_tail([(-1,)], SIG1)})
         term = Monomial(1, ell, (1,))
         assert _monomial_member(d, term) is inside is member(term.element(), d)
+
+    @pytest.mark.parametrize("c, inside", [(3, True), (F(1, 2), True), (F(1, 4), False),
+                                           (F(1, 3), False)])
+    def test_spec_z_constant_keeps_its_primes(self, c, inside):
+        """Over Spec Z with D(1) = [2], c chi^1 is a section iff ord_2(c) >= -1
+        and c has no other prime in its denominator."""
+        p2 = BasePoint.of_prime(2)
+        d = PolyhedralDivisor.of(SPEC_Z, SIG1, {p2: Polyhedron.from_vertices_and_tail([(1,)], SIG1)})
+        el = HomogeneousElement(RationalFunction.rational_number(c), (1,))
+        assert _monomial_member(d, Monomial(F(c), 0, (1,))) is inside is member(el, d)
+
+    def test_spec_z_expander_reports_a_non_member_first(self):
+        """A Spec Z base point is never normalized, but a non-member input is
+        refused as such before the marked points are."""
+        p2 = BasePoint.of_prime(2)
+        d = PolyhedralDivisor.of(SPEC_Z, SIG1, {p2: Polyhedron.from_vertices_and_tail(
+            [(F(-1, 2),)], SIG1)})
+        cd = ColoredDivisor.of(d, base_point=p2, colors={p2: (F(-1, 2),)})
+        expand = horizontal_expander(CoherentAssemblage.of(cd, degree=(1,), exponents=[0],
+                                                           scalars=[1]))
+        with pytest.raises(NonMember):
+            expand(HomogeneousElement(RationalFunction.rational_number(F(1, 2)), (0,)))
+        with pytest.raises(ActionError, match="finite rational point"):
+            expand(HomogeneousElement(RationalFunction.rational_number(3), (0,)))
+
+
+class TestMonomialType:
+    def test_no_tuple_arithmetic(self):
+        term = Monomial(F(2), 1, (1, 0))
+        with pytest.raises(TypeError):
+            2 * term
+        with pytest.raises(TypeError):
+            term + term
+        assert term != (F(2), 1, (1, 0))
+
+    def test_same_as_either_way(self):
+        term = Monomial(F(2), 1, (1, 0))
+        el = HomogeneousElement(RationalFunction.from_factored(2, {(0, 1): 1}), (1, 0))
+        assert term.same_as(el) and el.same_as(term)
+        assert not el.same_as(term.scaled(3)) and not term.scaled(3).same_as(el)
 
 
 class TestAxioms:
