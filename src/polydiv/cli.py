@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import serialize as ser
 from .convex import hilbert_basis
-from .curves import RationalFunction
+from .curves import PROJECTIVE_LINE, RationalFunction, WrongCurve
 from .divisors import (
     HomogeneousElement,
     bounded_generators,
@@ -142,6 +142,8 @@ def cmd_eval(args, problem):
 
 def cmd_degree(args, problem):
     d = _divisor_arg(args, problem)
+    if d.curve is not PROJECTIVE_LINE:
+        raise WrongCurve("the degree polyhedron needs a projective base")
     return {"degree_polyhedron": ser.polyhedron_doc(degree_polyhedron(d))}
 
 

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .convex import (
@@ -102,11 +102,7 @@ class HomogeneousElement:
     def scaled(self, c) -> "HomogeneousElement":
         return HomogeneousElement(self.function.scaled(c), self.degree)
 
-    def same_as(self, other) -> bool:
-        """Equality of elements; another kind of term (``gaactions.Monomial``)
-        compares itself with this element."""
-        if not isinstance(other, HomogeneousElement):
-            return other.same_as(self)
+    def same_as(self, other: "HomogeneousElement") -> bool:
         return self.degree == other.degree and self.function.same_as(other.function)
 
     def __repr__(self) -> str:
@@ -192,19 +188,12 @@ def evaluate(d: PolyhedralDivisor, m: Sequence) -> Divisor:
                                 for z, poly in d.coefficients])
 
 
-def degree_sum(d: PolyhedralDivisor) -> Polyhedron:
+def degree_polyhedron(d: PolyhedralDivisor) -> Polyhedron:
     """Residue-degree weighted Minkowski sum of the coefficients, on any base."""
     total = Polyhedron.cone_as_polyhedron(d.tail)
     for z, poly in d.coefficients:
         total = minkowski_sum(total, dilate(poly, z.degree))
     return total
-
-
-def degree_polyhedron(d: PolyhedralDivisor) -> Polyhedron:
-    """Residue-degree weighted Minkowski sum of the coefficients (projective base)."""
-    if d.curve is not PROJECTIVE_LINE:
-        raise WrongCurve("the degree polyhedron needs a projective base")
-    return degree_sum(d)
 
 
 def is_proper(d: PolyhedralDivisor) -> tuple[bool, str]:
@@ -364,7 +353,7 @@ def bounded_generators(d: PolyhedralDivisor,
     degree keeps one exponent vector (:func:`_run_affine`).  On the
     projective line (:func:`_run_projective`) a product is the exponent
     vector of gen_m * t^J * prod_z z^e, and a piece is certified by the
-    intervals of powers of t its products cover before any rank test.
+    degree intervals its product families cover before any rank test.
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -481,14 +470,16 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
 
     Interval certificate: a degree is full once its products are known to
     span its piece, and a full degree's products are spanned by the unit
-    vectors 0 .. dim - 1.  If g's vector plus the cofactor is nu at t and 0
-    elsewhere, and r is full, the products g * A_r are
-    gen_m * t^nu * Q[t]_{<dim_r}; when such intervals [nu, nu + dim_r)
-    cover [0, dim_m), m is full without a rank test.  Only a degree they
-    leave uncovered has its products reduced mod ``_PRIME``; the modular
-    rank is at most the rank over Q, so reaching dim_m proves the span,
-    and only a shortfall goes to the exact rank,
-    :func:`linalg.independent_rows`.
+    vectors 0 .. dim - 1.  If g's vector plus the cofactor is b and r is
+    full, the products g * A_r are gen_m * P_b * Q[t]_{<dim_r}, with
+    P_b = prod t^b_t z^b_z of degree <b, place degrees>.  By division with
+    remainder, a span holding Q[t]_{<A} and such a family with deg P_b <= A
+    holds Q[t]_{<deg P_b + dim_r}; so when the intervals
+    [deg P_b, deg P_b + dim_r), swept in order, cover [0, dim_m), m is full
+    without a rank test.  Only a degree they leave uncovered has its
+    products reduced mod ``_PRIME``; the modular rank is at most the rank
+    over Q, so reaching dim_m proves the span, and only a shortfall goes to
+    the exact rank, :func:`linalg.independent_rows`.
 
     The box pass leaves every degree full: where the products fall short
     it adds the basis elements gen_m * t^j that are not among them.  A
@@ -500,6 +491,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     finite = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
     places = finite if (0, 1) in finite else finite + [(0, 1)]  # t is one coordinate
     t, pad = places.index((0, 1)), (0,) * (len(places) - len(finite))
+    place_degrees = [len(p) - 1 for p in places]
     one = (0,) * len(places)
     units = [one[:t] + (j,) + one[t + 1:] for j in range(max(f[1] for f in frames.values()) + 1)]
     box = set(box_degrees)
@@ -537,12 +529,10 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
             if extend or m not in box:
                 terms = [(vadd(u, _cofactor_exponents(frames, m, g.degree, r) + pad), r)
                          for g, u in gens if (r := vsub(m, g.degree)) in spans]
-                # b >= 0, so b is a power of t iff its t entry is its sum
-                monomials = [(b[t], r) for b, r in terms if b[t] == sum(b)]
-                if extend:
-                    powers[m] = {nu + j for nu, r in monomials for j in powers[r]}
-                if not _covers([(nu, nu + len(spans[r])) for nu, r in monomials
-                                if r not in failed], dim):
+                if extend:  # b >= 0, so b is a power of t iff its t entry is its sum
+                    powers[m] = {b[t] + j for b, r in terms if b[t] == sum(b) for j in powers[r]}
+                if not _covers([(low := sum(map(mul, b, place_degrees)), low + len(spans[r]))
+                                for b, r in terms if r not in failed], dim):
                     rows = list(dict.fromkeys(vadd(b, v) for b, r in terms for v in spans[r]))
                     kept = independent(rows, dim)
                     if len(kept) < dim and not extend:

@@ -16,9 +16,11 @@ h = d (h(m) + l), g = lambda t^u.
 Toric and horizontal terms are :class:`Monomial` triples (c, l, m) for
 c t^l chi^m: their input and multiplier are of that form, so products,
 sums and comparisons are integer and scalar arithmetic, and membership of
-a term is a few integer comparisons on the floors of D(m).  Vertical terms
-stay :class:`HomogeneousElement`s, because phi and f there are arbitrary
-sections, which a triple cannot carry.
+a term is a few integer comparisons on the floors of D(m).  The toric
+action takes a triple; the horizontal one takes an element and reads it as
+a triple once.  Vertical terms stay :class:`HomogeneousElement`s, because
+phi and f there are arbitrary sections, which a triple cannot carry.
+Colored divisors, and so the horizontal actions, live over A1 and P1.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .convex import (
 from .curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
-    SPEC_Z,
     BasePoint,
     CurveError,
     RationalFunction,
@@ -55,9 +56,9 @@ from .curves import (
 )
 from .divisors import (
     HomogeneousElement,
+    OutsideWeightCone,
     PolyhedralDivisor,
     degree_polyhedron,
-    degree_sum,
     evaluate,
     is_proper,
     member,
@@ -73,10 +74,6 @@ class ActionError(ValueError):
 
 
 class RayNotInCone(ActionError):
-    pass
-
-
-class OutsideWeightCone(ActionError):
     pass
 
 
@@ -163,16 +160,13 @@ Term = Monomial | HomogeneousElement
 def _monomial(el: Term) -> Monomial | None:
     """``el`` as a monomial: a monomial itself, an element c t^l chi^m as
     (c, l, m), anything else None.  Factor keys are pairwise coprime, so f is
-    c t^l exactly when t is its only key; a Spec Z element is c chi^m."""
+    c t^l exactly when t is its only key."""
     if isinstance(el, Monomial):
         return el
     f = el.function
     if any(b != up.X for b, _ in f.factors):
         return None
     return Monomial(f.constant, sum(e for _, e in f.factors), el.degree)
-
-
-_SHAPE_ERROR = "exponentials expect elements of the form c * t^l chi^m"
 
 
 @dataclass(frozen=True)
@@ -220,9 +214,10 @@ class ExponentialExpansion:
         return " + ".join(f"({el})x^{i}" if i else f"{el}" for i, el in self.terms)
 
 
-def _series(el: Term, height: int, step: Term, check: Callable[[Term], None]
+def _series(el: Term, height: int, step: Term, inside: Callable[[Term], bool]
             ) -> ExponentialExpansion:
-    """Terms binom(height, i) el step^i, i = 0..height, each passed to ``check``.
+    """Terms binom(height, i) el step^i, i = 0..height; a term that fails
+    ``inside``, the action's membership test, raises ``NonMember``.
 
     ``el`` and ``step`` are of one kind: monomials (toric and horizontal,
     step = lambda t^u chi^e) or elements (vertical, step = phi chi^e).
@@ -234,26 +229,19 @@ def _series(el: Term, height: int, step: Term, check: Callable[[Term], None]
             if i > 1:
                 power = power * step
             term = el.scaled(comb(height, i)) * power
-        check(term)
+        if not inside(term):
+            raise NonMember(f"term {term} left the section algebra")
         terms.append((i, term))
     return ExponentialExpansion(tuple(terms))
 
 
-def _check_member(d: PolyhedralDivisor, term: HomogeneousElement) -> None:
-    if not member(term, d):
-        raise NonMember(f"term {term} left the section algebra")
-
-
 def _monomial_member(d: PolyhedralDivisor, term: Monomial) -> bool:
-    """:func:`divisors.member` of c t^l chi^m: m in the weight cone, and on the
-    floors of D(m) the floor at t plus l, every other finite floor and, on P1,
-    the floor at infinity minus l all >= 0.  Over Spec Z (l = 0) the constant c
-    has valuations at the primes, so it goes to :func:`curves.in_sections`."""
+    """:func:`divisors.member` of c t^l chi^m over A1 or P1: m in the weight
+    cone, and on the floors of D(m) the floor at t plus l, every other finite
+    floor and, on P1, the floor at infinity minus l all >= 0."""
     m, ell = term.degree, term.ell
     if not d.in_weight_cone(m):
         return False
-    if d.curve is SPEC_Z:
-        return in_sections(RationalFunction.rational_number(term.c), SPEC_Z, d.floors(m))
     at_t, at_infinity = ell, -ell  # the floors are 0 off the support
     for z, poly in d.coefficients:
         a = floored_support(poly, m)
@@ -266,22 +254,17 @@ def _monomial_member(d: PolyhedralDivisor, term: Monomial) -> bool:
     return at_t >= 0 and (d.curve is AFFINE_LINE or at_infinity >= 0)
 
 
-def toric_exponential(cone: Cone, root: DemazureRoot, lam, el: Term) -> ExponentialExpansion:
+def toric_exponential(cone: Cone, root: DemazureRoot, lam, el: Monomial
+                      ) -> ExponentialExpansion:
     """Exponential of the homogeneous derivation of a Demazure root on c chi^m
     (c t^l chi^m carries t^l along); the terms are monomials."""
     lam = Fraction(lam)
     if not lam:
         raise CurveError("the scalar lambda must be nonzero")
-    start = _monomial(el)
-    if start is None:
-        raise ActionError(_SHAPE_ERROR)
-    if not cone.dual_contains(start.degree):
+    if not cone.dual_contains(el.degree):
         raise OutsideWeightCone(f"{el.degree} is outside the weight cone")
-
-    def check(term: Monomial) -> None:
-        assert cone.dual_contains(term.degree)
-    return _series(start, dot(start.degree, root.distinguished_ray),
-                   Monomial(lam, 0, root.vector), check)
+    return _series(el, dot(el.degree, root.distinguished_ray), Monomial(lam, 0, root.vector),
+                   lambda term: cone.dual_contains(term.degree))
 
 
 def vertical_phi(d: PolyhedralDivisor, root: DemazureRoot) -> SectionModule:
@@ -331,14 +314,14 @@ def vertical_exponential(d: PolyhedralDivisor, root: DemazureRoot,
     if not member(el, d):
         raise NonMember(f"{el} is not in the section algebra")
     return _series(el, dot(el.degree, root.distinguished_ray),
-                   HomogeneousElement(phi, root.vector), partial(_check_member, d))
+                   HomogeneousElement(phi, root.vector), partial(member, d=d))
 
 
 @dataclass(frozen=True)
 class ColoredDivisor:
-    """Proper divisor with a chosen vertex per coefficient, a rational base
-    point carrying the only possibly non-integral color and, on a projective
-    base, a rational point at infinity."""
+    """Proper divisor over A1 or P1 with a chosen vertex per coefficient, a
+    rational base point carrying the only possibly non-integral color and, on
+    a projective base, a rational point at infinity."""
 
     divisor: PolyhedralDivisor
     base_point: BasePoint
@@ -348,6 +331,8 @@ class ColoredDivisor:
     @staticmethod
     def of(divisor: PolyhedralDivisor, base_point: BasePoint,
            colors, infinity_point: BasePoint | None = None) -> "ColoredDivisor":
+        if not divisor.curve.function_field_is_rational:
+            raise WrongCurve("colored divisors live over the affine or projective line")
         items = colors.items() if hasattr(colors, "items") else colors
         canon = tuple(sorted((z, tuple(Fraction(a) for a in v)) for z, v in items))
         return ColoredDivisor(divisor, base_point, infinity_point, canon)
@@ -380,7 +365,7 @@ class ColoredDivisor:
         d = self.divisor
         if d.curve is PROJECTIVE_LINE:
             d = d.restrict([self.infinity_point])
-        return degree_sum(d)
+        return degree_polyhedron(d)
 
 
 def validate_coloring(cd: ColoredDivisor) -> ConditionReport:
@@ -757,11 +742,8 @@ def horizontal_kernel(ca: CoherentAssemblage) -> KernelDescription:
     for m in monoid:
         ev = evaluate(d, m).restrict(exclude)
         assert ev.is_integral, (m, ev)
-        if d.curve.function_field_is_rational:
-            fac = {z.poly: -int(a) for z, a in ev.coefficients if z.kind == "finite"}
-            funcs.append((m, RationalFunction.from_factored(1, fac)))
-        else:
-            raise WrongCurve("horizontal kernels live over function fields")
+        fac = {z.poly: -int(a) for z, a in ev.coefficients if z.kind == "finite"}
+        funcs.append((m, RationalFunction.from_factored(1, fac)))
     return KernelDescription(tuple(lattice), monoid, tuple(funcs))
 
 
@@ -802,10 +784,6 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
     assert u.denominator == 1
     step = Monomial(ca.scalars[0], int(u), ca.degree)
 
-    def check(term: Monomial) -> None:
-        if not _monomial_member(d, term):
-            raise NonMember(f"term {term} left the section algebra")
-
     def expand(el: Term) -> ExponentialExpansion:
         start = _monomial(el)
         if not (member(el, d) if start is None else _monomial_member(d, start)):
@@ -813,10 +791,10 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
         if points_error:
             raise ActionError(points_error)
         if start is None:
-            raise ActionError(_SHAPE_ERROR)
+            raise ActionError("exponentials expect elements of the form c * t^l chi^m")
         a = dd * (dot(start.degree, v0) + start.ell)
         assert a == int(a) and a >= 0, a
-        return _series(start, int(a), step, check)
+        return _series(start, int(a), step, partial(_monomial_member, d))
 
     return expand
 

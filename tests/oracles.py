@@ -69,6 +69,7 @@ from polydiv.curves import (
 from polydiv.divisors import (
     GeneratorReport,
     HomogeneousElement,
+    OutsideWeightCone,
     PolyhedralDivisor,
     _cofactor_exponents,
     _poly_mul,
@@ -81,8 +82,8 @@ from polydiv.gaactions import (
     CoherentAssemblage,
     DemazureRoot,
     ExponentialExpansion,
+    Monomial,
     NonMember,
-    OutsideWeightCone,
     PhiNotAdmissible,
 )
 from polydiv.linalg import (
@@ -600,10 +601,9 @@ def generators_by_products(d, box) -> GeneratorReport:
         return divisors.bounded_generators(d, box)
 
 
-def toric_by_terms(cone: Cone, root: DemazureRoot, lam,
-                   el: HomogeneousElement) -> ExponentialExpansion:
+def toric_by_terms(cone: Cone, root: DemazureRoot, lam, el: Monomial) -> ExponentialExpansion:
     """``gaactions.toric_exponential`` by its own loop on chi^m, every term
-    then rescaled by the constant c of the element c chi^m."""
+    then rescaled by the constant c of the monomial c chi^m."""
     lam = Fraction(lam)
     e, rho = root.vector, root.distinguished_ray
     weight = cone.dual()
@@ -617,7 +617,7 @@ def toric_by_terms(cone: Cone, root: DemazureRoot, lam,
         deg = vadd(m, tuple(i * a for a in e))
         assert weight.contains(deg)
         terms.append((i, HomogeneousElement(
-            RationalFunction.from_factored(coeff), deg).scaled(el.function.constant)))
+            RationalFunction.from_factored(coeff), deg).scaled(el.c)))
     return ExponentialExpansion(tuple(terms))
 
 

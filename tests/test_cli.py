@@ -376,6 +376,29 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, *argv)
         assert (code, err) == (0, "") and out.startswith("usage: polydiv")
 
+    @pytest.mark.parametrize("command, obj", [("coloring-check", "coloring"),
+                                              ("assemblage-check", "assemblage"),
+                                              ("axiom-check", "assemblage")])
+    def test_spec_z_coloring_is_a_schema_error(self, capsys, tmp_path, command, obj):
+        """Colored divisors live over A1 and P1: a Spec Z coloring ends at its
+        path, not in a report that passes it as an affine base."""
+        point = {"prime": 2}
+        doc = {"version": "1", "curve": "SpecZ", "lattice_rank": 1, "objects": {
+            "divisor": {"type": "divisor", "tail": {"rays": [[1]]},
+                        "coefficients": [{"point": point, "vertices": [["-1/2"]]}]},
+            "coloring": {"type": "coloring", "divisor": "divisor", "base_point": point,
+                         "colors": [{"point": point, "vertex": ["-1/2"]}]},
+            "assemblage": {"type": "assemblage", "coloring": "coloring", "e": [1],
+                           "s": [0], "lambda": [1]}}}
+        err = self.schema_error(capsys, tmp_path, doc, command, obj)
+        assert err.startswith("schema error: $.objects.coloring: WrongCurve: ")
+
+    def test_degree_on_an_affine_base_is_wrong_curve(self, capsys):
+        code, out, err = run_capture(capsys, "degree", "--input", fixture("hnorm_a1.json"),
+                                     "--object", "divisor")
+        assert (code, out) == (2, "")
+        assert err.startswith("WrongCurve: the degree polyhedron needs a projective base")
+
     def test_math_error_is_two(self, capsys):
         code, _, err = run_capture(
             capsys, "eval", "--input", fixture("ex345.json"),

@@ -1,4 +1,5 @@
-"""Every function, class and method in polydiv is used by the program.
+"""Every function, class, method and module-level name in polydiv is used
+by the program.
 
 References are resolved, not matched by bare name, so a name that two
 definitions share cannot hide either of them.  A module-level function or
@@ -12,9 +13,11 @@ class ``name`` of module M counts as used only through
 
 A non-dunder method or property counts as used only through an attribute
 access ``.name`` outside its own body; it still cannot be told apart from a
-method of the same name in another class.  References count from ``src/``
-and ``bench/``, not from ``tests/``: code that only tests call belongs in
-``tests/``.
+method of the same name in another class.  A name that a module-level
+assignment binds (a constant such as ``_PRIME``, a type alias, a table)
+counts as used like a module-level function, its own assignment aside.
+References count from ``src/`` and ``bench/``, not from ``tests/``: code
+that only tests call belongs in ``tests/``.
 
 Every name an import binds, in ``src/``, ``bench/`` and ``tests/``, is used
 in its file: as a name, as the base of an attribute, or inside a quoted
@@ -97,7 +100,19 @@ def definitions(tree: ast.Module, module: str):
                     yield (None, item.name), f"{module}.{node.name}.{item.name}", item
 
 
-def unreferenced() -> list[str]:
+def assignments(tree: ast.Module, module: str):
+    """(key, label, node) for every name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign | ast.AnnAssign):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and not n.id.startswith("__"):
+                        yield (module, n.id), f"{module}.{n.id}", node
+
+
+def unreferenced(bound=definitions) -> list[str]:
+    """The labels of the names ``bound`` yields that nothing references
+    outside the node that binds them."""
     total: Counter = Counter()
     unused = []
     for path in FILES:
@@ -108,12 +123,16 @@ def unreferenced() -> list[str]:
         total += references(tree, module, aliases)
         if module is not None:
             unused += [(key, label, references(node, module, aliases)[key])
-                       for key, label, node in definitions(tree, module)]
+                       for key, label, node in bound(tree, module)]
     return sorted(label for key, label, own in unused if total[key] == own)
 
 
 def test_no_unreferenced_definitions():
     assert unreferenced() == []
+
+
+def test_no_unread_module_names():
+    assert unreferenced(assignments) == []
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

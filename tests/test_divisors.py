@@ -206,10 +206,13 @@ class TestDegreeAndProper:
             Z0: Polyhedron.from_vertices_and_tail([(5, 5)], SIGMA)})
         assert is_proper(d)[0]
 
-    def test_wrong_curve(self):
-        d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {})
-        with pytest.raises(WrongCurve):
-            degree_polyhedron(d)
+    def test_degree_polyhedron_on_any_base(self):
+        """The weighted Minkowski sum needs no projective base; the CLI's
+        ``degree`` command is what refuses an affine one."""
+        d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {
+            Z0: Polyhedron.from_vertices_and_tail([(1, 0), (0, 1)], SIGMA),
+            BasePoint.finite((1, 0, 1)): Polyhedron.from_vertices_and_tail([(F(1, 2), 0)], SIGMA)})
+        assert degree_polyhedron(d) == Polyhedron.from_vertices_and_tail([(2, 0), (1, 1)], SIGMA)
 
 
 class TestDpd:
@@ -636,10 +639,13 @@ class TestGeneratorsAgainstFunctionRoute:
     def test_exact_rank_decides_a_modular_shortfall(self, monkeypatch):
         """Modulo 3 the place t - 1/3, kept as 3t - 1, is a constant, so some
         spanning product sets lose rank there and only the exact rank over Q
-        can tell that they still span."""
-        tail = P1_TAILS[2]
-        d = proper_on_p1(tail, {BasePoint.rational(F(1, 3)): Polyhedron.from_vertices_and_tail(
-            [(F(-1, 2), 0), (0, 0)], tail)}, (1, 1))
+        can tell that they still span.  The product families of this divisor
+        leave gaps that the interval certificate cannot close, so its pieces
+        reach the rank tests."""
+        tail = P1_TAILS[0]
+        d = proper_on_p1(tail, {
+            BasePoint.rational(F(1, 3)): Polyhedron.from_vertices_and_tail([(-2, 0), (-1, -1)], tail),
+            Z0: Polyhedron.from_vertices_and_tail([(0, F(1, 2))], tail)}, (2, 2))
         box = default_box(d)
         calls = []
         real = divisors.independent_rows
@@ -726,6 +732,26 @@ class TestGeneratorsAgainstProductRoute:
         gens, failures = divisors._run_projective(d, frames, degrees[:4], degrees)
         assert failures == [(6,), (9,), (10,)]
         assert (gens, failures) == oracles.run_projective_by_products(d, frames, degrees[:4], degrees)
+
+    def test_a_place_of_degree_two_counts_twice(self):
+        """A family gen_m * P_b * Q[t]_{<dim_r} spans from deg P_b up, and
+        t^2 + 1 has degree 2.  The floors at t and t^2 + 1 are this divisor's;
+        the degrees of floor D(m) are set by hand, 0 on the layer m_1 = 1 and
+        2 at (2, 4).  The products at (2, 4) through (1, 2) + (1, 2),
+        (1, 1) + (1, 3) and (1, 0) + (1, 4) are gen_(2, 4) times 1, t^2 + 1
+        and t^2: they miss t, so (2, 4) fails.  Reading t^2 + 1 as if of
+        degree 1, as the interval [1, 2), would close the gap."""
+        tail = Cone.from_rays([(1, 0), (1, 4)], 2).dual()
+        d = PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {
+            Z0: Polyhedron.from_vertices_and_tail([(0, 0), (-1, 1), (3, -1)], tail),
+            BasePoint.finite((1, 0, 1)): Polyhedron.from_vertices_and_tail([(0, F(1, 2))], tail),
+            INF: Polyhedron.from_vertices_and_tail([(1, 0)], tail)})
+        layer, m = [(1, j) for j in range(5)], (2, 4)
+        frames = {k: (a, 2 if k == m else 0)
+                  for k, (a, _) in divisors._frames(d, layer + [m, (0, 0)]).items()}
+        gens, failures = divisors._run_projective(d, frames, layer, layer + [m])
+        assert failures == [m]
+        assert (gens, failures) == oracles.run_projective_by_products(d, frames, layer, layer + [m])
 
     def test_ex346_doubled_pass_makes_no_rank_test(self, monkeypatch):
         """Every degree of ex346's doubled pass is spanned by intervals of
