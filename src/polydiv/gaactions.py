@@ -21,6 +21,8 @@ action takes a triple; the horizontal one takes an element and reads it as
 a triple once.  Vertical terms stay :class:`HomogeneousElement`s, because
 phi and f there are arbitrary sections, which a triple cannot carry.
 Colored divisors, and so the horizontal actions, live over A1 and P1.
+The horizontal conditions read a rational base point t - c in place: the
+shift t -> t - c only renames places, and the report only records it.
 """
 
 from __future__ import annotations
@@ -278,18 +280,19 @@ def vertical_phi(d: PolyhedralDivisor, root: DemazureRoot) -> SectionModule:
 def vertical_exists(d: PolyhedralDivisor, ray: Sequence) -> bool:
     """Is there a vertical action with the given distinguished ray?
 
-    Affine bases always admit one; on the projective line the criterion is
-    that the ray misses the degree polyhedron (exact one-variable
-    feasibility over the halfspace description).
+    The ray must be a ray of the tail on every base.  Affine bases always
+    admit one; on the projective line the criterion is that the ray misses
+    the degree polyhedron (exact one-variable feasibility over the halfspace
+    description).
     """
     ok, cert = is_proper(d)
     if not ok:
         raise ActionError(f"divisor is not proper: {cert}")
-    if d.curve.is_affine:
-        return True
     ray = primitive(ray)
     if ray not in d.tail.rays:
         raise RayNotInCone(f"{ray} is not an extreme ray of the tail cone")
+    if d.curve.is_affine:
+        return True
     deg = degree_polyhedron(d)
     # does t*ray satisfy all halfspaces for some t >= 0?
     lo, hi = Fraction(0), None
@@ -507,77 +510,44 @@ def assemblage_check(ca: CoherentAssemblage) -> ConditionReport:
 
     s1 = ca.exponents[0]
     e1 = tuple(p ** s1 * a for a in ca.degree)
-
-    ok, note = True, "no uncolored vertices away from the base point"
-    for z in cd.marked_points:
-        if z == cd.base_point:
-            continue
-        vz = cd.color(z)
-        for v in d.coefficient(z).vertices:
-            if v == vz:
-                continue
-            lhs = pk * dot(e1, v)
-            rhs = 1 + pk * dot(e1, vz)
-            note = f"at {z}: {lhs} >= {rhs}"
-            if lhs < rhs:
-                ok, note = False, f"at {z}, vertex {v}: {lhs} < {rhs}"
-                break
-        if not ok:
-            break
-    results.append(("uncolored_vertices", ok, note))
-
-    ok, note = True, "no other vertices at the base point"
-    for v in d.coefficient(cd.base_point).vertices:
-        if v == tuple(v0):
-            continue
-        lhs = dd * dot(e1, v)
-        rhs = 1 + dd * dot(e1, v0)
-        note = f"{lhs} >= {rhs}"
-        if lhs < rhs:
-            ok, note = False, f"vertex {v}: {lhs} < {rhs}"
-            break
-    results.append(("base_point_vertices", ok, note))
-
+    results.append(_vertex_inequalities(
+        "uncolored_vertices", "no uncolored vertices away from the base point",
+        ((f"at {z}", v, pk * dot(e1, v), 1 + pk * dot(e1, cd.color(z)))
+         for z in cd.marked_points if z != cd.base_point
+         for v in d.coefficient(z).vertices if v != cd.color(z))))
+    results.append(_vertex_inequalities(
+        "base_point_vertices", "no other vertices at the base point",
+        (("", v, dd * dot(e1, v), 1 + dd * dot(e1, v0))
+         for v in d.coefficient(cd.base_point).vertices if v != v0)))
     if d.curve is PROJECTIVE_LINE:
-        ok, note = True, ""
-        vdeg = cd.degree_vertex()
-        rhs = -1 - dd * dot(e1, vdeg)
-        for v in d.coefficient(cd.infinity_point).vertices:
-            lhs = dd * dot(e1, v)
-            note = f"{lhs} >= {rhs}"
-            if lhs < rhs:
-                ok, note = False, f"vertex {v}: {lhs} < {rhs}"
-                break
-        results.append(("infinity_vertices", ok, note))
+        rhs = -1 - dd * dot(e1, cd.degree_vertex())
+        results.append(_vertex_inequalities(
+            "infinity_vertices", "",
+            (("", v, dd * dot(e1, v), rhs) for v in d.coefficient(cd.infinity_point).vertices)))
     return ConditionReport(tuple(results))
 
 
-def _normalize_points(d: PolyhedralDivisor, z0: BasePoint,
-                      zinf: BasePoint | None) -> tuple[PolyhedralDivisor, Fraction]:
-    """Move the base point to 0 by the shift t -> t - c; returns (moved, c).
+def _vertex_inequalities(name: str, note: str, checks) -> tuple[str, bool, str]:
+    """The report row ``name`` of lhs >= rhs for each (where, vertex, lhs,
+    rhs) of ``checks``: it fails at the first violation, naming where and the
+    vertex; it passes with the last comparison as its note, or ``note`` when
+    there is none."""
+    for where, v, lhs, rhs in checks:
+        if lhs < rhs:
+            return name, False, f"{where + ', ' if where else ''}vertex {v}: {lhs} < {rhs}"
+        note = f"{where + ': ' if where else ''}{lhs} >= {rhs}"
+    return name, True, note
 
-    The infinity point must already be the place at infinity.
-    """
-    origin = BasePoint.rational(0)
-    inf = BasePoint.infinity()
-    if z0 == origin and (zinf is None or zinf == inf):
-        return d, Fraction(0)
-    if zinf is not None and zinf != inf:
+
+def _base_shift(z0: BasePoint, zinf: BasePoint | None) -> Fraction:
+    """The c of the base point z0 = t - c, which the shift t -> t - c moves
+    to 0.  The point at infinity, if any, must be the place at infinity."""
+    if zinf is not None and zinf != BasePoint.infinity():
         raise ActionError("only shifts are implemented: the point at infinity "
                           "must already be the place at infinity")
     if z0.kind != "finite" or not z0.is_rational:
         raise ActionError("base point must be a finite rational point")
-    c = -z0.poly[0]  # z0 is the place t - c
-
-    def move(z: BasePoint) -> BasePoint:
-        if z.kind != "finite":
-            return z
-        shifted = up.substitute(z.poly, (c, Fraction(1)))  # q(t + c)
-        return BasePoint.finite(shifted)
-
-    moved = PolyhedralDivisor.of(d.curve, d.tail,
-                                 [(move(z), poly) for z, poly in d.coefficients])
-    return moved, c
+    return -z0.poly[0]
 
 
 def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
@@ -594,6 +564,11 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     bases of the weight cone and of each quasi-fan cone scaled by the
     divisor denominator, plus pairwise sums), or exhaustively on a lattice
     box when ``exhaustive_box`` is given.
+
+    The base point (t by default) is read in place: the shift t -> t - c
+    that would move it to 0 only renames places, so the notes name places
+    as ``d`` has them and the ``normalization`` row only records the shift.
+    The point at infinity must be the place at infinity.
     """
     results = []
     e = tuple(int(a) for a in e)
@@ -608,12 +583,9 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     results.append(("curve", True, d.curve.value))
 
     z0 = base_point if base_point is not None else BasePoint.rational(0)
-    zinf = infinity_point
-    if d.curve is PROJECTIVE_LINE and zinf is None:
-        zinf = BasePoint.infinity()
-    normalized, shift = _normalize_points(d, z0, zinf)
-    restricted = normalized if d.curve is AFFINE_LINE else \
-        normalized.restrict([BasePoint.infinity()])
+    shift = _base_shift(z0, infinity_point)
+    zinf = BasePoint.infinity()
+    restricted = d if d.curve is AFFINE_LINE else d.restrict([zinf])
     note = "already normalized" if shift == 0 else \
         f"recorded parameter change t -> t - ({shift})"
     results.append(("normalization", True, note))
@@ -626,10 +598,9 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     if not ok:
         return ConditionReport(tuple(results))
 
-    origin = BasePoint.rational(0)
     # support function on omega is linear, given by the minimizing vertex
     def omega_vertex(z: BasePoint):
-        poly = normalized.coefficient(z)
+        poly = d.coefficient(z)
         interior = tuple(sum(col) for col in zip(*omega.rays))
         best = min(poly.vertices, key=lambda v: dot(interior, v))
         assert all(dot(m, best) == support_value(poly, m) for m in omega.rays)
@@ -637,7 +608,7 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
 
     ok, note = True, "support functions integral away from the base point"
     for z, poly in restricted.coefficients:
-        if z == origin:
+        if z == z0:
             continue
         vz = omega_vertex(z)
         if any(Fraction(a).denominator != 1 for a in vz):
@@ -647,32 +618,29 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     if not ok:
         return ConditionReport(tuple(results))
 
-    v0 = omega_vertex(origin)
+    v0 = omega_vertex(z0)
     dd = denominator_lcm(v0)
     pk = p ** p_power_part(dd, p)
 
-    u = -Fraction(1, dd) - dot(tuple(p ** s1 * a for a in e), v0)
+    e1 = tuple(p ** s1 * a for a in e)
+    u = -Fraction(1, dd) - dot(e1, v0)
     ok = u.denominator == 1
     results.append(("degree_integrality", ok, f"u = {u}, d = {dd}"))
     if not ok:
         return ConditionReport(tuple(results))
 
-    e1 = tuple(p ** s1 * a for a in e)
-    weight = normalized.tail.dual()
+    weight = d.tail.dual()
     if exhaustive_box is not None:
         sample = [m for m in box_points([(-exhaustive_box, exhaustive_box)] * d.rank)
                   if weight.contains(m)]
     else:
-        probes = probe_degrees(restricted, normalized.denominator())
+        probes = probe_degrees(restricted, d.denominator())
         sample = set(probes)
         sample.update(vadd(a, b) for a in probes for b in probes)
         sample = sorted(sample)
 
-    def h_lin(m):
-        return dot(m, v0)
-
     def h_at(z, m):
-        return support_value(normalized.coefficient(z), m)
+        return support_value(d.coefficient(z), m)
 
     cond3, w3 = True, "vanishing-order inequality holds on the sample"
     cond4, w4 = True, "base-point inequality holds on the sample"
@@ -682,22 +650,20 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
         if not weight.contains(shifted):
             continue
         for z, poly in restricted.coefficients:
-            if z == origin:
+            if z == z0:
                 continue
             if h_at(z, shifted) != 0:
                 lhs = floor(pk * h_at(z, shifted)) - floor(pk * h_at(z, m))
                 if lhs < 1:
                     cond3, w3 = False, f"at {z}, m = {m}: {lhs} < 1"
-        if h_at(origin, shifted) != h_lin(shifted):
-            lhs = floor(dd * h_at(origin, shifted)) - floor(dd * h_at(origin, m))
-            rhs = 1 - dd * h_lin(e1)
+        if h_at(z0, shifted) != dot(shifted, v0):
+            lhs = floor(dd * h_at(z0, shifted)) - floor(dd * h_at(z0, m))
+            rhs = 1 - dd * dot(e1, v0)
             if lhs < rhs:
                 cond4, w4 = False, f"m = {m}: {lhs} < {rhs}"
         if d.curve is PROJECTIVE_LINE:
-            hinf = normalized.coefficient(BasePoint.infinity())
-            lhs = floor(dd * support_value(hinf, shifted)) - \
-                floor(dd * support_value(hinf, m))
-            rhs = -1 - dd * h_lin(e1)
+            lhs = floor(dd * h_at(zinf, shifted)) - floor(dd * h_at(zinf, m))
+            rhs = -1 - dd * dot(e1, v0)
             if lhs < rhs:
                 cond5, w5 = False, f"m = {m}: {lhs} < {rhs}"
     results.append(("order_jump_away_from_base", cond3, w3))
@@ -773,9 +739,8 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
     if not report.all_pass:
         raise ConditionsFail(f"assemblage is not coherent:\n{report}")
     try:
-        _, shift = _normalize_points(d, cd.base_point, cd.infinity_point)
-        points_error = "" if shift == 0 else \
-            "exponentials expect normalized marked points"
+        points_error = "exponentials expect normalized marked points" \
+            if _base_shift(cd.base_point, cd.infinity_point) else ""
     except ActionError as err:
         points_error = str(err)
     v0 = cd.color(cd.base_point)

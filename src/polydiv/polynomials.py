@@ -126,14 +126,6 @@ def evaluate(p: Poly, x) -> Fraction:
     return acc
 
 
-def substitute(p: Poly, q: Poly) -> Poly:
-    """p(q(t)) by Horner."""
-    acc: Poly = ZERO
-    for a in reversed(p):
-        acc = add(mul(acc, q), poly([a]))
-    return acc
-
-
 def to_string(p: Poly, var: str = "t") -> str:
     if is_zero(p):
         return "0"

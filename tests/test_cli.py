@@ -399,6 +399,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("WrongCurve: the degree polyhedron needs a projective base")
 
+    @pytest.mark.parametrize("name, ray, text", [
+        ("hnorm_a1.json", "-1", "(-1,)"), ("trivial_a1.json", "5,7", "(5, 7)")])
+    def test_vertical_exists_refuses_a_vector_that_is_not_a_ray(self, capsys, name, ray, text):
+        """An affine base admits a vertical action for every ray of the tail,
+        and for nothing else."""
+        code, out, err = run_capture(capsys, "vertical-exists", "--input", fixture(name),
+                                     "--object", "divisor", "--ray", ray)
+        assert (code, out) == (2, "")
+        assert err == f"RayNotInCone: {text} is not an extreme ray of the tail cone\n"
+
     def test_math_error_is_two(self, capsys):
         code, _, err = run_capture(
             capsys, "eval", "--input", fixture("ex345.json"),

@@ -77,9 +77,9 @@ def example_345_divisor():
     return divisor_from_generators([t1, t2, t3, t4], PROJECTIVE_LINE)[1]
 
 
-def example_5617():
+def example_5617(base_vertices=((F(1, 2), 0),)):
     d = PolyhedralDivisor.of(PROJECTIVE_LINE, SIGMA, {
-        Z0: Polyhedron.from_vertices_and_tail([(F(1, 2), 0)], SIGMA),
+        Z0: Polyhedron.from_vertices_and_tail(base_vertices, SIGMA),
         Z1: Polyhedron.from_vertices_and_tail([(0, 0), (F(-1, 2), F(1, 2))], SIGMA),
         INF: Polyhedron.from_vertices_and_tail([(F(1, 2), 0)], SIGMA)})
     cd = ColoredDivisor.of(d, base_point=Z0,
@@ -196,6 +196,16 @@ class TestVertical:
         assert not vertical_exists(d, (0, 1))
         daff = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {})
         assert vertical_exists(daff, (1, 0))
+
+    @pytest.mark.parametrize("d", [PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {}),
+                                   PolyhedralDivisor.of(SPEC_Z, SIGMA, {}),
+                                   example_345_divisor()], ids=["A1", "SpecZ", "P1"])
+    def test_exists_refuses_a_vector_that_is_not_a_ray(self, d):
+        """Every base; a positive multiple of a ray is that ray."""
+        for ray in ((-1, 0), (1, 1), (0, 0)):
+            with pytest.raises(RayNotInCone):
+                vertical_exists(d, ray)
+        assert vertical_exists(d, (3, 0)) == vertical_exists(d, (1, 0))
 
     def test_exists_when_ray_clears_degree(self):
         # degree polyhedron strictly inside: one ray misses it
@@ -350,6 +360,38 @@ class TestAssemblage:
         ok, note = outcome(rep, "uncolored_vertices")
         assert not ok and "t - 1" in note
 
+    # (base-point vertices, e, p, s, row, passed, note); a second vertex
+    # (0, 1/2) at the base point gives base_point_vertices something to compare
+    @pytest.mark.parametrize("base, e, p, s, row, ok, note", [
+        ("one", (1, 3), 1, 0, "uncolored_vertices", True, "at [t - 1]: 1 >= 1"),
+        ("one", (1, 1), 3, 1, "uncolored_vertices", False,
+         "at [t - 1], vertex (Fraction(-1, 2), Fraction(1, 2)): 0 < 1"),
+        ("one", (1, 2), 3, 1, "base_point_vertices", True,
+         "no other vertices at the base point"),
+        ("two", (0, 1), 1, 0, "base_point_vertices", True, "1 >= 1"),
+        ("two", (1, 1), 3, 1, "base_point_vertices", False,
+         "vertex (Fraction(0, 1), Fraction(1, 2)): 3 < 4"),
+        ("one", (1, 2), 3, 1, "infinity_vertices", True, "3 >= -4"),
+        ("one", (-1, 1), 3, 1, "infinity_vertices", False,
+         "vertex (Fraction(1, 2), Fraction(0, 1)): -3 < 2"),
+    ], ids=["uncolored-pass", "uncolored-fail", "base-default", "base-pass", "base-fail",
+            "infinity-pass", "infinity-fail"])
+    def test_vertex_inequality_notes(self, base, e, p, s, row, ok, note):
+        """A pass reads the last comparison, a failure the first violation."""
+        vertices = [(F(1, 2), 0)] + ([(0, F(1, 2))] if base == "two" else [])
+        _, cd = example_5617(vertices)
+        assert validate_coloring(cd).all_pass
+        ca = CoherentAssemblage.of(cd, degree=e, exponents=[s], scalars=[1], char_exponent=p)
+        assert outcome(assemblage_check(ca), row) == (ok, note)
+
+    def test_no_uncolored_vertices_note(self):
+        cd = ColoredDivisor.of(PolyhedralDivisor.of(AFFINE_LINE, SIG1, {
+            Z0: Polyhedron.from_vertices_and_tail([(F(-1, 2),)], SIG1)}),
+            base_point=Z0, colors={Z0: (F(-1, 2),)})
+        ca = CoherentAssemblage.of(cd, degree=(1,), exponents=[0], scalars=[1])
+        assert outcome(assemblage_check(ca), "uncolored_vertices") == (
+            True, "no uncolored vertices away from the base point")
+
 
 class TestHorizontalConditions:
     def test_example_5617(self):
@@ -365,6 +407,35 @@ class TestHorizontalConditions:
         omega = sig1.dual()
         rep = horizontal_conditions(d, omega, (1,), 1, 0)
         assert rep.all_pass, rep
+
+    @pytest.mark.parametrize("c, shift", [(1, "1"), (F(-2, 3), "-2/3")])
+    @pytest.mark.parametrize("e, p, s1", [((1,), 1, 0), ((1,), 2, 1), ((2,), 1, 0),
+                                          ((3,), 3, 1)])
+    def test_base_point_is_read_in_place(self, c, shift, e, p, s1):
+        """The t^(-1/2) data at t - c reports as at t; the normalization row
+        records the shift t -> t - c."""
+        def rows(z):
+            d = PolyhedralDivisor.of(AFFINE_LINE, SIG1, {
+                z: Polyhedron.from_vertices_and_tail([(F(-1, 2),)], SIG1)})
+            return list(horizontal_conditions(d, SIG1.dual(), e, p, s1, base_point=z).results)
+        at_t = rows(Z0)
+        assert ("normalization", True, "already normalized") in at_t
+        recorded = ("normalization", True, f"recorded parameter change t -> t - ({shift})")
+        assert rows(BasePoint.rational(c)) == [
+            recorded if row[0] == "normalization" else row for row in at_t]
+
+    def test_base_point_of_degree_two_raises(self):
+        z = BasePoint.finite([1, 0, 1])  # t^2 + 1
+        d = PolyhedralDivisor.of(AFFINE_LINE, SIG1, {
+            z: Polyhedron.from_vertices_and_tail([(F(-1, 2),)], SIG1)})
+        with pytest.raises(ActionError, match="finite rational point"):
+            horizontal_conditions(d, SIG1.dual(), (1,), 1, 0, base_point=z)
+
+    def test_finite_point_at_infinity_raises(self):
+        d, cd = example_5617()
+        omega, _ = associated_cones(cd)
+        with pytest.raises(ActionError, match="only shifts"):
+            horizontal_conditions(d, omega, (1, 2), 3, 1, infinity_point=BasePoint.rational(5))
 
     def test_non_maximal_omega_fails(self):
         d, cd = example_5617()

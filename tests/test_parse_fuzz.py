@@ -15,7 +15,9 @@ or ``--m``: wrong lengths, non-integers, lo > hi and coordinates of absolute
 value at most 8, which keeps every run short.  The other recorded command
 lines that take arguments get one or two of their arguments drawn the same
 way, integer options small or not integers at all; a non-integer value of
-an integer option is a usage error, exit 1.
+an integer option is a usage error, exit 1.  The recorded ``vertical-exists``
+lines also get a drawn integer ``--ray``: exit 0 when its primitive vector is
+a ray of the object's tail, exit 2 otherwise, on every base.
 """
 
 import contextlib
@@ -30,6 +32,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polydiv import cli, serialize
+from polydiv.divisors import divisor_from_generators
+from polydiv.linalg import primitive
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DOCS = []
@@ -324,6 +328,49 @@ def test_mutated_other_command_exits_cleanly(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv + ["--json"])
     assert code in ((1,) if is_usage_error(argv) else (0, 1, 2)), err.getvalue()
+
+
+def tail_rays(argv) -> tuple:
+    """The rays of the tail of the divisor the command line names."""
+    with open(os.path.join(ROOT, "fixtures", argv[argv.index("--input") + 1])) as fh:
+        problem = serialize.parse_problem(json.load(fh))
+    kind, obj = problem.objects[argv[argv.index("--object") + 1]]
+    d = obj if kind == "divisor" else divisor_from_generators(list(obj), problem.curve)[1]
+    return d.tail.rays
+
+
+VERTICAL_EXISTS = [(argv, tail_rays(argv)) for argv in RECORDED if argv[0] == "vertical-exists"]
+
+
+@st.composite
+def vertical_exists_rays(draw):
+    """A recorded vertical-exists line with a drawn ``--ray``, and whether
+    that is a ray of the tail: a positive multiple of a tail ray half the
+    time, else any small integer vector, zero included."""
+    argv, rays = draw(st.sampled_from(VERTICAL_EXISTS))
+    if draw(st.booleans()):
+        ray = tuple(draw(st.integers(1, 4)) * a for a in draw(st.sampled_from(rays)))
+    else:
+        rank = len(rays[0])
+        ray = tuple(draw(st.lists(st.integers(-8, 8), min_size=rank, max_size=rank)))
+    return argv + ["--ray=" + ",".join(map(str, ray))], primitive(ray) in rays
+
+
+def test_vertical_exists_lines_cover_every_divisor_fixture():
+    assert {argv[2] for argv, _ in VERTICAL_EXISTS} == {
+        "ex345.json", "ex346.json", "ex445.json", "ex5617.json", "hnorm_a1.json",
+        "rem3314.json", "trivial_a1.json"}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(vertical_exists_rays())
+def test_vertical_exists_refuses_a_vector_that_is_not_a_ray(case):
+    argv, is_ray = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--json"])
+    assert code == (0 if is_ray else 2), err.getvalue()
+    assert is_ray or err.getvalue().startswith("RayNotInCone: ")
 
 
 @pytest.mark.xfail(raises=IndexError, strict=True,
