@@ -460,3 +460,54 @@ class TestAxiomCheckWork:
                                    "--object", "assemblage", "--json")
         assert code == 0 and json.loads(out)["result"]["all_pass"]
         assert len(calls) == 1
+
+
+PLACES_GOLDEN = os.path.join(os.path.dirname(__file__), "places_golden.json")
+
+
+def places_problem(curve: str) -> dict:
+    """Rank 2, orthant tail, with places entered non-monic or with
+    non-integral roots: 2t + 1 (printed t + 1/2) next to t + 1, 2t^2 + 1,
+    and factors 2t + 4 and t + 1/3; on P1 a coefficient at infinity too."""
+    places = [([1, 2], [["-1/2", 0]]), ([1, 1], [["1/2", 0]]), ([1, 0, 2], [[0, "1/4"]])]
+    if curve == "P1":
+        places.append(("infinity", [["1/2", 0], [0, "1/2"]]))
+    coefficients = [{"point": p if p == "infinity" else {"poly": p}, "vertices": v}
+                    for p, v in places]
+
+    def element(degree, constant, factors):
+        return {"degree": degree, "function": {"constant": constant, "factors": [
+            {"poly": p, "exp": e} for p, e in factors]}}
+
+    elements = [element([2, 0], 1, [([1, 2], 1), ([1, 1], -1)]),
+                element([0, 1], "3/2", [([1, 0, 2], 1)]),
+                element([2, 2], 1, [([2, 4], 1)]),
+                element([3, 2], 1, [([1, 2], 2), (["1/3", 1], -1)])]
+    return {"version": "1", "curve": curve, "lattice_rank": 2, "objects": {
+        "divisor": {"type": "divisor", "tail": {"rays": [[1, 0], [0, 1]]},
+                    "coefficients": coefficients},
+        "gens": {"type": "generators", "elements": elements}}}
+
+
+PLACES_MEMBER = json.dumps({"function": {"constant": "-2/3", "factors": [
+    {"poly": [1, 2], "exp": 1}, {"poly": ["1/2", 0, 1], "exp": -1}]}, "degree": [1, 1]})
+
+
+class TestNonMonicPlaces:
+    """Places and factors print and sort in their monic form: t + 1/2
+    before t + 1, t^2 + 1/2 before t + 1/2.  The recorded stdout pins the
+    text and order of places other than the fixtures' t and t - 1."""
+
+    @pytest.mark.parametrize("curve", ["A1", "P1"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--object", "divisor", "--m", "1,1"],
+        ["sections", "--object", "divisor", "--m", "2,2"],
+        ["member", "--object", "divisor", "--element", PLACES_MEMBER],
+        ["normalize", "--object", "gens"],
+        ["generators", "--object", "divisor"]], ids=lambda argv: argv[0])
+    def test_recorded_stdout(self, capsys, tmp_path, curve, argv):
+        path = tmp_path / "places.json"
+        path.write_text(json.dumps(places_problem(curve)))
+        code, out, _ = run_capture(capsys, argv[0], "--input", str(path), *argv[1:], "--json")
+        with open(PLACES_GOLDEN) as fh:
+            assert (code, out) == (0, json.load(fh)[f"{curve} {argv[0]}"])
