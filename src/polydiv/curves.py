@@ -1,11 +1,15 @@
 """One-dimensional bases: the affine and projective lines over Q, and Spec Z.
 
-Rational functions are kept in factored form over a gcd-free basis of monic
-squarefree polynomials, and over Spec Z as their rational value.  Every
-algorithm downstream consumes only vanishing orders and residue degrees.
-The keys of a factor map are the coarsest pairwise-coprime base of every
-factor the function was built from, so two maps of one function can differ
-(t^2 - t against t * (t - 1)); equality is :meth:`RationalFunction.same_as`.
+A finite place and a factor key are both a polynomial of :mod:`polynomials`,
+a primitive integer tuple, so they are equal exactly when they are the same
+polynomial.  The monic form over Q (:func:`monic`) is only written and
+sorted by: t + 1/2 comes before t + 1.  Rational functions are kept in
+factored form over a gcd-free basis of squarefree polynomials, and over
+Spec Z as their rational value.  Every algorithm downstream consumes only
+vanishing orders and residue degrees.  The keys of a factor map are the
+coarsest pairwise-coprime base of every factor the function was built
+from, so two maps of one function can differ (t^2 - t against
+t * (t - 1)); equality is :meth:`RationalFunction.same_as`.
 
 Precondition: a finite place must be an irreducible polynomial.
 :meth:`BasePoint.finite` rejects rational roots only in degrees 2 and 3, so
@@ -14,10 +18,9 @@ the order of t^2+1 at the place t^4+3t^2+2 = (t^2+1)(t^2+2) comes out as 0.
 Membership (:func:`in_sections`) relies on it too: it reads the order at a
 place by dividing each key once.
 
-Sections and membership read one kind of divisor, an integer floor map
-z -> a_z for D = sum a_z * z, the map ``PolyhedralDivisor.floors`` gives:
-zero entries are allowed and change nothing, and the entry at infinity is
-read only on P1.
+Sections and membership read D = sum a_z * z as places z and an aligned
+tuple of integer floors a_z, as ``PolyhedralDivisor.floors`` gives them:
+zero entries change nothing, and the entry at infinity is read only on P1.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import polynomials as up
-from .linalg import denominator_lcm
 from .polynomials import Poly
 
 
@@ -60,17 +63,27 @@ PROJECTIVE_LINE = BaseCurve.PROJECTIVE_LINE
 SPEC_Z = BaseCurve.SPEC_Z
 
 
-@dataclass(frozen=True, order=True)
+def monic(p: Poly) -> tuple:
+    """p scaled to leading coefficient 1: the form places and keys are written and sorted in."""
+    return p if not p or p[-1] == 1 else tuple(Fraction(a, p[-1]) for a in p)
+
+
+@dataclass(frozen=True)
 class BasePoint:
-    """A closed point: monic polynomial place, the place at infinity, or a prime."""
+    """A closed point: a place given by its polynomial, the place at
+    infinity, or a prime.  Points sort by kind, then monic polynomial."""
 
     kind: str  # "finite" | "infinity" | "prime"
     poly: Poly = ()
     prime: int = 0
 
+    def __lt__(self, other: "BasePoint") -> bool:
+        return (self.kind, monic(self.poly), self.prime) < \
+            (other.kind, monic(other.poly), other.prime)
+
     @staticmethod
     def finite(coeffs: Iterable) -> "BasePoint":
-        p = up.monic(up.poly(coeffs))
+        p = up.poly(tuple(coeffs))
         if up.degree(p) < 1:
             raise CurveError("a finite place needs a nonconstant polynomial")
         if up.degree(up.gcd(p, up.derivative(p))) > 0:
@@ -145,15 +158,14 @@ def p_power_part(d: int, p: int) -> int:
 
 
 def _has_rational_root(p: Poly) -> bool:
-    """Exact rational-root test (clears denominators, scans p/q candidates)."""
-    denom = denominator_lcm(p)
-    ints = [int(a * denom) for a in p]
-    if ints[0] == 0:
+    """Exact rational-root test: a root x/y in lowest terms has x dividing
+    p's constant and y its leading coefficient, and y^deg p * p(x/y) = 0."""
+    if p[0] == 0:
         return True
-    lead, const = abs(ints[-1]), abs(ints[0])
-    return any(up.evaluate(p, Fraction(sign * pn, qd)) == 0
+    n, lead, const = len(p) - 1, p[-1], abs(p[0])
+    return any(sum(a * x ** i * y ** (n - i) for i, a in enumerate(p)) == 0
                for pn in range(1, const + 1) if const % pn == 0
-               for qd in range(1, lead + 1) if lead % qd == 0 for sign in (1, -1))
+               for y in range(1, lead + 1) if lead % y == 0 for x in (pn, -pn))
 
 
 def _factor_integer(n: int) -> dict[int, int]:
@@ -183,7 +195,7 @@ def _split(n: int) -> int:
 
 
 def _refine(exps: dict[Poly, int], f: Poly, e: int) -> None:
-    """Multiply the factor map ``exps`` by f^e, f monic and squarefree.
+    """Multiply the factor map ``exps`` by f^e, f squarefree.
 
     The keys stay the coarsest pairwise-coprime base of every factor the map
     has seen, zero exponents included: a key b that meets f in a nonconstant
@@ -206,40 +218,49 @@ def _refine(exps: dict[Poly, int], f: Poly, e: int) -> None:
         eb = exps.pop(b)
         exps[d] = eb + e
         if d != b:
-            exps[up.exact_div(b, d)] = eb
+            exps[up.divide(b, d)] = eb
         if d != g:
-            queue.append(up.exact_div(g, d))
+            queue.append(up.divide(g, d))
 
 
 @dataclass(frozen=True)
 class RationalFunction:
     """Nonzero element of Q(t) in factored form, or of Q* over Spec Z.
 
-    ``factors`` maps monic squarefree pairwise-coprime polynomials to
-    nonzero integer exponents: the coarsest coprime base of every factor the
+    ``factors`` maps squarefree pairwise-coprime polynomials to nonzero
+    integer exponents: the coarsest coprime base of every factor the
     function was built from, so it depends on how the function was built
-    and equality is :meth:`same_as`.  A Spec Z element is its value:
-    ``constant`` holds it and ``factors`` is empty.
+    and equality is :meth:`same_as`.  ``constant`` is the coefficient in
+    front of the product of the keys' monic forms.  A Spec Z element is its
+    value: ``constant`` holds it and ``factors`` is empty.
     """
 
     curve_kind: str  # "function_field" | "spec_z"
     constant: Fraction
-    factors: tuple[tuple, ...]  # sorted ((poly, exponent), ...)
+    factors: tuple[tuple, ...]  # ((poly, exponent), ...) in monic order
 
     @staticmethod
-    def from_factored(constant, factored: Mapping[Poly, int] | None = None) -> "RationalFunction":
-        c = Fraction(constant)
+    def from_factored(constant, factored: Mapping | None = None) -> "RationalFunction":
+        """constant * prod f^e over rational coefficient tuples f."""
+        c, pairs = Fraction(constant), []
         if c == 0:
             raise CurveError("rational functions are nonzero")
-        exps: dict[Poly, int] = {}
         for f, e in (factored or {}).items():
-            f = up.poly(f)
-            if up.degree(f) < 1:
+            p = up.poly(f)
+            if up.degree(p) < 1:
                 raise CurveError("factors must be nonconstant")
-            c *= up.leading(f) ** e
-            for sf, mult in up.squarefree_decomposition(f):
+            c *= Fraction(f[len(p) - 1]) ** e  # f's leading coefficient
+            pairs.append((p, e))
+        return RationalFunction.monic_product(c, pairs)
+
+    @staticmethod
+    def monic_product(constant, factored: Iterable[tuple[Poly, int]]) -> "RationalFunction":
+        """constant * prod monic(p)^e over polynomials p, constant nonzero."""
+        exps: dict[Poly, int] = {}
+        for p, e in factored:
+            for sf, mult in up.squarefree_decomposition(p):
                 _refine(exps, sf, mult * e)
-        return RationalFunction._build("function_field", c, exps)
+        return RationalFunction._build("function_field", Fraction(constant), exps)
 
     @staticmethod
     def rational_number(value) -> "RationalFunction":
@@ -250,15 +271,14 @@ class RationalFunction:
 
     @staticmethod
     def variable(exponent: int = 1) -> "RationalFunction":
-        """t^exponent.  t is monic and irreducible, so {t: exponent} is
-        already the canonical factor map :meth:`from_factored` would build."""
+        """t^exponent, whose factor map {t: exponent} is already canonical."""
         return RationalFunction._build("function_field", Fraction(1), {up.X: exponent})
 
     @staticmethod
     def _build(kind: str, constant: Fraction, factors: Mapping) -> "RationalFunction":
         # trusted constructor: factors already canonical for this kind
-        items = tuple(sorted((b, e) for b, e in factors.items() if e != 0))
-        return RationalFunction(kind, constant, items)
+        items = sorted(((b, e) for b, e in factors.items() if e), key=lambda be: monic(be[0]))
+        return RationalFunction(kind, constant, tuple(items))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.curve_kind != other.curve_kind:
@@ -286,15 +306,17 @@ class RationalFunction:
             raise CurveError("rational functions are nonzero")
         return RationalFunction(self.curve_kind, self.constant * c, self.factors)
 
-    def as_quotient(self) -> tuple[Poly, Poly]:
-        """(numerator, denominator) polynomials, exact."""
+    def as_quotient(self) -> tuple[Fraction, Poly, Poly]:
+        """(c, num, den) with self = c * num / den, exact; num and den are
+        the products of the keys of positive and negative exponent."""
         if self.curve_kind != "function_field":
             raise CurveError("as_quotient() is for function-field elements")
-        num, den = up.poly([self.constant]), up.ONE
+        c, num, den = self.constant, up.ONE, up.ONE
         for b, e in self.factors:
+            c /= Fraction(b[-1]) ** e
             for _ in range(abs(e)):
                 num, den = (up.mul(num, b), den) if e > 0 else (num, up.mul(den, b))
-        return num, den
+        return c, num, den
 
     def add(self, other: "RationalFunction") -> "RationalFunction | None":
         """Exact sum; None encodes zero (which is not a RationalFunction).
@@ -309,18 +331,14 @@ class RationalFunction:
             c = self.constant + other.constant
             return None if c == 0 else RationalFunction(
                 self.curve_kind, c, self.factors)
-        n1, d1 = self.as_quotient()
-        n2, d2 = other.as_quotient()
-        num = up.add(up.mul(n1, d2), up.mul(n2, d1))
-        if up.is_zero(num):
+        (c1, n1, d1), (c2, n2, d2) = self.as_quotient(), other.as_quotient()
+        num = [c1 * a + c2 * b for a, b in
+               zip_longest(up.mul(n1, d2), up.mul(n2, d1), fillvalue=0)]
+        p = up.poly(num)
+        if not p:
             return None
         den = up.mul(d1, d2)
-        c = up.leading(num) / up.leading(den)
-        fac: dict[Poly, int] = {}
-        for poly, exp in ((up.monic(num), 1), (up.monic(den), -1)):
-            if up.degree(poly) > 0:
-                fac[poly] = fac.get(poly, 0) + exp
-        return RationalFunction.from_factored(c, fac)
+        return RationalFunction.monic_product(num[len(p) - 1] / den[-1], ((p, 1), (den, -1)))
 
     def ord_at(self, z: BasePoint) -> int:
         if (z.kind == "prime") != (self.curve_kind == "spec_z"):
@@ -331,8 +349,7 @@ class RationalFunction:
         if z.kind == "infinity":
             return -sum(e * up.degree(b) for b, e in self.factors)
         # keys are squarefree, so the place divides a key at most once
-        return sum(e for b, e in self.factors
-                   if up.is_zero(up.divmod_poly(b, z.poly)[1]))
+        return sum(e for b, e in self.factors if up.divide(b, z.poly) is not None)
 
     def is_one(self) -> bool:
         return self.constant == 1 and not self.factors
@@ -420,9 +437,10 @@ def principal_divisors(fs: Sequence[RationalFunction], curve: BaseCurve,
     return [principal_divisor(f, curve, keys) for f in fs]
 
 
-def in_sections(f: RationalFunction, curve: BaseCurve, floors: Mapping[BasePoint, int]) -> bool:
-    """Is f in H^0(O(D)) for the floor map D = sum floors[z] * z, that is
-    ord_z(f) + floors[z] >= 0 at every place z?  One walk over f's factor map
+def in_sections(f: RationalFunction, curve: BaseCurve, places: Sequence[BasePoint],
+                floors: Sequence[int]) -> bool:
+    """Is f in H^0(O(D)) for D = sum floors[i] * places[i], that is
+    ord_z(f) + a_z >= 0 at every place z?  One walk over f's factor map
     divides each key by each support place that divides it; a pole left in a
     key is off the support.  Over Spec Z the denominator may have no prime but
     the support's, so nothing is factored."""
@@ -430,22 +448,23 @@ def in_sections(f: RationalFunction, curve: BaseCurve, floors: Mapping[BasePoint
         raise WrongCurve(f"{f} is no function on {curve.value}")
     if curve is SPEC_Z:
         den = f.constant.denominator
-        for z, a in floors.items():
+        for z, a in zip(places, floors):
             if f.ord_at(z) + a < 0:
                 return False
             den //= z.prime ** p_power_part(den, z.prime)
         return den == 1
-    left = {z: a for z, a in floors.items() if z.kind == "finite"}
-    at_infinity = floors.get(BasePoint.infinity(), 0)
+    finite = [z.poly for z in places if z.kind == "finite"]
+    left = [a for z, a in zip(places, floors) if z.kind == "finite"]
+    at_infinity = sum(a for z, a in zip(places, floors) if z.kind == "infinity")
     for b, e in f.factors:
         at_infinity -= e * up.degree(b)
-        for z in left:
-            q, r = (up.ONE, up.ZERO) if b == z.poly else up.divmod_poly(b, z.poly)
-            if up.is_zero(r):  # keys are squarefree: z divides b at most once
-                b, left[z] = q, left[z] + e
+        for i, p in enumerate(finite):
+            q = up.ONE if b == p else up.divide(b, p)
+            if q is not None:  # keys are squarefree: p divides b at most once
+                b, left[i] = q, left[i] + e
         if e < 0 and up.degree(b) > 0:
             return False
-    return min(left.values(), default=0) >= 0 and (curve.is_affine or at_infinity >= 0)
+    return min(left, default=0) >= 0 and (curve.is_affine or at_infinity >= 0)
 
 
 @dataclass(frozen=True)
@@ -490,17 +509,18 @@ class SectionModule:
         return "span{" + ", ".join(map(str, self.generators)) + "}"
 
 
-def sections(curve: BaseCurve, floors: Mapping[BasePoint, int]) -> SectionModule:
-    """H^0(O(D)) for the floor map D = sum floors[z] * z: free over Q[t] or Z
-    on affine bases, a Q-space of dimension deg D + 1 (or 0) on P1."""
+def sections(curve: BaseCurve, places: Sequence[BasePoint],
+             floors: Sequence[int]) -> SectionModule:
+    """H^0(O(D)) for D = sum floors[i] * places[i]: free over Q[t] or Z on
+    affine bases, a Q-space of dimension deg D + 1 (or 0) on P1."""
     if curve is SPEC_Z:
         return SectionModule.free(RationalFunction.rational_number(
-            prod(Fraction(z.prime) ** -a for z, a in floors.items())))
-    gen = RationalFunction.from_factored(
-        1, {z.poly: -a for z, a in floors.items() if z.kind == "finite" and a})
+            prod(Fraction(z.prime) ** -a for z, a in zip(places, floors))))
+    gen = RationalFunction.monic_product(
+        1, ((z.poly, -a) for z, a in zip(places, floors) if z.kind == "finite" and a))
     if curve is AFFINE_LINE:
         return SectionModule.free(gen)
-    deg = sum(z.degree * a for z, a in floors.items())
+    deg = sum(z.degree * a for z, a in zip(places, floors))
     if deg < 0:
         return SectionModule.zero()
     return SectionModule.space(

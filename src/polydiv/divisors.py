@@ -21,14 +21,15 @@ from math import lcm
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
+from . import polynomials as up
 from .convex import (
     Cone,
     GeometryError,
     Polyhedron,
-    box_points,
     dilate,
     floored_support,
     hilbert_basis,
+    lattice_points_in_box,
     minkowski_sum,
     support_value,
 )
@@ -159,11 +160,11 @@ class PolyhedralDivisor:
     def in_weight_cone(self, m: Sequence) -> bool:
         return self.tail.dual_contains(m)
 
-    def floors(self, m: Sequence) -> dict[BasePoint, int]:
-        """z -> the floor of the least <m, v> over the vertices v at z, an
-        integer floor map for :func:`curves.sections`: floor(D(m)) for m in the
-        weight cone, and the floored vertex minimum off it."""
-        return {z: floored_support(poly, m) for z, poly in self.coefficients}
+    def floors(self, m: Sequence) -> tuple[int, ...]:
+        """The floor of the least <m, v> over the vertices v at each place of
+        ``support``, in its order: the floors :func:`curves.sections` reads,
+        floor(D(m)) for m in the weight cone, the floored vertex minimum off it."""
+        return tuple(floored_support(poly, m) for _, poly in self.coefficients)
 
     def restrict(self, excluded: Iterable[BasePoint]) -> "PolyhedralDivisor":
         cut = set(excluded)
@@ -262,7 +263,8 @@ def dpd_presentation(gens: Sequence[HomogeneousElement], curve: BaseCurve) -> Di
 
 def member(el: HomogeneousElement, d: PolyhedralDivisor) -> bool:
     """Is f*chi^m a member of the section algebra of d?"""
-    return d.in_weight_cone(el.degree) and in_sections(el.function, d.curve, d.floors(el.degree))
+    return d.in_weight_cone(el.degree) and \
+        in_sections(el.function, d.curve, d.support, d.floors(el.degree))
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,7 @@ class GradedPiece:
 def graded_piece(d: PolyhedralDivisor, m: Sequence) -> GradedPiece:
     if not d.in_weight_cone(m):
         raise OutsideWeightCone(f"{m} is outside the weight cone")
-    return GradedPiece(tuple(m), sections(d.curve, d.floors(m)))
+    return GradedPiece(tuple(m), sections(d.curve, d.support, d.floors(m)))
 
 
 def quasifan(d: PolyhedralDivisor) -> tuple[Cone, ...]:
@@ -389,21 +391,24 @@ def bounded_generators(d: PolyhedralDivisor,
 
 
 def _box_degrees(d: PolyhedralDivisor, box_bounds, weight) -> list[IVec]:
-    degrees = [m for m in box_points(box_bounds) if d.in_weight_cone(m) and any(m)]
+    """The nonzero weight-cone degrees of the box, by weight, then lexicographically."""
+    cone = Polyhedron.cone_as_polyhedron(d.weight_cone)
+    degrees = [m for m in lattice_points_in_box(cone, *zip(*box_bounds)) if any(m)]
     degrees.sort(key=lambda m: (dot(m, weight), m))
     return degrees
 
 
 def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
-    """m -> (a(m), deg floor(D(m))) with a_z(m) = ``d.floors(m)`` at every
-    place z but infinity.  The piece at m lives over
+    """m -> (a(m), deg floor(D(m))) with a(m) the entries of ``d.floors(m)``
+    at every place but infinity.  The piece at m lives over
     gen_m = prod_z z^(-a_z(m)), the element :func:`curves.sections` builds
     its generators on."""
+    finite = [i for i, z in enumerate(d.support) if z.kind != "infinity"]
+    place_degrees = [z.degree for z in d.support]
     frames = {}
     for m in degrees:
         floors = d.floors(m)
-        frames[m] = (tuple(a for z, a in floors.items() if z.kind != "infinity"),
-                     sum(z.degree * a for z, a in floors.items()))
+        frames[m] = (tuple(floors[i] for i in finite), sum(map(mul, place_degrees, floors)))
     return frames
 
 
@@ -446,7 +451,8 @@ def _run_affine(d: PolyhedralDivisor, frames, degrees, gens, extend):
             if not extend:
                 failures.append(m)
                 continue
-            gens.append(HomogeneousElement(sections(d.curve, d.floors(m)).generator, m))
+            gens.append(HomogeneousElement(
+                sections(d.curve, d.support, d.floors(m)).generator, m))
             best = zero
         least[m] = best
     return failures
@@ -466,7 +472,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     product of g at m_g with a product v at r = m - m_g is g's vector plus
     :func:`_cofactor_exponents` at (m, m_g, r) plus v.  The basis element
     gen_m * t^j is the unit vector j at t.  A vector becomes an integer
-    polynomial, each place its primitive one, only for a rank test.
+    polynomial, the product of the places' polynomials, only for a rank test.
 
     Interval certificate: a degree is full once its products are known to
     span its piece, and a full degree's products are spanned by the unit
@@ -488,7 +494,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     pass takes the box degrees as full and tests the others; a degree that
     fails keeps its exactly independent products.
     """
-    finite = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
+    finite = [z.poly for z in d.support if z.kind == "finite"]
     places = finite if (0, 1) in finite else finite + [(0, 1)]  # t is one coordinate
     t, pad = places.index((0, 1)), (0,) * (len(places) - len(finite))
     place_degrees = [len(p) - 1 for p in places]
@@ -503,7 +509,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
             for i, e in enumerate(v):
                 if i != t:
                     for _ in range(e):
-                        p = _poly_mul(p, places[i])
+                        p = up.mul(p, places[i])
             polys[v] = p
         return polys[v]
 
@@ -540,7 +546,7 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
                         spans[m] = kept
                         continue
                     if len(kept) < dim:
-                        basis = sections(d.curve, d.floors(m)).generators
+                        basis = sections(d.curve, d.support, d.floors(m)).generators
                         gens.extend((HomogeneousElement(basis[j], m), units[j])
                                     for j in range(dim) if j not in powers[m])
                         powers[m] = set(range(dim))
@@ -560,15 +566,6 @@ def _covers(intervals: list[tuple[int, int]], dim: int) -> bool:
             break
         reach = max(reach, hi)
     return reach >= dim
-
-
-def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q, i):
-                out[j] += a * b
-    return tuple(out)
 
 
 def _raises_rank(echelon: dict[int, list[int]], p: tuple) -> bool:

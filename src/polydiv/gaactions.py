@@ -39,8 +39,8 @@ from .convex import (
     GeometryError,
     Polyhedron,
     box_points,
-    floored_support,
     hilbert_basis,
+    lattice_points_in_box,
     support_value,
 )
 from .curves import (
@@ -245,8 +245,7 @@ def _monomial_member(d: PolyhedralDivisor, term: Monomial) -> bool:
     if not d.in_weight_cone(m):
         return False
     at_t, at_infinity = ell, -ell  # the floors are 0 off the support
-    for z, poly in d.coefficients:
-        a = floored_support(poly, m)
+    for z, a in zip(d.support, d.floors(m)):
         if z.poly == up.X:
             at_t += a
         elif z.kind == "infinity":
@@ -274,7 +273,7 @@ def vertical_phi(d: PolyhedralDivisor, root: DemazureRoot) -> SectionModule:
     ok, cert = is_proper(d)
     if not ok:
         raise ActionError(f"divisor is not proper: {cert}")
-    return sections(d.curve, d.floors(root.vector))  # e may leave the weight cone
+    return sections(d.curve, d.support, d.floors(root.vector))  # e may leave the weight cone
 
 
 def vertical_exists(d: PolyhedralDivisor, ray: Sequence) -> bool:
@@ -312,7 +311,8 @@ def vertical_exponential(d: PolyhedralDivisor, root: DemazureRoot,
                          phi: RationalFunction,
                          el: HomogeneousElement) -> ExponentialExpansion:
     """Expansion of the vertical action phi * root-derivation on a member."""
-    if not in_sections(phi, d.curve, d.floors(root.vector)):  # e may leave the weight cone
+    # e may leave the weight cone
+    if not in_sections(phi, d.curve, d.support, d.floors(root.vector)):
         raise PhiNotAdmissible(f"{phi} is not a section of the multiplier module")
     if not member(el, d):
         raise NonMember(f"{el} is not in the section algebra")
@@ -539,15 +539,17 @@ def _vertex_inequalities(name: str, note: str, checks) -> tuple[str, bool, str]:
     return name, True, note
 
 
-def _base_shift(z0: BasePoint, zinf: BasePoint | None) -> Fraction:
+def _base_shift(d: PolyhedralDivisor, z0: BasePoint, zinf: BasePoint | None) -> Fraction:
     """The c of the base point z0 = t - c, which the shift t -> t - c moves
-    to 0.  The point at infinity, if any, must be the place at infinity."""
+    to 0.  The point at infinity, if any, must be the place at infinity of P1."""
+    if zinf is not None and d.curve is AFFINE_LINE:
+        raise ActionError("affine base has no point at infinity")
     if zinf is not None and zinf != BasePoint.infinity():
         raise ActionError("only shifts are implemented: the point at infinity "
                           "must already be the place at infinity")
     if z0.kind != "finite" or not z0.is_rational:
         raise ActionError("base point must be a finite rational point")
-    return -z0.poly[0]
+    return Fraction(-z0.poly[0], z0.poly[1])
 
 
 def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
@@ -583,7 +585,7 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     results.append(("curve", True, d.curve.value))
 
     z0 = base_point if base_point is not None else BasePoint.rational(0)
-    shift = _base_shift(z0, infinity_point)
+    shift = _base_shift(d, z0, infinity_point)
     zinf = BasePoint.infinity()
     restricted = d if d.curve is AFFINE_LINE else d.restrict([zinf])
     note = "already normalized" if shift == 0 else \
@@ -631,8 +633,8 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
 
     weight = d.tail.dual()
     if exhaustive_box is not None:
-        sample = [m for m in box_points([(-exhaustive_box, exhaustive_box)] * d.rank)
-                  if weight.contains(m)]
+        sample = lattice_points_in_box(Polyhedron.cone_as_polyhedron(weight),
+                                       [-exhaustive_box] * d.rank, [exhaustive_box] * d.rank)
     else:
         probes = probe_degrees(restricted, d.denominator())
         sample = set(probes)
@@ -708,8 +710,8 @@ def horizontal_kernel(ca: CoherentAssemblage) -> KernelDescription:
     for m in monoid:
         ev = evaluate(d, m).restrict(exclude)
         assert ev.is_integral, (m, ev)
-        fac = {z.poly: -int(a) for z, a in ev.coefficients if z.kind == "finite"}
-        funcs.append((m, RationalFunction.from_factored(1, fac)))
+        funcs.append((m, RationalFunction.monic_product(
+            1, ((z.poly, -int(a)) for z, a in ev.coefficients if z.kind == "finite"))))
     return KernelDescription(tuple(lattice), monoid, tuple(funcs))
 
 
@@ -740,7 +742,7 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
         raise ConditionsFail(f"assemblage is not coherent:\n{report}")
     try:
         points_error = "exponentials expect normalized marked points" \
-            if _base_shift(cd.base_point, cd.infinity_point) else ""
+            if _base_shift(d, cd.base_point, cd.infinity_point) else ""
     except ActionError as err:
         points_error = str(err)
     v0 = cd.color(cd.base_point)

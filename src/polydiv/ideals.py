@@ -302,10 +302,11 @@ def pair_conditions(pair: ReesPair) -> ConditionReport:
 
 
 def _sections_attain_order(pair: ReesPair, mvec: IVec, z: BasePoint) -> bool:
-    m = tuple(mvec) + (1,)
-    mod = graded_piece(pair.rees_divisor, m).module
+    """Do the sections at (mvec, 1) attain the floor at z, a place of the Rees divisor?"""
+    d, m = pair.rees_divisor, tuple(mvec) + (1,)
+    mod = graded_piece(d, m).module
     return not mod.is_zero and \
-        min(f.ord_at(z) for f in mod.generators) == -pair.rees_divisor.floors(m).get(z, 0)
+        min(f.ord_at(z) for f in mod.generators) == -d.floors(m)[d.support.index(z)]
 
 
 def _fmt_vertices(p: Polyhedron) -> str:

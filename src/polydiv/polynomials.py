@@ -1,97 +1,82 @@
-"""Univariate polynomials over Q as ascending coefficient tuples.
+"""Univariate polynomials as primitive integer tuples.
 
-Only what the curve layer needs: exact division, monic gcd and squarefree
-(Yun) decomposition.
+A polynomial is a tuple of integers, lowest degree first, that is
+primitive (its coefficients have gcd 1) and has a positive leading
+coefficient; () is zero.  Every nonzero polynomial over Q is a rational
+multiple of exactly one such tuple, so the tuple names a polynomial up to
+scaling, which is all a place or a factor key needs.  By Gauss's lemma a
+product of primitive polynomials is primitive, and a primitive divisor of
+an integer polynomial leaves an integer quotient, so products, exact
+division, gcd and squarefree (Yun) decomposition all run over Z.  The
+monic form over Q is only printed (:func:`to_string`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd as igcd, lcm
 from typing import Sequence
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
+
+ONE: Poly = (1,)
+X: Poly = (0, 1)
 
 
 def poly(coeffs: Sequence) -> Poly:
-    c = [Fraction(a) for a in coeffs]
-    while c and c[-1] == 0:
+    """The polynomial of rational coefficients ``coeffs``, lowest degree
+    first: their primitive integer multiple with positive leading coefficient."""
+    den = lcm(*(a.denominator for a in coeffs))
+    c = [a.numerator * (den // a.denominator) for a in coeffs]
+    while c and not c[-1]:
         c.pop()
-    return tuple(c)
-
-
-ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
-X: Poly = (Fraction(0), Fraction(1))
+    if not c:
+        return ()
+    g = igcd(*c) if c[-1] > 0 else -igcd(*c)
+    return tuple(a // g for a in c)
 
 
 def degree(p: Poly) -> int:
     return len(p) - 1 if p else -1
 
 
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
-def leading(p: Poly) -> Fraction:
-    return p[-1]
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n)])
-
-
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
-        return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly(out)
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return tuple(out)
 
 
-def scale(c, p: Poly) -> Poly:
-    return poly([Fraction(c) * a for a in p])
-
-
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(p) < len(q):
-        return ZERO, p
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(rem) >= len(q) and rem:
-        f = rem[-1] / q[-1]
-        k = len(rem) - len(q)
-        quo[k] = f
-        for i, b in enumerate(q):
-            rem[k + i] -= f * b
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return poly(quo), poly(rem)
-
-
-def exact_div(p: Poly, q: Poly) -> Poly:
-    quo, rem = divmod_poly(p, q)
-    if not is_zero(rem):
-        raise ValueError("inexact polynomial division")
-    return quo
-
-
-def monic(p: Poly) -> Poly:
-    if is_zero(p):
-        return p
-    return scale(1 / leading(p), p)
+def divide(p: Poly, q: Poly) -> Poly | None:
+    """p / q if q divides p, else None.  q is primitive, so the quotient is
+    integral and every step of the long division divides exactly."""
+    rem, n, lead = list(p), len(q), q[-1]
+    quo = [0] * max(0, len(p) - n + 1)
+    for k in reversed(range(len(quo))):
+        c, r = divmod(rem[k + n - 1], lead)
+        if r:
+            return None
+        quo[k] = c
+        for i, b in enumerate(q, k):
+            rem[i] -= c * b
+    return None if any(rem) else tuple(quo)
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    a, b = p, q
-    while not is_zero(b):
-        a, b = b, divmod_poly(a, b)[1]
-    return monic(a)
+    """The greatest common divisor, by primitive pseudo-remainders: each
+    step replaces p by lead(q)^k * p mod q, which stays integral."""
+    while q:
+        rem, n = list(p), len(q)
+        while len(rem) >= n:
+            c, k = rem.pop(), len(rem) - n + 1
+            rem = [q[-1] * a for a in rem]
+            for i, b in enumerate(q[:-1], k):
+                rem[i] -= c * b
+        p, q = q, poly(rem)
+    return poly(p)
 
 
 def derivative(p: Poly) -> Poly:
@@ -99,43 +84,36 @@ def derivative(p: Poly) -> Poly:
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = c * prod q_i^i with the q_i squarefree, coprime, monic."""
-    p = monic(p)
+    """Yun's algorithm: p = c * prod q_i^i with the q_i squarefree and coprime."""
     if degree(p) <= 0:
         return []
     if degree(p) == 1:
         return [(p, 1)]
     out = []
     g = gcd(p, derivative(p))
-    w = exact_div(p, g)
+    w = divide(p, g)
     i = 1
     while degree(w) > 0:
         y = gcd(w, g)
-        factor = exact_div(w, y)
+        factor = divide(w, y)
         if degree(factor) > 0:
-            out.append((monic(factor), i))
-        w, g = y, exact_div(g, y)
+            out.append((factor, i))
+        w, g = y, divide(g, y)
         i += 1
     return out
 
 
-def evaluate(p: Poly, x) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * Fraction(x) + a
-    return acc
-
-
 def to_string(p: Poly, var: str = "t") -> str:
-    if is_zero(p):
-        return "0"
+    """The monic form of p, such as t^2 - 1/2*t + 3."""
     parts = []
     for i, a in enumerate(p):
         if a == 0:
             continue
+        g = igcd(a, p[-1])
+        c = str(a // g) if g == p[-1] else f"{a // g}/{p[-1] // g}"
         if i == 0:
-            parts.append(str(a))
+            parts.append(c)
         else:
-            coef = "" if a == 1 else ("-" if a == -1 else f"{a}*")
+            coef = "" if c == "1" else ("-" if c == "-1" else f"{c}*")
             parts.append(f"{coef}{var}" + (f"^{i}" if i > 1 else ""))
     return " + ".join(reversed(parts)).replace("+ -", "- ")

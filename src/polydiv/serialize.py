@@ -24,6 +24,7 @@ from .curves import (
     Divisor,
     RationalFunction,
     SectionModule,
+    monic,
 )
 from .divisors import DivisorError, HomogeneousElement, PolyhedralDivisor
 from .gaactions import ActionError, CoherentAssemblage, ColoredDivisor
@@ -135,7 +136,7 @@ def point_doc(z: BasePoint):
         return "infinity"
     if z.kind == "prime":
         return {"prime": z.prime}
-    return {"poly": [rational_str(a) for a in z.poly]}
+    return {"poly": [rational_str(a) for a in monic(z.poly)]}
 
 
 SPEC_Z_BITS = 512  # a Spec Z element is its value, factored wherever its divisor is read
@@ -166,7 +167,7 @@ def parse_function(value, curve: BaseCurve, path: str) -> RationalFunction:
 def function_doc(f: RationalFunction):
     doc = {"constant": rational_str(f.constant)}
     if f.curve_kind == "function_field":
-        doc["factors"] = [{"poly": [rational_str(a) for a in b], "exp": e}
+        doc["factors"] = [{"poly": [rational_str(a) for a in monic(b)], "exp": e}
                           for b, e in f.factors]
     return doc
 

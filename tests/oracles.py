@@ -64,6 +64,7 @@ from polydiv.curves import (
     WrongCurve,
     _refine,
     in_sections,
+    monic,
     principal_divisor,
 )
 from polydiv.divisors import (
@@ -72,7 +73,6 @@ from polydiv.divisors import (
     OutsideWeightCone,
     PolyhedralDivisor,
     _cofactor_exponents,
-    _poly_mul,
     _raises_rank,
     evaluate,
     member,
@@ -229,8 +229,8 @@ def sections_of_divisor(d: Divisor) -> SectionModule:
     if d.curve is SPEC_Z:
         return SectionModule.free(RationalFunction.rational_number(
             prod(Fraction(z.prime) ** -int(a) for z, a in dd.coefficients)))
-    gen_factors = {z.poly: -int(a) for z, a in dd.coefficients if z.kind == "finite"}
-    gen = RationalFunction.from_factored(1, gen_factors)
+    gen = RationalFunction.monic_product(
+        1, [(z.poly, -int(a)) for z, a in dd.coefficients if z.kind == "finite"])
     if d.curve is AFFINE_LINE:
         return SectionModule.free(gen)
     deg = int(divisor_degree(dd))
@@ -317,17 +317,13 @@ def support_value_hilbert_oracle(halfspace_data, m: IVec) -> Fraction:
 def multiplicity(p, q) -> int:
     """Largest k with q^k dividing p (q nonconstant, p nonzero)."""
     k = 0
-    while up.degree(p) >= up.degree(q):
-        quo, rem = up.divmod_poly(p, q)
-        if not up.is_zero(rem):
-            break
-        p = quo
+    while (p := up.divide(p, q)) is not None:
         k += 1
     return k
 
 
 def refine_factor(basis: list, f) -> dict:
-    """Express the squarefree monic f over a growing pairwise-coprime basis."""
+    """Express the squarefree f over a growing pairwise-coprime basis."""
     exps: dict = {}
     queue = [f]
     while queue:
@@ -340,12 +336,12 @@ def refine_factor(basis: list, f) -> dict:
                 continue
             if d == b:
                 exps[b] = exps.get(b, 0) + 1
-                queue.append(up.monic(up.exact_div(g, b)))
+                queue.append(up.divide(g, b))
                 break
             # split the basis element itself
             basis.remove(b)
             basis.append(d)
-            basis.append(up.monic(up.exact_div(b, d)))
+            basis.append(up.divide(b, d))
             queue.append(g)
             break
         else:
@@ -361,7 +357,7 @@ def two_pass_factor_map(factored) -> tuple:
     basis: list = []
     exps: dict = {}
     for f, e in factored.items():
-        for sf, mult in up.squarefree_decomposition(up.monic(up.poly(f))):
+        for sf, mult in up.squarefree_decomposition(up.poly(f)):
             for b, k in refine_factor(basis, sf).items():
                 exps[b] = exps.get(b, 0) + k * mult * e
     final: dict = {}
@@ -374,8 +370,9 @@ def two_pass_factor_map(factored) -> tuple:
             if m:
                 final[bb] = final.get(bb, 0) + m * e
                 for _ in range(m):
-                    rem = up.exact_div(rem, bb)
-    return tuple(sorted((b, e) for b, e in final.items() if e != 0))
+                    rem = up.divide(rem, bb)
+    return tuple(sorted(((b, e) for b, e in final.items() if e != 0),
+                        key=lambda item: monic(item[0])))
 
 
 def two_pass_product(f, g) -> tuple:
@@ -393,9 +390,8 @@ def function_keys(funcs) -> list[tuple]:
 
     The key is (curve_kind, constant, exponents).  Function-field exponents
     are taken over one gcd-free refinement of all bases in ``funcs``: each
-    base is monic and squarefree, so it is the product of the refined bases
-    that divide it, and the exponents over pairwise coprime monic bases are
-    unique.  A Spec Z element has no factors: its constant is its value.
+    base is squarefree, so it is the product of the refined bases that
+    divide it, and the exponents over pairwise coprime bases are unique.  A Spec Z element has no factors: its constant is its value.
     """
     bases = sorted({b for f in funcs if f.curve_kind == "function_field"
                     for b, _ in f.factors})
@@ -439,11 +435,10 @@ def piece_generated(d, m: IVec, products: list) -> bool:
     dim = len(basis)
     rows = []
     for f in products:
-        num, den = (f / gen0).as_quotient()
+        c, num, den = (f / gen0).as_quotient()
         if up.degree(den) != 0 or up.degree(num) >= dim:
             return False
-        rows.append(tuple(num[i] / den[0] if i < len(num) else Fraction(0)
-                          for i in range(dim)))
+        rows.append(tuple(c * num[i] if i < len(num) else Fraction(0) for i in range(dim)))
     return rank(rows) == dim
 
 
@@ -539,7 +534,7 @@ def run_projective_by_products(d: PolyhedralDivisor, frames, box_degrees, degree
     that raised the modular rank, stops at dim_m, and on a shortfall keeps
     the exactly independent ones among all its candidates.
     """
-    places = [primitive(z.poly) for z, _ in d.coefficients if z.kind == "finite"]
+    places = [z.poly for z in d.support if z.kind == "finite"]
     cofactors: dict[IVec, tuple] = {}
 
     def cofactor(exps: IVec) -> tuple:
@@ -547,7 +542,7 @@ def run_projective_by_products(d: PolyhedralDivisor, frames, box_degrees, degree
             c = (1,)
             for poly, e in zip(places, exps):
                 for _ in range(e):
-                    c = _poly_mul(c, poly)
+                    c = up.mul(c, poly)
             cofactors[exps] = c
         return cofactors[exps]
 
@@ -555,9 +550,9 @@ def run_projective_by_products(d: PolyhedralDivisor, frames, box_degrees, degree
         for g, p_g in gens:
             rest = vsub(m, g.degree)
             if rest in products:
-                p_gc = _poly_mul(p_g, cofactor(_cofactor_exponents(frames, m, g.degree, rest)))
+                p_gc = up.mul(p_g, cofactor(_cofactor_exponents(frames, m, g.degree, rest)))
                 for p in products[rest]:
-                    yield _poly_mul(p_gc, p)
+                    yield up.mul(p_gc, p)
 
     def run(degrees, gens, extend):
         products: dict[IVec, list[tuple]] = {(0,) * d.rank: [(1,)]}
@@ -624,7 +619,7 @@ def toric_by_terms(cone: Cone, root: DemazureRoot, lam, el: Monomial) -> Exponen
 def vertical_by_terms(d: PolyhedralDivisor, root: DemazureRoot, phi: RationalFunction,
                       el: HomogeneousElement) -> ExponentialExpansion:
     """``gaactions.vertical_exponential`` by its own loop."""
-    if not in_sections(phi, d.curve, d.floors(root.vector)):
+    if not in_sections(phi, d.curve, d.support, d.floors(root.vector)):
         raise PhiNotAdmissible(f"{phi} is not a section of the multiplier module")
     if not member(el, d):
         raise NonMember(f"{el} is not in the section algebra")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,12 @@ class TestOrdAt:
         with pytest.raises(Exception):
             BasePoint.finite((-1, 0, 1))  # t^2 - 1: splits over Q
         BasePoint.finite((1, 0, 1))  # t^2 + 1 is a genuine degree-2 place
+
+    @pytest.mark.xfail(strict=True, reason="a reducible place of degree 4 or more is "
+                       "accepted until places are proved irreducible (ROADMAP item 2)")
+    def test_reducible_quartic_place_is_rejected(self):
+        with pytest.raises(CurveError):  # t^4 + 3t^2 + 2 = (t^2 + 1)(t^2 + 2)
+            BasePoint.finite([2, 0, 3, 0, 1])
 
     def test_order_at_coarse_place(self):
         f = RationalFunction.from_factored(1, {(1, 0, 1): 2})
@@ -173,21 +180,26 @@ class TestFloorsAndDegrees:
         assert divisor_degree(zero_divisor(PROJECTIVE_LINE)) == 0
 
 
+def aligned(floors: dict) -> tuple[tuple, tuple]:
+    """The places of a floor map and their floors, aligned."""
+    return tuple(floors), tuple(floors.values())
+
+
 class TestSections:
-    """``sections`` reads an integer floor map: zero entries allowed, the
-    entry at infinity read only on P1."""
+    """``sections`` reads places and their integer floors: zero entries
+    allowed, the entry at infinity read only on P1."""
 
     def test_spec_z_fractional_ideal(self):
-        mod = sections(SPEC_Z, {BasePoint.of_prime(2): -1, BasePoint.of_prime(3): 1})
+        mod = sections(SPEC_Z, (BasePoint.of_prime(2), BasePoint.of_prime(3)), (-1, 1))
         assert mod.kind == "free"
         assert mod.generator.constant == F(2, 3)
 
     def test_projective_zero_space(self):
         for r in range(6):
-            assert sections(PROJECTIVE_LINE, {Z0: r, Z1: -(r + 1)}).is_zero
+            assert sections(PROJECTIVE_LINE, (Z0, Z1), (r, -(r + 1))).is_zero
 
     def test_affine_generator(self):
-        mod = sections(AFFINE_LINE, {Z0: 1})
+        mod = sections(AFFINE_LINE, (Z0,), (1,))
         assert mod.kind == "free"
         assert mod.generator.same_as(RationalFunction.variable(-1))
 
@@ -195,30 +207,32 @@ class TestSections:
         quad = BasePoint.finite((1, 0, 1))
         for floors in ({Z0: 2}, {Z0: 2, Z1: -1}, {quad: 1}, {INF: 3, Z0: -1}, {INF: -1}):
             expected = sum(z.degree * a for z, a in floors.items()) + 1
-            mod = sections(PROJECTIVE_LINE, floors)
+            mod = sections(PROJECTIVE_LINE, *aligned(floors))
             assert dimension(mod) == max(0, expected)
             # membership check: every basis element is a section
             for f in mod.generators:
                 dv = divisor_sum(principal_divisor(f, PROJECTIVE_LINE),
                                  Divisor.of(PROJECTIVE_LINE, floors))
                 assert is_effective(dv)
-                assert in_sections(f, PROJECTIVE_LINE, floors)
+                assert in_sections(f, PROJECTIVE_LINE, *aligned(floors))
 
     @pytest.mark.parametrize("curve, floors", [
         (AFFINE_LINE, {Z0: 1, Z1: -2}), (PROJECTIVE_LINE, {Z0: 1, INF: 2}),
         (SPEC_Z, {BasePoint.of_prime(2): -1, BasePoint.of_prime(5): 2})])
     def test_zero_entries_change_nothing(self, curve, floors):
         extra = BasePoint.of_prime(3) if curve is SPEC_Z else BasePoint.finite((1, 0, 1))
-        assert sections(curve, {**floors, extra: 0}) == sections(curve, floors)
+        assert sections(curve, *aligned({**floors, extra: 0})) == \
+            sections(curve, *aligned(floors))
 
     def test_infinity_is_read_only_on_p1(self):
-        assert sections(AFFINE_LINE, {Z0: 1, INF: -5}) == sections(AFFINE_LINE, {Z0: 1})
-        assert sections(PROJECTIVE_LINE, {Z0: 1, INF: -5}).is_zero
+        assert sections(AFFINE_LINE, (Z0, INF), (1, -5)) == sections(AFFINE_LINE, (Z0,), (1,))
+        assert sections(PROJECTIVE_LINE, (Z0, INF), (1, -5)).is_zero
 
     def test_multiplicativity_into_sum(self):
         d1 = Divisor.of(AFFINE_LINE, {Z0: F(1, 2)})
         d2 = Divisor.of(AFFINE_LINE, {Z0: F(1, 2), Z1: 1})
-        g1, g2, g12 = (sections(AFFINE_LINE, dict(divisor_floor(d).coefficients)).generator
+        g1, g2, g12 = (sections(AFFINE_LINE, *aligned(dict(divisor_floor(d).coefficients))
+                                ).generator
                        for d in (d1, d2, divisor_sum(divisor_floor(d1), divisor_floor(d2))))
         dv = divisor_sum(principal_divisor(g1 * g2, AFFINE_LINE),
                          divisor_floor(divisor_sum(d1, d2)))
@@ -280,36 +294,60 @@ class TestPointValidation:
             is_prime(3_317_044_064_679_887_385_961_981)
 
 
+def rational_mul(p, q) -> list:
+    """The product of two rational coefficient lists."""
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def rational_quotient(f) -> tuple[list, list]:
+    """(num, den) over Q with f = num / den: the constant times the monic keys."""
+    num, den = [f.constant], [F(1)]
+    for b, e in f.factors:
+        for _ in range(abs(e)):
+            if e > 0:
+                num = rational_mul(num, [F(a, b[-1]) for a in b])
+            else:
+                den = rational_mul(den, [F(a, b[-1]) for a in b])
+    return num, den
+
+
 def add_by_quotient(f, g):
-    """The sum through numerator and denominator polynomials, refactored."""
-    n1, d1 = f.as_quotient()
-    n2, d2 = g.as_quotient()
-    num = up.add(up.mul(n1, d2), up.mul(n2, d1))
-    if up.is_zero(num):
+    """The sum through rational numerator and denominator polynomials,
+    refactored by ``from_factored``."""
+    (n1, d1), (n2, d2) = rational_quotient(f), rational_quotient(g)
+    num = [a + b for a, b in itertools.zip_longest(
+        rational_mul(n1, d2), rational_mul(n2, d1), fillvalue=0)]
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
         return None
-    den = up.mul(d1, d2)
-    fac = {}
-    for p, e in ((up.monic(num), 1), (up.monic(den), -1)):
-        if up.degree(p) > 0:
+    constant, fac = F(1), {}
+    for p, e in ((tuple(num), 1), (tuple(rational_mul(d1, d2)), -1)):
+        if len(p) > 1:
             fac[p] = fac.get(p, 0) + e
-    return RationalFunction.from_factored(up.leading(num) / up.leading(den), fac)
+        else:
+            constant *= p[0] ** e
+    return RationalFunction.from_factored(constant, fac)
 
 
 def yun(p):
     """Yun's squarefree decomposition with no shortcut for low degrees."""
-    p = up.monic(p)
     if up.degree(p) <= 0:
         return []
     out = []
     g = up.gcd(p, up.derivative(p))
-    w = up.exact_div(p, g)
+    w = up.divide(p, g)
     i = 1
     while up.degree(w) > 0:
         y = up.gcd(w, g)
-        factor = up.exact_div(w, y)
+        factor = up.divide(w, y)
         if up.degree(factor) > 0:
-            out.append((up.monic(factor), i))
-        w, g = y, up.exact_div(g, y)
+            out.append((factor, i))
+        w, g = y, up.divide(g, y)
         i += 1
     return out
 
@@ -332,7 +370,7 @@ class TestFastPaths:
     @given(st.fractions(-50, 50, max_denominator=6).filter(bool),
            st.fractions(-50, 50, max_denominator=6))
     def test_linear_squarefree_decomposition_is_yuns(self, lead, root):
-        p = (-root * lead, lead)
+        p = up.poly((-root * lead, lead))
         assert up.squarefree_decomposition(p) == yun(p)
 
     @settings(max_examples=80, deadline=None)
@@ -402,7 +440,7 @@ class TestOnePassRefinement:
     def test_leading_coefficient_goes_into_the_constant(self):
         one_minus_t = serialize.parse_function(
             {"constant": 1, "factors": [{"poly": [1, -1], "exp": 1}]}, AFFINE_LINE, "$")
-        assert one_minus_t.as_quotient() == (up.poly((1, -1)), up.ONE)
+        assert one_minus_t.as_quotient() == (-1, up.poly((-1, 1)), up.ONE)
         two_t_cubed = RationalFunction.from_factored(1, {(0, 2): 3})
         assert two_t_cubed.constant == 8 and two_t_cubed.factors == ((up.X, 3),)
         assert RationalFunction.from_factored(1, {(0, 0, 3): -1}).constant == F(1, 3)
@@ -418,3 +456,70 @@ class TestOnePassRefinement:
         assert coarse.coefficient(Z0) == 0
         fine = principal_divisor(f, AFFINE_LINE, (Z0, BasePoint.rational(5)))
         assert fine == Divisor.of(AFFINE_LINE, {Z0: 1, Z1: 1})
+
+
+def accepted_place(coeffs) -> bool:
+    try:
+        BasePoint.finite(coeffs)
+    except CurveError:
+        return False
+    return True
+
+
+# places of degree 1 to 3: squarefree, and with no rational root irreducible
+PLACES = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(
+    lambda c: c[-1] != 0 and accepted_place(c)).map(tuple)
+SCALARS = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
+
+
+def sympy_order(sympy, coeffs, factored, constant) -> int:
+    """The order at the place ``coeffs`` of constant * prod f^e, by sympy."""
+    t = sympy.Symbol("t")
+
+    def expr(c):
+        return sum(sympy.Rational(a.numerator, a.denominator) * t ** i
+                   for i, a in enumerate(map(F, c)))
+    f = sympy.Rational(constant.numerator, constant.denominator) * \
+        sympy.Mul(*(expr(g) ** e for g, e in factored.items()))
+    num, den = sympy.fraction(sympy.cancel(sympy.together(f)))
+    place = sympy.Poly(expr(coeffs), t)
+
+    def multiplicity(p):
+        p, k = sympy.Poly(p, t), 0
+        while (qr := p.div(place))[1].is_zero:
+            p, k = qr[0], k + 1
+        return k
+    return multiplicity(num) - multiplicity(den)
+
+
+class TestScalingInvariance:
+    """A place is its polynomial up to a rational factor: k * p and p name
+    one place, print alike and give one factor key, whatever the sign of k."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(PLACES, SCALARS, SCALARS, st.integers(-3, 3).filter(bool),
+           st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(lambda c: c[-1]),
+           st.integers(-2, 2))
+    @example((1, 2), F(-3, 2), F(1), 1, [0, 1], 0)
+    def test_scaled_place_is_the_place(self, p, k, c, e, g, eg):
+        kp = tuple(k * a for a in p)
+        z = BasePoint.finite(p)
+        assert BasePoint.finite(kp) == z
+        assert hash(BasePoint.finite(kp)) == hash(z)
+        assert serialize.point_doc(BasePoint.finite(kp)) == serialize.point_doc(z)
+        assert RationalFunction.from_factored(c, {kp: e}) == \
+            RationalFunction.from_factored(c * k ** e, {p: e})
+
+        factored = {kp: e}
+        factored[tuple(g)] = factored.get(tuple(g), 0) + eg
+        f = RationalFunction.from_factored(c, factored)
+        doc = {"constant": serialize.rational_str(c), "factors": [
+            {"poly": [serialize.rational_str(a) for a in b], "exp": x}
+            for b, x in factored.items()]}
+        parsed = serialize.parse_function(doc, AFFINE_LINE, "$")
+        assert parsed == f
+        again = serialize.parse_function(serialize.function_doc(parsed), AFFINE_LINE, "$")
+        assert again == parsed
+        assert serialize.function_doc(again) == serialize.function_doc(parsed)
+        sympy = pytest.importorskip("sympy")
+        assert f.ord_at(z) == sympy_order(sympy, p, factored, c)

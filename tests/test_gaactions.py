@@ -174,7 +174,7 @@ class TestVertical:
 
     def test_min_divisor_values(self):
         d = example_345_divisor()
-        assert d.floors((-1, 0)) == {Z0: 0, Z1: -1, INF: -1}
+        assert dict(zip(d.support, d.floors((-1, 0)))) == {Z0: 0, Z1: -1, INF: -1}
 
     def test_phi_on_shifted_cone(self):
         d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {
@@ -436,6 +436,16 @@ class TestHorizontalConditions:
         omega, _ = associated_cones(cd)
         with pytest.raises(ActionError, match="only shifts"):
             horizontal_conditions(d, omega, (1, 2), 3, 1, infinity_point=BasePoint.rational(5))
+
+    def test_point_at_infinity_on_a1_raises(self):
+        """The coloring check refuses a point at infinity on A1, and so do
+        the conditions, rather than pass on the t^(-1/2) data."""
+        d = PolyhedralDivisor.of(AFFINE_LINE, SIG1, {
+            Z0: Polyhedron.from_vertices_and_tail([(F(-1, 2),)], SIG1)})
+        cd = ColoredDivisor.of(d, Z0, {Z0: (F(-1, 2),)}, infinity_point=INF)
+        assert not validate_coloring(cd).all_pass
+        with pytest.raises(ActionError, match="affine base has no point at infinity"):
+            horizontal_conditions(d, SIG1.dual(), (1,), 1, 0, infinity_point=INF)
 
     def test_non_maximal_omega_fails(self):
         d, cd = example_5617()
