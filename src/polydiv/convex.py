@@ -13,10 +13,12 @@ Prodon, "Double description method revisited", 1996) finds the facets, and
 the minimal generators are read off the facets' incidence with the inputs.
 Its result depends only on the set of primitive generators, so it is
 memoised on that canonical input, and its dual under the facets.  Hilbert
-bases come from a triangulation on the ray-facet incidence and the
-fundamental parallelepipeds of its simplices, reduced in order of a positive
-grading as in the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
-2010).
+bases follow the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
+2010): a triangulation on the ray-facet incidence, the fundamental
+parallelepiped of each simplex walked like an odometer with running sums,
+a reduction inside each simplex on its own support forms, then one over
+the whole cone in which an element is compared only with the kept ones of
+at most half its degree.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from operator import ge, itemgetter, le, mul, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, ge, itemgetter, le, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
     IVec,
@@ -256,7 +258,8 @@ def _simplicial_pieces(c: Cone) -> list[tuple[IVec, ...]]:
     any other is pulled from its first ray a: a joined to the pieces of each
     facet of F not holding a."""
     rays = c.rays
-    facets = [sum(1 << i for i, r in enumerate(rays) if dot(h, r) == 0) for h in c.halfspaces]
+    facets = [sum(1 << i for i, r in enumerate(rays) if not sum(map(mul, h, r)))
+              for h in c.halfspaces]
     pieces = _pulled((1 << len(rays)) - 1, c.dim, facets) if rays else []
     return [tuple(rays[i] for i in piece) for piece in pieces]
 
@@ -277,31 +280,45 @@ def box_points(box: Iterable[tuple[int, int]]) -> Iterator[IVec]:
     return itertools.product(*[range(lo, hi + 1) for lo, hi in box])
 
 
-def _parallelepiped_points(rays: Sequence[IVec]) -> list[IVec]:
-    """Lattice points of {sum l_i r_i : 0 <= l_i < 1} for independent rays.
+def _parallelepiped(rays: Sequence[IVec]) -> list[tuple[IVec, IVec]]:
+    """(numerators, point) of each lattice point of {sum l_i r_i : 0 <= l_i < 1},
+    rays independent; the numerators are the l_i times |det R|.
 
-    Enumerates one representative per class of (Z^n ∩ span) / Z-span(rays):
-    candidates c run over the box cut out by the HNF pivots of R, the rays
-    in coordinates of the saturated span lattice.  The coefficients of c
-    on the rays are c adj(R) / det(R), so reducing the integer numerators
-    mod |det R| moves c into the half-open parallelepiped; the adjugate
-    and the determinant are computed once per simplex.
-    """
-    n = len(rays[0])
-    if len(rays) == n:  # full-dimensional: the saturated span lattice is Z^n
+    The box 0 <= c_i < d_i of the HNF pivots of R, the rays on the saturated
+    span basis b, holds one c per point.  It is walked one coordinate at a
+    time: b_i adds row i of adj(R) / det R = q + a / |det R|, 0 <= a < |det R|,
+    to the coefficients, so a to the numerators and b_i - sum q_j r_j to the
+    point; a numerator that reaches |det R| wraps and takes off its ray."""
+    n, k = len(rays[0]), len(rays)
+    if k == n:  # full-dimensional: the saturated span lattice is Z^n
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         ray_coords = rays
     else:
-        sbasis = saturated_span_basis(rays, n)
-        ray_coords = [_echelon_coordinates(sbasis, r) for r in rays]
-    diag = [next(a for a in row if a != 0) for row in hnf(ray_coords)]
+        basis = saturated_span_basis(rays, n)
+        ray_coords = [_echelon_coordinates(basis, r) for r in rays]
     det = bareiss_det(ray_coords)
-    sign, volume = (1, det) if det > 0 else (-1, -det)
-    columns = list(zip(*adjugate(ray_coords)))
-    ray_columns = list(zip(*rays))
-    points = []
-    for cand in itertools.product(*[range(d) for d in diag]):
-        num = [sign * sum(map(mul, cand, col)) % volume for col in columns]
-        points.append(tuple(sum(map(mul, num, col)) // volume for col in ray_columns))
+    volume = abs(det)
+    points = [((0,) * k, (0,) * n)]
+    if volume == 1:
+        return points
+    pivots = [next(a for a in row if a) for row in hnf(ray_coords)]
+    for b, d, row in zip(basis, pivots, adjugate(ray_coords)):
+        if d == 1:
+            continue
+        quotients, step = zip(*(divmod(a if det > 0 else -a, volume) for a in row))
+        shift = tuple(x - sum(map(mul, quotients, col)) for x, col in zip(b, zip(*rays)))
+        walked = []
+        for num, p in points:
+            walked.append((num, p))
+            for _ in range(d - 1):
+                num, p = tuple(map(add, num, step)), tuple(map(add, p, shift))
+                if max(num) >= volume:
+                    for r, a in zip(rays, num):
+                        if a >= volume:
+                            p = tuple(map(sub, p, r))
+                    num = tuple(a - volume if a >= volume else a for a in num)
+                walked.append((num, p))
+        points = walked
     return points
 
 
@@ -327,33 +344,45 @@ def _echelon_coordinates(basis: Sequence[IVec], v: Sequence[int]) -> IVec:
 def hilbert_basis(c: Cone) -> tuple[IVec, ...]:
     """Unique minimal generating set of the monoid c ∩ Z^n.
 
-    Triangulates into simplicial subcones and collects ray generators and
-    fundamental parallelepiped points; every irreducible element is among
-    them.  Candidates are then taken in increasing degree, the sum of the
-    inner normals' values, which is positive on the cone minus the origin.
-    A candidate x is kept unless an already-kept y of smaller degree has
-    x - y in the cone, i.e. no normal is smaller on x than on y (the monoid
-    is saturated, so membership in the cone decides membership in the
-    monoid).  Comparing with kept elements suffices: a reducible x has an
-    irreducible summand y with x - y in the monoid, and y was kept earlier.
+    Every irreducible element is a ray or a point of the parallelepiped of a
+    simplex σ of a triangulation.  Inside each, x goes when some y has
+    numerators at most x's, so x - y lies in σ.  The survivors are graded by
+    the sum of the inner normals, positive off the origin, and x goes when
+    x - y lies in c for a kept y (the monoid is saturated): no normal is
+    smaller on x than on y.  The values on the normals are packed into one
+    integer, a slot each whose top bit stays free (a candidate's value on h
+    is at most <h, sum of the rays>) and stays set in x - y + guard iff y's
+    value is at most x's.
     """
     if not c.is_pointed:
         raise NotPointed("Hilbert basis requires a pointed cone")
     candidates: set[IVec] = set(c.rays)
     for piece in _simplicial_pieces(c):
-        for p in _parallelepiped_points(piece):
-            if not is_zero_vector(p):
-                candidates.add(p)
-    graded = []
-    for x in candidates:
-        values = tuple(sum(map(mul, h, x)) for h in c.halfspaces)
-        graded.append((sum(values), x, values))
-    graded.sort()
-    kept: list[tuple[int, IVec, IVec]] = []
-    for deg, x, values in graded:
-        if not any(dy < deg and all(map(ge, values, vy)) for dy, _, vy in kept):
-            kept.append((deg, x, values))
-    return tuple(sorted(x for _, x, _ in kept))
+        candidates.update(_irreducibles(
+            ((sum(num), num, p) for num, p in _parallelepiped(piece) if any(num)),
+            lambda y, x: all(map(le, y, x))))
+    normals, ray_sum = c.halfspaces, tuple(map(sum, zip(*c.rays)))
+    width = max((sum(map(mul, h, ray_sum)) for h in normals), default=0).bit_length() + 1
+    packed = [sum(a << width * f for f, a in enumerate(col)) for col in zip(*normals)]
+    guard = sum(1 << width * f + width - 1 for f in range(len(normals)))
+    grading = tuple(map(sum, zip(*normals)))
+    return tuple(sorted(_irreducibles(
+        ((sum(map(mul, grading, x)), sum(map(mul, packed, x)), x) for x in candidates),
+        lambda y, x: (x - y + guard) & guard == guard)))
+
+
+def _irreducibles(graded: Iterable[tuple[int, object, IVec]],
+                  reduces: Callable[[object, object], bool]) -> list[IVec]:
+    """The x of the (degree, key, x) triples that no kept y reduces, i.e. has
+    ``reduces(key_y, key_x)``.  A reducible x has an irreducible summand of at
+    most half its degree: only the kept y up to deg(x) // 2 are compared."""
+    degrees, keys, kept = [], [], []
+    for deg, key, x in sorted(graded, key=itemgetter(0)):
+        if not any(reduces(keys[i], key) for i in range(bisect_right(degrees, deg // 2))):
+            degrees.append(deg)
+            keys.append(key)
+            kept.append(x)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ c t^l chi^m: their input and multiplier are of that form, so products,
 sums and comparisons are integer and scalar arithmetic, and membership of
 a term is a few integer comparisons on the floors of D(m).  The toric
 action takes a triple; the horizontal one takes an element and reads it as
-a triple once.  Vertical terms stay :class:`HomogeneousElement`s, because
+a triple once, and each horizontal expander reads the floors of a degree
+once.  Vertical terms stay :class:`HomogeneousElement`s, because
 phi and f there are arbitrary sections, which a triple cannot carry.
 Colored divisors, and so the horizontal actions, live over A1 and P1.
 The horizontal conditions read a rational base point t - c in place: the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb, floor
 from typing import Callable, Sequence
 
@@ -237,22 +238,31 @@ def _series(el: Term, height: int, step: Term, inside: Callable[[Term], bool]
     return ExponentialExpansion(tuple(terms))
 
 
-def _monomial_member(d: PolyhedralDivisor, term: Monomial) -> bool:
+def _monomial_membership(d: PolyhedralDivisor) -> Callable[[Monomial], bool]:
     """:func:`divisors.member` of c t^l chi^m over A1 or P1: m in the weight
     cone, and on the floors of D(m) the floor at t plus l, every other finite
-    floor and, on P1, the floor at infinity minus l all >= 0."""
-    m, ell = term.degree, term.ell
-    if not d.in_weight_cone(m):
-        return False
-    at_t, at_infinity = ell, -ell  # the floors are 0 off the support
-    for z, a in zip(d.support, d.floors(m)):
-        if z.poly == up.X:
-            at_t += a
-        elif z.kind == "infinity":
-            at_infinity += a
-        elif a < 0:
-            return False
-    return at_t >= 0 and (d.curve is AFFINE_LINE or at_infinity >= 0)
+    floor and, on P1, the floor at infinity minus l all >= 0.  The floors of
+    a degree are read once, into the row (floor at t, floor at infinity, m in
+    the weight cone with every other finite floor >= 0)."""
+    @cache
+    def row(m: IVec) -> tuple[int, int, bool]:
+        at_t = at_infinity = 0  # the floors are 0 off the support
+        inside = d.in_weight_cone(m)
+        for z, a in zip(d.support, d.floors(m)) if inside else ():
+            if z.poly == up.X:
+                at_t += a
+            elif z.kind == "infinity":
+                at_infinity += a
+            else:
+                inside = inside and a >= 0
+        return at_t, at_infinity, inside
+
+    def is_member(term: Monomial) -> bool:
+        at_t, at_infinity, inside = row(term.degree)
+        return inside and at_t + term.ell >= 0 and \
+            (d.curve is AFFINE_LINE or at_infinity - term.ell >= 0)
+
+    return is_member
 
 
 def toric_exponential(cone: Cone, root: DemazureRoot, lam, el: Monomial
@@ -750,10 +760,11 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
     u = -Fraction(1, dd) - dot(ca.degree, v0)
     assert u.denominator == 1
     step = Monomial(ca.scalars[0], int(u), ca.degree)
+    is_member = _monomial_membership(d)
 
     def expand(el: Term) -> ExponentialExpansion:
         start = _monomial(el)
-        if not (member(el, d) if start is None else _monomial_member(d, start)):
+        if not (member(el, d) if start is None else is_member(start)):
             raise NonMember(f"{el} is not in the section algebra")
         if points_error:
             raise ActionError(points_error)
@@ -761,7 +772,7 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
             raise ActionError("exponentials expect elements of the form c * t^l chi^m")
         a = dd * (dot(start.degree, v0) + start.ell)
         assert a == int(a) and a >= 0, a
-        return _series(start, int(a), step, partial(_monomial_member, d))
+        return _series(start, int(a), step, is_member)
 
     return expand
 

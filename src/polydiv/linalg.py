@@ -109,7 +109,9 @@ def independent_rows(rows: Sequence[IVec], count: int) -> list[int]:
     """Indices of the first ``count`` linearly independent integer rows, in order.
 
     Fraction-free elimination: each row is reduced against the kept ones by
-    integer cross-multiplication, so no rational number is formed.
+    integer cross-multiplication, so no rational number is formed, and a
+    kept row is divided by the gcd of its entries, without which their
+    length would double with every kept row.
     """
     chosen: list[int] = []
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
@@ -120,7 +122,8 @@ def independent_rows(rows: Sequence[IVec], count: int) -> list[int]:
                 v = [b[pc] * x - v[pc] * y for x, y in zip(v, b)]
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is not None:
-            echelon.append((pc, v))
+            g = gcd(*v)
+            echelon.append((pc, [x // g for x in v]))
             chosen.append(i)
             if len(chosen) == count:
                 break

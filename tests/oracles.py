@@ -6,6 +6,13 @@ off the incidence of one conversion: :func:`two_pass_cone` converts rays to
 halfspaces and back, and :func:`facet_triangulation` rebuilds every facet of
 a cone as a :class:`Cone` and pulls from its first ray.
 
+The Hilbert-basis oracle :func:`hilbert_basis_by_graded_filter` is the route
+``convex.hilbert_basis`` took before it walked each parallelepiped: every
+point of the candidate box is mapped into the parallelepiped by two dense
+products with the adjugate, and every candidate, with no reduction inside
+its simplex, is compared on every facet with every kept element of smaller
+degree.
+
 The generator oracle is the route ``divisors.bounded_generators`` took before
 it moved to integer frames.  On the projective line every product is a
 :class:`RationalFunction`, products are deduped by canonical keys and a piece
@@ -38,6 +45,10 @@ before factor refinement ran in one pass: :func:`two_pass_factor_map` grows a
 gcd-free basis factor by factor, then re-expresses every exponent over the
 final basis by repeated division.
 
+The membership oracle :func:`monomial_member_by_floors` is the route the
+horizontal expansion took before it kept a table of floors by degree: it
+reads the floors of D(m) afresh for every term.
+
 The expansion oracles :func:`toric_by_terms`, :func:`vertical_by_terms` and
 :func:`horizontal_by_terms` are the routes the three additive-group actions
 took before they shared ``gaactions._series``: each builds the coefficient of
@@ -47,11 +58,13 @@ c binom(a, i) lambda^i t^(l + i u).
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb, floor, prod
+from operator import ge, mul
 from unittest import mock
 
 from polydiv import divisors, polynomials as up
-from polydiv.convex import Cone, Unbounded, hilbert_basis
+from polydiv.convex import Cone, Unbounded, _echelon_coordinates, _simplicial_pieces, hilbert_basis
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -88,11 +101,15 @@ from polydiv.gaactions import (
 )
 from polydiv.linalg import (
     IVec,
+    adjugate,
+    bareiss_det,
     dot,
+    hnf,
     independent_rows,
     integer_kernel_basis,
     is_zero_vector,
     primitive,
+    saturated_span_basis,
     vadd,
     vsub,
 )
@@ -156,6 +173,36 @@ def facet_triangulation(c: Cone) -> list[tuple[IVec, ...]]:
             facet = Cone.from_rays(tight, c.ambient_rank)
             pieces += [(rays[0],) + simplex for simplex in facet_triangulation(facet)]
     return pieces
+
+
+def hilbert_basis_by_graded_filter(c: Cone) -> tuple[IVec, ...]:
+    """Hilbert basis of a pointed cone: parallelepiped points by a product
+    loop over the HNF box, then a scan of every kept element on every facet."""
+    candidates = set(c.rays)
+    for rays in _simplicial_pieces(c):
+        n = len(rays[0])
+        if len(rays) == n:
+            ray_coords = rays
+        else:
+            sbasis = saturated_span_basis(rays, n)
+            ray_coords = [_echelon_coordinates(sbasis, r) for r in rays]
+        diag = [next(a for a in row if a != 0) for row in hnf(ray_coords)]
+        det = bareiss_det(ray_coords)
+        sign, volume = (1, det) if det > 0 else (-1, -det)
+        columns = list(zip(*adjugate(ray_coords)))
+        for cand in product(*[range(d) for d in diag]):
+            num = [sign * sum(map(mul, cand, col)) % volume for col in columns]
+            candidates.add(tuple(sum(map(mul, num, col)) // volume for col in zip(*rays)))
+    candidates.discard((0,) * c.ambient_rank)
+    graded = []
+    for x in candidates:
+        values = tuple(dot(h, x) for h in c.halfspaces)
+        graded.append((sum(values), x, values))
+    kept: list[tuple[int, IVec, IVec]] = []
+    for deg, x, values in sorted(graded):
+        if not any(dy < deg and all(map(ge, values, vy)) for dy, _, vy in kept):
+            kept.append((deg, x, values))
+    return tuple(sorted(x for _, x, _ in kept))
 
 
 def outcome(report, name: str) -> tuple[bool, str]:
@@ -594,6 +641,24 @@ def generators_by_products(d, box) -> GeneratorReport:
     for its passes on the projective line."""
     with mock.patch.object(divisors, "_run_projective", run_projective_by_products):
         return divisors.bounded_generators(d, box)
+
+
+def monomial_member_by_floors(d: PolyhedralDivisor, term: Monomial) -> bool:
+    """``divisors.member`` of c t^l chi^m over A1 or P1: m in the weight cone,
+    and on the floors of D(m) the floor at t plus l, every other finite floor
+    and, on P1, the floor at infinity minus l all >= 0."""
+    m, ell = term.degree, term.ell
+    if not d.in_weight_cone(m):
+        return False
+    at_t, at_infinity = ell, -ell  # the floors are 0 off the support
+    for z, a in zip(d.support, d.floors(m)):
+        if z.poly == up.X:
+            at_t += a
+        elif z.kind == "infinity":
+            at_infinity += a
+        elif a < 0:
+            return False
+    return at_t >= 0 and (d.curve is AFFINE_LINE or at_infinity >= 0)
 
 
 def toric_by_terms(cone: Cone, root: DemazureRoot, lam, el: Monomial) -> ExponentialExpansion:

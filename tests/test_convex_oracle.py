@@ -5,23 +5,27 @@ every rank-(d-1) subset of constraints, both sides of a cone by two
 conversions (``oracles.two_pass_cone``), a triangulation that rebuilds each
 facet as a cone (``oracles.facet_triangulation``), fundamental
 parallelepiped points by one rational solve per candidate, the all-pairs
-decomposability filter, and lattice points by testing every point of the
-box against the homogenized cone.  Minimal lattice points come from the
+decomposability filter, the Hilbert basis of the product loop and the
+facet-by-facet degree filter (``oracles.hilbert_basis_by_graded_filter``),
+and lattice points by testing every point of the box against the
+homogenized cone.  Minimal lattice points come from the
 definition: the box filter over the larger Hilbert-basis box, less every
 point from which a Hilbert-basis element of the tail can be taken.
 e-fold splitting of those minimal points is checked against a search
 taken straight from the definition, so both sides report the same
 witness, the first minimal point that does not split.  They are
 references for the double description and its incidence, the
-triangulation on ray bitmasks, the adjugate reduction, the degree-sorted
-filter, the pruned integer enumeration, the ray box and row test of the
-minimal points and the slab search in ``polydiv.convex``.
+triangulation on ray bitmasks, the parallelepiped walk, the reductions per
+simplex and up to half the degree, the pruned integer enumeration, the
+ray box and row test of the minimal points and the slab search in
+``polydiv.convex``.
 """
 
 import itertools
 import random
 from fractions import Fraction as F
 from math import ceil, floor
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -47,6 +51,7 @@ from polydiv.linalg import (
     bareiss_det,
     dot,
     hnf,
+    independent_rows,
     integer_kernel_basis,
     is_zero_vector,
     primitive,
@@ -57,6 +62,7 @@ from polydiv.linalg import (
 )
 from oracles import (
     facet_triangulation,
+    hilbert_basis_by_graded_filter,
     nonnegative_orthant,
     rank,
     rref,
@@ -264,18 +270,33 @@ def pointed_cones(draw):
     return c
 
 
-@settings(max_examples=80, deadline=None)
-@given(pointed_cones())
-def test_hilbert_basis_matches_all_pairs_filter(c):
-    assert hilbert_basis(c) == hilbert_basis_all_pairs(c)
-
-
 # A rank-6 cone, found by search, on which recursing on every proper F ∩ G,
 # not only on the inclusion-maximal ones, gives pieces of rank 5.  In lower
 # ranks the non-maximal sets have too few rays to pass for a simplex.
 RANK6 = Cone.from_rays([(1, 1, -1, -1, -1, 0), (1, 0, 1, 0, 1, 0), (1, 0, -1, 1, 1, 0),
                         (1, 0, -1, 0, -1, -1), (1, 0, 1, 1, 0, -1), (1, 0, 0, 1, 1, -1),
                         (1, 0, 1, 0, 0, -1), (1, -1, 1, -1, 1, 1), (1, 0, 0, -1, 1, -1)], 6)
+
+# The seeded 12-ray rank-6 cone of the benchmark's cone ladder: 569 basis
+# elements out of 4,830 parallelepiped points in 35 simplices.
+R6N12 = Cone.from_rays([(1, 2, 1, -1, 2, -2), (2, 2, 2, -1, 0, 1), (2, 2, 1, -2, 0, -1),
+                        (2, -2, 2, 0, 0, 2), (1, -1, 1, 1, -1, 2), (2, 0, -2, -1, -2, 0),
+                        (2, 1, 0, 0, 2, 2), (1, -2, -2, 1, 0, 0), (2, 0, 1, 2, -2, 2),
+                        (1, 2, 2, 1, 1, -2), (2, -1, 0, 0, -2, 2), (1, 2, 0, 2, -1, 0)], 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pointed_cones())
+@example(RANK6)
+def test_hilbert_basis_matches_all_pairs_filter(c):
+    assert hilbert_basis(c) == hilbert_basis_all_pairs(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pointed_cones())
+@example(R6N12)
+def test_hilbert_basis_matches_graded_filter(c):
+    assert hilbert_basis(c) == hilbert_basis_by_graded_filter(c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -290,10 +311,17 @@ def test_pieces_are_full_dimensional_simplices(c):
 
 @settings(max_examples=60, deadline=None)
 @given(pointed_cones())
+@example(RANK6)
 def test_parallelepiped_points_match_rational_solve(c):
     for piece in convex._simplicial_pieces(c):
-        assert sorted(convex._parallelepiped_points(piece)) == \
-            parallelepiped_points_by_solve(piece)
+        walked = convex._parallelepiped(piece)
+        assert sorted(p for _, p in walked) == parallelepiped_points_by_solve(piece)
+        # the numerators are the coefficients on the rays times the volume,
+        # which is the number of points
+        for num, p in walked:
+            assert max(num) < len(walked)
+            assert vscale(len(walked), p) == \
+                tuple(sum(map(mul, num, col)) for col in zip(*piece))
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,6 +340,17 @@ def test_adjugate_times_matrix_is_determinant(rows):
     for i in range(n):
         for j in range(n):
             assert dot(rows[i], [adj[k][j] for k in range(n)]) == det * (i == j)
+
+
+def test_independent_rows_of_a_dense_matrix():
+    """Cross-multiplication alone doubles the entries' length with every kept
+    row, so 30 dense rows would not finish; the dependent row 20 is skipped."""
+    rng = random.Random(7)
+    rows = [tuple(rng.randint(-3, 3) for _ in range(30)) for _ in range(30)]
+    assert rank(rows) == 30
+    dependent = vadd(vscale(2, rows[3]), rows[17])
+    assert independent_rows(rows[:20] + [dependent] + rows[20:], 30) == \
+        list(range(20)) + list(range(21, 31))
 
 
 def test_equal_inputs_share_one_conversion():

@@ -1,12 +1,15 @@
+import os
 import random
 from fractions import Fraction as F
 from functools import partial
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polydiv.convex import Cone, Polyhedron
+from polydiv import serialize
+from polydiv.convex import Cone, Polyhedron, box_points
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -35,7 +38,7 @@ from polydiv.gaactions import (
     NonMember,
     PhiNotAdmissible,
     RayNotInCone,
-    _monomial_member,
+    _monomial_membership,
     _pairing_kernel_basis,
     assemblage_check,
     associated_cones,
@@ -56,6 +59,7 @@ from polydiv.linalg import bareiss_det, dot
 from oracles import (
     divisor_sum,
     horizontal_by_terms,
+    monomial_member_by_floors,
     nonnegative_orthant,
     one,
     outcome,
@@ -716,14 +720,14 @@ def monomial_problems(draw):
 
 
 class TestMonomialMember:
-    """Membership of c t^l chi^m on integer floors agrees with the general
-    ``divisors.member`` on the same element in factored form."""
+    """Membership of c t^l chi^m on a table of integer floors agrees with the
+    general ``divisors.member`` on the same element in factored form."""
 
     @settings(max_examples=300, deadline=None)
     @given(monomial_problems())
     def test_same_verdict_as_member(self, problem):
         term, d = problem
-        assert _monomial_member(d, term) == member(term.element(), d)
+        assert _monomial_membership(d)(term) == member(term.element(), d)
 
     @pytest.mark.parametrize("ell, inside", [(-4, False), (-3, True), (-1, True), (0, False)])
     def test_power_of_t_between_the_floors_at_t_and_infinity(self, ell, inside):
@@ -732,7 +736,24 @@ class TestMonomialMember:
             Z0: Polyhedron.from_vertices_and_tail([(3,)], SIG1),
             INF: Polyhedron.from_vertices_and_tail([(-1,)], SIG1)})
         term = Monomial(1, ell, (1,))
-        assert _monomial_member(d, term) is inside is member(term.element(), d)
+        assert _monomial_membership(d)(term) is inside is member(term.element(), d)
+
+    @pytest.mark.parametrize("name", ["hnorm_a1.json", "ex5617.json"])
+    def test_table_agrees_with_floors_of_every_term(self, name):
+        """On the recorded assemblages' divisors, every term of a box is
+        decided as on floors read afresh, twice, and the floors of each
+        degree in the weight cone are read once."""
+        path = os.path.join(os.path.dirname(__file__), "..", "fixtures", name)
+        d = serialize.load_problem(path).get("assemblage", "assemblage").colored.divisor
+        terms = [Monomial(1, ell, m) for m in box_points([(-3, 3)] * d.rank)
+                 for ell in range(-4, 5)]
+        is_member = _monomial_membership(d)
+        with mock.patch.object(PolyhedralDivisor, "floors", autospec=True,
+                               side_effect=PolyhedralDivisor.floors) as floors:
+            verdicts = [is_member(term) for term in terms + terms]
+        assert verdicts == [monomial_member_by_floors(d, term) for term in terms + terms]
+        assert True in verdicts and False in verdicts
+        assert floors.call_count == sum(map(d.in_weight_cone, box_points([(-3, 3)] * d.rank)))
 
 
 
