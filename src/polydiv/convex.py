@@ -11,6 +11,8 @@ Every cone comes from one routine, :func:`_convert`: one incremental double
 description, fraction-free, with the combinatorial adjacency test (Fukuda &
 Prodon, "Double description method revisited", 1996) finds the facets, and
 the minimal generators are read off the facets' incidence with the inputs.
+It runs on the generators themselves when they span Q^n; only a
+lower-dimensional input changes to coordinates of the lattice of its span.
 Its result depends only on the set of primitive generators, so it is
 memoised on that canonical input, and its dual under the facets.  Hilbert
 bases follow the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
@@ -97,88 +99,98 @@ def _convert(generators: tuple[IVec, ...], ambient: int) -> "Cone":
     """The cone generated by a canonical input, from one double description.
 
     Halfspaces: +/- the HNF basis of the lattice of span(generators)^perp
-    and the facets, the extreme rays of the dual in coordinates of the
-    lattice S = span(generators) ∩ Z^n.  Rays are read off the facet
-    incidence of the inputs.  If no input lies on every facet, the cone is
-    pointed and an input is extreme iff no other input is tight on every
-    facet it is tight on.  Otherwise those inputs span the lineality space
-    L, and the rays are +/- the HNF basis B of L ∩ Z^n and the projections
+    and the facets, the extreme rays of the dual, seeded by the first
+    independent inputs.  It runs on the generators themselves when they
+    span Q^n, else in coordinates of the lattice S = span ∩ Z^n, and the
+    facets are mapped back.  Rays are read off the facet incidence of the
+    inputs.  If no input lies on every facet, the cone is pointed and an
+    input is extreme iff no other input is tight on every facet it is tight
+    on.  Otherwise those inputs span the lineality space L, and the rays
+    are +/- the HNF basis B of L ∩ Z^n and the projections
     det(G) g - B^T adj(G) B g (G = B B^T) onto L^perp that pass that test.
     """
-    lin = integer_kernel_basis(generators, ambient) if generators else [
-        tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
-    hs = set(lin) | {vscale(-1, b) for b in lin}
-    rays: set[IVec] = set()
-    if generators:
+    if not generators:  # the dual of the zero cone is Q^n
+        unit = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
+        return Cone(rays=(), halfspaces=tuple(sorted(unit + [vscale(-1, e) for e in unit])),
+                    ambient_rank=ambient)
+    seed = independent_rows(generators, ambient)
+    if len(seed) == ambient:  # S = Z^n: the lattice change is the identity
+        facets = _extreme_rays_pointed(generators, ambient, seed)
+        hs = {c for c, _ in facets}
+    else:
+        lin = integer_kernel_basis(generators, ambient)
         sbasis = integer_kernel_basis(lin, ambient)
         rows = [primitive(tuple(dot(g, b) for b in sbasis)) for g in generators]
-        facets = _extreme_rays_pointed(rows, len(sbasis))
+        facets = _extreme_rays_pointed(rows, len(seed), seed)
+        hs = set(lin) | {vscale(-1, b) for b in lin}
         hs.update(primitive(tuple(sum(map(mul, c, col)) for col in zip(*sbasis)))
                   for c, _ in facets)
-        zsets = [sum((tight >> i & 1) << j for j, (_, tight) in enumerate(facets))
-                 for i in range(len(generators))]  # bit j: input i is on facet j
-        on_all = (1 << len(facets)) - 1
-        images = {g: z for g, z in zip(generators, zsets) if z != on_all}
-        if len(images) < len(generators):
-            basis = integer_kernel_basis(hs, ambient)
-            rays = set(basis) | {vscale(-1, b) for b in basis}
-            gram = [[dot(a, b) for b in basis] for a in basis]
-            adj = adjugate(gram)
-            det = dot(gram[0], [row[0] for row in adj])
-            projected = {}
-            for g, z in images.items():
-                u = [dot(row, [dot(b, g) for b in basis]) for row in adj]
-                projected[primitive(tuple(det * x - dot(u, col)
-                                          for x, col in zip(g, zip(*basis))))] = z
-            images = projected
-        rays.update(p for p, z in images.items()
-                    if not any(q != p and zq & z == z for q, zq in images.items()))
+    zsets = [sum((tight >> i & 1) << j for j, (_, tight) in enumerate(facets))
+             for i in range(len(generators))]  # bit j: input i is on facet j
+    on_all = (1 << len(facets)) - 1
+    images = {g: z for g, z in zip(generators, zsets) if z != on_all}
+    rays: set[IVec] = set()
+    if len(images) < len(generators):
+        basis = integer_kernel_basis(hs, ambient)
+        rays = set(basis) | {vscale(-1, b) for b in basis}
+        gram = [[dot(a, b) for b in basis] for a in basis]
+        adj = adjugate(gram)
+        det = dot(gram[0], [row[0] for row in adj])
+        projected = {}
+        for g, z in images.items():
+            u = [dot(row, [dot(b, g) for b in basis]) for row in adj]
+            projected[primitive(tuple(det * x - dot(u, col)
+                                      for x, col in zip(g, zip(*basis))))] = z
+        images = projected
+    rays.update(p for p, z in images.items()
+                if not any(q != p and zq & z == z for q, zq in images.items()))
     return Cone(rays=tuple(sorted(rays)), halfspaces=tuple(sorted(hs)), ambient_rank=ambient)
 
 
-def _extreme_rays_pointed(constraints: Sequence[Sequence], dim: int) -> list[tuple[IVec, int]]:
+def _extreme_rays_pointed(rows: Sequence[IVec], dim: int,
+                          seed: Sequence[int]) -> list[tuple[IVec, int]]:
     """Extreme rays of the pointed cone {c in Q^dim : M c >= 0}, M of rank dim.
 
-    Returns (primitive ray, zero set) pairs sorted by ray; bit i of a zero
-    set is the i-th distinct primitive row of M, in input order.
-    Incremental double description, fraction-free.  The first ``dim``
-    independent rows cut out a simplicial cone whose rays are the columns
-    of their integer adjugate (ray i is tight on every seed row but row i).
-    Each further row a keeps the rays with <a, r> >= 0 and joins every
-    adjacent pair p (<a, p> > 0), n (<a, n> < 0) by the ray
-    <a, p> n - <a, n> p on its hyperplane.  Each ray carries its zero set
-    (the rows it is tight on) as a bitmask; p and n are adjacent iff they
-    share at least dim-2 tight rows and no third ray is tight on all of
-    them, which is exact because the rays kept are the extreme rays of a
-    pointed cone.
+    ``rows`` are the distinct nonzero primitive rows of M and ``seed`` the
+    indices of their first ``dim`` independent ones.  Returns (primitive
+    ray, zero set) pairs sorted by ray; bit i of a zero set is row i.
+    Incremental double description, fraction-free.  The seed rows cut out
+    a simplicial cone whose rays are the columns of their integer adjugate
+    (ray i is tight on every seed row but row i).  Each further row a keeps
+    the rays with <a, r> >= 0 and joins every adjacent pair p (<a, p> > 0),
+    n (<a, n> < 0) by the ray <a, p> n - <a, n> p on its hyperplane.  Each
+    ray carries its zero set (the rows it is tight on) as a bitmask; p and
+    n are adjacent iff they share at least dim-2 tight rows and no third
+    ray is tight on all of them, which is exact because the rays kept are
+    the extreme rays of a pointed cone.
     """
-    rows = list(dict.fromkeys(primitive(r) for r in constraints if not is_zero_vector(r)))
-    seed = independent_rows(rows, dim)
     seed_mask = sum(1 << i for i in seed)
     adj = adjugate([rows[i] for i in seed])
     rays: list[tuple[IVec, int]] = []  # (primitive ray, zero set over processed rows)
     for k, i in enumerate(seed):
         v = tuple(row[k] for row in adj)
-        g = gcd(*v) if dot(rows[i], v) > 0 else -gcd(*v)
+        g = gcd(*v) if sum(map(mul, rows[i], v)) > 0 else -gcd(*v)
         rays.append((tuple(a // g for a in v), seed_mask & ~(1 << i)))
     for i, a in enumerate(rows):
         if seed_mask >> i & 1:
             continue
         bit = 1 << i
-        values = [dot(a, v) for v, _ in rays]
-        kept = [(v, z | bit if val == 0 else z)
-                for (v, z), val in zip(rays, values) if val >= 0]
-        if len(kept) < len(rays):
-            zsets = [z for _, z in rays]
-            neg = [(v, z, val) for (v, z), val in zip(rays, values) if val < 0]
-            for (p, zp), vp in zip(rays, values):
-                if vp <= 0:
-                    continue
-                for n, zn, vn in neg:
-                    common = zp & zn
-                    if common.bit_count() < dim - 2 or \
-                            sum(1 for z in zsets if z & common == common) > 2:
-                        continue
+        kept, pos, neg = [], [], []
+        for v, z in rays:
+            val = sum(map(mul, a, v))
+            if val > 0:
+                kept.append((v, z))
+                pos.append((v, z, val))
+            elif val:
+                neg.append((v, z, val))
+            else:
+                kept.append((v, z | bit))
+        zsets = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for n, zn, vn in neg:
+                common = zp & zn  # adjacent: no ray but p and n is tight on all of it
+                if common.bit_count() >= dim - 2 and next(itertools.islice(
+                        (z for z in zsets if z & common == common), 2, None), None) is None:
                     w = tuple(vp * x - vn * y for x, y in zip(n, p))
                     g = gcd(*w)
                     kept.append((tuple(x // g for x in w), common | bit))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -22,7 +22,7 @@ IVec = tuple[int, ...]
 def dot(u: Sequence, v: Sequence):
     """Exact inner product; stays in int when both vectors are integral."""
     assert len(u) == len(v), "dimension mismatch"
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -96,13 +96,17 @@ def denominator_lcm(values: Iterable) -> int:
 def primitive(u: Sequence) -> IVec:
     """Smallest integer vector on the ray spanned by ``u`` (same direction).
 
-    The zero vector maps to itself.
+    The zero vector maps to itself.  Rational entries are cleared in
+    integers, by the lcm d of their denominators; a float raises TypeError.
     """
     if all(type(a) is int for a in u):
         g = gcd(*u)
         return tuple(a // g for a in u) if g else tuple(u)
-    d = lcm(*(Fraction(a).denominator for a in u))
-    return primitive([int(a * d) for a in u])
+    try:
+        d = lcm(*(a.denominator for a in u))
+    except AttributeError:
+        raise TypeError(f"not a vector of rationals: {tuple(u)!r}") from None
+    return primitive([a.numerator * (d // a.denominator) for a in u])
 
 
 def independent_rows(rows: Sequence[IVec], count: int) -> list[int]:

@@ -61,6 +61,7 @@ from polydiv.linalg import (
     vsub,
 )
 from oracles import (
+    dual_generators,
     facet_triangulation,
     hilbert_basis_by_graded_filter,
     nonnegative_orthant,
@@ -207,12 +208,13 @@ def full_rank_rows(draw, max_dim=5):
 @settings(max_examples=150, deadline=None)
 @given(full_rank_rows())
 def test_extreme_rays_match_subset_enumeration(data):
-    """The rays match, and each zero set holds exactly the distinct
-    primitive rows, in input order, that the ray is tight on."""
+    """On the distinct primitive rows, seeded by their first independent
+    ones, the rays match, and each zero set holds exactly the rows, in
+    input order, that the ray is tight on."""
     rows, dim = data
-    out = convex._extreme_rays_pointed(rows, dim)
-    assert [v for v, _ in out] == extreme_rays_by_subsets(rows, dim)
     distinct = list(dict.fromkeys(primitive(r) for r in rows if not is_zero_vector(r)))
+    out = convex._extreme_rays_pointed(distinct, dim, independent_rows(distinct, dim))
+    assert [v for v, _ in out] == extreme_rays_by_subsets(rows, dim)
     for v, zeros in out:
         assert zeros == sum(1 << i for i, r in enumerate(distinct) if dot(r, v) == 0)
 
@@ -283,6 +285,50 @@ R6N12 = Cone.from_rays([(1, 2, 1, -1, 2, -2), (2, 2, 2, -1, 0, 1), (2, 2, 1, -2,
                         (2, -2, 2, 0, 0, 2), (1, -1, 1, 1, -1, 2), (2, 0, -2, -1, -2, 0),
                         (2, 1, 0, 0, 2, 2), (1, -2, -2, 1, 0, 0), (2, 0, 1, 2, -2, 2),
                         (1, 2, 2, 1, 1, -2), (2, -1, 0, 0, -2, 2), (1, 2, 0, 2, -1, 0)], 6)
+
+
+@st.composite
+def spanning_sets(draw):
+    """Vectors of rank 2..5 that span Q^n, up to 2n + 2 of them; their cone
+    may hold lines."""
+    n = draw(st.integers(2, 5))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=2 * n + 2))
+    assume(rank(vecs) == n)
+    return n, vecs
+
+
+def lifted(c):
+    """C × {0} in rank n + 1: its rays and facets get a 0 appended, and
+    +/- e_(n+1) are the normals of its lineality."""
+    e = (0,) * c.ambient_rank + (1,)
+    return Cone(rays=tuple(r + (0,) for r in c.rays),
+                halfspaces=tuple(sorted([h + (0,) for h in c.halfspaces] + [e, vscale(-1, e)])),
+                ambient_rank=c.ambient_rank + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spanning_sets())
+def test_lattice_change_route_matches_direct_route(data):
+    """C spans Q^n, so it converts on its generators; C × {0} does not, so
+    it converts in coordinates of the lattice of its span."""
+    n, vecs = data
+    assert fresh_cone([v + (0,) for v in vecs], n + 1) == lifted(fresh_cone(vecs, n))
+
+
+def dd_extreme_rays(rows, dim):
+    """The double description of ``polydiv.convex`` as the ``extreme_rays``
+    of :func:`oracles.two_pass_cone`: any rows, seeded here."""
+    rows =list(dict.fromkeys(primitive(r) for r in rows if not is_zero_vector(r)))
+    return [v for v, _ in convex._extreme_rays_pointed(rows, dim, independent_rows(rows, dim))]
+
+
+def test_rank6_routes_match_two_conversions():
+    """Both routes on the 12 rays of R6N12 against two conversions; the
+    facets of C × {0} also against subset enumeration."""
+    rays = [r + (0,) for r in R6N12.rays]
+    c = fresh_cone(rays, 7)
+    assert c == two_pass_cone(rays, 7, dd_extreme_rays) == lifted(fresh_cone(R6N12.rays, 6))
+    assert c.halfspaces == dual_generators(tuple(rays), 7, extreme_rays_by_subsets)
 
 
 @settings(max_examples=80, deadline=None)
@@ -392,6 +438,15 @@ def test_fraction_inputs_are_canonicalised():
     assert Cone.from_rays([(F(1, 2), F(1, 3)), (2, 0)], 2) == \
         Cone.from_rays([(3, 2), (1, 0)], 2)
     assert primitive((F(4, 3), F(2, 3), F(0))) == (2, 1, 0)
+
+
+def test_float_inputs_are_refused():
+    """0.1 is not the rational 1/10: as a Fraction it would be the vertex
+    3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError):
+        Polyhedron.from_vertices_and_tail([(0.1,)], Cone.from_rays([(1,)], 1))
+    with pytest.raises(TypeError):
+        primitive((0.5, 1))
 
 
 def lattice_points_by_box_filter(p, lo, hi):

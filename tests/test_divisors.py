@@ -573,7 +573,7 @@ def proper_on_p1(tail, coeffs, margins):
     for h, margin in zip(tail.halfspaces, margins):
         b.append(margin - sum(z.degree * support_value(p, h) for z, p in coeffs.items()))
     det = h1[0] * h2[1] - h1[1] * h2[0]
-    w = ((b[0] * h2[1] - b[1] * h1[1]) / det, (h1[0] * b[1] - h2[0] * b[0]) / det)
+    w = (F(b[0] * h2[1] - b[1] * h1[1], det), F(h1[0] * b[1] - h2[0] * b[0], det))
     coeffs = {**coeffs, INF: Polyhedron.from_vertices_and_tail([w], tail)}
     return PolyhedralDivisor.of(PROJECTIVE_LINE, tail, coeffs)
 
