@@ -11,8 +11,10 @@ Every cone comes from one routine, :func:`_convert`: one incremental double
 description, fraction-free, with the combinatorial adjacency test (Fukuda &
 Prodon, "Double description method revisited", 1996) finds the facets, and
 the minimal generators are read off the facets' incidence with the inputs.
-It runs on the generators themselves when they span Q^n; only a
-lower-dimensional input changes to coordinates of the lattice of its span.
+It always runs on the generators themselves, in Z^n; for a
+lower-dimensional input, rows +/- a lattice basis of the span's orthogonal
+complement come first and confine it to the span.  The rays of a cone with
+lines are the facets of its dual, found by the same routine.
 Its result depends only on the set of primitive generators, so it is
 memoised on that canonical input, and its dual under the facets.  Hilbert
 bases follow the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
@@ -32,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from operator import add, ge, itemgetter, le, mul, sub
+from operator import add, and_, ge, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -49,6 +51,7 @@ from .linalg import (
     saturated_span_basis,
     vadd,
     vscale,
+    vsub,
 )
 
 
@@ -98,53 +101,46 @@ _memo = _ConeMemo()
 def _convert(generators: tuple[IVec, ...], ambient: int) -> "Cone":
     """The cone generated by a canonical input, from one double description.
 
-    Halfspaces: +/- the HNF basis of the lattice of span(generators)^perp
-    and the facets, the extreme rays of the dual, seeded by the first
-    independent inputs.  It runs on the generators themselves when they
-    span Q^n, else in coordinates of the lattice S = span ∩ Z^n, and the
-    facets are mapped back.  Rays are read off the facet incidence of the
-    inputs.  If no input lies on every facet, the cone is pointed and an
-    input is extreme iff no other input is tight on every facet it is tight
-    on.  Otherwise those inputs span the lineality space L, and the rays
-    are +/- the HNF basis B of L ∩ Z^n and the projections
-    det(G) g - B^T adj(G) B g (G = B B^T) onto L^perp that pass that test.
+    The halfspaces, and the tight mask of each facet over the inputs, come
+    from :func:`_facets`.  The cone has lines iff some input lies on every
+    facet (a cone with a line has an input in its lineality space, and an
+    input on every facet is one).  Then, as C = (C^∨)^∨, its rays are the
+    halfspaces of the cone its halfspaces generate: +/- the HNF basis of
+    the lattice of the lineality space and the extreme rays orthogonal to
+    it.  Otherwise an input is extreme iff the AND of the tight masks of
+    the facets it lies on is its own bit: no other input lies on them all.
     """
-    if not generators:  # the dual of the zero cone is Q^n
-        unit = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
-        return Cone(rays=(), halfspaces=tuple(sorted(unit + [vscale(-1, e) for e in unit])),
-                    ambient_rank=ambient)
-    seed = independent_rows(generators, ambient)
-    if len(seed) == ambient:  # S = Z^n: the lattice change is the identity
-        facets = _extreme_rays_pointed(generators, ambient, seed)
-        hs = {c for c, _ in facets}
+    hs, masks = _facets(generators, ambient)
+    everyone = (1 << len(generators)) - 1
+    if functools.reduce(and_, masks, everyone):
+        rays = _facets(hs, ambient)[0]
     else:
-        lin = integer_kernel_basis(generators, ambient)
-        sbasis = integer_kernel_basis(lin, ambient)
-        rows = [primitive(tuple(dot(g, b) for b in sbasis)) for g in generators]
-        facets = _extreme_rays_pointed(rows, len(seed), seed)
-        hs = set(lin) | {vscale(-1, b) for b in lin}
-        hs.update(primitive(tuple(sum(map(mul, c, col)) for col in zip(*sbasis)))
-                  for c, _ in facets)
-    zsets = [sum((tight >> i & 1) << j for j, (_, tight) in enumerate(facets))
-             for i in range(len(generators))]  # bit j: input i is on facet j
-    on_all = (1 << len(facets)) - 1
-    images = {g: z for g, z in zip(generators, zsets) if z != on_all}
-    rays: set[IVec] = set()
-    if len(images) < len(generators):
-        basis = integer_kernel_basis(hs, ambient)
-        rays = set(basis) | {vscale(-1, b) for b in basis}
-        gram = [[dot(a, b) for b in basis] for a in basis]
-        adj = adjugate(gram)
-        det = dot(gram[0], [row[0] for row in adj])
-        projected = {}
-        for g, z in images.items():
-            u = [dot(row, [dot(b, g) for b in basis]) for row in adj]
-            projected[primitive(tuple(det * x - dot(u, col)
-                                      for x, col in zip(g, zip(*basis))))] = z
-        images = projected
-    rays.update(p for p, z in images.items()
-                if not any(q != p and zq & z == z for q, zq in images.items()))
-    return Cone(rays=tuple(sorted(rays)), halfspaces=tuple(sorted(hs)), ambient_rank=ambient)
+        rays = tuple(g for i, g in enumerate(generators)
+                     if functools.reduce(and_, [z for z in masks if z >> i & 1], everyone)
+                     == 1 << i)
+    return Cone(rays=rays, halfspaces=hs, ambient_rank=ambient)
+
+
+def _facets(generators: tuple[IVec, ...], ambient: int) -> tuple[tuple[IVec, ...], list[int]]:
+    """Canonical halfspaces of the cone generated by distinct nonzero
+    primitive vectors, and the tight mask of each facet (bit i: input i).
+
+    The halfspaces are +/- the HNF basis l of the lattice of
+    span(generators)^perp (none when the generators span Q^n) and the
+    extreme rays of the pointed cone {c : <l, c> = 0, <g, c> >= 0 for every
+    generator g}.  Its double description runs on the rows +/-l and then
+    the generators, a matrix of rank n, seeded by the l and the first
+    independent generators, so the -l rows cut it down to the span before
+    the first generator row.
+    """
+    seed = independent_rows(generators, ambient)
+    lin = integer_kernel_basis(generators, ambient) if len(seed) < ambient else []
+    rows = [v for b in lin for v in (b, vscale(-1, b))] + list(generators)
+    shift = 2 * len(lin)
+    facets = _extreme_rays_pointed(rows, ambient,
+                                   list(range(0, shift, 2)) + [shift + i for i in seed])
+    return (tuple(sorted(rows[:shift] + [c for c, _ in facets])),
+            [tight >> shift for _, tight in facets])
 
 
 def _extreme_rays_pointed(rows: Sequence[IVec], dim: int,
@@ -152,17 +148,17 @@ def _extreme_rays_pointed(rows: Sequence[IVec], dim: int,
     """Extreme rays of the pointed cone {c in Q^dim : M c >= 0}, M of rank dim.
 
     ``rows`` are the distinct nonzero primitive rows of M and ``seed`` the
-    indices of their first ``dim`` independent ones.  Returns (primitive
-    ray, zero set) pairs sorted by ray; bit i of a zero set is row i.
+    indices of ``dim`` independent ones.  Returns (primitive ray, zero set)
+    pairs sorted by ray; bit i of a zero set is row i.
     Incremental double description, fraction-free.  The seed rows cut out
     a simplicial cone whose rays are the columns of their integer adjugate
     (ray i is tight on every seed row but row i).  Each further row a keeps
     the rays with <a, r> >= 0 and joins every adjacent pair p (<a, p> > 0),
     n (<a, n> < 0) by the ray <a, p> n - <a, n> p on its hyperplane.  Each
     ray carries its zero set (the rows it is tight on) as a bitmask; p and
-    n are adjacent iff they share at least dim-2 tight rows and no third
-    ray is tight on all of them, which is exact because the rays kept are
-    the extreme rays of a pointed cone.
+    n are adjacent iff no third ray is tight on all of their common rows,
+    which is exact because the rays kept are the extreme rays of a pointed
+    cone; fewer than dim-2 common rows rule adjacency out at once.
     """
     seed_mask = sum(1 << i for i in seed)
     adj = adjugate([rows[i] for i in seed])
@@ -501,6 +497,13 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     return Polyhedron.from_vertices_and_tail(sums, tail)
 
 
+def normal_cone(p: Polyhedron, v: Sequence) -> Cone:
+    """The weights m whose minimum over p is taken at v: the dual of the
+    cone that p - v generates, spanned by the vertices less v and the tail."""
+    return Cone.from_rays([vsub(w, v) for w in p.vertices] + list(p.tail.rays),
+                          p.ambient_rank).dual()
+
+
 def support_value(p: Polyhedron, m: Sequence) -> Fraction:
     """min over p of <m, x>; finite exactly when m lies in the dual of the tail."""
     if not p.tail.dual_contains(m):
@@ -653,7 +656,6 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
         raise GeometryError("dilation exponent must be >= 1")
     if e == 1:
         return True, None
-    n = p.ambient_rank
     # not empty: e*p has integral vertices, and a descent from one ends at a minimal point
     targets = minimal_lattice_points(dilate(p, e))
     weight = tuple(map(sum, zip(*p.tail.halfspaces)))
@@ -661,10 +663,10 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     target_weights = [sum(map(mul, weight, x)) for x in targets]
     bound = (max(target_weights) - (e - 2) * wmin) // 2
     # not empty: W >= e*wmin, so the vertex of weight wmin is in the slab
-    slab = Polyhedron.from_halfspaces(list(p.halfspaces) + [(vscale(-1, weight), -bound)], n)
-    slo = [floor(min(v[j] for v in slab.vertices)) for j in range(n)]
-    shi = [ceil(max(v[j] for v in slab.vertices)) for j in range(n)]
-    light = sorted([(sum(map(mul, weight, m)), m) for m in lattice_points_in_box(slab, slo, shi)],
+    slab = Polyhedron.from_halfspaces(list(p.halfspaces) + [(vscale(-1, weight), -bound)],
+                                      p.ambient_rank)
+    light = sorted([(sum(map(mul, weight, m)), m)
+                    for m in lattice_points_in_box(slab, *reachability_box(slab, ()))],
                    key=itemgetter(0))
     weights = [w for w, _ in light]
     summands = [m for _, m in light]

@@ -13,7 +13,6 @@ and box-certified generator extraction.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .convex import (
     hilbert_basis,
     lattice_points_in_box,
     minkowski_sum,
+    normal_cone,
     support_value,
 )
 from .curves import (
@@ -282,26 +282,14 @@ def graded_piece(d: PolyhedralDivisor, m: Sequence) -> GradedPiece:
 def quasifan(d: PolyhedralDivisor) -> tuple[Cone, ...]:
     """Maximal cones of the coarsest subdivision on which evaluation is linear.
 
-    One candidate cone per choice of a vertex in each coefficient: the
-    weight vectors where that vertex is support-minimizing.  Candidates of
-    full dimension are the maximal cones.
+    It is the common refinement of the coefficients' normal fans, the normal
+    fan of their Minkowski sum (Altmann & Hausen, Math. Ann. 2006), and a
+    positive place degree does not change a normal fan: one cone per vertex
+    of the degree polyhedron, its normal cone there.  With no coefficient
+    that is the weight cone.
     """
-    n = d.rank
-    weight = d.weight_cone
-    if not d.coefficients:
-        return (weight,)
-    choices = [poly.vertices for _, poly in d.coefficients]
-    cones = set()
-    for pick in itertools.product(*choices):
-        normals = list(weight.halfspaces)
-        for chosen, (_, poly) in zip(pick, d.coefficients):
-            for other in poly.vertices:
-                if other != chosen:
-                    normals.append(primitive(tuple(o - c for c, o in zip(chosen, other))))
-        cone = Cone.from_halfspaces(normals, n)
-        if cone.dim == n:
-            cones.add(cone)
-    return tuple(sorted(cones, key=lambda c: c.rays))
+    deg = degree_polyhedron(d)
+    return tuple(sorted((normal_cone(deg, v) for v in deg.vertices), key=lambda c: c.rays))
 
 
 def _interior_weight(cone: Cone) -> IVec:

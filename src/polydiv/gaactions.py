@@ -42,6 +42,7 @@ from .convex import (
     box_points,
     hilbert_basis,
     lattice_points_in_box,
+    normal_cone,
     support_value,
 )
 from .curves import (
@@ -426,8 +427,8 @@ def validate_coloring(cd: ColoredDivisor) -> ConditionReport:
 def associated_cones(cd: ColoredDivisor) -> tuple[Cone, Cone]:
     """(kernel weight cone omega, augmented cone in one rank higher).
 
-    omega's dual is spanned by the restricted degree polyhedron minus its
-    chosen vertex; the augmented cone is spanned by that dual at level 0,
+    omega is the normal cone of the restricted degree polyhedron at its
+    chosen vertex; the augmented cone is spanned by omega's dual at level 0,
     the base color at level 1 and, on a projective base, the polyhedron
     at infinity shifted by the degree-vertex defect at level -1.
     """
@@ -438,11 +439,9 @@ def associated_cones(cd: ColoredDivisor) -> tuple[Cone, Cone]:
     n = d.rank
     vdeg = cd.degree_vertex()
     degp = cd.restricted_degree_polyhedron()
-    gens = [vsub(v, vdeg) for v in degp.vertices] + list(degp.tail.rays)
-    omega_dual = Cone.from_rays(gens, n)
-    omega = omega_dual.dual()
+    omega = normal_cone(degp, vdeg)
     v0 = cd.color(cd.base_point)
-    aug = [tuple(r) + (0,) for r in omega_dual.rays] + [tuple(v0) + (Fraction(1),)]
+    aug = [tuple(r) + (0,) for r in omega.halfspaces] + [tuple(v0) + (Fraction(1),)]
     if d.curve is PROJECTIVE_LINE:
         dinf = d.coefficient(cd.infinity_point)
         shift = vsub(vdeg, v0)

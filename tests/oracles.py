@@ -49,6 +49,12 @@ The membership oracle :func:`monomial_member_by_floors` is the route the
 horizontal expansion took before it kept a table of floors by degree: it
 reads the floors of D(m) afresh for every term.
 
+The quasifan oracle :func:`quasifan_by_vertex_choices` is the route
+``divisors.quasifan`` took before it read the normal fan of the degree
+polyhedron: one candidate cone per choice of a vertex in each coefficient,
+the weights where every chosen vertex is support-minimizing, kept when it
+is full-dimensional.
+
 The expansion oracles :func:`toric_by_terms`, :func:`vertical_by_terms` and
 :func:`horizontal_by_terms` are the routes the three additive-group actions
 took before they shared ``gaactions._series``: each builds the coefficient of
@@ -641,6 +647,26 @@ def generators_by_products(d, box) -> GeneratorReport:
     for its passes on the projective line."""
     with mock.patch.object(divisors, "_run_projective", run_projective_by_products):
         return divisors.bounded_generators(d, box)
+
+
+def quasifan_by_vertex_choices(d: PolyhedralDivisor) -> tuple[Cone, ...]:
+    """Maximal cones of the quasifan: the full-dimensional cones among those
+    cut out by the weight cone and, for each choice of one vertex per
+    coefficient, <m, other - chosen> >= 0 for the other vertices."""
+    n = d.rank
+    weight = d.weight_cone
+    if not d.coefficients:
+        return (weight,)
+    cones = set()
+    for pick in product(*[poly.vertices for _, poly in d.coefficients]):
+        normals = list(weight.halfspaces)
+        for chosen, (_, poly) in zip(pick, d.coefficients):
+            normals += [primitive(vsub(other, chosen)) for other in poly.vertices
+                        if other != chosen]
+        cone = Cone.from_halfspaces(normals, n)
+        if cone.dim == n:
+            cones.add(cone)
+    return tuple(sorted(cones, key=lambda c: c.rays))
 
 
 def monomial_member_by_floors(d: PolyhedralDivisor, term: Monomial) -> bool:

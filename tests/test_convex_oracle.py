@@ -192,6 +192,15 @@ LINED = [
 ]
 
 
+# Rank 6, which the strategies above stop short of: a cone of dimension 4
+# (x_0 = x_1, x_5 = 0) and a full-dimensional one with a plane of lines.
+RANK6_LOWER = (6, [(1, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0), (1, 1, 1, 1, 0, 0),
+                   (-1, -1, 0, 1, 1, 0), (0, 0, 1, -1, 1, 0), (2, 2, -1, 0, 1, 0)])
+RANK6_LINED = (6, [(1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0),
+                   (0, -1, -1, 0, 0, 0), (0, 0, 1, 1, 0, 1), (1, 0, 0, 1, 1, 0),
+                   (0, 1, 0, 0, 1, 1), (0, 0, 0, 1, 0, 0), (2, 1, 0, -1, 1, 1)])
+
+
 @st.composite
 def full_rank_rows(draw, max_dim=5):
     """Constraint matrices of full column rank, with repeats and +/- pairs."""
@@ -232,6 +241,8 @@ def fresh_cone(vecs, n, halfspaces=False):
 @example(LINED[1])
 @example(LINED[2])
 @example(LINED[3])
+@example(RANK6_LOWER)
+@example(RANK6_LINED)
 def test_from_rays_matches_oracle(data):
     n, vecs = data
     assert fresh_cone(vecs, n) == oracle_cone(vecs, n)
@@ -241,9 +252,25 @@ def test_from_rays_matches_oracle(data):
 @given(st.one_of(vector_sets(), lined_vector_sets()))
 @example(LINED[0])
 @example(LINED[2])
+@example(RANK6_LOWER)
+@example(RANK6_LINED)
 def test_from_halfspaces_matches_oracle(data):
     n, normals = data
     assert fresh_cone(normals, n, halfspaces=True) == oracle_cone(normals, n).dual()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_zero_cone_and_whole_space_are_closed_forms(n):
+    """With a fresh memo, the zero cone has no rays and the halfspaces
+    +/- e_i, and its dual Q^n the rays +/- e_i and no halfspaces, from
+    either side: no input, or +/- e_i."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    both = units + [vscale(-1, e) for e in units]
+    zero = Cone(rays=(), halfspaces=tuple(sorted(both)), ambient_rank=n)
+    assert fresh_cone([], n) == zero
+    assert fresh_cone([], n, halfspaces=True) == zero.dual()
+    assert fresh_cone(both, n) == zero.dual()
+    assert fresh_cone(both, n, halfspaces=True) == zero
 
 
 @pytest.mark.parametrize("n, vecs", LINED)
@@ -309,8 +336,10 @@ def lifted(c):
 @settings(max_examples=100, deadline=None)
 @given(spanning_sets())
 def test_lattice_change_route_matches_direct_route(data):
-    """C spans Q^n, so it converts on its generators; C × {0} does not, so
-    it converts in coordinates of the lattice of its span."""
+    """C spans Q^n, so its double description runs on its generators
+    alone; C × {0} does not, so its double description runs on the rows
+    +/- e_(n+1) first, which confine it to the span.  The two agree up to
+    the lift."""
     n, vecs = data
     assert fresh_cone([v + (0,) for v in vecs], n + 1) == lifted(fresh_cone(vecs, n))
 
@@ -323,8 +352,9 @@ def dd_extreme_rays(rows, dim):
 
 
 def test_rank6_routes_match_two_conversions():
-    """Both routes on the 12 rays of R6N12 against two conversions; the
-    facets of C × {0} also against subset enumeration."""
+    """The 12 rays of R6N12 lifted to C × {0}, a lower-dimensional input
+    of rank 7, against two conversions and against R6N12 converted in rank
+    6; the facets of C × {0} also against subset enumeration."""
     rays = [r + (0,) for r in R6N12.rays]
     c = fresh_cone(rays, 7)
     assert c == two_pass_cone(rays, 7, dd_extreme_rays) == lifted(fresh_cone(R6N12.rays, 6))

@@ -178,6 +178,47 @@ class TestEvaluate:
             assert support_value(deg, m) == oracles.divisor_degree(evaluate(d, m))
 
 
+# places of degree 1, 2 and 3: t, t^2 + 1 and t^3 + 2
+QUASIFAN_FINITE = [BasePoint.rational(0), BasePoint.finite((1, 0, 1)),
+                   BasePoint.finite((2, 0, 0, 1))]
+QUASIFAN_PLACES = {AFFINE_LINE: QUASIFAN_FINITE, PROJECTIVE_LINE: QUASIFAN_FINITE + [INF],
+                   SPEC_Z: [P2, P3, BasePoint.of_prime(5)]}
+
+
+@st.composite
+def quasifan_problems(draw):
+    """Divisors of rank 1-3 on A1, P1 and Spec Z with up to three places
+    and three vertices each; the tail is pointed and may be
+    lower-dimensional or zero, so the weight cone may hold lines."""
+    curve = draw(st.sampled_from(list(QUASIFAN_PLACES)))
+    n = draw(st.integers(1, 3))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=n + 1))
+    tail = Cone.from_rays(rays, n)
+    if not tail.is_pointed:
+        tail = Cone.from_rays([tuple(map(abs, r)) for r in rays], n)
+    coordinate = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    return PolyhedralDivisor.of(curve, tail, {z: Polyhedron.from_vertices_and_tail(
+        draw(st.lists(st.tuples(*[coordinate] * n), min_size=1, max_size=3)), tail)
+        for z in draw(st.lists(st.sampled_from(QUASIFAN_PLACES[curve]), max_size=3,
+                               unique=True))})
+
+
+class TestQuasifanAgainstVertexChoices:
+    """``quasifan`` takes the normal cones of the degree polyhedron at its
+    vertices; the full-dimensional cones of the choices of one vertex per
+    coefficient are the same fan, cone for cone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(quasifan_problems())
+    def test_same_cones(self, d):
+        assert quasifan(d) == oracles.quasifan_by_vertex_choices(d)
+
+    def test_example_345(self):
+        d = example_345_divisor()
+        assert len(d.coefficients) > 1
+        assert quasifan(d) == oracles.quasifan_by_vertex_choices(d)
+
+
 class TestDegreeAndProper:
     def test_degree_polyhedron_345(self):
         deg = degree_polyhedron(example_345_divisor())
