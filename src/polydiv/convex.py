@@ -71,10 +71,6 @@ class UnboundedLineality(GeometryError):
     pass
 
 
-class TailMismatch(GeometryError):
-    pass
-
-
 class NonIntegralVertices(GeometryError):
     pass
 
@@ -402,7 +398,9 @@ class Polyhedron:
     integral, and a ray (r, 0) is a ray r of the tail.  Every other view is
     read off it and cached.  The integer rows <a, x> >= c are the facets
     (a, -c) of ``cone`` but the face at infinity, so they are irredundant in
-    every dimension.
+    every dimension.  Each constructor converts once: from vertices, the
+    given pointed tail is kept, its extreme rays being the level-0 rays of
+    ``cone``; from halfspaces, the tail is the cone of those rays.
     """
 
     cone: Cone
@@ -416,37 +414,22 @@ class Polyhedron:
         if not tail.is_pointed:
             raise UnboundedLineality("tail cone must be pointed")
         n = tail.ambient_rank
-        cone = Cone.from_rays(homog + [r + (0,) for r in tail.rays], n + 1)
-        return Polyhedron._from_homogenized(cone, n, tail_hint=tail)
+        return Polyhedron(Cone.from_rays(homog + [r + (0,) for r in tail.rays], n + 1), tail)
 
     @staticmethod
     def from_halfspaces(inequalities: Iterable[tuple[Sequence, object]],
-                        ambient_rank: int,
-                        tail_hint: Cone | None = None) -> "Polyhedron":
-        """Polyhedron {x : <n_i, x> >= c_i}; must be nonempty with pointed recession."""
-        homog_normals = [tuple(nrm) + (-c,) for nrm, c in inequalities]
-        homog_normals.append((0,) * ambient_rank + (1,))
-        cone = Cone.from_halfspaces(homog_normals, ambient_rank + 1)
-        return Polyhedron._from_homogenized(cone, ambient_rank, tail_hint=tail_hint)
-
-    @staticmethod
-    def _from_homogenized(cone: Cone, n: int, tail_hint: Cone | None) -> "Polyhedron":
-        if any(r[n] < 0 for r in cone.rays):
-            # cannot occur: t >= 0 is one of the constraints
-            raise GeometryError("negative homogenizing coordinate")
+                        ambient_rank: int) -> "Polyhedron":
+        """Polyhedron {x : <n_i, x> >= c_i}; must be nonempty with pointed recession.
+        The tail is read off the homogenization, whose level-0 rays are the
+        extreme rays of the tail (the row t >= 0 keeps every ray at t >= 0)."""
+        n = ambient_rank
+        cone = Cone.from_halfspaces([tuple(nrm) + (-c,) for nrm, c in inequalities]
+                                    + [(0,) * n + (1,)], n + 1)
         if all(r[n] == 0 for r in cone.rays):
             raise EmptyPolyhedron("inequality system has no solutions")
         if not cone.is_pointed:
             raise UnboundedLineality("polyhedron contains a line")
-        # extreme rays of a pointed cone, so already the tail's canonical rays
-        tail_rays = tuple(r[:n] for r in cone.rays if r[n] == 0)
-        if tail_hint is not None and tail_hint.ambient_rank == n \
-                and tail_hint.rays == tail_rays:
-            return Polyhedron(cone=cone, tail=tail_hint)
-        tail = Cone.from_rays(tail_rays, n)
-        if tail_hint is not None and tail != tail_hint:
-            raise TailMismatch(f"recession cone {tail} differs from expected {tail_hint}")
-        return Polyhedron(cone=cone, tail=tail)
+        return Polyhedron(cone, Cone.from_rays([r[:n] for r in cone.rays if r[n] == 0], n))
 
     @staticmethod
     def cone_as_polyhedron(tail: Cone) -> "Polyhedron":
@@ -491,8 +474,6 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     if p.ambient_rank != q.ambient_rank:
         raise GeometryError("ambient rank mismatch")
     tail = Cone.from_rays(p.tail.rays + q.tail.rays, p.ambient_rank)
-    if not tail.is_pointed:
-        raise UnboundedLineality("sum of tails is not pointed")
     sums = [vadd(a, b) for a in p.vertices for b in q.vertices]
     return Polyhedron.from_vertices_and_tail(sums, tail)
 

@@ -180,17 +180,29 @@ def _factor_integer(n: int) -> dict[int, int]:
     return out
 
 
+_RHO_STEPS = 1 << 20  # least primes up to about 2^40; a 160-bit n fails in 2 s on a Xeon core
+
+
 def _split(n: int) -> int:
     """A proper factor of the composite n: a base of is_prime that divides it, else
-    Pollard's rho with Floyd's cycle search, about sqrt(p) steps for n's least prime p."""
-    c, g = 0, next((a for a in _MR_BASES if n % a == 0), n)
+    Pollard's rho with Floyd's cycle search, about sqrt(p) steps for n's least prime p.
+    A batch of 128 steps takes one gcd, of the product of its differences; a batch
+    whose gcd is n is walked again one step at a time.  Past ``_RHO_STEPS`` it raises."""
+    c, g, steps = 0, next((a for a in _MR_BASES if n % a == 0), n), 0
     while g == n:  # no base divides n, or the cycle closed mod n at once: next c
-        c, x, y, g = c + 1, 2, 2, 1
+        c, x, y, g, batch = c + 1, 2, 2, 1, 128
         while g == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            g = gcd(x - y, n)
+            if steps >= _RHO_STEPS:
+                raise CurveError(f"no factor of {n} found in {_RHO_STEPS} steps of Pollard's rho")
+            steps, start, q = steps + batch, (x, y), 1
+            for _ in range(batch):
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            if g == n and batch > 1:
+                (x, y), g, batch = start, 1, 1
     return g
 
 

@@ -241,7 +241,7 @@ def divisor_from_generators(gens: Sequence[HomogeneousElement], curve: BaseCurve
     coeffs = []
     for z in sorted({z for div in divs for z in div.support}):
         ineqs = [(g.degree, -div.coefficient(z)) for g, div in zip(gens, divs)]
-        coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n, tail_hint=tail)))
+        coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n)))
     div = PolyhedralDivisor.of(curve, tail, coeffs)
     if curve is PROJECTIVE_LINE:
         ok, cert = is_proper(div)

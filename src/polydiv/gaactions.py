@@ -571,10 +571,11 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
     Structural parts: admissible curve, the kernel cone maximal in the
     quasi-fan (restricted away from infinity on a projective base), the
     support function integral on it away from one rational point.  The
-    floor inequalities are verified on the finite surrogate sample (Hilbert
-    bases of the weight cone and of each quasi-fan cone scaled by the
-    divisor denominator, plus pairwise sums), or exhaustively on a lattice
-    box when ``exhaustive_box`` is given.
+    floor inequalities are verified on the finite surrogate sample
+    (:func:`probe_degrees`: the Hilbert basis of the weight cone and the
+    rays of the quasi-fan cones scaled by the divisor denominator, plus
+    pairwise sums), or exhaustively on a lattice box when
+    ``exhaustive_box`` is given.
 
     The base point (t by default) is read in place: the shift t -> t - c
     that would move it to 0 only renames places, so the notes name places

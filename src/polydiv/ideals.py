@@ -20,13 +20,10 @@ from .convex import (
     Polyhedron,
     box_points,
     dilate,
-    floored_support,
-    hilbert_basis,
     is_polyhedron_normal,
     lattice_points_in_box,
     minimal_lattice_points,
     project_out_last,
-    reachability_box,
 )
 from .curves import (
     PROJECTIVE_LINE,
@@ -165,10 +162,7 @@ def rees_pair(pres: GradedIdealPresentation) -> ReesPair:
     weight_cone = d.tail.dual()
     newton = Polyhedron.from_vertices_and_tail(
         [g.degree for g in pres.generators], weight_cone)
-    # dual of the cone over (Newton polyhedron, level 1)
-    augmented_tail = Cone.from_rays(
-        [tuple(g.degree) + (1,) for g in pres.generators] +
-        [tuple(r) + (0,) for r in weight_cone.rays], n + 1).dual()
+    augmented_tail = newton.cone.dual()  # dual of the cone over (Newton polyhedron, level 1)
     gens = pres.generators
     divs = principal_divisors([g.function for g in gens], d.curve, d.support)
     coeffs = []
@@ -176,8 +170,7 @@ def rees_pair(pres: GradedIdealPresentation) -> ReesPair:
         ineqs = [(tuple(g.degree) + (1,), -div.coefficient(z)) for g, div in zip(gens, divs)]
         for normal, offset in d.coefficient(z).halfspaces:
             ineqs.append((tuple(normal) + (0,), offset))
-        coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n + 1,
-                                                     tail_hint=augmented_tail)))
+        coeffs.append((z, Polyhedron.from_halfspaces(ineqs, n + 1)))
     rd = PolyhedralDivisor.of(d.curve, augmented_tail, coeffs)
     pair = ReesPair(pres, newton, rd)
     _check_rees_invariants(pair)
@@ -314,42 +307,29 @@ def _fmt_vertices(p: Polyhedron) -> str:
 
 
 def ptilde(pair: ReesPair, z: BasePoint) -> Polyhedron:
-    """Integral polyhedron of lattice pairs (m, i) with h_z(m, 1) >= -i.
+    """Integral polyhedron of lattice pairs (m, i) with h_z(m, 1) >= -i:
+    the Newton polyhedron lifted by the orders at z, conv(m_j, ord_z f_j) +
+    {(w, k) : w in the weight cone, k >= -h_z(w, 0)}, over the generators
+    f_j chi^(m_j) of the ideal.
 
-    The recession cone is {(w, j) : w in the weight cone, j >= -h_z(w, 0)};
-    vertices are found among the lifted lattice points of the Newton
-    polyhedron inside its Hilbert-reachability region.
+    h_z, the support function of the Rees coefficient at z, is linear on
+    each cone of the coefficient's normal fan, so the rational pairs form a
+    polyhedron whose vertices lie over the rays of that fan at level 1.
+    These are the normals (m_j, 1) of its facets, where h_z(m_j, 1) =
+    -ord_z f_j: each vertex is a lift (m_j, ord_z f_j), a lattice point, and
+    each lift is a pair, since the row of f_j holds on the coefficient.
+    h_z(w, 0) is the support function of Delta_z, onto which the
+    coefficient projects.
     """
     if pair.presentation.divisor.curve is PROJECTIVE_LINE:
         raise WrongCurve("the lifted Newton polyhedron is an affine-base construction")
-    poly = pair.rees_divisor.coefficient(z)
-    newton = pair.newton
-    n = newton.ambient_rank
-    wc = newton.tail
-    # recession: j >= -h_{Delta_z}(w) for w in the weight cone
-    amb = pair.presentation.divisor.coefficient(z)
-    tail_normals = [tuple(h) + (0,) for h in wc.halfspaces]
-    tail_normals += [tuple(v) + (1,) for v in amb.vertices]
-    tail = Cone.from_halfspaces(tail_normals, n + 1)
-
-    def lift(m):
-        return tuple(m) + (-floored_support(poly, tuple(m) + (1,)),)  # ceil(-x) = -floor(x)
-
-    denom = pair.rees_divisor.denominator()
-    hb = [tuple(denom * a for a in h) for h in hilbert_basis(wc)]
-    scale = 1
-    while True:
-        lo, hi = reachability_box(newton, [tuple(scale * a for a in h) for h in hb])
-        out = Polyhedron.from_vertices_and_tail(
-            [lift(m) for m in lattice_points_in_box(newton, lo, hi)], tail)
-        # certificate: every lifted lattice pair in the doubled region is in the hull
-        lo2, hi2 = reachability_box(newton, [tuple(2 * scale * a for a in h) for h in hb])
-        if all(out.contains(lift(m))
-               for m in lattice_points_in_box(newton, lo2, hi2)):
-            return out
-        scale *= 2
-        if scale > 16:
-            raise IdealError(f"lifted Newton polyhedron at {z} did not stabilize")
+    wc = pair.newton.tail
+    tail = Cone.from_halfspaces(
+        [tuple(h) + (0,) for h in wc.halfspaces] +
+        [tuple(v) + (1,) for v in pair.presentation.divisor.coefficient(z).vertices],
+        wc.ambient_rank + 1)
+    return Polyhedron.from_vertices_and_tail(
+        [tuple(g.degree) + (g.function.ord_at(z),) for g in pair.presentation.generators], tail)
 
 
 def normality_sufficient(pair: ReesPair) -> tuple[bool, dict | None]:

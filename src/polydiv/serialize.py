@@ -145,6 +145,8 @@ SPEC_Z_BITS = 512  # a Spec Z element is its value, factored wherever its diviso
 def parse_function(value, curve: BaseCurve, path: str) -> RationalFunction:
     _expect_keys(value, path, {"constant"}, {"factors"})
     const = parse_rational(value["constant"], f"{path}.constant")
+    if curve is SPEC_Z and (const.numerator * const.denominator).bit_length() > SPEC_Z_BITS:
+        raise SchemaError(f"{path}.constant", f"value past {SPEC_Z_BITS} bits")
     base = "prime" if curve is SPEC_Z else "poly"
     fmap: dict = {}
     for fpath, fac in _array(value, "factors", path) if "factors" in value else ():

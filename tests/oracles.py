@@ -55,6 +55,13 @@ polyhedron: one candidate cone per choice of a vertex in each coefficient,
 the weights where every chosen vertex is support-minimizing, kept when it
 is full-dimensional.
 
+The lifted-Newton oracle :func:`ptilde_by_doubling` is the route
+``ideals.ptilde`` took before it lifted the generators by their orders: the
+hull of the lifts (m, -floor h_z(m, 1)) of the lattice points m of the
+Newton box stretched by s times the Rees denominator times the Hilbert basis
+of the weight cone, for s = 1, 2, 4, ..., until every lift of the box
+stretched twice as far lies in it.
+
 The expansion oracles :func:`toric_by_terms`, :func:`vertical_by_terms` and
 :func:`horizontal_by_terms` are the routes the three additive-group actions
 took before they shared ``gaactions._series``: each builds the coefficient of
@@ -70,7 +77,17 @@ from operator import ge, mul
 from unittest import mock
 
 from polydiv import divisors, polynomials as up
-from polydiv.convex import Cone, Unbounded, _echelon_coordinates, _simplicial_pieces, hilbert_basis
+from polydiv.convex import (
+    Cone,
+    Polyhedron,
+    Unbounded,
+    _echelon_coordinates,
+    _simplicial_pieces,
+    floored_support,
+    hilbert_basis,
+    lattice_points_in_box,
+    reachability_box,
+)
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -117,6 +134,7 @@ from polydiv.linalg import (
     primitive,
     saturated_span_basis,
     vadd,
+    vscale,
     vsub,
 )
 
@@ -667,6 +685,33 @@ def quasifan_by_vertex_choices(d: PolyhedralDivisor) -> tuple[Cone, ...]:
         if cone.dim == n:
             cones.add(cone)
     return tuple(sorted(cones, key=lambda c: c.rays))
+
+
+def ptilde_by_doubling(pair, z: BasePoint) -> Polyhedron:
+    """The lifted Newton polyhedron at z by boxes doubled until a box twice
+    as wide adds no lift outside the hull."""
+    poly = pair.rees_divisor.coefficient(z)
+    newton = pair.newton
+    n = newton.ambient_rank
+    amb = pair.presentation.divisor.coefficient(z)
+    tail = Cone.from_halfspaces([tuple(h) + (0,) for h in newton.tail.halfspaces]
+                                + [tuple(v) + (1,) for v in amb.vertices], n + 1)
+
+    def lift(m):
+        return tuple(m) + (-floored_support(poly, tuple(m) + (1,)),)
+
+    def lifts(scale):
+        hb = [vscale(scale * pair.rees_divisor.denominator(), h)
+              for h in hilbert_basis(newton.tail)]
+        return [lift(m) for m in lattice_points_in_box(newton, *reachability_box(newton, hb))]
+
+    scale = 1
+    while True:
+        out = Polyhedron.from_vertices_and_tail(lifts(scale), tail)
+        if all(out.contains(x) for x in lifts(2 * scale)):
+            return out
+        scale *= 2
+        assert scale <= 16, f"lifted Newton polyhedron at {z} did not stabilize"
 
 
 def monomial_member_by_floors(d: PolyhedralDivisor, term: Monomial) -> bool:

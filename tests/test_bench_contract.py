@@ -1,0 +1,48 @@
+"""The names the benchmark's span tracer wraps still exist in polydiv.
+
+``bench/tracer.py`` wraps polydiv from outside, by name: its layers are
+modules, ``METHODS`` lists class attributes and ``OBSERVERS`` counts work on
+named spans.  A rename in ``src/polydiv`` fails here, not on the first traced
+benchmark run.  The tracer is loaded by path on its own; the benchmark's
+workload module is not imported, since it drops the loaded polydiv modules
+to import its own checkout afresh.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+TRACER_PATH = os.path.join(os.path.dirname(__file__), "..", "bench", "tracer.py")
+_spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+SPAN_NAMES = {name for _, _, _, name in tracer.METHODS}
+
+
+@pytest.mark.parametrize("layer", tracer.LAYERS)
+def test_layer_is_a_module(layer):
+    importlib.import_module(f"polydiv.{layer}")
+
+
+@pytest.mark.parametrize("layer, cls_name, attr, name", tracer.METHODS,
+                         ids=[name for *_, name in tracer.METHODS])
+def test_method_exists(layer, cls_name, attr, name):
+    cls = getattr(importlib.import_module(f"polydiv.{layer}"), cls_name)
+    assert attr in vars(cls), f"{cls_name}.{attr} is gone"
+
+
+@pytest.mark.parametrize("name", sorted(tracer.OBSERVERS))
+def test_observed_span_is_wrapped(name):
+    """An observed span is a listed method or a public function that the
+    tracer wraps: defined in its layer's module and not left unwrapped."""
+    if name in SPAN_NAMES:
+        return
+    layer, attr = name.split(".", 1)
+    module = importlib.import_module(f"polydiv.{layer}")
+    fn = getattr(module, attr, None)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{name} is gone"
+    assert not attr.startswith("_") and attr not in tracer.UNWRAPPED.get(layer, ())

@@ -13,6 +13,9 @@ from polydiv.curves import PROJECTIVE_LINE
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
+P80, Q80 = 2 ** 80 + 13, 2 ** 80 - 65  # primes, each far past what Pollard's rho splits in 2^18 steps
+
+
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     return code
@@ -321,6 +324,29 @@ class TestExitCodes:
         assert err.startswith(
             f"schema error: $.objects.gens.elements[0].function.factors[0].{path}: ")
 
+    def test_long_spec_z_constant_is_a_schema_error(self, capsys, tmp_path):
+        with open(fixture("ex445.json")) as fh:
+            doc = json.load(fh)
+        doc["objects"]["gens"]["elements"][0]["function"]["constant"] = 3 ** 400
+        err = self.schema_error(capsys, tmp_path, doc, "normalize", "gens")
+        assert err.startswith("schema error: $.objects.gens.elements[0].function.constant: ")
+
+    @pytest.mark.parametrize("function", [
+        {"constant": P80 * Q80},
+        {"constant": 1, "factors": [{"prime": P80, "exp": 1}, {"prime": Q80, "exp": -1}]}],
+        ids=["constant", "factors"])
+    def test_unsplittable_spec_z_value_is_a_curve_error(self, capsys, tmp_path, function):
+        """A value whose least prime is far past the bounded Pollard walk ends
+        as a math error, not in a factoring run of about 2^40 steps."""
+        with open(fixture("ex445.json")) as fh:
+            doc = json.load(fh)
+        doc["objects"]["gens"]["elements"][0]["function"] = function
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        code, out, err = run_capture(capsys, "normalize", "--input", str(big), "--object", "gens")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"CurveError: no factor of {P80 * Q80} found in ")
+
     @pytest.mark.parametrize("name, command, obj, path, mutate", SHAPE_CASES,
                              ids=[case[3] for case in SHAPE_CASES])
     def test_shape_is_a_schema_error(self, capsys, tmp_path, name, command, obj, path, mutate):
@@ -511,3 +537,32 @@ class TestNonMonicPlaces:
         code, out, _ = run_capture(capsys, argv[0], "--input", str(path), *argv[1:], "--json")
         with open(PLACES_GOLDEN) as fh:
             assert (code, out) == (0, json.load(fh)[f"{curve} {argv[0]}"])
+
+
+# A1, orthant tail, (-3,-3) + tail at t, base point t colored (-3,-3): the
+# algebra is k[t, x, y] with x = t^3 chi^(1,0), y = t^3 chi^(0,1)
+NO_ACTION_OF_DEGREE = {"version": "1", "curve": "A1", "lattice_rank": 2, "objects": {
+    "divisor": {"type": "divisor", "tail": {"rays": [[1, 0], [0, 1]]},
+                "coefficients": [{"point": {"poly": [0, 1]}, "vertices": [[-3, -3]]}]},
+    "coloring": {"type": "coloring", "divisor": "divisor", "base_point": {"poly": [0, 1]},
+                 "colors": [{"point": {"poly": [0, 1]}, "vertex": [-3, -3]}]},
+    "assemblage": {"type": "assemblage", "coloring": "coloring", "e": [-2, -3],
+                   "s": [0], "lambda": [1]}}}
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="horizontal-check has no root condition and passes an "
+                          "assemblage that admits no action (ROADMAP item 11)")
+def test_horizontal_check_agrees_with_assemblage_check(capsys, tmp_path):
+    """A derivation of degree (-2, -3) sends t into the piece of that degree,
+    which is 0, so no horizontal action of that degree exists: both checks
+    must fail the assemblage."""
+    path = tmp_path / "no_action.json"
+    path.write_text(json.dumps(NO_ACTION_OF_DEGREE))
+    verdicts = {}
+    for command in ("assemblage-check", "horizontal-check"):
+        code, out, _ = run_capture(capsys, command, "--input", str(path),
+                                   "--object", "assemblage", "--json")
+        assert code == 0
+        verdicts[command] = json.loads(out)["result"]["all_pass"]
+    assert verdicts == {"assemblage-check": False, "horizontal-check": False}

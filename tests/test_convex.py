@@ -11,7 +11,6 @@ from polydiv.convex import (
     EmptyPolyhedron,
     NotPointed,
     Polyhedron,
-    TailMismatch,
     Unbounded,
     UnboundedLineality,
     dilate,
@@ -183,7 +182,7 @@ class TestPolyhedronFromHalfspaces:
 
     def test_vh_roundtrip(self):
         p = Polyhedron.from_halfspaces([((1, 2), -1), ((1, 0), 0)], 2)
-        q = Polyhedron.from_halfspaces(p.halfspaces, 2, tail_hint=p.tail)
+        q = Polyhedron.from_halfspaces(p.halfspaces, 2)
         assert p == q
 
     def test_lower_dimensional_rows_are_irredundant(self):
@@ -199,14 +198,6 @@ class TestPolyhedronFromHalfspaces:
         assert p.vertex_rays == (((1,), 2),)
         assert p.vertices == ((F(1, 2),),) and not p.has_integral_vertices
         assert p.contains((1,)) and p.contains((F(1, 2),)) and not p.contains((0,))
-
-    def test_tail_hint_must_match(self):
-        triangle = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]
-        p = Polyhedron.from_halfspaces(triangle, 2, tail_hint=zero_cone(2))
-        assert p == Polyhedron.from_halfspaces(triangle, 2)
-        for hint in (zero_cone(3), zero_cone(1), ORTHANT2):
-            with pytest.raises(TailMismatch):
-                Polyhedron.from_halfspaces(triangle, 2, tail_hint=hint)
 
 
 @st.composite

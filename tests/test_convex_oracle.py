@@ -630,7 +630,7 @@ def test_rows_are_an_irredundant_description(p):
     """The rows rebuild p, and each is needed: without it the polyhedron
     grows, or its recession cone holds a line."""
     n, rows = p.ambient_rank, p.halfspaces
-    assert Polyhedron.from_halfspaces(rows, n, tail_hint=p.tail) == p
+    assert Polyhedron.from_halfspaces(rows, n) == p
     for i in range(len(rows)):
         try:
             assert Polyhedron.from_halfspaces(rows[:i] + rows[i + 1:], n) != p

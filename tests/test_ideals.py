@@ -1,8 +1,10 @@
 import itertools
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydiv.convex import Cone, Polyhedron, dilate
 from polydiv.curves import (
@@ -36,7 +38,9 @@ from polydiv.ideals import (
     ptilde,
     rees_pair,
 )
-from oracles import divisor_sum, nonnegative_orthant, outcome
+from polydiv.linalg import vscale
+from polydiv.serialize import load_problem
+from oracles import divisor_sum, nonnegative_orthant, outcome, ptilde_by_doubling
 
 ORTHANT2 = nonnegative_orthant(2)
 ORTHANT3 = nonnegative_orthant(3)
@@ -320,6 +324,64 @@ class TestPtildeAndNormality:
         pair = rees_pair(GradedIdealPresentation.of(wc, d, [t2, t3, t4]))
         with pytest.raises(WrongCurve):
             normality_sufficient(pair)
+
+
+TRIVIAL_A1 = os.path.join(os.path.dirname(__file__), "..", "fixtures", "trivial_a1.json")
+PLACE_KEYS = {Z0: (0, 1), Z1: (-1, 1)}
+
+
+@st.composite
+def a1_rank2_rees_pairs(draw):
+    """Rees pairs over A1 in rank 2: up to two places with one or two
+    vertices in [-2, 2] of denominator at most 2, and up to three generators
+    of degree a small sum of weight-cone rays, each of least order at a
+    place or up to two above it."""
+    tail = Cone.from_rays(draw(st.sampled_from([((1, 0), (0, 1)), ((1, 0), (1, 2)),
+                                                ((1, 1), (-1, 2))])), 2)
+    vertex = st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * 2)
+    places = draw(st.lists(st.sampled_from([Z0, Z1]), unique=True, max_size=2))
+    d = PolyhedralDivisor.of(AFFINE_LINE, tail, {
+        z: Polyhedron.from_vertices_and_tail(draw(st.lists(vertex, min_size=1, max_size=2)), tail)
+        for z in places})
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = tuple(map(sum, zip(*[vscale(draw(st.integers(0, 2)), r) for r in d.weight_cone.rays])))
+        floors = dict(zip(d.support, d.floors(m)))
+        orders = {key: -floors.get(z, 0) + draw(st.integers(0, 2)) for z, key in PLACE_KEYS.items()}
+        gens.append(HomogeneousElement(
+            RationalFunction.from_factored(1, {key: e for key, e in orders.items() if e}), m))
+    return rees_pair(GradedIdealPresentation.of(d.weight_cone, d, gens))
+
+
+class TestPtildeAgainstDoubledBoxes:
+    """``ptilde``, the generators lifted by their orders, against the boxes
+    doubled until stable."""
+
+    def test_trivial_a1(self):
+        pair = rees_pair(load_problem(TRIVIAL_A1).get("ideal", "ideal"))
+        for z in pair.rees_divisor.support:
+            assert ptilde(pair, z) == ptilde_by_doubling(pair, z)
+
+    def test_vertex_past_the_hilbert_box(self):
+        """I = (t^5, chi^10, t chi) on k[t, chi]: h_t(m, 1) = min(0, (m - 10)/9,
+        4m - 5), so the Rees denominator is 9 and the Newton box stretched by
+        9 times the Hilbert basis is [0, 9]; the lift (10, 0) of the
+        generator chi^10, no Newton vertex, is a vertex past it."""
+        tail = Cone.from_rays([(1,)], 1)
+        d = PolyhedralDivisor.of(AFFINE_LINE, tail, {})
+        gens = [HomogeneousElement(tpow(5), (0,)), HomogeneousElement(one(), (10,)),
+                HomogeneousElement(tpow(1), (1,))]
+        pair = rees_pair(GradedIdealPresentation.of(tail.dual(), d, gens))
+        assert pair.rees_divisor.denominator() == 9
+        p = ptilde(pair, Z0)
+        assert p.vertices == ((0, 5), (1, 1), (10, 0))
+        assert p == ptilde_by_doubling(pair, Z0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a1_rank2_rees_pairs())
+    def test_generated_a1_rank2(self, pair):
+        for z in pair.rees_divisor.support or (Z0,):
+            assert ptilde(pair, z) == ptilde_by_doubling(pair, z)
 
 
 def closed_powers_closed(pair, e, box=5):

@@ -139,6 +139,16 @@ def test_spec_z_factor_is_checked(factor, field):
     assert err.value.path == f"$.objects.gens.elements[0].function.factors[0].{field}"
 
 
+@pytest.mark.parametrize("constant", [3 ** 400, f"1/{3 ** 400}"], ids=["n", "1/n"])
+def test_spec_z_constant_is_checked(constant):
+    """A bare constant past SPEC_Z_BITS (3^400 has 634 bits) ends at its path."""
+    doc = copy.deepcopy(SPEC_Z_FACTORS)
+    doc["objects"]["gens"]["elements"][2]["function"]["constant"] = constant
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.parse_problem(doc)
+    assert err.value.path == "$.objects.gens.elements[2].function.constant"
+
+
 @pytest.mark.parametrize("prime, message", [
     (6, "6 is not prime"), (BEYOND_PRIMALITY_BOUND, "proven range")])
 def test_spec_z_point_is_checked(prime, message):
