@@ -19,10 +19,11 @@ Its result depends only on the set of primitive generators, so it is
 memoised on that canonical input, and its dual under the facets.  Hilbert
 bases follow the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
 2010): a triangulation on the ray-facet incidence, the fundamental
-parallelepiped of each simplex walked like an odometer with running sums,
-a reduction inside each simplex on its own support forms, then one over
-the whole cone in which an element is compared only with the kept ones of
-at most half its degree.
+parallelepiped of each simplex walked as a group in packed integers, one
+int per point and one addition a step, with no HNF; a reduction inside
+each simplex on its numerators, then one over the whole cone on its
+support forms, both one guard test on packed keys, in which an element is
+compared only with the kept ones of at most half its degree.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from operator import add, and_, ge, itemgetter, le, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import and_, ge, itemgetter, le, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     IVec,
@@ -43,7 +44,6 @@ from .linalg import (
     adjugate,
     bareiss_det,
     dot,
-    hnf,
     independent_rows,
     integer_kernel_basis,
     is_zero_vector,
@@ -284,45 +284,70 @@ def box_points(box: Iterable[tuple[int, int]]) -> Iterator[IVec]:
     return itertools.product(*[range(lo, hi + 1) for lo, hi in box])
 
 
-def _parallelepiped(rays: Sequence[IVec]) -> list[tuple[IVec, IVec]]:
-    """(numerators, point) of each lattice point of {sum l_i r_i : 0 <= l_i < 1},
-    rays independent; the numerators are the l_i times |det R|.
+def _guard(width: int, count: int) -> int:
+    """The top bits of ``count`` slots of ``width`` bits, slot i at bit width * i."""
+    return sum(1 << width * i + width - 1 for i in range(count))
 
-    The box 0 <= c_i < d_i of the HNF pivots of R, the rays on the saturated
-    span basis b, holds one c per point.  It is walked one coordinate at a
-    time: b_i adds row i of adj(R) / det R = q + a / |det R|, 0 <= a < |det R|,
-    to the coefficients, so a to the numerators and b_i - sum q_j r_j to the
-    point; a numerator that reaches |det R| wraps and takes off its ray."""
+
+def _parallelepiped(rays: Sequence[IVec]) -> tuple[int, int, list[tuple[int, int]]]:
+    """(|det R|, w, [(degree, packed)]) for the lattice points of
+    {sum l_i r_i : 0 <= l_i < 1}, rays independent (see :func:`hilbert_basis`).
+
+    Numerator a_i = l_i |det R| is stored as a_i + 2^(w-1) - |det R| in the
+    slot of w = |det R|.bit_length() + 1 bits at bit w * i, whose top bit is
+    set exactly when a_i reaches |det R|; the degree is sum a_i.  Basis
+    vector b_j of the saturated span lattice adds row j of adj(R) / det R,
+    mod 1, to the coefficients: one addition of ``step``, then each wrapped
+    slot, and the degree for each, loses |det R|.  The index search stops
+    after |det R| over the number of points walked, so that a broken
+    invariant gives a wrong count, not a hang."""
     n, k = len(rays[0]), len(rays)
     if k == n:  # full-dimensional: the saturated span lattice is Z^n
-        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         ray_coords = rays
     else:
         basis = saturated_span_basis(rays, n)
         ray_coords = [_echelon_coordinates(basis, r) for r in rays]
     det = bareiss_det(ray_coords)
     volume = abs(det)
-    points = [((0,) * k, (0,) * n)]
+    width = volume.bit_length() + 1
+    top = width - 1
+    guard = _guard(width, k)
+    origin = (guard >> top) * ((1 << top) - volume)
+    points = [(0, origin)]
     if volume == 1:
-        return points
-    pivots = [next(a for a in row if a) for row in hnf(ray_coords)]
-    for b, d, row in zip(basis, pivots, adjugate(ray_coords)):
-        if d == 1:
-            continue
-        quotients, step = zip(*(divmod(a if det > 0 else -a, volume) for a in row))
-        shift = tuple(x - sum(map(mul, quotients, col)) for x, col in zip(b, zip(*rays)))
-        walked = []
-        for num, p in points:
-            walked.append((num, p))
-            for _ in range(d - 1):
-                num, p = tuple(map(add, num, step)), tuple(map(add, p, shift))
-                if max(num) >= volume:
-                    for r, a in zip(rays, num):
-                        if a >= volume:
-                            p = tuple(map(sub, p, r))
-                    num = tuple(a - volume if a >= volume else a for a in num)
-                walked.append((num, p))
-        points = walked
+        return volume, width, points
+    seen: set[int] = set()  # the points walked before this basis vector
+    for row in adjugate(ray_coords):
+        walked = len(points)
+        if walked == volume:
+            break
+        seen.update(x for _, x in points[len(seen):])
+        steps = [a % volume if det > 0 else -a % volume for a in row]
+        step, rise = sum(a << width * i for i, a in enumerate(steps)), sum(steps)
+        p = origin
+        for index in range(1, volume // walked + 1):
+            p += step
+            p -= ((p & guard) >> top) * volume
+            if p in seen:
+                break
+        block = points
+        for _ in range(index - 1):
+            block = [(d + rise - volume * m.bit_count(), q - (m >> top) * volume)
+                     for d, x in block for q in [x + step] for m in [q & guard]]
+            points += block
+    return volume, width, points
+
+
+def _lift(rays: Sequence[IVec], volume: int, width: int, packed: Iterable[int]) -> list[IVec]:
+    """The lattice points sum a_i r_i / volume of packed numerators a_i, as
+    :func:`_parallelepiped` packs them."""
+    slot, bias = (1 << width) - 1, (1 << width - 1) - volume
+    shifts = range(0, width * len(rays), width)
+    columns = list(zip(*rays))
+    points = []
+    for p in packed:
+        num = [(p >> s & slot) - bias for s in shifts]
+        points.append(tuple([sum(map(mul, num, col)) // volume for col in columns]))
     return points
 
 
@@ -348,41 +373,50 @@ def _echelon_coordinates(basis: Sequence[IVec], v: Sequence[int]) -> IVec:
 def hilbert_basis(c: Cone) -> tuple[IVec, ...]:
     """Unique minimal generating set of the monoid c ∩ Z^n.
 
-    Every irreducible element is a ray or a point of the parallelepiped of a
-    simplex σ of a triangulation.  Inside each, x goes when some y has
-    numerators at most x's, so x - y lies in σ.  The survivors are graded by
-    the sum of the inner normals, positive off the origin, and x goes when
-    x - y lies in c for a kept y (the monoid is saturated): no normal is
-    smaller on x than on y.  The values on the normals are packed into one
-    integer, a slot each whose top bit stays free (a candidate's value on h
-    is at most <h, sum of the rays>) and stays set in x - y + guard iff y's
-    value is at most x's.
+    Every irreducible element is a ray or a point of the fundamental
+    parallelepiped of a simplex σ of a triangulation.  Its points form the
+    group (span ∩ Z^n) / ZR, R the rays of σ, of order |det R|; each point
+    is one int of packed numerators plus its degree (:func:`_parallelepiped`).
+    The group is walked over a lattice basis, each basis vector up to its
+    index over the points so far: the number of steps from the origin to
+    one of them.  Inside σ, x goes when some y has numerators at most x's,
+    so x - y lies in σ; only the survivors are lifted to Z^n.  They are
+    graded by the sum of the inner normals, positive off the origin, and x
+    goes when x - y lies in c for a kept y (the monoid is saturated): no
+    normal is smaller on x than on y.  Their values are packed a slot per
+    normal, each below its slot's top bit (a candidate's value on h is at
+    most <h, sum of the rays>).  Both reductions are one guard test on
+    packed keys (:func:`_irreducibles`).
     """
     if not c.is_pointed:
         raise NotPointed("Hilbert basis requires a pointed cone")
     candidates: set[IVec] = set(c.rays)
     for piece in _simplicial_pieces(c):
-        candidates.update(_irreducibles(
-            ((sum(num), num, p) for num, p in _parallelepiped(piece) if any(num)),
-            lambda y, x: all(map(le, y, x))))
+        volume, width, points = _parallelepiped(piece)
+        survivors = _irreducibles(((d, p, p) for d, p in points if d), _guard(width, len(piece)))
+        candidates.update(_lift(piece, volume, width, survivors))
     normals, ray_sum = c.halfspaces, tuple(map(sum, zip(*c.rays)))
     width = max((sum(map(mul, h, ray_sum)) for h in normals), default=0).bit_length() + 1
     packed = [sum(a << width * f for f, a in enumerate(col)) for col in zip(*normals)]
-    guard = sum(1 << width * f + width - 1 for f in range(len(normals)))
     grading = tuple(map(sum, zip(*normals)))
     return tuple(sorted(_irreducibles(
         ((sum(map(mul, grading, x)), sum(map(mul, packed, x)), x) for x in candidates),
-        lambda y, x: (x - y + guard) & guard == guard)))
+        _guard(width, len(normals)))))
 
 
-def _irreducibles(graded: Iterable[tuple[int, object, IVec]],
-                  reduces: Callable[[object, object], bool]) -> list[IVec]:
-    """The x of the (degree, key, x) triples that no kept y reduces, i.e. has
-    ``reduces(key_y, key_x)``.  A reducible x has an irreducible summand of at
-    most half its degree: only the kept y up to deg(x) // 2 are compared."""
+def _irreducibles(graded: Iterable[tuple[int, int, object]], guard: int) -> list:
+    """The x of the (degree, key, x) triples that no kept y reduces: every
+    top bit of ``guard`` stays set in key_x - key_y + guard, so no slot of
+    y's key exceeds x's (each value is below its slot's top bit).  A
+    reducible x has an irreducible summand of at most half its degree: only
+    the kept y up to deg(x) // 2 are compared."""
     degrees, keys, kept = [], [], []
     for deg, key, x in sorted(graded, key=itemgetter(0)):
-        if not any(reduces(keys[i], key) for i in range(bisect_right(degrees, deg // 2))):
+        high = key + guard
+        for y in keys[:bisect_right(degrees, deg // 2)]:
+            if high - y & guard == guard:
+                break
+        else:
             degrees.append(deg)
             keys.append(key)
             kept.append(x)

@@ -6,6 +6,10 @@ named spans.  A rename in ``src/polydiv`` fails here, not on the first traced
 benchmark run.  The tracer is loaded by path on its own; the benchmark's
 workload module is not imported, since it drops the loaded polydiv modules
 to import its own checkout afresh.
+
+``bench/selftest.py`` also reads names that one polydiv module binds from
+another, to check that the tracer patches the binding as well as the
+definition; those bindings are checked here too.
 """
 
 import importlib
@@ -46,3 +50,17 @@ def test_observed_span_is_wrapped(name):
     fn = getattr(module, attr, None)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{name} is gone"
     assert not attr.startswith("_") and attr not in tracer.UNWRAPPED.get(layer, ())
+
+
+def test_convex_binds_linalg_bareiss_det():
+    """The selftest checks the tracer's wrapper through ``convex.bareiss_det``."""
+    convex = importlib.import_module("polydiv.convex")
+    assert convex.bareiss_det is importlib.import_module("polydiv.linalg").bareiss_det
+
+
+@pytest.mark.xfail(strict=True, raises=AttributeError,
+                   reason="ROADMAP item 6: ideals no longer imports hilbert_basis, "
+                          "and bench/selftest.py still reads ideals.hilbert_basis")
+def test_ideals_binds_convex_hilbert_basis():
+    convex = importlib.import_module("polydiv.convex")
+    assert importlib.import_module("polydiv.ideals").hilbert_basis is convex.hilbert_basis

@@ -385,19 +385,79 @@ def test_pieces_are_full_dimensional_simplices(c):
         assert set(piece) <= set(c.rays)
 
 
+def unpacked(packed, volume, width, count):
+    """The numerators of a point packed as ``convex._parallelepiped`` packs
+    them: slot i of ``width`` bits at bit width * i, biased by
+    2^(width-1) - volume, nothing above the last slot."""
+    assert packed >> width * count == 0
+    slot, bias = (1 << width) - 1, (1 << width - 1) - volume
+    return [(packed >> width * i & slot) - bias for i in range(count)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(pointed_cones())
 @example(RANK6)
 def test_parallelepiped_points_match_rational_solve(c):
+    """Every walked point, not only the survivors of the reduction, is
+    unpacked and lifted; there are |det| of them, as the rational solve
+    finds, each numerator in [0, |det|) and the degree their sum."""
     for piece in convex._simplicial_pieces(c):
-        walked = convex._parallelepiped(piece)
-        assert sorted(p for _, p in walked) == parallelepiped_points_by_solve(piece)
-        # the numerators are the coefficients on the rays times the volume,
-        # which is the number of points
-        for num, p in walked:
-            assert max(num) < len(walked)
-            assert vscale(len(walked), p) == \
-                tuple(sum(map(mul, num, col)) for col in zip(*piece))
+        volume, width, walked = convex._parallelepiped(piece)
+        points = convex._lift(piece, volume, width, [p for _, p in walked])
+        assert sorted(points) == parallelepiped_points_by_solve(piece)
+        assert len(walked) == volume
+        # the numerators are the coefficients on the rays times the volume
+        for (degree, packed), p in zip(walked, points):
+            num = unpacked(packed, volume, width, len(piece))
+            assert 0 <= min(num) and max(num) < volume
+            assert degree == sum(num)
+            assert vscale(volume, p) == tuple(sum(map(mul, num, col)) for col in zip(*piece))
+
+
+@pytest.mark.parametrize("height", [7, 8, 15, 16, 31, 32])
+def test_slot_width_edges_in_rank_two(height):
+    """cone((1,0),(1,N)) is one simplex of volume N, a slot of
+    N.bit_length() + 1 bits: the width grows from 7 to 8, 15 to 16 and 31
+    to 32, and a power of two fills all but the top bit of its slot."""
+    c = Cone.from_rays([(1, 0), (1, height)], 2)
+    volume, width, walked = convex._parallelepiped(c.rays)
+    assert volume == len(walked) == height
+    assert hilbert_basis(c) == tuple((1, k) for k in range(height + 1))
+
+
+@pytest.mark.parametrize("rays", [[(1, 0, 0), (0, 1, 0), (1, 1, 16)],
+                                  [(4, 0, 1), (0, 4, 1), (0, 0, 1)],
+                                  [(1, -2, 0), (1, 6, 0), (1, -2, 2)]],
+                         ids=["cyclic", "two-generators", "index-below-order"])
+def test_rank3_simplex_of_volume_16(rays):
+    """Z^3 modulo the rays is Z/16 in the first simplex, one walked basis
+    vector of index 16, and Z/4 x Z/4 in the second, two of index 4.  In
+    the third it is Z/8 x Z/2 with e_1, e_2, e_3 at (2, 0), (1, 0), (0, 1):
+    e_2 has order 8 but index 2 over the 4 points of e_1, and e_3 is still
+    to come, so e_2's walk must stop at a point already walked, not at the
+    origin or at the bound."""
+    c = Cone.from_rays(rays, 3)
+    volume, width, walked = convex._parallelepiped(c.rays)
+    assert volume == len(walked) == 16
+    points = convex._lift(c.rays, volume, width, [p for _, p in walked])
+    assert sorted(points) == parallelepiped_points_by_solve(c.rays)
+    assert hilbert_basis(c) == hilbert_basis_all_pairs(c) == hilbert_basis_by_graded_filter(c)
+
+
+def test_zero_cone_and_single_ray():
+    assert hilbert_basis(Cone.from_rays([], 2)) == ()
+    assert hilbert_basis(Cone.from_rays([(5,)], 1)) == ((1,),)
+    assert hilbert_basis(Cone.from_rays([(2, 4, -6)], 3)) == ((1, 2, -3),)
+
+
+def test_rank6_lower_dimensional_hilbert_basis():
+    """R6N12 embedded in rank 7 by x -> (x, x_1 + x_2), not C × {0}: each
+    simplex is walked on the saturated span basis of its rays, and the
+    embedding maps the monoid C ∩ Z^6 onto the cone's monoid."""
+    def embed(x):
+        return x + (x[0] + x[1],)
+    c = Cone.from_rays([embed(r) for r in R6N12.rays], 7)
+    assert hilbert_basis(c) == tuple(sorted(embed(x) for x in hilbert_basis(R6N12)))
 
 
 @settings(max_examples=60, deadline=None)
