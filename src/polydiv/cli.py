@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 from . import serialize as ser
@@ -118,9 +119,25 @@ def _element_arg(args, problem) -> HomogeneousElement:
     return ser.parse_element(doc, problem.curve, problem.rank, "$.element")
 
 
+def _normalization(problem, name: str):
+    """Weight cone and divisor of the generators object ``name``, normalized
+    once per parsed problem.  The warnings of that normalization (a
+    ProperWarning carries the properness certificate) are kept with it and
+    warned again on every call, as an unshared normalization would."""
+    if name not in problem.normalized:
+        gens = problem.get(name, "generators")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            normalized = divisor_from_generators(list(gens), problem.curve)
+        problem.normalized[name] = normalized, tuple(w.message for w in caught)
+    normalized, messages = problem.normalized[name]
+    for message in messages:
+        warnings.warn(message)
+    return normalized
+
+
 def cmd_normalize(args, problem):
-    gens = problem.get(args.object, "generators")
-    weight_cone, divisor = divisor_from_generators(list(gens), problem.curve)
+    weight_cone, divisor = _normalization(problem, args.object)
     return {"weight_cone": ser.cone_doc(weight_cone),
             "divisor": ser.divisor_doc(divisor)}
 
@@ -130,7 +147,7 @@ def _divisor_arg(args, problem):
     if kind == "divisor":
         return obj
     if kind == "generators":
-        return divisor_from_generators(list(obj), problem.curve)[1]
+        return _normalization(problem, args.object)[1]
     raise ser.SchemaError(f"$.objects.{args.object}", "expected a divisor")
 
 

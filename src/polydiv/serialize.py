@@ -9,8 +9,11 @@ canonical rational strings), so fixtures can be compared byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from .convex import Cone, GeometryError, Polyhedron
@@ -245,13 +248,20 @@ def module_doc(mod: SectionModule):
             "generators": [function_doc(f) for f in mod.generators]}
 
 
+@dataclass(frozen=True, eq=False)
 class ProblemFile:
-    """Parsed problem file: curve, lattice rank and a named object table."""
+    """Parsed problem file: curve, lattice rank and a named object table.
 
-    def __init__(self, curve: BaseCurve, rank: int, objects: dict[str, Any]):
-        self.curve = curve
-        self.rank = rank
-        self.objects = objects
+    Parsed problems are shared within a process: :func:`load_problem` hands
+    the same ProblemFile to every load of the same file content, so the
+    object table is read-only.  ``normalized`` is the one table that fills
+    after parsing: the normalization of each generators object, computed at
+    most once per parsed problem by the commands that read it."""
+
+    curve: BaseCurve
+    rank: int
+    objects: Mapping[str, tuple[str, Any]]
+    normalized: dict = field(default_factory=dict, repr=False)
 
     def get(self, name: str, expected_type: str):
         if name not in self.objects:
@@ -274,7 +284,7 @@ def parse_problem(doc) -> ProblemFile:
     raw = doc["objects"]
     if not isinstance(raw, Mapping):
         raise SchemaError("$.objects", "expected an object table")
-    problem = ProblemFile(curve, rank, {})
+    objects: dict[str, tuple[str, Any]] = {}
     # two passes: divisors and ideals may reference earlier objects by name
     pending = dict(raw)
     progress = True
@@ -284,40 +294,39 @@ def parse_problem(doc) -> ProblemFile:
             value = pending[name]
             path = f"$.objects.{name}"
             try:
-                parsed = _parse_object(value, problem, path)
+                parsed = _parse_object(value, curve, rank, objects, path)
             except _Unresolved:
                 continue
             except MATH_ERRORS as err:
                 raise SchemaError(path, f"{type(err).__name__}: {err}") from None
-            problem.objects[name] = parsed
+            objects[name] = parsed
             del pending[name]
             progress = True
     if pending:
         raise SchemaError(f"$.objects.{sorted(pending)[0]}",
                           "unresolved reference cycle or missing target")
-    return problem
+    return ProblemFile(curve, rank, MappingProxyType(objects))
 
 
 class _Unresolved(Exception):
     pass
 
 
-def _deref(problem: ProblemFile, name, expected: str, path: str):
+def _deref(objects: Mapping, name, expected: str, path: str):
     if not isinstance(name, str):
         raise SchemaError(path, "expected an object name")
-    if name not in problem.objects:
+    if name not in objects:
         raise _Unresolved()
-    kind, obj = problem.objects[name]
+    kind, obj = objects[name]
     if kind != expected:
         raise SchemaError(path, f"expected a {expected}, found a {kind}")
     return obj
 
 
-def _parse_object(value, problem: ProblemFile, path: str):
+def _parse_object(value, curve: BaseCurve, rank: int, objects: Mapping, path: str):
     if not isinstance(value, Mapping) or "type" not in value:
         raise SchemaError(path, "object needs a type field")
     kind = value["type"]
-    curve, rank = problem.curve, problem.rank
     if kind == "divisor":
         return ("divisor", parse_divisor(value, curve, rank, path))
     if kind == "generators":
@@ -333,7 +342,7 @@ def _parse_object(value, problem: ProblemFile, path: str):
         return ("monomial_ideal", MonomialIdeal.of(cone, exps))
     if kind == "ideal":
         _expect_keys(value, path, {"type", "ambient", "generators"})
-        divisor = _deref(problem, value["ambient"], "divisor", f"{path}.ambient")
+        divisor = _deref(objects, value["ambient"], "divisor", f"{path}.ambient")
         els = [parse_element(e, curve, rank, ipath)
                for ipath, e in _array(value, "generators", path)]
         pres = GradedIdealPresentation.of(divisor.weight_cone, divisor, els)
@@ -341,7 +350,7 @@ def _parse_object(value, problem: ProblemFile, path: str):
     if kind == "coloring":
         _expect_keys(value, path, {"type", "divisor", "base_point", "colors"},
                      {"infinity_point"})
-        divisor = _deref(problem, value["divisor"], "divisor", f"{path}.divisor")
+        divisor = _deref(objects, value["divisor"], "divisor", f"{path}.divisor")
         base = parse_point(value["base_point"], curve, f"{path}.base_point")
         infinity = None
         if "infinity_point" in value:
@@ -355,7 +364,7 @@ def _parse_object(value, problem: ProblemFile, path: str):
         return ("coloring", ColoredDivisor.of(divisor, base, colors, infinity))
     if kind == "assemblage":
         _expect_keys(value, path, {"type", "coloring", "e", "s", "lambda"}, {"p"})
-        colored = _deref(problem, value["coloring"], "coloring", f"{path}.coloring")
+        colored = _deref(objects, value["coloring"], "coloring", f"{path}.coloring")
         e = parse_integer_vector(value["e"], f"{path}.e", rank)
         s = [parse_integer(x, ipath) for ipath, x in _array(value, "s", path)]
         lams = [parse_rational(x, ipath) for ipath, x in _array(value, "lambda", path)]
@@ -366,12 +375,22 @@ def _parse_object(value, problem: ProblemFile, path: str):
 
 
 def load_problem(path: str) -> ProblemFile:
+    """The problem file at ``path``.  The file is read on every call, but a
+    content already parsed in this process is not parsed again: calls with
+    the same bytes, at any path, share one read-only ProblemFile."""
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}:{err.lineno}:{err.colno}", err.msg) from None
-    return parse_problem(doc)
+        text = fh.read()
+    try:
+        return _parse_text(text)
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"{path}:{err.lineno}:{err.colno}", err.msg) from None
+
+
+@functools.lru_cache(maxsize=32)
+def _parse_text(text: str) -> ProblemFile:
+    """Keyed by the content, so an edited file is parsed afresh; a call that
+    raises leaves no entry, so errors are raised again on every call."""
+    return parse_problem(json.loads(text))
 
 
 def dump_canonical(doc) -> str:

@@ -64,3 +64,9 @@ def test_convex_binds_linalg_bareiss_det():
 def test_ideals_binds_convex_hilbert_basis():
     convex = importlib.import_module("polydiv.convex")
     assert importlib.import_module("polydiv.ideals").hilbert_basis is convex.hilbert_basis
+
+
+def test_load_problem_is_a_plain_function():
+    """The tracer wraps only plain functions, and the selftest reads
+    ``serialize.load_problem.calls``: a memo must sit behind it, not on it."""
+    assert inspect.isfunction(importlib.import_module("polydiv.serialize").load_problem)
