@@ -119,18 +119,21 @@ def _element_arg(args, problem) -> HomogeneousElement:
     return ser.parse_element(doc, problem.curve, problem.rank, "$.element")
 
 
+@functools.lru_cache(maxsize=32)
+def _normalized(problem: ser.ProblemFile, name: str):
+    """Weight cone and divisor of the generators object ``name``, and the
+    messages its normalization warned (a ProperWarning carries the
+    properness certificate), per parsed problem; a call that raises is not kept."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        normalized = divisor_from_generators(list(problem.get(name, "generators")),
+                                             problem.curve)
+    return normalized, tuple(w.message for w in caught)
+
+
 def _normalization(problem, name: str):
-    """Weight cone and divisor of the generators object ``name``, normalized
-    once per parsed problem.  The warnings of that normalization (a
-    ProperWarning carries the properness certificate) are kept with it and
-    warned again on every call, as an unshared normalization would."""
-    if name not in problem.normalized:
-        gens = problem.get(name, "generators")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            normalized = divisor_from_generators(list(gens), problem.curve)
-        problem.normalized[name] = normalized, tuple(w.message for w in caught)
-    normalized, messages = problem.normalized[name]
+    """:func:`_normalized`, warning its messages again on every call."""
+    normalized, messages = _normalized(problem, name)
     for message in messages:
         warnings.warn(message)
     return normalized
@@ -448,7 +451,7 @@ ARGUMENTS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand; built once, it depends only on the
     constant tables COMMANDS, COMMON and ARGUMENTS."""
     parser = argparse.ArgumentParser(
@@ -488,7 +491,7 @@ def _print_human(doc, indent=0):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as stop:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if stop.code else 0
     handler, _ = COMMANDS[args.command]

@@ -16,7 +16,7 @@ lower-dimensional input, rows +/- a lattice basis of the span's orthogonal
 complement come first and confine it to the span.  The rays of a cone with
 lines are the facets of its dual, found by the same routine.
 Its result depends only on the set of primitive generators, so it is
-memoised on that canonical input, and its dual under the facets.  Hilbert
+memoised on that canonical input.  Hilbert
 bases follow the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
 2010): a triangulation on the ray-facet incidence, the fundamental
 parallelepiped of each simplex walked as a group in packed integers, one
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -79,21 +78,10 @@ class Unbounded(GeometryError):
     pass
 
 
-# Distinct conversion inputs kept: one pass over the paper's fixtures has
-# about a hundred, and every entry holds only small integer tuples.
-_DUAL_CACHE_SIZE = 1024
-
-
-class _ConeMemo(OrderedDict):
-    """Cones by canonical input (sorted distinct nonzero primitive generators,
-    ambient rank), least recently used first; ``hits`` counts lookups served."""
-
-    hits = 0
-
-
-_memo = _ConeMemo()
-
-
+# Keyed by the canonical input (sorted distinct nonzero primitive generators,
+# ambient rank).  One pass over the paper's fixtures makes 67 distinct
+# conversions, and every entry holds only small integer tuples.
+@functools.lru_cache(maxsize=1024)
 def _convert(generators: tuple[IVec, ...], ambient: int) -> "Cone":
     """The cone generated by a canonical input, from one double description.
 
@@ -210,16 +198,7 @@ class Cone:
         for v in vecs:
             if len(v) != ambient_rank:
                 raise GeometryError("ray of wrong length")
-        key = (vecs, ambient_rank)
-        if key in _memo:
-            _memo.hits += 1
-            _memo.move_to_end(key)
-            return _memo[key]
-        cone = _memo[key] = _convert(vecs, ambient_rank)
-        _memo[cone.halfspaces, ambient_rank] = cone.dual()  # from_halfspaces(cone.halfspaces)
-        while len(_memo) > _DUAL_CACHE_SIZE:
-            _memo.popitem(last=False)
-        return cone
+        return _convert(vecs, ambient_rank)
 
     @staticmethod
     def from_halfspaces(normals: Iterable[Sequence], ambient_rank: int) -> "Cone":
@@ -685,42 +664,31 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
                    key=itemgetter(0))
     weights = [w for w, _ in light]
     summands = [m for _, m in light]
-    values = [tuple(sum(map(mul, a, m)) for a, _ in p.halfspaces) for m in summands]
-    memo: dict[tuple[IVec, int], bool] = {}
-    for x, wx in zip(targets, target_weights):
-        if not _splits(x, wx, e, summands, weights, values, p.halfspaces, memo):
-            return False, x
-    return True, None
+    rows = p.halfspaces
+    values = [tuple(sum(map(mul, a, m)) for a, _ in rows) for m in summands]
 
-
-def _splits(x: IVec, wx: int, k: int, summands: list[IVec], weights: list[int],
-            values: list[IVec], rows: Sequence[tuple[IVec, int]],
-            memo: dict[tuple[IVec, int], bool]) -> bool:
-    """Is x, of weight wx, a sum of k >= 2 lattice points of p?
-
-    ``summands`` are the light lattice points of p sorted by weight,
-    ``weights`` theirs and ``values`` their values on the normals of
-    ``rows``, the integer rows of p; ``memo`` holds the verdicts of
-    remainders.  See :func:`is_polyhedron_normal`.  Module level, not a
-    closure: a recursive closure refers to itself, and its memo would wait
-    for the cycle collector.
-    """
-    cut = bisect_right(weights, wx // k)
-    if k == 2:
-        slack = [sum(map(mul, a, x)) - c for a, c in rows]
-        for v in values[:cut]:
-            if all(map(le, v, slack)):
+    @functools.cache
+    def splits(x: IVec, wx: int, k: int) -> bool:
+        """Is x, of weight wx, a sum of k >= 2 lattice points of p?"""
+        cut = bisect_right(weights, wx // k)
+        if k == 2:
+            slack = [sum(map(mul, a, x)) - c for a, c in rows]
+            for v in values[:cut]:
+                if all(map(le, v, slack)):
+                    return True
+            return False
+        for m, wm in zip(summands[:cut], weights):
+            if splits(tuple(map(sub, x, m)), wx - wm, k - 1):
                 return True
         return False
-    for m, wm in zip(summands[:cut], weights):
-        rest = tuple(map(sub, x, m))
-        key = (rest, k - 1)
-        ok = memo.get(key)
-        if ok is None:
-            ok = memo[key] = _splits(rest, wx - wm, k - 1, summands, weights, values, rows, memo)
-        if ok:
-            return True
-    return False
+
+    try:
+        for x, wx in zip(targets, target_weights):
+            if not splits(x, wx, e):
+                return False, x
+        return True, None
+    finally:
+        splits = None  # the closure refers to itself: break the cycle, so its memo is freed now
 
 
 def project_out_last(p: Polyhedron) -> Polyhedron:

@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import polynomials as up
@@ -158,14 +158,33 @@ def p_power_part(d: int, p: int) -> int:
 
 
 def _has_rational_root(p: Poly) -> bool:
-    """Exact rational-root test: a root x/y in lowest terms has x dividing
-    p's constant and y its leading coefficient, and y^deg p * p(x/y) = 0."""
+    """Exact rational-root test in degree 2 or 3, in O(log) steps at any size.
+    A quadratic has one iff its discriminant is a square; a cubic iff the
+    monic q(z) = a3^2 p(z / a3) has an integer root, inside Cauchy's bound.
+    q is monotone on the integers cut at the floors of its critical points
+    (-a2 -/+ sqrt(E)) / 3 when E = a2^2 - 3 a1 a3 > 0, so bisection decides."""
     if p[0] == 0:
         return True
-    n, lead, const = len(p) - 1, p[-1], abs(p[0])
-    return any(sum(a * x ** i * y ** (n - i) for i, a in enumerate(p)) == 0
-               for pn in range(1, const + 1) if const % pn == 0
-               for y in range(1, lead + 1) if lead % y == 0 for x in (pn, -pn))
+    if len(p) == 3:
+        disc = p[1] ** 2 - 4 * p[0] * p[2]
+        return disc >= 0 and isqrt(disc) ** 2 == disc
+    a0, a1, a2, a3 = p
+
+    def q(z: int) -> int:
+        return ((z + a2) * z + a1 * a3) * z + a0 * a3 * a3
+
+    e, bound = a2 * a2 - 3 * a1 * a3, 1 + max(abs(a2), abs(a1 * a3), abs(a0 * a3 * a3))
+    r = isqrt(max(e, 0))
+    k1, k2 = (-a2 - r - (r * r != e)) // 3, (-a2 + r) // 3
+    pieces = [(-bound, bound, 1)] if e <= 0 else \
+        [(-bound, k1, 1), (k1 + 1, k2, -1), (k2 + 1, bound, 1)]
+    for lo, hi, sign in pieces:
+        while lo < hi:  # the least z in [lo, hi] with sign * q(z) >= 0
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sign * q(mid) < 0 else (lo, mid)
+        if lo == hi and q(lo) == 0:
+            return True
+    return False
 
 
 def _factor_integer(n: int) -> dict[int, int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import lcm
 from operator import mul, sub
@@ -489,17 +490,15 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     one = (0,) * len(places)
     units = [one[:t] + (j,) + one[t + 1:] for j in range(max(f[1] for f in frames.values()) + 1)]
     box = set(box_degrees)
-    polys: dict[IVec, tuple] = {}
 
+    @cache
     def poly(v: IVec) -> tuple:
-        if v not in polys:
-            p = (0,) * v[t] + (1,)
-            for i, e in enumerate(v):
-                if i != t:
-                    for _ in range(e):
-                        p = up.mul(p, places[i])
-            polys[v] = p
-        return polys[v]
+        p = (0,) * v[t] + (1,)
+        for i, e in enumerate(v):
+            if i != t:
+                for _ in range(e):
+                    p = up.mul(p, places[i])
+        return p
 
     def independent(rows: list[IVec], dim: int) -> list[IVec]:
         """Independent rows, dim of them if the rows span the piece."""

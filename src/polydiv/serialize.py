@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -253,15 +253,12 @@ class ProblemFile:
     """Parsed problem file: curve, lattice rank and a named object table.
 
     Parsed problems are shared within a process: :func:`load_problem` hands
-    the same ProblemFile to every load of the same file content, so the
-    object table is read-only.  ``normalized`` is the one table that fills
-    after parsing: the normalization of each generators object, computed at
-    most once per parsed problem by the commands that read it."""
+    the same ProblemFile to every load of the same file content, so it is
+    read-only.  Equality is identity, so a cache may key on a parsed problem."""
 
     curve: BaseCurve
     rank: int
     objects: Mapping[str, tuple[str, Any]]
-    normalized: dict = field(default_factory=dict, repr=False)
 
     def get(self, name: str, expected_type: str):
         if name not in self.objects:

@@ -689,7 +689,8 @@ def quasifan_by_vertex_choices(d: PolyhedralDivisor) -> tuple[Cone, ...]:
 
 def ptilde_by_doubling(pair, z: BasePoint) -> Polyhedron:
     """The lifted Newton polyhedron at z by boxes doubled until a box twice
-    as wide adds no lift outside the hull."""
+    as wide adds no lift outside the hull.  Each hull is taken of the last
+    one's vertices and the new lifts outside it, not of every lift."""
     poly = pair.rees_divisor.coefficient(z)
     newton = pair.newton
     n = newton.ambient_rank
@@ -705,11 +706,12 @@ def ptilde_by_doubling(pair, z: BasePoint) -> Polyhedron:
               for h in hilbert_basis(newton.tail)]
         return [lift(m) for m in lattice_points_in_box(newton, *reachability_box(newton, hb))]
 
-    scale = 1
+    scale, out = 1, Polyhedron.from_vertices_and_tail(lifts(1), tail)
     while True:
-        out = Polyhedron.from_vertices_and_tail(lifts(scale), tail)
-        if all(out.contains(x) for x in lifts(2 * scale)):
+        outside = [x for x in lifts(2 * scale) if not out.contains(x)]
+        if not outside:
             return out
+        out = Polyhedron.from_vertices_and_tail(list(out.vertices) + outside, tail)
         scale *= 2
         assert scale <= 16, f"lifted Newton polyhedron at {z} did not stabilize"
 

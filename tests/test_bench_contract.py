@@ -66,7 +66,14 @@ def test_ideals_binds_convex_hilbert_basis():
     assert importlib.import_module("polydiv.ideals").hilbert_basis is convex.hilbert_basis
 
 
-def test_load_problem_is_a_plain_function():
-    """The tracer wraps only plain functions, and the selftest reads
-    ``serialize.load_problem.calls``: a memo must sit behind it, not on it."""
-    assert inspect.isfunction(importlib.import_module("polydiv.serialize").load_problem)
+def test_public_callables_are_plain_functions_or_classes():
+    """The tracer wraps only plain functions, so a public cached function
+    would drop out of the per-layer counts (and ``serialize.load_problem``,
+    whose calls the selftest reads, with it): a memo must sit on a private
+    function."""
+    odd = [f"{layer}.{attr}" for layer in tracer.LAYERS
+           for attr, obj in vars(importlib.import_module(f"polydiv.{layer}")).items()
+           if not attr.startswith("_") and callable(obj)
+           and getattr(obj, "__module__", None) == f"polydiv.{layer}"
+           and not (inspect.isfunction(obj) or inspect.isclass(obj))]
+    assert not odd

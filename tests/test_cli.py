@@ -442,6 +442,19 @@ class TestExitCodes:
         assert code == 2
         assert "OutsideWeightCone" in err
 
+    def test_a_place_with_a_large_constant_is_zero(self, capsys, tmp_path):
+        """The place t^2 + 10^18 is decided by its discriminant, at once."""
+        doc = {"version": "1", "curve": "A1", "lattice_rank": 1, "objects": {"d": {
+            "type": "divisor", "tail": {"rays": [[1]]},
+            "coefficients": [{"point": {"poly": [10 ** 18, 0, 1]}, "vertices": [["1/2"]]}]}}}
+        path = tmp_path / "place.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_capture(capsys, "eval", "--input", str(path), "--object", "d",
+                                   "--m", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["evaluation"]["coefficients"] == [
+            {"point": {"poly": [10 ** 18, 0, 1]}, "value": 1}]
+
     def test_success_is_zero(self, capsys):
         code, _, _ = run_capture(
             capsys, "proper", "--input", fixture("ex345.json"),

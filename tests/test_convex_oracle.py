@@ -21,6 +21,7 @@ ray box and row test of the minimal points and the slab search in
 ``polydiv.convex``.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -229,9 +230,9 @@ def test_extreme_rays_match_subset_enumeration(data):
 
 
 def fresh_cone(vecs, n, halfspaces=False):
-    """Cone.from_rays (or from_halfspaces) with an empty memo, so the
-    conversion runs."""
-    with mock.patch.object(convex, "_memo", convex._ConeMemo()):
+    """Cone.from_rays (or from_halfspaces) past the memo, so the conversion
+    runs."""
+    with mock.patch.object(convex, "_convert", convex._convert.__wrapped__):
         return Cone.from_halfspaces(vecs, n) if halfspaces else Cone.from_rays(vecs, n)
 
 
@@ -495,33 +496,25 @@ def test_equal_inputs_share_one_conversion():
     rng = random.Random(3)
     rays = [(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 5), (2, 1, 0, 3)]
     first = Cone.from_rays(rays, 4)
-    with mock.patch.object(convex, "_convert", side_effect=AssertionError("converted")):
-        for _ in range(5):
-            shuffled = rng.sample(rays, len(rays))
-            scaled = [tuple(k * a for a in r) for k, r in
-                      zip((rng.randint(1, 4) for _ in shuffled), shuffled)]
-            hits = convex._memo.hits
-            again = Cone.from_rays(scaled + shuffled[:2] + [(0, 0, 0, 0)], 4)
-            assert again == first
-            assert convex._memo.hits == hits + 1
-        assert Cone.from_halfspaces(first.halfspaces[::-1], 4) == first
-
-
-def test_halfspaces_of_a_built_cone_are_a_memo_hit():
-    """A conversion also stores the dual cone under the halfspaces."""
-    c = Cone.from_rays([(3, 1, 0, 2), (1, 3, 1, 0), (0, 2, 5, 1), (1, 1, 1, 7), (4, 0, 1, 1)], 4)
-    hits = convex._memo.hits
-    with mock.patch.object(convex, "_convert", side_effect=AssertionError("converted")):
-        assert Cone.from_halfspaces(c.halfspaces, 4) == c
-    assert convex._memo.hits == hits + 1
+    for _ in range(5):
+        shuffled = rng.sample(rays, len(rays))
+        scaled = [tuple(k * a for a in r) for k, r in
+                  zip((rng.randint(1, 4) for _ in shuffled), shuffled)]
+        before = convex._convert.cache_info()
+        again = Cone.from_rays(scaled + shuffled[:2] + [(0, 0, 0, 0)], 4)
+        after = convex._convert.cache_info()
+        assert again == first
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert Cone.from_halfspaces(first.halfspaces[::-1], 4) == first
 
 
 def test_memo_is_bounded():
-    memo = convex._ConeMemo()
-    with mock.patch.object(convex, "_memo", memo):
-        for k in range(convex._DUAL_CACHE_SIZE + 5):
+    size = convex._convert.cache_info().maxsize
+    memo = functools.lru_cache(maxsize=size)(convex._convert.__wrapped__)
+    with mock.patch.object(convex, "_convert", memo):
+        for k in range(size + 5):
             Cone.from_rays([(1, k)], 2)
-        assert len(memo) == convex._DUAL_CACHE_SIZE
+        assert memo.cache_info().currsize == size
 
 
 def test_fraction_inputs_are_canonicalised():

@@ -15,6 +15,7 @@ from polydiv.curves import (
     Divisor,
     RationalFunction,
     WrongCurve,
+    _has_rational_root,
     in_sections,
     is_prime,
     principal_divisor,
@@ -292,6 +293,34 @@ class TestPointValidation:
     def test_beyond_the_proven_bound_is_rejected(self):
         with pytest.raises(CurveError, match="proven range"):
             is_prime(3_317_044_064_679_887_385_961_981)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3), st.booleans(), st.data())
+    def test_rational_root_matches_sympy(self, deg, split, data):
+        """Quadratics and cubics with coefficients up to 10^18, half of them
+        a linear factor times a random polynomial."""
+        sympy = pytest.importorskip("sympy")
+        if split:
+            small = st.integers(-10 ** 9, 10 ** 9)
+            linear = data.draw(st.tuples(small, st.integers(1, 10 ** 9)))
+            rest = data.draw(st.lists(small, min_size=deg - 1, max_size=deg - 1))
+            coeffs = up.mul(linear, tuple(rest) + (data.draw(st.integers(1, 10 ** 9)),))
+        else:
+            big = st.integers(-10 ** 18, 10 ** 18)
+            coeffs = tuple(data.draw(st.lists(big, min_size=deg, max_size=deg))) + \
+                (data.draw(big.filter(bool)),)
+        factors = sympy.Poly(coeffs[::-1], sympy.Symbol("t")).factor_list()[1]
+        assert _has_rational_root(coeffs) == any(f.degree() == 1 for f, _ in factors)
+
+    def test_places_with_large_coefficients_are_decided_at_once(self):
+        """Decided by the discriminant and by bisection: a walk over the
+        divisors of both end coefficients would try 2 * 6720^2 candidates
+        on the cubic."""
+        assert BasePoint.finite([100000007, 0, 1]).degree == 2
+        assert BasePoint.finite([10 ** 18, 0, 1]).degree == 2
+        assert BasePoint.finite([963761198400, 1, 0, 963761198400]).degree == 3
+        with pytest.raises(CurveError, match="splits over Q"):  # (10^9 t - 1)(t^2 + 1)
+            BasePoint.finite([-1, 10 ** 9, -1, 10 ** 9])
 
 
 def rational_mul(p, q) -> list:

@@ -267,6 +267,19 @@ class TestPairConditions:
         ok, note = outcome(report, "projection_and_vertex_levels")
         assert not ok
 
+    def test_slice_mismatch_detected(self):
+        """On trivial_a1, a hand-built pair whose augmented tail is the
+        orthant, not the dual of the Newton cone: its level-1 slice holds
+        (0, 0) and (0, 1), which Conv((1, 0), (0, 2)) + orthant does not.
+        Only check (ii) fails."""
+        pair = rees_pair(load_problem(TRIVIAL_A1).get("ideal", "ideal"))
+        broken = ReesPair(pair.presentation, pair.newton,
+                          PolyhedralDivisor.of(AFFINE_LINE, ORTHANT3, {}))
+        report = pair_conditions(broken)
+        assert outcome(report, "augmented_cone_slices") == \
+            (False, "level 1 mismatch at [(0, 0), (0, 1)]")
+        assert [name for name, ok, _ in report.results if not ok] == ["augmented_cone_slices"]
+
     def test_negative_level_facet_detected(self):
         """A coefficient whose tail has the inner normal (0, 0, -1) has a
         facet of level -1."""
