@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from operator import and_, ge, itemgetter, le, mul, sub
+from operator import and_, itemgetter, le, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -536,10 +536,15 @@ def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -
     of completions.  The output is the box's points that lie in p, in the
     order a full scan of the box would find them.
     """
+    return _enumerate(p.halfspaces, lo, hi, ())
+
+
+def _enumerate(rows: Sequence[tuple[IVec, int]], lo: Sequence[int], hi: Sequence[int],
+               shifts) -> list[IVec]:
+    """The points of :func:`_extend_prefix` from the empty prefix, on ``rows``."""
     n = len(lo)
     if n == 0:
         return [()]  # a rank-0 polyhedron is the point () and has no rows
-    rows = p.halfspaces
     # per coordinate k: (row i, n_ik, largest sum_{j > k} n_ij x_j over the box)
     levels = []
     reach = [0] * len(rows)
@@ -549,18 +554,30 @@ def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -
         reach = [r + max(nrm[k] * lo[k], nrm[k] * hi[k]) for r, (nrm, _) in zip(reach, rows)]
     levels.reverse()
     out: list[IVec] = []
-    _extend_prefix((), [c for _, c in rows], levels, lo, hi, out)
+    _extend_prefix((), [c for _, c in rows], levels, lo, hi, out, shifts)
     return out
 
 
 def _extend_prefix(prefix: IVec, need: list[int], levels, lo: Sequence[int],
-                   hi: Sequence[int], out: list[IVec]) -> None:
-    """Append the points of :func:`lattice_points_in_box` that start with prefix.
+                   hi: Sequence[int], out: list[IVec], shifts) -> None:
+    """Append the points of :func:`lattice_points_in_box` that start with
+    prefix and lie in no translate p + h, h one of ``shifts``.
 
     ``need[i]`` is what row i still asks of the coordinates from
     ``len(prefix)`` on.  A row is checked at each coordinate it involves,
     and exactly at the last of them, so rows that do not involve the next
     coordinate need no check there.
+
+    Each entry of ``shifts`` stands for one h and lists (i, a, <n_i, h>)
+    for every row i, a being its last coefficient.  Once every coordinate
+    but the last, t, is fixed, x - h is in p iff a * t >= need[i] + <n_i, h>
+    on every row.  A row with a > 0 bounds t below and one with a < 0
+    bounds it above; a row with a = 0 does not involve t, so it is a
+    constant of the prefix, met by every t of the run or by none.  So the
+    t with x in p + h form one interval, found with one division per row,
+    and the points kept are the run less the union of those intervals: the
+    cost is per run, not per point, and only the points kept are built.
+    Plain enumeration passes no shifts and keeps the whole run.
     """
     k = len(prefix)
     t0, t1 = lo[k], hi[k]
@@ -574,14 +591,37 @@ def _extend_prefix(prefix: IVec, need: list[int], levels, lo: Sequence[int],
             q = q // a
             if q < t1:
                 t1 = q
-    if k == len(levels) - 1:
-        out.extend([prefix + (t,) for t in range(t0, t1 + 1)])
+    if k < len(levels) - 1:
+        for t in range(t0, t1 + 1):
+            rest = need[:]
+            for i, a, _ in levels[k]:
+                rest[i] -= a * t
+            _extend_prefix(prefix + (t,), rest, levels, lo, hi, out, shifts)
         return
-    for t in range(t0, t1 + 1):
-        rest = need[:]
-        for i, a, _ in levels[k]:
-            rest[i] -= a * t
-        _extend_prefix(prefix + (t,), rest, levels, lo, hi, out)
+    if t0 > t1:
+        return
+    cuts = []
+    for shift in shifts:
+        u0, u1 = t0, t1
+        for i, a, s in shift:
+            q = need[i] + s  # a * t >= q
+            if a > 0:
+                q = -(-q // a)
+                if q > u0:
+                    u0 = q
+            elif a:
+                q = q // a
+                if q < u1:
+                    u1 = q
+            elif q > 0:
+                break
+        else:
+            if u0 <= u1:
+                cuts.append((u0, u1))
+    for u0, u1 in sorted(cuts):
+        out.extend([prefix + (t,) for t in range(t0, u0)])
+        t0 = max(t0, u1 + 1)
+    out.extend([prefix + (t,) for t in range(t0, t1 + 1)])
 
 
 def reachability_box(p: Polyhedron, generators: Sequence[IVec]) -> tuple[list[int], list[int]]:
@@ -605,17 +645,16 @@ def minimal_lattice_points(p: Polyhedron) -> tuple[IVec, ...]:
     independent extreme rays, which are in the Hilbert basis; l_i >= 1
     puts x - r_i in p.  So minimal points lie in the box around conv(V) +
     zonotope(extreme rays).  On the integer rows (a, c) of p, x - h is in p
-    iff <a, x> >= <a, h> + c on every row.
+    iff <a, x> >= <a, h> + c on every row.  With every coordinate but the
+    last fixed, each such condition bounds the last coordinate on one side,
+    or holds or fails whatever it is, so the x of a run of p that lie in
+    p + h form one interval; :func:`_extend_prefix` cuts those intervals
+    out of each run instead of testing every point.
     """
     rows = p.halfspaces
-    needs = [tuple(sum(map(mul, a, h)) + c for a, c in rows) for h in hilbert_basis(p.tail)]
-    lo, hi = reachability_box(p, p.tail.rays)
-    out = []
-    for x in lattice_points_in_box(p, lo, hi):
-        values = [sum(map(mul, a, x)) for a, _ in rows]
-        if not any(all(map(ge, values, need)) for need in needs):
-            out.append(x)
-    return tuple(out)
+    shifts = [tuple((i, a[-1], sum(map(mul, a, h))) for i, (a, _) in enumerate(rows))
+              for h in hilbert_basis(p.tail)]
+    return tuple(_enumerate(rows, *reachability_box(p, p.tail.rays), shifts))
 
 
 def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:

@@ -52,6 +52,16 @@ def test_observed_span_is_wrapped(name):
     assert not attr.startswith("_") and attr not in tracer.UNWRAPPED.get(layer, ())
 
 
+def test_lattice_points_in_box_takes_p_lo_hi():
+    """The tracer's observer of ``convex.lattice_points_in_box`` unpacks its
+    arguments as ``_, lo, hi``: another positional parameter would break
+    every traced run."""
+    fn = importlib.import_module("polydiv.convex").lattice_points_in_box
+    params = inspect.signature(fn).parameters.values()
+    assert [(q.name, q.kind) for q in params] == \
+        [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in ("p", "lo", "hi")]
+
+
 def test_convex_binds_linalg_bareiss_det():
     """The selftest checks the tracer's wrapper through ``convex.bareiss_det``."""
     convex = importlib.import_module("polydiv.convex")

@@ -332,7 +332,16 @@ class TestNormality:
 
     def test_minimal_lattice_points(self):
         p = Polyhedron.from_vertices_and_tail([(3, 0), (0, 3)], ORTHANT2)
-        assert set(minimal_lattice_points(p)) == {(3, 0), (2, 1), (1, 2), (0, 3)}
+        assert minimal_lattice_points(p) == ((0, 3), (1, 2), (2, 1), (3, 0))
+
+    def test_minimal_lattice_points_without_the_box_enumerator(self, monkeypatch):
+        """Minimal points cut the tail's translates out of each run of the
+        enumeration; they are not every point of the box, filtered."""
+        p = Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
+                                              nonnegative_orthant(3))
+        want = minimal_lattice_points(p)
+        monkeypatch.setattr(convex, "lattice_points_in_box", None)
+        assert minimal_lattice_points(p) == want
 
     def test_e1_is_normal_without_enumeration(self, monkeypatch):
         p = Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],

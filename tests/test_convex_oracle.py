@@ -17,7 +17,7 @@ witness, the first minimal point that does not split.  They are
 references for the double description and its incidence, the
 triangulation on ray bitmasks, the parallelepiped walk, the reductions per
 simplex and up to half the degree, the pruned integer enumeration, the
-ray box and row test of the minimal points and the slab search in
+ray box and interval cuts of the minimal points and the slab search in
 ``polydiv.convex``.
 """
 
@@ -667,14 +667,43 @@ def test_lattice_points_match_box_filter(data, p):
     assert lattice_points_in_box(p, lo, hi) == want
 
 
+REEVE = Polyhedron.from_vertices_and_tail(
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], zero_cone(3))
+# a tail with the lex-negative Hilbert-basis element (-1, 2, 1)
+LEX_NEGATIVE = Polyhedron.from_vertices_and_tail(
+    [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.from_rays([(0, 1, 0), (0, 0, 1), (-1, 2, 1)], 3))
+
+
 @settings(max_examples=150, deadline=None)
 @given(polyhedra(integral=False))
 @example(Polyhedron.from_vertices_and_tail([(F(1, 2), 0), (2, F(5, 3)), (-1, 1)], zero_cone(2)))
 @example(Polyhedron.from_vertices_and_tail([(0, 0), (0, 1)], Cone.from_rays([(2, 1)], 2)))
+@example(Polyhedron.from_vertices_and_tail([()], zero_cone(0)))
+@example(REEVE)
+@example(Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
+                                           nonnegative_orthant(3)))
+@example(LEX_NEGATIVE)
+@example(Polyhedron.from_vertices_and_tail([(0, 1, 0), (0, 1, 10), (1, 0, 5)],
+                                           Cone.from_rays([(1, 0, 0), (0, 1, 0)], 3)))
 def test_minimal_lattice_points_match_filter(p):
     """The second example's minimal point (1, 1) is outside the box of the
-    vertices: a box without the rays' zonotope misses it."""
+    vertices: a box without the rays' zonotope misses it.  The rank-0
+    point has no coordinate to cut runs of; REEVE is a polytope, whose runs
+    are kept whole; the orthant Newton polyhedron has rows without the last
+    coordinate, which hold or fail for a whole run; LEX_NEGATIVE's Hilbert
+    basis holds (-1, 2, 1).  In the last example, on the run x = (1, 1, t),
+    the t with x - e_1 in p, only 5, lie inside those with x - e_0 in p,
+    0..10: the cuts are nested."""
     assert minimal_lattice_points(p) == tuple(minimal_points_by_filter(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_simplices(), st.sampled_from([2, 3]))
+def test_minimal_points_of_dilates_match_filter(p, e):
+    """The targets :func:`is_polyhedron_normal` splits are the minimal
+    points of e*p."""
+    q = dilate(p, e)
+    assert minimal_lattice_points(q) == tuple(minimal_points_by_filter(q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -689,13 +718,6 @@ def test_rows_are_an_irredundant_description(p):
             assert Polyhedron.from_halfspaces(rows[:i] + rows[i + 1:], n) != p
         except UnboundedLineality:
             pass
-
-
-REEVE = Polyhedron.from_vertices_and_tail(
-    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], zero_cone(3))
-# a tail with the lex-negative Hilbert-basis element (-1, 2, 1)
-LEX_NEGATIVE = Polyhedron.from_vertices_and_tail(
-    [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.from_rays([(0, 1, 0), (0, 0, 1), (-1, 2, 1)], 3))
 
 
 @settings(max_examples=80, deadline=None)
