@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from operator import and_, itemgetter, le, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     IVec,
@@ -256,11 +256,6 @@ def _pulled(face: int, dim: int, facets: list[int]) -> list[list[int]]:
     return [[apex.bit_length() - 1] + piece for f in subs
             if not f & apex and not any(f != g and f & g == f for g in subs)
             for piece in _pulled(f, dim - 1, facets)]
-
-
-def box_points(box: Iterable[tuple[int, int]]) -> Iterator[IVec]:
-    """Lattice points of the box given by one (lo, hi) pair per coordinate."""
-    return itertools.product(*[range(lo, hi + 1) for lo, hi in box])
 
 
 def _guard(width: int, count: int) -> int:
@@ -524,27 +519,32 @@ def dilate(p: Polyhedron, e: int) -> Polyhedron:
 
 
 def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -> list[IVec]:
-    """Lattice points x of p with lo <= x <= hi, in lexicographic order.
+    """Lattice points x of p with lo <= x <= hi, in lexicographic order."""
+    # kept by name and signature: bench/tracer.py counts the boxes of this function
+    return lattice_points(p.halfspaces, lo, hi)
 
-    Works on the integer rows <n, x> >= c of p, so no point is compared in
-    rational arithmetic.  Coordinates are fixed one at a time, first to
-    last.  For a prefix x_0..x_{k-1}, each row bounds x_k by asking that
-    the row still be met when every later coordinate takes its most
-    favourable value in the box; so the range of x_k is an interval, and a
-    prefix is dropped as soon as that interval is empty.
+
+def lattice_points(rows: Sequence[tuple[IVec, int]], lo: Sequence[int], hi: Sequence[int],
+                   shifts=()) -> list[IVec]:
+    """Lattice points x with lo <= x <= hi and <a, x> >= c on every integer
+    row (a, c), in lexicographic order, less the translates of ``shifts``
+    (see :func:`_extend_prefix`).
+
+    No point is compared in rational arithmetic.  Coordinates are fixed one
+    at a time, first to last.  For a prefix x_0..x_{k-1}, each row bounds
+    x_k by asking that the row still be met when every later coordinate
+    takes its most favourable value in the box; so the range of x_k is an
+    interval, and a prefix is dropped as soon as that interval is empty.
     At the last coordinate the bound is exact and the interval is the set
-    of completions.  The output is the box's points that lie in p, in the
-    order a full scan of the box would find them.
+    of completions.  The output is the box's points that meet every row, in
+    the order a full scan of the box would find them.  A row with a zero
+    normal involves no coordinate, so it is decided up front: 0 >= c.
     """
-    return _enumerate(p.halfspaces, lo, hi, ())
-
-
-def _enumerate(rows: Sequence[tuple[IVec, int]], lo: Sequence[int], hi: Sequence[int],
-               shifts) -> list[IVec]:
-    """The points of :func:`_extend_prefix` from the empty prefix, on ``rows``."""
+    if any(c > 0 for a, c in rows if not any(a)):
+        return []
     n = len(lo)
     if n == 0:
-        return [()]  # a rank-0 polyhedron is the point () and has no rows
+        return [()]  # rank 0: the point (), whose rows all have zero normals
     # per coordinate k: (row i, n_ik, largest sum_{j > k} n_ij x_j over the box)
     levels = []
     reach = [0] * len(rows)
@@ -560,8 +560,9 @@ def _enumerate(rows: Sequence[tuple[IVec, int]], lo: Sequence[int], hi: Sequence
 
 def _extend_prefix(prefix: IVec, need: list[int], levels, lo: Sequence[int],
                    hi: Sequence[int], out: list[IVec], shifts) -> None:
-    """Append the points of :func:`lattice_points_in_box` that start with
-    prefix and lie in no translate p + h, h one of ``shifts``.
+    """Append the points of :func:`lattice_points` that start with prefix
+    and lie in no translate p + h, p the set the rows cut out and h one of
+    ``shifts``.
 
     ``need[i]`` is what row i still asks of the coordinates from
     ``len(prefix)`` on.  A row is checked at each coordinate it involves,
@@ -654,7 +655,7 @@ def minimal_lattice_points(p: Polyhedron) -> tuple[IVec, ...]:
     rows = p.halfspaces
     shifts = [tuple((i, a[-1], sum(map(mul, a, h))) for i, (a, _) in enumerate(rows))
               for h in hilbert_basis(p.tail)]
-    return tuple(_enumerate(rows, *reachability_box(p, p.tail.rays), shifts))
+    return tuple(lattice_points(rows, *reachability_box(p, p.tail.rays), shifts))
 
 
 def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:

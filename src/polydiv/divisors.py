@@ -29,7 +29,7 @@ from .convex import (
     dilate,
     floored_support,
     hilbert_basis,
-    lattice_points_in_box,
+    lattice_points,
     minkowski_sum,
     normal_cone,
     support_value,
@@ -381,8 +381,8 @@ def bounded_generators(d: PolyhedralDivisor,
 
 def _box_degrees(d: PolyhedralDivisor, box_bounds, weight) -> list[IVec]:
     """The nonzero weight-cone degrees of the box, by weight, then lexicographically."""
-    cone = Polyhedron.cone_as_polyhedron(d.weight_cone)
-    degrees = [m for m in lattice_points_in_box(cone, *zip(*box_bounds)) if any(m)]
+    rows = [(h, 0) for h in d.weight_cone.halfspaces]
+    degrees = [m for m in lattice_points(rows, *zip(*box_bounds)) if any(m)]
     degrees.sort(key=lambda m: (dot(m, weight), m))
     return degrees
 

@@ -39,9 +39,8 @@ from .convex import (
     Cone,
     GeometryError,
     Polyhedron,
-    box_points,
     hilbert_basis,
-    lattice_points_in_box,
+    lattice_points,
     normal_cone,
     support_value,
 )
@@ -70,7 +69,8 @@ from .divisors import (
     quasifan,
 )
 from .ideals import ConditionReport
-from .linalg import IVec, denominator_lcm, dot, hnf, integer_kernel_basis, primitive, vadd, vsub
+from .linalg import (IVec, denominator_lcm, dot, hnf, integer_kernel_basis, primitive, vadd,
+                     vscale, vsub)
 
 
 class ActionError(ValueError):
@@ -121,15 +121,18 @@ def is_demazure_root(cone: Cone, e: Sequence) -> DemazureRoot | None:
 
 def roots_with_ray(cone: Cone, ray: Sequence, box: Sequence[tuple[int, int]]
                    ) -> tuple[DemazureRoot, ...]:
+    """The roots with distinguished ray ``ray`` in the box, in lexicographic
+    order: the lattice points e of the box with <e, ray> = -1 and
+    <e, r> >= 0 for every other ray r (Demazure 1970)."""
     ray = primitive(ray)
     if ray not in cone.rays:
         raise RayNotInCone(f"{ray} is not an extreme ray of the cone")
-    out = []
-    for e in box_points(box):
-        root = is_demazure_root(cone, e)
-        if root is not None and root.distinguished_ray == ray:
-            out.append(root)
-    return tuple(out)
+    if not cone.is_pointed:
+        raise GeometryError("roots are defined for nonzero pointed cones")
+    rows = [(ray, -1), (vscale(-1, ray), 1)] + [(r, 0) for r in cone.rays if r != ray]
+    lo, hi = zip(*box)
+    return tuple(DemazureRoot(vector=e, distinguished_ray=ray)
+                 for e in lattice_points(rows, lo, hi))
 
 
 @dataclass(frozen=True, slots=True)
@@ -643,8 +646,8 @@ def horizontal_conditions(d: PolyhedralDivisor, omega: Cone, e: Sequence,
 
     weight = d.tail.dual()
     if exhaustive_box is not None:
-        sample = lattice_points_in_box(Polyhedron.cone_as_polyhedron(weight),
-                                       [-exhaustive_box] * d.rank, [exhaustive_box] * d.rank)
+        sample = lattice_points([(h, 0) for h in weight.halfspaces],
+                                [-exhaustive_box] * d.rank, [exhaustive_box] * d.rank)
     else:
         probes = probe_degrees(restricted, d.denominator())
         sample = set(probes)

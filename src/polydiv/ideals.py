@@ -18,10 +18,8 @@ from .convex import (
     Cone,
     GeometryError,
     Polyhedron,
-    box_points,
-    dilate,
     is_polyhedron_normal,
-    lattice_points_in_box,
+    lattice_points,
     minimal_lattice_points,
     project_out_last,
 )
@@ -38,7 +36,7 @@ from .divisors import (
     graded_piece,
     member,
 )
-from .linalg import IVec, vsub
+from .linalg import IVec, dot, vsub
 
 
 class IdealError(ValueError):
@@ -191,19 +189,9 @@ def closure_power_piece(pair: ReesPair, m: Sequence, e: int) -> GradedPiece:
     """Graded piece of the closure of the e-th ideal power at degree m."""
     if e < 0:
         raise DegreeOutsideDilate("power must be >= 0")
-    scaled = dilate(pair.newton, e)
-    if not scaled.contains(m):
+    if not all(dot(a, m) >= e * c for a, c in pair.newton.halfspaces):
         raise DegreeOutsideDilate(f"{tuple(m)} is not in the {e}-fold Newton polyhedron")
     return GradedPiece(tuple(m), graded_piece(pair.rees_divisor, tuple(m) + (e,)).module)
-
-
-def _augmented_slice_points(pair: ReesPair, e: int, box) -> set[IVec]:
-    cone = pair.weight_cone_augmented
-    pts = set()
-    for m in box_points(box):
-        if cone.contains(tuple(m) + (e,)):
-            pts.add(tuple(m))
-    return pts
 
 
 @dataclass(frozen=True)
@@ -247,11 +235,12 @@ def pair_conditions(pair: ReesPair) -> ConditionReport:
 
     n = d.rank
     lo, hi = [-SLICE_BOX_HALFWIDTH] * n, [SLICE_BOX_HALFWIDTH] * n
-    box = tuple(zip(lo, hi))
+    augmented = pair.weight_cone_augmented.halfspaces
     slice_ok, note = True, "levels 0..%d agree on the sampled box" % MAX_LEVEL
     for e in range(MAX_LEVEL + 1):
-        want = set(lattice_points_in_box(dilate(pair.newton, e), lo, hi))
-        got = _augmented_slice_points(pair, e, box)
+        # e * Newton is <a, m> >= e c; the slice at level e is <h, (m, e)> >= 0
+        want = set(lattice_points([(a, e * c) for a, c in pair.newton.halfspaces], lo, hi))
+        got = set(lattice_points([(h[:n], -e * h[n]) for h in augmented], lo, hi))
         if want != got:
             slice_ok = False
             diff = (want - got) | (got - want)

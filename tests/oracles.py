@@ -55,6 +55,14 @@ polyhedron: one candidate cone per choice of a vertex in each coefficient,
 the weights where every chosen vertex is support-minimizing, kept when it
 is full-dimensional.
 
+The box oracles are the routes that filtered every point of a box
+(:func:`box_points`) before every box scan went through
+``convex.lattice_points`` on integer rows: :func:`roots_by_filter` is the
+route of ``gaactions.roots_with_ray``, which ran each point through
+``is_demazure_root``, and :func:`augmented_slice_points` the augmented-cone
+slice of check (ii) of ``ideals.pair_conditions``, which tested (m, e) for
+membership in the augmented weight cone.
+
 The lifted-Newton oracle :func:`ptilde_by_doubling` is the route
 ``ideals.ptilde`` took before it lifted the generators by their orders: the
 hull of the lifts (m, -floor h_z(m, 1)) of the lattice points m of the
@@ -121,6 +129,8 @@ from polydiv.gaactions import (
     Monomial,
     NonMember,
     PhiNotAdmissible,
+    RayNotInCone,
+    is_demazure_root,
 )
 from polydiv.linalg import (
     IVec,
@@ -137,6 +147,32 @@ from polydiv.linalg import (
     vscale,
     vsub,
 )
+
+
+def box_points(box):
+    """Lattice points of the box given by one (lo, hi) pair per coordinate,
+    in lexicographic order."""
+    return product(*[range(lo, hi + 1) for lo, hi in box])
+
+
+def roots_by_filter(cone: Cone, ray, box) -> tuple[DemazureRoot, ...]:
+    """The roots with distinguished ray ``ray``: every point of the box
+    through ``is_demazure_root``, in box order."""
+    ray = primitive(ray)
+    if ray not in cone.rays:
+        raise RayNotInCone(f"{ray} is not an extreme ray of the cone")
+    out = []
+    for e in box_points(box):
+        root = is_demazure_root(cone, e)
+        if root is not None and root.distinguished_ray == ray:
+            out.append(root)
+    return tuple(out)
+
+
+def augmented_slice_points(pair, e: int, box) -> set[IVec]:
+    """The m of the box with (m, e) in the pair's augmented weight cone."""
+    cone = pair.weight_cone_augmented
+    return {tuple(m) for m in box_points(box) if cone.contains(tuple(m) + (e,))}
 
 
 def zero_divisor(curve: BaseCurve) -> Divisor:

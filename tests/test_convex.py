@@ -343,6 +343,11 @@ class TestNormality:
         monkeypatch.setattr(convex, "lattice_points_in_box", None)
         assert minimal_lattice_points(p) == want
 
+    @pytest.mark.parametrize("c, want", [(1, []), (-1, [(0, 1), (1, 1)])])
+    def test_zero_normal_row_is_decided_up_front(self, c, want):
+        """A row ((0, 0), c) holds everywhere or nowhere: 0 >= c."""
+        assert convex.lattice_points([((0, 0), c)], [0, 1], [1, 1]) == want
+
     def test_e1_is_normal_without_enumeration(self, monkeypatch):
         p = Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
                                               nonnegative_orthant(3))

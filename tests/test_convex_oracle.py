@@ -38,7 +38,6 @@ from polydiv.convex import (
     EmptyPolyhedron,
     Polyhedron,
     UnboundedLineality,
-    box_points,
     dilate,
     hilbert_basis,
     is_polyhedron_normal,
@@ -62,6 +61,7 @@ from polydiv.linalg import (
     vsub,
 )
 from oracles import (
+    box_points,
     dual_generators,
     facet_triangulation,
     hilbert_basis_by_graded_filter,

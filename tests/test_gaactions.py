@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polydiv import serialize
-from polydiv.convex import Cone, Polyhedron, box_points
+from polydiv.convex import Cone, GeometryError, Polyhedron
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -58,12 +58,14 @@ from polydiv.gaactions import (
 )
 from polydiv.linalg import bareiss_det, dot
 from oracles import (
+    box_points,
     divisor_sum,
     horizontal_by_terms,
     monomial_member_by_floors,
     nonnegative_orthant,
     one,
     outcome,
+    roots_by_filter,
     toric_by_terms,
     vertical_by_terms,
 )
@@ -123,6 +125,39 @@ class TestDemazureRoots:
     def test_ray_not_in_cone(self):
         with pytest.raises(RayNotInCone):
             roots_with_ray(SIGMA, (1, 1), [(-1, 1), (-1, 1)])
+
+    @pytest.mark.parametrize("box", [[(5, 4), (0, 0)], [(-2, 2), (-2, 2)]],
+                             ids=["empty-box", "box"])
+    def test_cone_with_a_line_is_refused(self, box):
+        """The half-plane y >= 0 has the rays (1, 0), (-1, 0) and (0, 1) and
+        is not pointed: no roots, even in a box with no points."""
+        half_plane = Cone.from_rays([(1, 0), (-1, 0), (0, 1)], 2)
+        assert (1, 0) in half_plane.rays and not half_plane.is_pointed
+        with pytest.raises(GeometryError):
+            roots_with_ray(half_plane, (1, 0), box)
+
+
+@st.composite
+def pointed_cones_with_ray(draw):
+    """A nonzero pointed cone of rank 1..4, full-dimensional or not, and one
+    of its rays."""
+    n = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=n + 2))
+    cone = Cone.from_rays(vectors, n)
+    assume(cone.rays and cone.is_pointed)
+    return cone, draw(st.sampled_from(cone.rays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones_with_ray(), st.data())
+def test_roots_with_ray_match_box_filter(cone_ray, data):
+    """The roots, in order, are the box's points that ``is_demazure_root``
+    gives the ray; some boxes have coordinates with hi < lo, so no points."""
+    cone, ray = cone_ray
+    lo = data.draw(st.lists(st.integers(-3, 1), min_size=cone.ambient_rank,
+                            max_size=cone.ambient_rank))
+    box = [(a, a + data.draw(st.integers(-1, 4))) for a in lo]
+    assert roots_with_ray(cone, ray, box) == roots_by_filter(cone, ray, box)
 
 
 def chi(m, c=1) -> Monomial:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polydiv.convex import Cone, Polyhedron, dilate
 from polydiv.curves import (
@@ -23,6 +23,8 @@ from polydiv.divisors import (
     graded_piece,
 )
 from polydiv.ideals import (
+    MAX_LEVEL,
+    SLICE_BOX_HALFWIDTH,
     DegreeOutsideDilate,
     GradedIdealPresentation,
     MonomialIdeal,
@@ -40,7 +42,14 @@ from polydiv.ideals import (
 )
 from polydiv.linalg import vscale
 from polydiv.serialize import load_problem
-from oracles import divisor_sum, nonnegative_orthant, outcome, ptilde_by_doubling
+from oracles import (
+    augmented_slice_points,
+    box_points,
+    divisor_sum,
+    nonnegative_orthant,
+    outcome,
+    ptilde_by_doubling,
+)
 
 ORTHANT2 = nonnegative_orthant(2)
 ORTHANT3 = nonnegative_orthant(3)
@@ -311,6 +320,48 @@ class TestPairConditions:
                           PolyhedralDivisor.of(PROJECTIVE_LINE, tail, {Z0: coeff}))
         ok, note = outcome(pair_conditions(broken), "facets_from_newton_points")
         assert not ok and note == f"facet {row[0]} at {Z0} not integral after scaling"
+
+
+def slice_check_by_filter(pair: ReesPair) -> tuple[bool, str]:
+    """Check (ii) of :func:`pair_conditions` with every point of its box
+    tested on its own: in the dilated Newton polyhedron, and at its level in
+    the augmented weight cone."""
+    box = [(-SLICE_BOX_HALFWIDTH, SLICE_BOX_HALFWIDTH)] * pair.presentation.divisor.rank
+    for e in range(MAX_LEVEL + 1):
+        scaled = dilate(pair.newton, e)
+        want = {m for m in box_points(box) if scaled.contains(m)}
+        got = augmented_slice_points(pair, e, box)
+        if want != got:
+            return False, f"level {e} mismatch at {sorted((want - got) | (got - want))[:3]}"
+    return True, f"levels 0..{MAX_LEVEL} agree on the sampled box"
+
+
+def with_augmented_tail(tail: Cone) -> ReesPair:
+    """The trivial_a1 pair with its augmented tail replaced by ``tail``."""
+    pair = rees_pair(load_problem(TRIVIAL_A1).get("ideal", "ideal"))
+    return ReesPair(pair.presentation, pair.newton, PolyhedralDivisor.of(AFFINE_LINE, tail, {}))
+
+
+class TestSliceCheckAgainstBoxFilter:
+    def test_zero_normal_row(self):
+        """The tail ray (0, 0, -1) is the augmented weight cone's halfspace
+        level <= 0: every slice above level 0 is empty, a row with no
+        coordinate of m in it."""
+        broken = with_augmented_tail(Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, -1)], 3))
+        assert (0, 0, -1) in broken.weight_cone_augmented.halfspaces
+        ok, note = outcome(pair_conditions(broken), "augmented_cone_slices")
+        assert (ok, note) == slice_check_by_filter(broken)
+        assert not ok and note.startswith("level 1 mismatch")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=5))
+    def test_drawn_tails(self, vectors):
+        """Pointed augmented tails of dimension 1 to 3."""
+        tail = Cone.from_rays(vectors, 3)
+        assume(tail.is_pointed)
+        broken = with_augmented_tail(tail)
+        assert outcome(pair_conditions(broken), "augmented_cone_slices") == \
+            slice_check_by_filter(broken)
 
 
 class TestPtildeAndNormality:
