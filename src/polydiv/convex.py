@@ -23,7 +23,11 @@ parallelepiped of each simplex walked as a group in packed integers, one
 int per point and one addition a step, with no HNF; a reduction inside
 each simplex on its numerators, then one over the whole cone on its
 support forms, both one guard test on packed keys, in which an element is
-compared only with the kept ones of at most half its degree.
+compared only with the kept ones of at most half its degree.  Normality of
+a lattice polyhedron P (every lattice point of e*P a sum of e of P's) is
+split-tested on the minimal lattice points of e*P, as Normaliz does; they
+are enumerated on P's own integer rows read as (a, e*c), in a box of integer
+floors and ceilings of P's vertex rays, so e*P is never converted.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from operator import and_, itemgetter, le, mul, sub
 from typing import Iterable, Sequence
 
@@ -625,37 +629,39 @@ def _extend_prefix(prefix: IVec, need: list[int], levels, lo: Sequence[int],
     out.extend([prefix + (t,) for t in range(t0, t1 + 1)])
 
 
-def reachability_box(p: Polyhedron, generators: Sequence[IVec]) -> tuple[list[int], list[int]]:
-    """The coordinate box around conv(vertices of p) + zonotope(generators),
-    the zonotope being the sums of the generators with coefficients in [0, 1]."""
-    n = p.ambient_rank
-    lo, hi = [], []
-    for j in range(n):
-        vj = [v[j] for v in p.vertices]
-        lo.append(floor(min(vj) + sum(min(0, g[j]) for g in generators)))
-        hi.append(ceil(max(vj) + sum(max(0, g[j]) for g in generators)))
+def reachability_box(p: Polyhedron, generators: Sequence[IVec],
+                     e: int = 1) -> tuple[list[int], list[int]]:
+    """The coordinate box around e*conv(vertices of p) + zonotope(generators),
+    the zonotope being the sums of the generators with coefficients in [0, 1]:
+    integer floors and ceilings of e*k*v_j / k on the vertex rays (k*v, k)."""
+    rays = p.vertex_rays
+    lo = [min(e * kv[j] // k for kv, k in rays) + sum(min(0, g[j]) for g in generators)
+          for j in range(p.ambient_rank)]
+    hi = [-min(-e * kv[j] // k for kv, k in rays) + sum(max(0, g[j]) for g in generators)
+          for j in range(p.ambient_rank)]
     return lo, hi
 
 
-def minimal_lattice_points(p: Polyhedron) -> tuple[IVec, ...]:
-    """Lattice points x of p, in lexicographic order, with x - h outside p
-    for every Hilbert-basis element h of the tail: not q + s with q in p
-    and s nonzero in the tail monoid.
+def minimal_lattice_points(p: Polyhedron, e: int = 1) -> tuple[IVec, ...]:
+    """Lattice points x of e*p, in lexicographic order, with x - h outside
+    e*p for every Hilbert-basis element h of the tail: not q + s with q in
+    e*p and s nonzero in the tail monoid.  e*p is read off p, never built:
+    its integer rows are p's rows (a, c) as (a, e*c), its tail is p's.
 
-    By Caratheodory, x = v + sum l_i r_i with v in conv(V) and r_i linearly
-    independent extreme rays, which are in the Hilbert basis; l_i >= 1
-    puts x - r_i in p.  So minimal points lie in the box around conv(V) +
-    zonotope(extreme rays).  On the integer rows (a, c) of p, x - h is in p
-    iff <a, x> >= <a, h> + c on every row.  With every coordinate but the
+    By Caratheodory, x = v + sum l_i r_i with v in e*conv(V) and r_i
+    linearly independent extreme rays, which are in the Hilbert basis;
+    l_i >= 1 puts x - r_i in e*p.  So minimal points lie in the box around
+    e*conv(V) + zonotope(extreme rays).  On the rows, x - h is in e*p iff
+    <a, x> >= <a, h> + e*c on every row.  With every coordinate but the
     last fixed, each such condition bounds the last coordinate on one side,
-    or holds or fails whatever it is, so the x of a run of p that lie in
-    p + h form one interval; :func:`_extend_prefix` cuts those intervals
+    or holds or fails whatever it is, so the x of a run of e*p that lie in
+    e*p + h form one interval; :func:`_extend_prefix` cuts those intervals
     out of each run instead of testing every point.
     """
-    rows = p.halfspaces
+    rows = [(a, e * c) for a, c in p.halfspaces]
     shifts = [tuple((i, a[-1], sum(map(mul, a, h))) for i, (a, _) in enumerate(rows))
               for h in hilbert_basis(p.tail)]
-    return tuple(lattice_points(rows, *reachability_box(p, p.tail.rays), shifts))
+    return tuple(lattice_points(rows, *reachability_box(p, p.tail.rays, e), shifts))
 
 
 def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
@@ -664,7 +670,9 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     Returns (verdict, witness), the witness being the lexicographically
     first minimal lattice point of e*p (see :func:`minimal_lattice_points`)
     that does not split, when the verdict is False.  Every lattice point of
-    p is trivially a 1-fold sum, so e = 1 is True without enumeration.
+    p is trivially a 1-fold sum, so e = 1 is True without enumeration.  No
+    polyhedron e*p is built: its points are read on p's rows as (a, e*c),
+    in a box of integer floors and ceilings of p's vertex rays times e.
 
     Only the minimal points of e*p are searched, as in the Normaliz primal
     algorithm (Bruns & Ichim, J. Algebra 2010).  A lattice point of e*p
@@ -691,9 +699,9 @@ def is_polyhedron_normal(p: Polyhedron, e: int) -> tuple[bool, IVec | None]:
     if e == 1:
         return True, None
     # not empty: e*p has integral vertices, and a descent from one ends at a minimal point
-    targets = minimal_lattice_points(dilate(p, e))
+    targets = minimal_lattice_points(p, e)
     weight = tuple(map(sum, zip(*p.tail.halfspaces)))
-    wmin = min(dot(weight, v) for v in p.vertices)
+    wmin = min(sum(map(mul, weight, v)) for v, _ in p.vertex_rays)
     target_weights = [sum(map(mul, weight, x)) for x in targets]
     bound = (max(target_weights) - (e - 2) * wmin) // 2
     # not empty: W >= e*wmin, so the vertex of weight wmin is in the slab

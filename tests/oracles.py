@@ -63,6 +63,11 @@ route of ``gaactions.roots_with_ray``, which ran each point through
 slice of check (ii) of ``ideals.pair_conditions``, which tested (m, e) for
 membership in the augmented weight cone.
 
+The box oracle :func:`reachability_box_by_fractions` is the route
+``convex.reachability_box`` took before it read integer floors and ceilings
+off the vertex rays: the floor and ceiling of each coordinate of the
+:class:`Fraction` vertices, moved by the generators' entries of one sign.
+
 The lifted-Newton oracle :func:`ptilde_by_doubling` is the route
 ``ideals.ptilde`` took before it lifted the generators by their orders: the
 hull of the lifts (m, -floor h_z(m, 1)) of the lattice points m of the
@@ -80,7 +85,7 @@ c binom(a, i) lambda^i t^(l + i u).
 
 from fractions import Fraction
 from itertools import product
-from math import comb, floor, prod
+from math import ceil, comb, floor, prod
 from operator import ge, mul
 from unittest import mock
 
@@ -153,6 +158,17 @@ def box_points(box):
     """Lattice points of the box given by one (lo, hi) pair per coordinate,
     in lexicographic order."""
     return product(*[range(lo, hi + 1) for lo, hi in box])
+
+
+def reachability_box_by_fractions(p: Polyhedron, generators) -> tuple[list[int], list[int]]:
+    """The coordinate box around conv(vertices of p) + zonotope(generators),
+    from the rational vertices."""
+    lo, hi = [], []
+    for j in range(p.ambient_rank):
+        vj = [v[j] for v in p.vertices]
+        lo.append(floor(min(vj) + sum(min(0, g[j]) for g in generators)))
+        hi.append(ceil(max(vj) + sum(max(0, g[j]) for g in generators)))
+    return lo, hi
 
 
 def roots_by_filter(cone: Cone, ray, box) -> tuple[DemazureRoot, ...]:

@@ -351,7 +351,8 @@ class TestNormality:
     def test_e1_is_normal_without_enumeration(self, monkeypatch):
         p = Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
                                               nonnegative_orthant(3))
-        for name in ("dilate", "hilbert_basis", "lattice_points_in_box"):
+        for name in ("dilate", "hilbert_basis", "lattice_points_in_box", "lattice_points",
+                     "minimal_lattice_points"):
             monkeypatch.setattr(convex, name, None)
         assert is_polyhedron_normal(p, 1) == (True, None)
 

@@ -67,6 +67,7 @@ from oracles import (
     hilbert_basis_by_graded_filter,
     nonnegative_orthant,
     rank,
+    reachability_box_by_fractions,
     rref,
     two_pass_cone,
     zero_cone,
@@ -545,7 +546,7 @@ def minimal_points_by_filter(p):
     element h of the tail, by the box filter over the box around conv(V) +
     zonotope(Hilbert basis), which holds every such x."""
     hb = hilbert_basis(p.tail)
-    lo, hi = reachability_box(p, hb)
+    lo, hi = reachability_box_by_fractions(p, hb)
     return [x for x in lattice_points_by_box_filter(p, lo, hi)
             if not any(p.contains(vsub(x, h)) for h in hb)]
 
@@ -667,24 +668,31 @@ def test_lattice_points_match_box_filter(data, p):
     assert lattice_points_in_box(p, lo, hi) == want
 
 
+RANK0 = Polyhedron.from_vertices_and_tail([()], zero_cone(0))
+SKEW4 = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)], 4)
 REEVE = Polyhedron.from_vertices_and_tail(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], zero_cone(3))
+ORTHANT_NEWTON = Polyhedron.from_vertices_and_tail(
+    [(2, 0, 0), (0, 3, 0), (0, 0, 7)], nonnegative_orthant(3))
 # a tail with the lex-negative Hilbert-basis element (-1, 2, 1)
 LEX_NEGATIVE = Polyhedron.from_vertices_and_tail(
     [(2, 0, 0), (0, 3, 0), (0, 0, 7)], Cone.from_rays([(0, 1, 0), (0, 0, 1), (-1, 2, 1)], 3))
+NESTED_CUTS = Polyhedron.from_vertices_and_tail(
+    [(0, 1, 0), (0, 1, 10), (1, 0, 5)], Cone.from_rays([(1, 0, 0), (0, 1, 0)], 3))
+# vertices with denominators 2 and 3, so e*p has integral vertices only for e = 6
+HALVES_AND_THIRDS = Polyhedron.from_vertices_and_tail(
+    [(F(1, 2), 0), (0, F(5, 3))], Cone.from_rays([(1, 0), (1, 2)], 2))
 
 
 @settings(max_examples=150, deadline=None)
 @given(polyhedra(integral=False))
 @example(Polyhedron.from_vertices_and_tail([(F(1, 2), 0), (2, F(5, 3)), (-1, 1)], zero_cone(2)))
 @example(Polyhedron.from_vertices_and_tail([(0, 0), (0, 1)], Cone.from_rays([(2, 1)], 2)))
-@example(Polyhedron.from_vertices_and_tail([()], zero_cone(0)))
+@example(RANK0)
 @example(REEVE)
-@example(Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
-                                           nonnegative_orthant(3)))
+@example(ORTHANT_NEWTON)
 @example(LEX_NEGATIVE)
-@example(Polyhedron.from_vertices_and_tail([(0, 1, 0), (0, 1, 10), (1, 0, 5)],
-                                           Cone.from_rays([(1, 0, 0), (0, 1, 0)], 3)))
+@example(NESTED_CUTS)
 def test_minimal_lattice_points_match_filter(p):
     """The second example's minimal point (1, 1) is outside the box of the
     vertices: a box without the rays' zonotope misses it.  The rank-0
@@ -698,12 +706,50 @@ def test_minimal_lattice_points_match_filter(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sparse_simplices(), st.sampled_from([2, 3]))
+@given(sparse_simplices(), st.sampled_from([1, 2, 3]))
 def test_minimal_points_of_dilates_match_filter(p, e):
     """The targets :func:`is_polyhedron_normal` splits are the minimal
-    points of e*p."""
+    points of e*p, read on p's rows without building e*p."""
+    assert minimal_lattice_points(p, e) == tuple(minimal_points_by_filter(dilate(p, e)))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("p", [RANK0, REEVE, ORTHANT_NEWTON, LEX_NEGATIVE, NESTED_CUTS,
+                               HALVES_AND_THIRDS])
+def test_minimal_points_of_named_dilates_match_filter(p, e):
+    """The named cases of :func:`test_minimal_lattice_points_match_filter`,
+    dilated, and one with non-integral vertices, whose rows (a, e*c) are
+    not the primitive rows of e*p."""
+    assert minimal_lattice_points(p, e) == tuple(minimal_points_by_filter(dilate(p, e)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhedra(min_rank=1, integral=False), st.integers(1, 3))
+@example(HALVES_AND_THIRDS, 1)
+def test_integer_box_matches_fraction_box(p, e):
+    """The integer floors and ceilings of the vertex rays give the box of
+    the rational vertices of e*p, with and without generators."""
+    assume(any(k > 1 for _, k in p.vertex_rays))
     q = dilate(p, e)
-    assert minimal_lattice_points(q) == tuple(minimal_points_by_filter(q))
+    for generators in ((), p.tail.rays, hilbert_basis(p.tail)):
+        assert reachability_box(p, generators, e) == reachability_box_by_fractions(q, generators)
+
+
+def test_integer_box_matches_fraction_box_on_weight_slabs():
+    """The weight slabs of :func:`is_polyhedron_normal` on the rank-4 skew
+    case, cut at every bound from the lightest vertex's weight 8 up.  The
+    odd bounds give vertices with denominator 2; e = 2 and e = 3 cut at 9."""
+    p = Polyhedron.from_vertices_and_tail([(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 1, 2)], SKEW4)
+    weight = tuple(map(sum, zip(*p.tail.halfspaces)))
+    wmin = min(dot(weight, kv) for kv, _ in p.vertex_rays)  # the vertices are integral
+    fractional = 0
+    for bound in range(wmin, wmin + 8):
+        slab = Polyhedron.from_halfspaces(p.halfspaces + ((vscale(-1, weight), -bound),), 4)
+        fractional += any(k > 1 for _, k in slab.vertex_rays)
+        for generators in ((), p.tail.rays):
+            assert reachability_box(slab, generators) == \
+                reachability_box_by_fractions(slab, generators)
+    assert fractional
 
 
 @settings(max_examples=150, deadline=None)
@@ -733,7 +779,6 @@ def test_normality_matches_brute_force_splitting(p, e):
     assert is_polyhedron_normal(p, e) == normal_by_brute_force(p, e)
 
 
-SKEW4 = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)], 4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -747,6 +792,27 @@ def test_rank4_normality_matches_brute_force_splitting(p, e):
     search three summands on the skew tail of the ideal-normality workload,
     and the last is not normal (witness (5, 3, 5, 3))."""
     assert is_polyhedron_normal(p, e) == normal_by_brute_force(p, e)
+
+
+@pytest.mark.parametrize("vertices", [
+    [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 1, 2)],
+    [(2, 0, 2, 3), (1, 1, 2, 0), (2, 2, 0, 2)],
+])
+def test_dilates_are_never_built(monkeypatch, vertices):
+    """e >= 2 reads e*p off p's rows: with ``dilate`` and the rational
+    vertices gone, the verdict and witness stay those of the oracle, on a
+    normal skew case and one that fails at (4, 2, 3, 3) and (5, 3, 5, 3)."""
+    want = {e: normal_by_brute_force(Polyhedron.from_vertices_and_tail(vertices, SKEW4), e)
+            for e in (2, 3)}
+
+    def no_vertices(self):
+        raise AssertionError("the rational vertices were read")
+
+    monkeypatch.setattr(convex, "dilate", None)
+    monkeypatch.setattr(Polyhedron, "vertices", property(no_vertices))
+    p = Polyhedron.from_vertices_and_tail(vertices, SKEW4)  # a fresh one, no cached vertices
+    for e in (2, 3):
+        assert is_polyhedron_normal(p, e) == want[e]
 
 
 def test_brute_force_oracle_can_fail():
