@@ -10,8 +10,8 @@ monomial layer independently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .convex import (
@@ -36,7 +36,7 @@ from .divisors import (
     graded_piece,
     member,
 )
-from .linalg import IVec, dot, vsub
+from .linalg import IVec, dot
 
 
 class IdealError(ValueError):
@@ -102,19 +102,34 @@ def monomial_is_normal(ideal: MonomialIdeal) -> tuple[bool, dict | None]:
 def closure_member_oracle(m: Sequence, ideal: MonomialIdeal, d_max: int = 12) -> bool:
     """Brute-force integral dependence: chi^m integral over the ideal iff some
     d-fold exponent sum s has d*m - s in the weight cone, d <= d_max.
-
     One-sided: False only means "no witness found up to d_max".
+
+    Run in value space: d*m - s is in the cone iff <h, s> <= d*<h, m> for
+    every inner normal h, and s -> (<h, s>) is linear, so sums of equal
+    values merge.  Values pack into one int, a signed slot per normal wide
+    enough for d_max*(|<h, m>| + |<h, e>|) plus a guard bit; level d holds
+    each exponent key plus each sum of level d - 1, and s is a witness iff
+    d*key(m) + guard - s keeps every guard bit set.  Only the cone's
+    ``halfspaces`` are read, with no ``convex`` enumeration and no
+    ``minimal_lattice_points``, so the oracle stays independent of the
+    Newton-polyhedron route.
     """
     if d_max < 1:
         raise IdealError("d_max must be >= 1")
     m = tuple(int(a) for a in m)
-    cone = ideal.weight_cone
-    for d in range(1, d_max + 1):
-        target = tuple(d * a for a in m)
-        for combo in itertools.combinations_with_replacement(ideal.exponents, d):
-            s = tuple(map(sum, zip(*combo)))
-            if cone.contains(vsub(target, s)):
-                return True
+    normals, exps = ideal.weight_cone.halfspaces, ideal.exponents
+    reach = max((abs(dot(h, m)) + max((abs(dot(h, e)) for e in exps), default=0)
+                 for h in normals), default=0)
+    width = (d_max * reach).bit_length() + 1
+    packed = [sum(a << width * f for f, a in enumerate(col)) for col in zip(*normals)]
+    guard = sum(1 << width * f + width - 1 for f in range(len(normals)))
+    step, keys = sum(map(mul, packed, m)), {sum(map(mul, packed, e)) for e in exps}
+    sums, high = {0}, guard
+    for _ in range(d_max):
+        sums = {s + k for s in sums for k in keys}
+        high += step
+        if any(high - s & guard == guard for s in sums):
+            return True
     return False
 
 

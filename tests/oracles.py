@@ -75,6 +75,11 @@ Newton box stretched by s times the Rees denominator times the Hilbert basis
 of the weight cone, for s = 1, 2, 4, ..., until every lift of the box
 stretched twice as far lies in it.
 
+The closure oracle :func:`closure_member_by_combinations` is the route
+``ideals.closure_member_oracle`` took before it ran in packed facet values:
+for d = 1, 2, ..., d_max every d-fold multiset of exponents is summed as a
+tuple and d*m minus the sum is tested with ``Cone.contains``.
+
 The expansion oracles :func:`toric_by_terms`, :func:`vertical_by_terms` and
 :func:`horizontal_by_terms` are the routes the three additive-group actions
 took before they shared ``gaactions._series``: each builds the coefficient of
@@ -84,7 +89,7 @@ c binom(a, i) lambda^i t^(l + i u).
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import ceil, comb, floor, prod
 from operator import ge, mul
 from unittest import mock
@@ -766,6 +771,19 @@ def ptilde_by_doubling(pair, z: BasePoint) -> Polyhedron:
         out = Polyhedron.from_vertices_and_tail(list(out.vertices) + outside, tail)
         scale *= 2
         assert scale <= 16, f"lifted Newton polyhedron at {z} did not stabilize"
+
+
+def closure_member_by_combinations(m, ideal, d_max: int = 12) -> bool:
+    """Some d-fold exponent sum s, d <= d_max, has d*m - s in the weight cone."""
+    m = tuple(int(a) for a in m)
+    cone = ideal.weight_cone
+    for d in range(1, d_max + 1):
+        target = tuple(d * a for a in m)
+        for combo in combinations_with_replacement(ideal.exponents, d):
+            s = tuple(map(sum, zip(*combo)))
+            if cone.contains(vsub(target, s)):
+                return True
+    return False
 
 
 def monomial_member_by_floors(d: PolyhedralDivisor, term: Monomial) -> bool:

@@ -112,6 +112,21 @@ class TestSubcommands:
         assert doc["result"]["closure_generators"] == [
             [0, 3], [1, 2], [2, 1], [3, 0]]
 
+    @pytest.mark.parametrize("m, dmax, found", [
+        ("2,1", "2", False),
+        ("2,1", "3", True),
+        ("-1,4", "12", False),  # <(1, 0), m> < 0
+    ], ids=["short", "witnessed", "negative"])
+    def test_oracle(self, capsys, m, dmax, found):
+        code, out, _ = run_capture(
+            capsys, "oracle", "--input", fixture("i33.json"), "--object", "ideal",
+            f"--m={m}", "--dmax", dmax, "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["integral_over_ideal"] is found
+        assert result["m"] == [int(a) for a in m.split(",")]
+        assert result["note"] == ("" if found else f"no witness up to d_max = {dmax}")
+
     def test_mono_normal_witness(self, capsys):
         code, out, _ = run_capture(
             capsys, "mono-normal", "--input", fixture("rem357.json"),

@@ -45,6 +45,7 @@ from polydiv.serialize import load_problem
 from oracles import (
     augmented_slice_points,
     box_points,
+    closure_member_by_combinations,
     divisor_sum,
     nonnegative_orthant,
     outcome,
@@ -159,6 +160,58 @@ class TestClosureOracle:
             p = newton_polyhedron(I)
             for m in itertools.product(range(5), repeat=rank):
                 assert closure_member_oracle(m, I, 12) == p.contains(m), (exps, m)
+
+    @staticmethod
+    def random_cone(rng, rank):
+        """The orthant, or a pointed full-dimensional cone on rank to rank + 2
+        random rays."""
+        if rank == 1 or rng.random() < 0.3:
+            return nonnegative_orthant(rank)
+        while True:
+            rays = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                    for _ in range(rng.randint(rank, rank + 2))]
+            if not all(any(r) for r in rays):
+                continue
+            cone = Cone.from_rays(rays, rank)
+            if cone.is_full_dimensional and cone.is_pointed:
+                return cone
+
+    def test_matches_combinations(self):
+        rng = random.Random(1311)
+        outcomes = []
+        for _ in range(1000):
+            rank = rng.randint(1, 4)
+            cone = self.random_cone(rng, rank)
+            scale = rng.choice((1, 10, 10 ** 12))
+            exps = [tuple(map(sum, zip(*[vscale(rng.randint(0, scale), r) for r in cone.rays])))
+                    for _ in range(rng.randint(1, 3))]
+            outside = rng.random() < 0.3
+            if outside:
+                exps[0] = tuple(rng.randint(-scale, scale) for _ in range(rank))
+            ideal = MonomialIdeal(cone, tuple(sorted(set(exps))))
+            d0 = rng.randint(1, 4)
+            mean = [sum(col) // d0 for col in zip(*rng.choices(exps, k=d0))]
+            m = tuple(a + rng.randint(-2, 2) * rng.choice((1, scale)) for a in mean)
+            d_max = rng.randint(1, 8)
+            found = closure_member_oracle(m, ideal, d_max)
+            assert found == closure_member_by_combinations(m, ideal, d_max), (cone, exps, m, d_max)
+            outcomes.append((found, outside, cone.contains(m)))
+        assert {(found, outside) for found, outside, _ in outcomes} == {
+            (False, False), (False, True), (True, False), (True, True)}
+        assert {inside for _, _, inside in outcomes} == {False, True}
+
+    @pytest.mark.parametrize("exponent, m, d_max, found", [
+        ((2,), (-1,), 1, False),          # 1 * (-1) - 2 = -3 = -1 * (1 + 2)
+        ((-4,), (3,), 1, True),           # 1 * 3 + 4 = 7 = 1 * (3 + 4)
+        ((3,), (-4,), 4, False),          # 4 * (-4) - 12 = -28 = -4 * (4 + 3)
+        ((3, 0), (-4, 5), 4, False),      # the first slot as above, beside a second one at 20
+    ])
+    def test_slot_width_boundary(self, exponent, m, d_max, found):
+        """|d*<h, m> - <h, s>| reaches d_max * (|<h, m>| + |<h, e>|), the
+        largest value one slot must hold, on both sides of 0."""
+        ideal = MonomialIdeal(nonnegative_orthant(len(m)), (exponent,))
+        assert closure_member_oracle(m, ideal, d_max) is found
+        assert closure_member_by_combinations(m, ideal, d_max) is found
 
     def test_power_compatibility(self):
         I = MonomialIdeal.of(ORTHANT2, [(2, 0), (0, 2), (1, 1)])
