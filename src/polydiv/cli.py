@@ -47,7 +47,6 @@ from .gaactions import (
     vertical_exponential,
 )
 from .ideals import (
-    MonomialIdeal,
     closure_member_oracle,
     closure_power_piece,
     monomial_closure_generators,
@@ -211,8 +210,7 @@ def cmd_mono_closure(args, problem):
 
 def cmd_mono_normal(args, problem):
     ideal = problem.get(args.object, "monomial_ideal")
-    closed = MonomialIdeal.of(ideal.weight_cone, monomial_closure_generators(ideal))
-    ok, witness = monomial_is_normal(closed)
+    ok, witness = monomial_is_normal(ideal)
     doc = {"normal": ok}
     if witness:
         doc["witness"] = {"exponent": witness["exponent"],

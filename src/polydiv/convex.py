@@ -52,7 +52,6 @@ from .linalg import (
     is_zero_vector,
     primitive,
     saturated_span_basis,
-    vadd,
     vscale,
     vsub,
 )
@@ -482,14 +481,6 @@ class Polyhedron:
         return f"Polyhedron(vertices={vs}, tail={list(self.tail.rays)})"
 
 
-def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    if p.ambient_rank != q.ambient_rank:
-        raise GeometryError("ambient rank mismatch")
-    tail = Cone.from_rays(p.tail.rays + q.tail.rays, p.ambient_rank)
-    sums = [vadd(a, b) for a in p.vertices for b in q.vertices]
-    return Polyhedron.from_vertices_and_tail(sums, tail)
-
-
 def normal_cone(p: Polyhedron, v: Sequence) -> Cone:
     """The weights m whose minimum over p is taken at v: the dual of the
     cone that p - v generates, spanned by the vertices less v and the tail."""
@@ -508,18 +499,6 @@ def floored_support(p: Polyhedron, m: IVec) -> int:
     """floor of the least <m, v> over the vertices v of p, for an integer m, in
     integer arithmetic: floor of :func:`support_value` for m in the dual of the tail."""
     return min(sum(map(mul, m, kv)) // k for kv, k in p.vertex_rays)
-
-
-def dilate(p: Polyhedron, e: int) -> Polyhedron:
-    """Minkowski sum of e copies of p (homothety); e = 0 gives the tail cone."""
-    if e < 0:
-        raise GeometryError("dilation factor must be >= 0")
-    if e == 0:
-        return Polyhedron.cone_as_polyhedron(p.tail)
-    if e == 1:
-        return p
-    return Polyhedron.from_vertices_and_tail(
-        [vscale(e, v) for v in p.vertices], p.tail)
 
 
 def lattice_points_in_box(p: Polyhedron, lo: Sequence[int], hi: Sequence[int]) -> list[IVec]:

@@ -327,10 +327,6 @@ class RationalFunction:
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> "RationalFunction":
-        return RationalFunction._build(
-            self.curve_kind, self.constant ** n, {b: n * e for b, e in self.factors})
-
     def scaled(self, c) -> "RationalFunction":
         c = Fraction(c)
         if c == 0:

@@ -26,11 +26,9 @@ from .convex import (
     Cone,
     GeometryError,
     Polyhedron,
-    dilate,
     floored_support,
     hilbert_basis,
     lattice_points,
-    minkowski_sum,
     normal_cone,
     support_value,
 )
@@ -54,6 +52,7 @@ from .linalg import (
     primitive,
     spans_lattice,
     vadd,
+    vscale,
     vsub,
 )
 
@@ -193,8 +192,10 @@ def evaluate(d: PolyhedralDivisor, m: Sequence) -> Divisor:
 def degree_polyhedron(d: PolyhedralDivisor) -> Polyhedron:
     """Residue-degree weighted Minkowski sum of the coefficients, on any base."""
     total = Polyhedron.cone_as_polyhedron(d.tail)
-    for z, poly in d.coefficients:
-        total = minkowski_sum(total, dilate(poly, z.degree))
+    for z, poly in d.coefficients:  # every coefficient has the tail d.tail
+        total = Polyhedron.from_vertices_and_tail(
+            [vadd(a, vscale(z.degree, b)) for a in total.vertices for b in poly.vertices],
+            d.tail)
     return total
 
 
@@ -359,11 +360,11 @@ def bounded_generators(d: PolyhedralDivisor,
             raise BoxTooSmall(f"box must contain {p}")
 
     weight = _interior_weight(d.weight_cone)
-    box_degrees = _box_degrees(d, box, weight)
     # the hull of the box and its double: a box without 0 is not inside its
     # double, whose pass alone would miss the degrees the box pass reached
     hull = tuple((min(lo, 2 * lo), max(hi, 2 * hi)) for lo, hi in box)
     degrees = _box_degrees(d, hull, weight)
+    box_degrees = [m for m in degrees if all(lo <= a <= hi for a, (lo, hi) in zip(m, box))]
     frames = _frames(d, degrees + [(0,) * n])
     if d.curve.is_affine:
         gens = _degree_zero_generators(d.curve, n)

@@ -294,9 +294,13 @@ def vertical_exists(d: PolyhedralDivisor, ray: Sequence) -> bool:
     """Is there a vertical action with the given distinguished ray?
 
     The ray must be a ray of the tail on every base.  Affine bases always
-    admit one; on the projective line the criterion is that the ray misses
-    the degree polyhedron (exact one-variable feasibility over the halfspace
-    description).
+    admit one; on the projective line the criterion is that the ray R misses
+    the degree polyhedron deg, read off its vertices.  Properness gives
+    deg in the tail and 0 not in deg.  R is an extreme ray of the pointed
+    tail, the face {u = 0} of some u >= 0 on the tail, so u >= 0 on deg and
+    deg meets R in {x in deg : u(x) = 0}, a face of deg.  A nonempty face of
+    a pointed polyhedron holds a vertex, and a vertex (kv, k), kv != 0 as
+    0 is not in deg, lies on R iff ``primitive(kv) == ray``.
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -304,21 +308,8 @@ def vertical_exists(d: PolyhedralDivisor, ray: Sequence) -> bool:
     ray = primitive(ray)
     if ray not in d.tail.rays:
         raise RayNotInCone(f"{ray} is not an extreme ray of the tail cone")
-    if d.curve.is_affine:
-        return True
-    deg = degree_polyhedron(d)
-    # does t*ray satisfy all halfspaces for some t >= 0?
-    lo, hi = Fraction(0), None
-    for normal, offset in deg.halfspaces:
-        slope = dot(normal, ray)
-        if slope > 0:
-            lo = max(lo, Fraction(offset, slope))
-        elif slope < 0:
-            bound = Fraction(offset, slope)
-            hi = bound if hi is None else min(hi, bound)
-        elif offset > 0:
-            return True  # constraint unsatisfiable along the ray
-    return hi is not None and lo > hi
+    return d.curve.is_affine or all(primitive(kv) != ray
+                                    for kv, _ in degree_polyhedron(d).vertex_rays)
 
 
 def vertical_exponential(d: PolyhedralDivisor, root: DemazureRoot,

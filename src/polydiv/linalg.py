@@ -3,9 +3,10 @@
 Vectors are tuples of ints (lattice vectors) or Fractions; matrices are
 lists of row tuples.  Every elimination is fraction-free: determinants by
 Bareiss, adjugates by Gauss-Jordan in Bareiss's form, independent rows by
-integer cross-multiplication, Hermite normal forms and kernel lattices by
-integer row and column operations.  The kernel routines clear rational rows
-of their denominators first; no floating point anywhere.
+integer cross-multiplication, Hermite normal forms by integer row
+operations, and kernel lattices read off the HNF of [A^T | I].  The kernel
+routines clear rational rows of their denominators first; no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -181,31 +182,15 @@ def _clear_row_denominators(row: Sequence) -> list[int]:
 def integer_kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[IVec]:
     """Canonical basis of the kernel lattice {x in Z^n : A x = 0}.
 
-    Integer column elimination keeps the lattice exact (the kernel of an
-    integer matrix is saturated); the basis is canonicalized by HNF.
+    The rows of [A^T | I] span the lattice of the (A x, x), x in Z^n.  Its
+    HNF lists the rows whose A^T part is zero last, and their I part is
+    then the HNF of the lattice of the x with A x = 0.
     """
     int_rows = [_clear_row_denominators(r) for r in rows if not is_zero_vector(r)]
-    if not int_rows:
-        return hnf([tuple(int(i == j) for j in range(ncols)) for i in range(ncols)])
-    a_cols = [[r[j] for r in int_rows] for j in range(ncols)]
-    u_cols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    is_pivot = [False] * ncols
-    for i in range(len(int_rows)):
-        while True:
-            live = [j for j in range(ncols) if not is_pivot[j] and a_cols[j][i] != 0]
-            if len(live) <= 1:
-                if live:
-                    is_pivot[live[0]] = True
-                break
-            jmin = min(live, key=lambda j: abs(a_cols[j][i]))
-            for j in live:
-                if j == jmin:
-                    continue
-                q = a_cols[j][i] // a_cols[jmin][i]
-                a_cols[j] = [x - q * y for x, y in zip(a_cols[j], a_cols[jmin])]
-                u_cols[j] = [x - q * y for x, y in zip(u_cols[j], u_cols[jmin])]
-    free = [tuple(u_cols[j]) for j in range(ncols) if not is_pivot[j]]
-    return hnf(free)
+    m = len(int_rows)
+    h = hnf([tuple(r[j] for r in int_rows) + tuple(int(i == j) for i in range(ncols))
+             for j in range(ncols)])
+    return [row[m:] for row in h if not any(row[:m])]
 
 
 def saturated_span_basis(vectors: Sequence[Sequence], ncols: int) -> list[IVec]:

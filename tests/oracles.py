@@ -80,6 +80,19 @@ The closure oracle :func:`closure_member_by_combinations` is the route
 for d = 1, 2, ..., d_max every d-fold multiset of exponents is summed as a
 tuple and d*m minus the sum is tested with ``Cone.contains``.
 
+The degree-polyhedron oracle :func:`degree_polyhedron_by_dilates` is the
+route ``divisors.degree_polyhedron`` took before it summed vertices in one
+loop: each coefficient is dilated by the degree of its place
+(:func:`dilate`) and added to the running total by :func:`minkowski_sum`,
+which converts the sum of the two tails afresh.  The vertical oracle
+:func:`vertical_exists_by_feasibility` is the route of
+``gaactions.vertical_exists`` before it read the degree polyhedron's
+vertices: an exact one-variable feasibility test of t*ray over its
+halfspaces.  The kernel oracle :func:`integer_kernel_basis_by_columns` is
+the route of ``linalg.integer_kernel_basis`` before it read the HNF of
+[A^T | I]: integer column elimination with unimodular bookkeeping, the free
+columns canonicalized by HNF.
+
 The expansion oracles :func:`toric_by_terms`, :func:`vertical_by_terms` and
 :func:`horizontal_by_terms` are the routes the three additive-group actions
 took before they shared ``gaactions._series``: each builds the coefficient of
@@ -97,6 +110,7 @@ from unittest import mock
 from polydiv import divisors, polynomials as up
 from polydiv.convex import (
     Cone,
+    GeometryError,
     Polyhedron,
     Unbounded,
     _echelon_coordinates,
@@ -144,6 +158,7 @@ from polydiv.gaactions import (
 )
 from polydiv.linalg import (
     IVec,
+    _clear_row_denominators,
     adjugate,
     bareiss_det,
     dot,
@@ -786,6 +801,82 @@ def closure_member_by_combinations(m, ideal, d_max: int = 12) -> bool:
     return False
 
 
+def dilate(p: Polyhedron, e: int) -> Polyhedron:
+    """Minkowski sum of e copies of p (homothety); e = 0 gives the tail cone."""
+    if e < 0:
+        raise GeometryError("dilation factor must be >= 0")
+    if e == 0:
+        return Polyhedron.cone_as_polyhedron(p.tail)
+    if e == 1:
+        return p
+    return Polyhedron.from_vertices_and_tail(
+        [vscale(e, v) for v in p.vertices], p.tail)
+
+
+def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+    if p.ambient_rank != q.ambient_rank:
+        raise GeometryError("ambient rank mismatch")
+    tail = Cone.from_rays(p.tail.rays + q.tail.rays, p.ambient_rank)
+    sums = [vadd(a, b) for a in p.vertices for b in q.vertices]
+    return Polyhedron.from_vertices_and_tail(sums, tail)
+
+
+def degree_polyhedron_by_dilates(d: PolyhedralDivisor) -> Polyhedron:
+    """The tail plus each coefficient dilated by its place's degree."""
+    total = Polyhedron.cone_as_polyhedron(d.tail)
+    for z, poly in d.coefficients:
+        total = minkowski_sum(total, dilate(poly, z.degree))
+    return total
+
+
+def vertical_exists_by_feasibility(d: PolyhedralDivisor, ray) -> bool:
+    """``gaactions.vertical_exists``: on P1, no t >= 0 puts t*ray in every
+    halfspace of the degree polyhedron."""
+    ok, cert = divisors.is_proper(d)
+    if not ok:
+        raise ActionError(f"divisor is not proper: {cert}")
+    ray = primitive(ray)
+    if ray not in d.tail.rays:
+        raise RayNotInCone(f"{ray} is not an extreme ray of the tail cone")
+    if d.curve.is_affine:
+        return True
+    lo, hi = Fraction(0), None
+    for normal, offset in degree_polyhedron_by_dilates(d).halfspaces:
+        slope = dot(normal, ray)
+        if slope > 0:
+            lo = max(lo, Fraction(offset, slope))
+        elif slope < 0:
+            bound = Fraction(offset, slope)
+            hi = bound if hi is None else min(hi, bound)
+        elif offset > 0:
+            return True  # constraint unsatisfiable along the ray
+    return hi is not None and lo > hi
+
+
+def integer_kernel_basis_by_columns(rows, ncols: int) -> list[IVec]:
+    """{x in Z^n : A x = 0} by integer column elimination, canonicalized by HNF."""
+    int_rows = [_clear_row_denominators(r) for r in rows if not is_zero_vector(r)]
+    if not int_rows:
+        return hnf([tuple(int(i == j) for j in range(ncols)) for i in range(ncols)])
+    a_cols = [[r[j] for r in int_rows] for j in range(ncols)]
+    u_cols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    is_pivot = [False] * ncols
+    for i in range(len(int_rows)):
+        while True:
+            live = [j for j in range(ncols) if not is_pivot[j] and a_cols[j][i] != 0]
+            if len(live) <= 1:
+                if live:
+                    is_pivot[live[0]] = True
+                break
+            jmin = min(live, key=lambda j: abs(a_cols[j][i]))
+            for j in live:
+                if j != jmin:
+                    q = a_cols[j][i] // a_cols[jmin][i]
+                    a_cols[j] = [x - q * y for x, y in zip(a_cols[j], a_cols[jmin])]
+                    u_cols[j] = [x - q * y for x, y in zip(u_cols[j], u_cols[jmin])]
+    return hnf([tuple(u_cols[j]) for j in range(ncols) if not is_pivot[j]])
+
+
 def monomial_member_by_floors(d: PolyhedralDivisor, term: Monomial) -> bool:
     """``divisors.member`` of c t^l chi^m over A1 or P1: m in the weight cone,
     and on the floors of D(m) the floor at t plus l, every other finite floor
@@ -834,10 +925,12 @@ def vertical_by_terms(d: PolyhedralDivisor, root: DemazureRoot, phi: RationalFun
     e, rho = root.vector, root.distinguished_ray
     height = dot(el.degree, rho)
     terms = []
+    power = el.function  # f phi^i
     for i in range(height + 1):
-        coeff = comb(height, i)
-        func = el.function.scaled(coeff) * phi ** i if i else el.function.scaled(coeff)
-        term = HomogeneousElement(func, vadd(el.degree, tuple(i * a for a in e)))
+        if i:
+            power = power * phi
+        term = HomogeneousElement(power.scaled(comb(height, i)),
+                                  vadd(el.degree, tuple(i * a for a in e)))
         if not member(term, d):
             raise NonMember(f"term {term} left the section algebra")
         terms.append((i, term))

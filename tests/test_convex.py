@@ -13,16 +13,15 @@ from polydiv.convex import (
     Polyhedron,
     Unbounded,
     UnboundedLineality,
-    dilate,
     hilbert_basis,
     is_polyhedron_normal,
     lattice_points_in_box,
     minimal_lattice_points,
-    minkowski_sum,
     support_value,
 )
 from polydiv.linalg import denominator_lcm, dot, vadd, vsub
-from oracles import full_cone, nonnegative_orthant, support_value_hilbert_oracle, zero_cone
+from oracles import (dilate, full_cone, minkowski_sum, nonnegative_orthant,
+                     support_value_hilbert_oracle, zero_cone)
 
 ORTHANT2 = nonnegative_orthant(2)
 
@@ -351,7 +350,7 @@ class TestNormality:
     def test_e1_is_normal_without_enumeration(self, monkeypatch):
         p = Polyhedron.from_vertices_and_tail([(2, 0, 0), (0, 3, 0), (0, 0, 7)],
                                               nonnegative_orthant(3))
-        for name in ("dilate", "hilbert_basis", "lattice_points_in_box", "lattice_points",
+        for name in ("hilbert_basis", "lattice_points_in_box", "lattice_points",
                      "minimal_lattice_points"):
             monkeypatch.setattr(convex, name, None)
         assert is_polyhedron_normal(p, 1) == (True, None)

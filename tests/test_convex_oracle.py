@@ -38,7 +38,6 @@ from polydiv.convex import (
     EmptyPolyhedron,
     Polyhedron,
     UnboundedLineality,
-    dilate,
     hilbert_basis,
     is_polyhedron_normal,
     lattice_points_in_box,
@@ -62,9 +61,11 @@ from polydiv.linalg import (
 )
 from oracles import (
     box_points,
+    dilate,
     dual_generators,
     facet_triangulation,
     hilbert_basis_by_graded_filter,
+    integer_kernel_basis_by_columns,
     nonnegative_orthant,
     rank,
     reachability_box_by_fractions,
@@ -491,6 +492,39 @@ def test_independent_rows_of_a_dense_matrix():
         list(range(20)) + list(range(21, 31))
 
 
+def kernel_inputs(rng):
+    """A matrix of 0..ncols + 1 rows on ncols = 1..7 columns, entries in
+    [-4, 4] or halves of them, with independent, dependent and zero rows."""
+    ncols = rng.randint(1, 7)
+    rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(0, ncols))]
+    if rows and rng.random() < 0.5:  # an integer combination of the rows so far
+        rows.append([sum(rng.randint(-2, 2) * r[j] for r in rows) for j in range(ncols)])
+    if rng.random() < 0.3:
+        rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    if rows and rng.random() < 0.3:
+        rows[0] = [F(a, 2) for a in rows[0]]
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_integer_kernel_basis_matches_column_elimination():
+    """The I part of the HNF of [A^T | I] past its A^T pivots is the HNF of
+    the kernel lattice, the basis that column elimination canonicalizes to;
+    the draws include dependent rows, zero rows, rational rows and full-rank
+    matrices with a zero kernel."""
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(1500):
+        rows, ncols = kernel_inputs(rng)
+        basis = integer_kernel_basis(rows, ncols)
+        assert basis == integer_kernel_basis_by_columns(rows, ncols), (rows, ncols)
+        assert all(dot(r, b) == 0 for r in rows for b in basis)
+        assert len(basis) == ncols - rank(rows) and hnf(basis) == basis
+        independent = rank(rows) == len([r for r in rows if any(r)])
+        seen.add((independent, any(not any(r) for r in rows), bool(basis)))
+    assert len(seen) == 8
+
+
 def test_equal_inputs_share_one_conversion():
     """Inputs equal up to order, scaling, repeats and zeros are one memo
     entry: each build after the first is one hit and runs no conversion."""
@@ -799,16 +833,16 @@ def test_rank4_normality_matches_brute_force_splitting(p, e):
     [(2, 0, 2, 3), (1, 1, 2, 0), (2, 2, 0, 2)],
 ])
 def test_dilates_are_never_built(monkeypatch, vertices):
-    """e >= 2 reads e*p off p's rows: with ``dilate`` and the rational
-    vertices gone, the verdict and witness stay those of the oracle, on a
-    normal skew case and one that fails at (4, 2, 3, 3) and (5, 3, 5, 3)."""
+    """e >= 2 reads e*p off p's rows: with the rational vertices gone, from
+    which a dilate would be built, the verdict and witness stay those of the
+    oracle, on a normal skew case and one that fails at (4, 2, 3, 3) and
+    (5, 3, 5, 3)."""
     want = {e: normal_by_brute_force(Polyhedron.from_vertices_and_tail(vertices, SKEW4), e)
             for e in (2, 3)}
 
     def no_vertices(self):
         raise AssertionError("the rational vertices were read")
 
-    monkeypatch.setattr(convex, "dilate", None)
     monkeypatch.setattr(Polyhedron, "vertices", property(no_vertices))
     p = Polyhedron.from_vertices_and_tail(vertices, SKEW4)  # a fresh one, no cached vertices
     for e in (2, 3):

@@ -219,6 +219,28 @@ class TestQuasifanAgainstVertexChoices:
         assert quasifan(d) == oracles.quasifan_by_vertex_choices(d)
 
 
+# t, t - 1, t^2 + 1, t^2 + 2 and, on P1, infinity
+DEGREE_PLACES = [BasePoint.rational(0), BasePoint.rational(1), BasePoint.finite((1, 0, 1)),
+                 BasePoint.finite((2, 0, 1))]
+
+
+def random_divisor(rng):
+    """A divisor of rank 1-3 over A1 or P1 with 0-4 places of degree 1 or 2,
+    each with 1-3 rational vertices; its pointed tail has 0-4 rays and may
+    be lower-dimensional."""
+    curve = rng.choice([AFFINE_LINE, PROJECTIVE_LINE])
+    n = rng.randint(1, 3)
+    rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+    tail = Cone.from_rays(rays, n)
+    if not tail.is_pointed:
+        tail = Cone.from_rays([tuple(map(abs, r)) for r in rays], n)
+    places = DEGREE_PLACES + ([INF] if curve is PROJECTIVE_LINE else [])
+    return PolyhedralDivisor.of(curve, tail, {z: Polyhedron.from_vertices_and_tail(
+        [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+         for _ in range(rng.randint(1, 3))], tail)
+        for z in rng.sample(places, rng.randint(0, min(4, len(places))))})
+
+
 class TestDegreeAndProper:
     def test_degree_polyhedron_345(self):
         deg = degree_polyhedron(example_345_divisor())
@@ -229,6 +251,18 @@ class TestDegreeAndProper:
         sigma6 = Cone.from_rays([(1, 0), (1, 6)], 2)
         assert degree_polyhedron(d) == Polyhedron.from_vertices_and_tail(
             [(F(1, 6), 0), (F(1, 6), 1)], sigma6)
+
+    def test_degree_polyhedron_matches_dilates(self):
+        """One loop over the coefficients' vertices, each scaled by its
+        place's degree, gives the Minkowski sum of the dilates."""
+        rng = random.Random(11)
+        degree_two = 0
+        for _ in range(400):
+            d = random_divisor(rng)
+            assert degree_polyhedron(d) == oracles.degree_polyhedron_by_dilates(d), d
+            degree_two += any(z.degree == 2 and p != Polyhedron.cone_as_polyhedron(d.tail)
+                              for z, p in d.coefficients)
+        assert degree_two > 100
 
     def test_zero_divisor_degree_is_tail(self):
         d = PolyhedralDivisor.of(PROJECTIVE_LINE, SIGMA, {})

@@ -25,8 +25,10 @@ from polydiv.divisors import (
     DivisorError,
     HomogeneousElement,
     PolyhedralDivisor,
+    degree_polyhedron,
     divisor_from_generators,
     graded_piece,
+    is_proper,
     member,
 )
 from polydiv.gaactions import (
@@ -56,7 +58,7 @@ from polydiv.gaactions import (
     vertical_exponential,
     vertical_phi,
 )
-from polydiv.linalg import bareiss_det, dot
+from polydiv.linalg import bareiss_det, dot, primitive, vscale
 from oracles import (
     box_points,
     divisor_sum,
@@ -68,6 +70,7 @@ from oracles import (
     roots_by_filter,
     toric_by_terms,
     vertical_by_terms,
+    vertical_exists_by_feasibility,
 )
 
 SIGMA = nonnegative_orthant(2)
@@ -93,6 +96,42 @@ def example_5617(base_vertices=((F(1, 2), 0),)):
                            colors={Z0: (F(1, 2), 0), Z1: (0, 0)},
                            infinity_point=INF)
     return d, cd
+
+
+# t, t - 1 and t^2 + 1
+VERTICAL_PLACES = [Z0, Z1, BasePoint.finite((1, 0, 1))]
+
+
+def random_p1_divisor(rng):
+    """A divisor of rank 1-3 over P1 on a simplicial pointed tail of 1..rank
+    rays, so often lower-dimensional.  The finite coefficients have 1-3
+    vertices in the tail's span with coordinates c over the rays; infinity
+    adds the vertex w with coordinates -min c + margin.  A margin >= 0 puts
+    every vertex of the degree polyhedron in the tail, often on a ray and
+    now and then at 0; a vertex at 0, or a margin of -1/2, makes the divisor
+    improper."""
+    n = rng.randint(1, 3)
+    while True:
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        if bareiss_det([[dot(a, b) for b in rays] for a in rays]):
+            break
+    tail = Cone.from_rays(rays, n)
+    k = len(rays)
+
+    def point(coords):
+        return tuple(sum(c * r[j] for c, r in zip(coords, rays)) for j in range(n))
+
+    coeffs, low = {}, [F(0)] * k
+    for z in rng.sample(VERTICAL_PLACES, rng.randint(1, 3)):
+        cs = [[F(rng.randint(-2, 3), rng.choice((1, 2))) for _ in range(k)]
+              for _ in range(rng.randint(1, 3))]
+        coeffs[z] = Polyhedron.from_vertices_and_tail([point(c) for c in cs], tail)
+        low = [a + z.degree * min(c[i] for c in cs) for i, a in enumerate(low)]
+    margin = [rng.choice((0, 0, 0, F(1, 2), 1, 2)) if rng.random() < 0.98 else F(-1, 2)
+              for _ in range(k)]
+    coeffs[INF] = Polyhedron.from_vertices_and_tail([point([m - a for a, m in zip(low, margin)])],
+                                                   tail)
+    return PolyhedralDivisor.of(PROJECTIVE_LINE, tail, coeffs)
 
 
 class TestDemazureRoots:
@@ -254,6 +293,29 @@ class TestVertical:
             Z1: Polyhedron.from_vertices_and_tail([(0, 0), (F(-1, 4), 0)], SIGMA)})
         assert vertical_exists(d, (1, 0))
         assert vertical_exists(d, (0, 1))
+
+    def test_exists_matches_feasibility(self):
+        """A ray misses the degree polyhedron iff no vertex lies on it: the
+        vertex test agrees with the one-variable feasibility test on every
+        ray of generated P1 divisors, improper ones raising in both."""
+        rng = random.Random(23)
+        verdicts, improper, lower, on_ray_unreduced = set(), 0, False, False
+        for _ in range(600):
+            d = random_p1_divisor(rng)
+            if not is_proper(d)[0]:
+                improper += 1
+                for route in (vertical_exists, vertical_exists_by_feasibility):
+                    with pytest.raises(ActionError):
+                        route(d, d.tail.rays[0])
+                continue
+            for ray in d.tail.rays:
+                got = vertical_exists(d, vscale(rng.randint(1, 3), ray))
+                assert got == vertical_exists_by_feasibility(d, ray), (d, ray)
+                verdicts.add(got)
+                lower |= not got and not d.tail.is_full_dimensional
+                on_ray_unreduced |= any(primitive(kv) == ray != kv for kv, _ in
+                                        degree_polyhedron(d).vertex_rays)
+        assert verdicts == {True, False} and improper and lower and on_ray_unreduced
 
     def test_exponential_membership(self):
         d = PolyhedralDivisor.of(AFFINE_LINE, SIGMA, {

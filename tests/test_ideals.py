@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polydiv.convex import Cone, Polyhedron, dilate
+from polydiv.convex import Cone, Polyhedron
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -46,6 +46,7 @@ from oracles import (
     augmented_slice_points,
     box_points,
     closure_member_by_combinations,
+    dilate,
     divisor_sum,
     nonnegative_orthant,
     outcome,
