@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import warnings
-from fractions import Fraction
 
 from . import serialize as ser
 from .convex import hilbert_basis
@@ -286,7 +285,7 @@ def cmd_toric_exp(args, problem):
     d = _divisor_arg(args, problem)
     root = _root_arg(args, d, problem)
     lam = ser.parse_rational(args.scalar, "$.scalar")
-    el = Monomial(Fraction(1), 0, _vector(args, "m", problem))
+    el = Monomial(1, 0, _vector(args, "m", problem))
     return _expansion_doc(toric_exponential(d.tail, root, lam, el))
 
 
@@ -373,7 +372,7 @@ def cmd_axiom_check(args, problem):
         lam = ser.parse_rational(args.scalar, "$.scalar")
 
         def element(m):
-            return Monomial(Fraction(rng.randint(1, 3)), 0, m)
+            return Monomial(rng.randint(1, 3), 0, m)
 
         expand = functools.partial(toric_exponential, d.tail, root, lam)
     basis = hilbert_basis(d.weight_cone)

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
@@ -341,11 +342,15 @@ def bounded_generators(d: PolyhedralDivisor,
     nothing, reports the degrees it misses as a saturation signal.
 
     Both passes compute on one integer frame per degree (:func:`_frames`),
-    built once for the degrees of that hull and 0.  Over A1 and Spec Z a
-    degree keeps one exponent vector (:func:`_run_affine`).  On the
-    projective line (:func:`_run_projective`) a product is the exponent
-    vector of gen_m * t^J * prod_z z^e, and a piece is certified by the
-    degree intervals its product families cover before any rank test.
+    built once for the degrees of that hull and 0.  A pass packs the frames
+    (:func:`_packed`): a degree is one int, and so are its floors a(m), a
+    signed slot per finite place, so the cofactor of a product is a few int
+    subtractions and its sign one mask.  Over A1 and Spec Z a degree keeps
+    one mask of the places where some product has exponent 0
+    (:func:`_run_affine`).  On the projective line (:func:`_run_projective`)
+    a product is the exponent vector of gen_m * t^J * prod_z z^e, and a
+    piece is certified by the degree intervals its product families cover
+    before any rank test.
     """
     ok, cert = is_proper(d)
     if not ok:
@@ -402,6 +407,28 @@ def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
     return frames
 
 
+def _packed(frames) -> tuple[dict[IVec, int], dict[int, int], int, int]:
+    """(key, A, guard, ones): the degrees of ``frames`` and their a(m) as ints.
+
+    A vector packs into one int with a signed slot per coordinate.  key(m)
+    has slots wide enough for 2 max |m_i| plus a sign bit, so it is linear
+    and key(m) - key(m_g) is key(m - m_g), which no other difference of two
+    frame degrees shares.  A(key(m)) packs a(m) with slots wide enough for
+    |a(m) - a(m_g) - a(r)| <= 3 max |a| plus a guard bit; ``ones`` holds 1
+    and ``guard`` the top bit in every slot.  So x = A(m) + guard - A(m_g) - A(r)
+    borrows across no slot, holds each cofactor exponent plus the guard in
+    its slot, and keeps every guard bit iff each exponent is >= 0.
+    """
+    def pack(vectors, spread):
+        width = (spread * max(map(abs, chain.from_iterable(vectors)), default=0)).bit_length() + 1
+        slots = [1 << width * i for i in range(len(vectors[0]))]
+        return [sum(map(mul, v, slots)) for v in vectors], sum(slots), width
+
+    keys, _, _ = pack(list(frames), 2)
+    floors, ones, width = pack([a for a, _ in frames.values()], 3)
+    return dict(zip(frames, keys)), dict(zip(keys, floors)), ones << width - 1, ones
+
+
 def _cofactor_exponents(frames, m: IVec, m_g: IVec, rest: IVec) -> IVec:
     """a(m) - a(m_g) - a(rest) for m = m_g + rest: the product of
     gen_{m_g} and gen_rest is gen_m times each place z to this exponent.
@@ -420,31 +447,42 @@ def _run_affine(d: PolyhedralDivisor, frames, degrees, gens, extend):
     generator is its gen_m.  A product of generators at m is gen_m times the
     places to an exponent vector e >= 0; the products generate the piece iff
     their gcd does, that is iff the least e over them, place by place, is 0.
-    The least vectors satisfy an integer min-plus dynamic program over
-    degrees: e(m) is the minimum over generators g of
-    :func:`_cofactor_exponents` at (m, m_g, m - m_g) plus e(m - m_g).  The
-    degree-zero generator t of A1 never finds its own degree reached, so
-    it is skipped.  A degree that fails in the doubled pass is not reused.
+    Zero-slot masks: only full degrees r are kept, and their least vector
+    is 0; a product of g at m_g with one at r = m - m_g has e the cofactor
+    exponents (:func:`_cofactor_exponents` at (m, m_g, r)) plus that
+    product's own vector.  Entries are >= 0, so a minimum is 0 iff one term
+    is and a sum is 0 iff both summands are: m is full iff each place has a
+    zero cofactor exponent over some g with r full.  On the packed frame
+    (:func:`_packed`) a slot of x - ones keeps its guard bit iff its
+    exponent is >= 1, so guard & ~(x - ones) marks the zero slots.  A degree
+    ORs these masks, plus one bit above the slots that says some product
+    reaches m, so that with no finite place an unreached degree is not full;
+    m is full iff every bit is set.  The degree-zero generator t of A1
+    never finds its own degree reached, so it is skipped.  A degree that
+    fails in the doubled pass is not reused.
     """
-    origin = (0,) * d.rank
-    zero = frames[origin][0]  # a(0) = 0
-    least = {origin: zero}
+    key, packed, guard, ones = _packed(frames)
+    reached = 1 << guard.bit_length()  # above the slots; 1 with no finite place
+    full = {0}  # keys of the full degrees
+    lifts = [(g.degree, key[g.degree], packed[key[g.degree]]) for g in gens]
     failures = []
     for m in degrees:
-        best = None
-        for g in gens:
-            rest = vsub(m, g.degree)
-            if rest in least:
-                e = vadd(_cofactor_exponents(frames, m, g.degree, rest), least[rest])
-                best = e if best is None else tuple(map(min, best, e))
-        if best != zero:
+        k = key[m]
+        top, mask = packed[k] + guard, 0
+        for m_g, k_g, a_g in lifts:
+            if (rest := k - k_g) in full:
+                x = top - a_g - packed[rest]
+                if x & guard != guard:
+                    _cofactor_exponents(frames, m, m_g, vsub(m, m_g))
+                mask |= reached | guard & ~(x - ones)
+        if mask != reached | guard:
             if not extend:
                 failures.append(m)
                 continue
             gens.append(HomogeneousElement(
                 sections(d.curve, d.support, d.floors(m)).generator, m))
-            best = zero
-        least[m] = best
+            lifts.append((m, k, packed[k]))
+        full.add(k)
     return failures
 
 
@@ -483,6 +521,15 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     so the pass tracks, per degree, which powers of t occur.  The doubled
     pass takes the box degrees as full and tests the others; a degree that
     fails keeps its exactly independent products.
+
+    Packed frame: a generator is gen_{m_g} * t^j, and a degree m brings, once
+    per pass, its packed floors A(m) (:func:`_packed`), P(m) = <a(m), place
+    degrees>, the sum N(m) of the entries of a(m) off t, and a_t(m).  The
+    cofactor is linear in a, so per product the guard bits of
+    A(m) + guard - A(m_g) - A(r) give its sign, deg P_b is
+    j + P(m) - P(m_g) - P(r) and b_t is j + a_t(m) - a_t(m_g) - a_t(r); with
+    entries >= 0, b is a power of t iff N(m) = N(m_g) + N(r).  The vector b
+    is built only for a degree the intervals leave uncovered.
     """
     finite = [z.poly for z in d.support if z.kind == "finite"]
     places = finite if (0, 1) in finite else finite + [(0, 1)]  # t is one coordinate
@@ -490,7 +537,12 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     place_degrees = [len(p) - 1 for p in places]
     one = (0,) * len(places)
     units = [one[:t] + (j,) + one[t + 1:] for j in range(max(f[1] for f in frames.values()) + 1)]
-    box = set(box_degrees)
+    key, packed, guard, _ = _packed(frames)
+    box = {key[m] for m in box_degrees}
+    values = {}  # key(m) -> (A(m), P(m), N(m), a_t(m))
+    for m, (a, _) in frames.items():
+        a_t = a[t] if t < len(finite) else 0
+        values[key[m]] = (packed[key[m]], sum(map(mul, a, place_degrees)), sum(a) - a_t, a_t)
 
     @cache
     def poly(v: IVec) -> tuple:
@@ -514,34 +566,50 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
             [p + (0,) * (dim - len(p)) for p in map(poly, rows)], dim)]
 
     def run(degrees, gens, extend):
-        origin = (0,) * d.rank
-        spans = {origin: [one]}  # vectors spanning the products; dim_m of them if full
-        powers = {origin: {0}}  # box pass: the j with t^j among the products
+        spans = {0: [one]}  # vectors spanning the products; dim_m of them if full
+        powers = {0: {0}}  # box pass: the j with t^j among the products
         failed = set()
+        lifts = [(g.degree, key[g.degree], j) + values[key[g.degree]] for g, j in gens]
         for m in degrees:
-            dim = max(frames[m][1] + 1, 0)
-            if extend or m not in box:
-                terms = [(vadd(u, _cofactor_exponents(frames, m, g.degree, r) + pad), r)
-                         for g, u in gens if (r := vsub(m, g.degree)) in spans]
-                if extend:  # b >= 0, so b is a power of t iff its t entry is its sum
-                    powers[m] = {b[t] + j for b, r in terms if b[t] == sum(b) for j in powers[r]}
-                if not _covers([(low := sum(map(mul, b, place_degrees)), low + len(spans[r]))
-                                for b, r in terms if r not in failed], dim):
-                    rows = list(dict.fromkeys(vadd(b, v) for b, r in terms for v in spans[r]))
-                    kept = independent(rows, dim)
+            dim, k = max(frames[m][1] + 1, 0), key[m]
+            if extend or k not in box:
+                top, p_m, n_m, t_m = values[k]
+                top += guard
+                terms = []  # (m_g, j, key(r), b a power of t, b_t)
+                intervals = []  # [deg P_b, deg P_b + dim_r) for r not failed
+                for m_g, k_g, j, a_g, p_g, n_g, t_g in lifts:
+                    if (r := k - k_g) in spans:
+                        a_r, p_r, n_r, t_r = values[r]
+                        if top - a_g - a_r & guard != guard:
+                            _cofactor_exponents(frames, m, m_g, vsub(m, m_g))
+                        terms.append((m_g, j, r, n_m == n_g + n_r, j + t_m - t_g - t_r))
+                        if r not in failed:
+                            low = j + p_m - p_g - p_r
+                            intervals.append((low, low + len(spans[r])))
+                if extend:
+                    powers[k] = {b_t + i for *_, r, power, b_t in terms if power
+                                 for i in powers[r]}
+                if not _covers(intervals, dim):
+                    rows = {}
+                    for m_g, j, r, *_ in terms:
+                        b = vadd(units[j], _cofactor_exponents(frames, m, m_g, vsub(m, m_g)) + pad)
+                        rows.update(dict.fromkeys(vadd(b, v) for v in spans[r]))
+                    kept = independent(list(rows), dim)
                     if len(kept) < dim and not extend:
-                        failed.add(m)
-                        spans[m] = kept
+                        failed.add(k)
+                        spans[k] = kept
                         continue
                     if len(kept) < dim:
                         basis = sections(d.curve, d.support, d.floors(m)).generators
-                        gens.extend((HomogeneousElement(basis[j], m), units[j])
-                                    for j in range(dim) if j not in powers[m])
-                        powers[m] = set(range(dim))
-            spans[m] = units[:dim]
-        return [m for m in degrees if m in failed]
+                        new = [(HomogeneousElement(basis[j], m), j)
+                               for j in range(dim) if j not in powers[k]]
+                        gens.extend(new)
+                        lifts.extend((m, k, j) + values[k] for _, j in new)
+                        powers[k] = set(range(dim))
+            spans[k] = units[:dim]
+        return [m for m in degrees if key[m] in failed]
 
-    gens: list[tuple[HomogeneousElement, IVec]] = []
+    gens: list[tuple[HomogeneousElement, int]] = []  # (gen_m * t^j, j)
     run(box_degrees, gens, extend=True)
     return [g for g, _ in gens], run(degrees, list(gens), extend=False)
 

@@ -16,7 +16,11 @@ h = d (h(m) + l), g = lambda t^u.
 Toric and horizontal terms are :class:`Monomial` triples (c, l, m) for
 c t^l chi^m: their input and multiplier are of that form, so products,
 sums and comparisons are integer and scalar arithmetic, and membership of
-a term is a few integer comparisons on the floors of D(m).  The toric
+a term is a few integer comparisons on the floors of D(m).  The scalar
+lambda and the input's c enter the series as ints when they are integral
+and as Fractions otherwise, so every coefficient of a series with integral
+lambda and c is an int; an int equals and hashes like the same Fraction,
+and :meth:`Monomial.element` reads c as a Fraction.  The toric
 action takes a triple; the horizontal one takes an element and reads it as
 a triple once, and each horizontal expander reads the floors of a degree
 once.  Vertical terms stay :class:`HomogeneousElement`s, because
@@ -139,7 +143,7 @@ def roots_with_ray(cone: Cone, ray: Sequence, box: Sequence[tuple[int, int]]
 class Monomial:
     """The element c t^ell chi^degree, a term of a toric or horizontal expansion."""
 
-    c: Fraction
+    c: int | Fraction
     ell: int
     degree: IVec
 
@@ -162,6 +166,14 @@ class Monomial:
 
 
 Term = Monomial | HomogeneousElement
+
+
+def _coefficient(c) -> int | Fraction:
+    """The rational number c as an int when it is integral, else a Fraction."""
+    if isinstance(c, int):
+        return c
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _monomial(el: Term) -> Monomial | None:
@@ -195,7 +207,7 @@ class ExponentialExpansion:
         their functions per index."""
         products = [(i + j, a * b) for i, a in self.terms for j, b in other.terms]
         if products and isinstance(products[0][1], Monomial):
-            coeffs: dict[tuple, Fraction] = {}
+            coeffs: dict[tuple, int | Fraction] = {}
             for k, t in products:
                 key = (k, t.ell, t.degree)
                 coeffs[key] = coeffs.get(key, 0) + t.c
@@ -273,11 +285,12 @@ def toric_exponential(cone: Cone, root: DemazureRoot, lam, el: Monomial
                       ) -> ExponentialExpansion:
     """Exponential of the homogeneous derivation of a Demazure root on c chi^m
     (c t^l chi^m carries t^l along); the terms are monomials."""
-    lam = Fraction(lam)
+    lam = _coefficient(lam)
     if not lam:
         raise CurveError("the scalar lambda must be nonzero")
     if not cone.dual_contains(el.degree):
         raise OutsideWeightCone(f"{el.degree} is outside the weight cone")
+    el = Monomial(_coefficient(el.c), el.ell, el.degree)
     return _series(el, dot(el.degree, root.distinguished_ray), Monomial(lam, 0, root.vector),
                    lambda term: cone.dual_contains(term.degree))
 
@@ -753,7 +766,8 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
     dd = cd.color_denominator
     u = -Fraction(1, dd) - dot(ca.degree, v0)
     assert u.denominator == 1
-    step = Monomial(ca.scalars[0], int(u), ca.degree)
+    step = Monomial(_coefficient(ca.scalars[0]), int(u), ca.degree)
+    row = tuple(int(dd * a) for a in v0)  # d v0 is integral
     is_member = _monomial_membership(d)
 
     def expand(el: Term) -> ExponentialExpansion:
@@ -764,9 +778,10 @@ def horizontal_expander(ca: CoherentAssemblage) -> Callable[[Term], ExponentialE
             raise ActionError(points_error)
         if start is None:
             raise ActionError("exponentials expect elements of the form c * t^l chi^m")
-        a = dd * (dot(start.degree, v0) + start.ell)
-        assert a == int(a) and a >= 0, a
-        return _series(start, int(a), step, is_member)
+        a = dot(start.degree, row) + dd * start.ell
+        assert a >= 0, a
+        return _series(Monomial(_coefficient(start.c), start.ell, start.degree), a, step,
+                       is_member)
 
     return expand
 

@@ -763,6 +763,15 @@ def obtuse_example():
     return with_default_box(proper_on_p1(Cone.from_rays([(1, 0), (-3, 1)], 2).dual(), {}, (1, 1)))
 
 
+def two_place_example(curve):
+    """Two finite places over A1 or Spec Z on the orthant: the second one's
+    floors take the highest slot of the packed frame."""
+    first, second = {AFFINE_LINE: (Z0, Z1), SPEC_Z: (P2, P3)}[curve]
+    return with_default_box(PolyhedralDivisor.of(curve, SIGMA, {
+        first: Polyhedron.from_vertices_and_tail([(F(1, 2), 0), (0, F(1, 3))], SIGMA),
+        second: Polyhedron.from_vertices_and_tail([(F(-1, 2), F(1, 2))], SIGMA)}))
+
+
 def count_calls(monkeypatch, name):
     calls = []
     real = getattr(divisors, name)
@@ -830,7 +839,8 @@ class TestGeneratorsAgainstProductRoute:
 
     def test_ex346_doubled_pass_makes_no_rank_test(self, monkeypatch):
         """Every degree of ex346's doubled pass is spanned by intervals of
-        powers of t, so none is reduced modulo the prime."""
+        powers of t, so none is reduced modulo the prime, and every product
+        is read off the packed frame: no cofactor vector is built."""
         d, box = with_default_box(example_346_divisor())
         weight = divisors._interior_weight(d.weight_cone)
         box_degrees = divisors._box_degrees(d, box, weight)
@@ -838,10 +848,12 @@ class TestGeneratorsAgainstProductRoute:
         degrees = divisors._box_degrees(d, hull, weight)
         frames = divisors._frames(d, degrees + [(0, 0)])
         calls = count_calls(monkeypatch, "_raises_rank")
+        cofactors = count_calls(monkeypatch, "_cofactor_exponents")
         divisors._run_projective(d, frames, box_degrees, [])
-        box_pass = len(calls)
+        box_pass = len(calls), len(cofactors)
+        del calls[:], cofactors[:]  # the box pass runs again below
         assert divisors._run_projective(d, frames, box_degrees, degrees)[1] == []
-        assert len(degrees) > 1000 and len(calls) == box_pass
+        assert len(degrees) > 1000 and (len(calls), len(cofactors)) == box_pass
 
     def test_echelon_fills_a_gap_the_intervals_leave(self, monkeypatch):
         """At m = 4 of :func:`gap_example` (dim 4) the two generators at 2
@@ -860,7 +872,12 @@ class TestGeneratorsAgainstProductRoute:
         # only and is spanned by intervals
         (lambda: with_default_box(example_346_divisor()), (37, 0), 1),
         # the piece at 4 is decided by the echelon
-        (gap_example, (4,), 0)], ids=["interval", "echelon"])
+        (gap_example, (4,), 0),
+        # (1, 1) = (1, 0) + (0, 1) in the box pass; the negative entry sits
+        # in the highest of the two slots
+        (lambda: two_place_example(AFFINE_LINE), (1, 1), 1),
+        (lambda: two_place_example(SPEC_Z), (1, 1), 1)],
+        ids=["interval", "echelon", "A1", "Spec Z"])
     def test_non_superadditive_frame_raises(self, monkeypatch, example, m, place):
         d, box = example()
         real = divisors._frames
@@ -943,3 +960,78 @@ class TestAffineGeneratorsAgainstDivisorRoute:
         assert divisors._run_affine(d, frames, degrees, list(gens), extend=False) == []
         missing = divisors._run_affine(d, frames, degrees, rest, extend=False)
         assert missing[0] == dropped.degree
+
+
+# -- the packed frame: slot widths, the reached bit, no finite place --------------
+
+class TestPackedFrames:
+    """Generator passes read each product off one int per degree: a slot
+    per finite place, wide enough for 3 max |a| plus a guard bit."""
+
+    @staticmethod
+    def rank_one(curve):
+        tail = Cone.from_rays([(1,)], 1)
+        return PolyhedralDivisor.of(curve, tail, {
+            Z0 if curve is AFFINE_LINE else P2: Polyhedron.from_vertices_and_tail([(F(1, 2),)], tail)})
+
+    @pytest.mark.parametrize("curve", [AFFINE_LINE, SPEC_Z], ids=["A1", "Spec Z"])
+    def test_a_cofactor_at_the_slot_limit(self, curve):
+        """Floors a(1) = -21 and a(2) = 21, set by hand: the product of the
+        generator at 1 with itself is gen_2 times the place to
+        21 + 21 + 21 = 63 = 3 max |a|, the most a 7-bit slot under its guard
+        bit holds.  It is not 0, so a generator is added at 2; a slot one bit
+        narrower would carry it into the guard and read it as 0."""
+        d = self.rank_one(curve)
+        frames = {(0,): ((0,), 0), (1,): ((-21,), 0), (2,): ((21,), 0)}
+        gens = divisors._degree_zero_generators(d.curve, 1)
+        assert divisors._run_affine(d, frames, [(1,), (2,)], gens, extend=True) == []
+        assert [g.degree for g in gens if any(g.degree)] == [(1,), (2,)]
+
+    @pytest.mark.parametrize("curve", [AFFINE_LINE, SPEC_Z], ids=["A1", "Spec Z"])
+    def test_a_cofactor_of_minus_the_slot_limit_raises(self, curve):
+        """Floors a(1) = 21 and a(2) = -21: the cofactor exponent of the
+        generator at 1 times itself is -63, which a slot one bit narrower
+        would wrap past its guard bit."""
+        d = self.rank_one(curve)
+        frames = {(0,): ((0,), 0), (1,): ((21,), 0), (2,): ((-21,), 0)}
+        gens = divisors._degree_zero_generators(d.curve, 1)
+        with pytest.raises(divisors.DivisorError, match="superadditive"):
+            divisors._run_affine(d, frames, [(1,), (2,)], gens, extend=True)
+
+    @pytest.mark.parametrize("curve", [AFFINE_LINE, SPEC_Z, PROJECTIVE_LINE],
+                             ids=["A1", "Spec Z", "P1"])
+    def test_large_vertex_coordinates(self, curve):
+        """Floors in the hundreds.  Over A1 and Spec Z the segment at the
+        first place gives cofactor exponents up to 187, several slots wide;
+        on P1 the places are t and t^2 + 1 with floors up to 702."""
+        first, second = {AFFINE_LINE: (Z0, Z1), SPEC_Z: (P2, P3),
+                         PROJECTIVE_LINE: (Z0, BasePoint.finite((1, 0, 1)))}[curve]
+        if curve is PROJECTIVE_LINE:
+            coeffs = {first: [(-40, F(-37, 2))], second: [(F(-25, 6), 25)], INF: [(49, -30)]}
+        else:
+            coeffs = {first: [(F(-41, 2), F(83, 2)), (F(83, 2), F(-41, 2))],
+                      second: [(F(-62, 3), F(125, 3))]}
+        d = PolyhedralDivisor.of(curve, SIGMA, {
+            z: Polyhedron.from_vertices_and_tail(v, SIGMA) for z, v in coeffs.items()})
+        d, box = with_default_box(d)
+        report = bounded_generators(d, box)
+        oracle = oracles.generators_by_products if curve is PROJECTIVE_LINE \
+            else oracles.bounded_generators
+        assert report == oracle(d, box)
+        assert len(report.generators) > 5
+
+    @pytest.mark.parametrize("curve, coeffs", [
+        (AFFINE_LINE, {}), (SPEC_Z, {}), (PROJECTIVE_LINE, {INF: [(1, 1)]})],
+        ids=["A1", "Spec Z", "P1 at infinity"])
+    def test_no_finite_place(self, curve, coeffs):
+        """With no finite place the packed frame has no slot: only the bit
+        above the slots tells a degree some product reaches from one no
+        product reaches, which needs a generator of its own."""
+        d = PolyhedralDivisor.of(curve, SIGMA, {
+            z: Polyhedron.from_vertices_and_tail(v, SIGMA) for z, v in coeffs.items()})
+        d, box = with_default_box(d)
+        report = bounded_generators(d, box)
+        assert report == oracles.bounded_generators(d, box)
+        assert any(any(g.degree) for g in report.generators)
+        if curve is PROJECTIVE_LINE:
+            assert report == oracles.generators_by_products(d, box)

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import os
 import random
@@ -9,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polydiv import serialize
+from polydiv import cli, serialize
 from polydiv.convex import Cone, GeometryError, Polyhedron
 from polydiv.curves import (
     AFFINE_LINE,
@@ -911,6 +914,42 @@ class TestMonomialType:
         el = HomogeneousElement(RationalFunction.from_factored(2, {(0, 1): 1}), (1, 0))
         assert term.same_as(el) and term.same_as(term) and el.same_as(term.element())
         assert not term.scaled(3).same_as(el) and not term.scaled(3).same_as(term)
+
+
+class TestIntCoefficients:
+    """An integral lambda and c keep every toric and horizontal coefficient an
+    int; the terms are the ones the Fraction loops build."""
+
+    def test_toric_terms_are_ints(self):
+        root = is_demazure_root(SIGMA, (-1, 1))
+        exp = toric_exponential(SIGMA, root, F(2), chi((4, 1), 3))
+        assert [type(el.c) for _, el in exp.terms] == [int] * 5
+        assert exp.same_as(toric_by_terms(SIGMA, root, F(2), chi((4, 1), 3)))
+
+    def test_horizontal_terms_are_ints(self):
+        ca = half_assemblage(Z0)  # lambda = 1, kept as Fraction(1)
+        el = HomogeneousElement(RationalFunction.variable(2).scaled(3), (1,))
+        exp = horizontal_expander(ca)(el)
+        assert len(exp.terms) > 2 and all(type(t.c) is int for _, t in exp.terms)
+        assert exp.same_as(horizontal_by_terms(ca, el))
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["toric-exp", "--input", "ex346.json", "--object", "gens", "--e=-1,1", "--m", "7,0",
+          "--scalar", "1/2"], "7eea5c69b1d5eb43cf57562cbcf3d3aac390265e896c845a855bba7f7800604f"),
+        (["toric-exp", "--input", "hnorm_a1.json", "--object", "divisor", "--e=-1", "--m", "3",
+          "--scalar=-3/2"], "0c01e58d0d34d1d95808b218c062cb61ca2c16568f88202bf09b9c222fd93175"),
+        (["axiom-check", "--input", "ex345.json", "--object", "divisor", "--e=0,-1",
+          "--scalar", "1/2"], "5a17fa658daf30b5f5c9ae844853bb464efc9c7aeefb419a13cdaa5d0176c1c8"),
+    ], ids=["toric-exp-ex346", "toric-exp-hnorm", "axiom-check-ex345"])
+    def test_fractional_scalar_prints_as_before(self, argv, digest):
+        """A non-integral lambda stays a Fraction: the sha256 of the --json
+        output is the one recorded when every coefficient was a Fraction."""
+        fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+        argv = [os.path.join(fixtures, a) if a.endswith(".json") else a for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv + ["--json"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 class TestAxioms:
