@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 schema/usage error or invalid problem file, 2 failed
 mathematical precondition of a command (the error class name is reported).
+
+An argv that starts with a command name is parsed by that command's parser
+alone, exactly as the top-level parser would parse it (:func:`_parse`); the
+top-level parser runs only for help and for a missing or unknown command.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import os
 import random
 import sys
 import warnings
+from gettext import gettext
 
 from . import serialize as ser
 from .convex import hilbert_basis
@@ -449,8 +454,8 @@ ARGUMENTS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand; built once, it depends only on the
-    constant tables COMMANDS, COMMON and ARGUMENTS."""
+    """The top-level parser, each subcommand's parser in ``commands``; built
+    once, it depends only on the constant tables COMMANDS, COMMON and ARGUMENTS."""
     parser = argparse.ArgumentParser(
         prog="polydiv",
         description="exact computations with polyhedral divisors")
@@ -459,7 +464,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, spec in COMMON + ARGUMENTS.get(name, ()):
             p.add_argument(flag, **spec)
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, the same Namespace, output and exit,
+    from the named command's parser; the top-level one reports what it leaves."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    return args
 
 
 def _is_flat(value) -> bool:
@@ -488,7 +507,7 @@ def _print_human(doc, indent=0):
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as stop:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if stop.code else 0
     handler, _ = COMMANDS[args.command]

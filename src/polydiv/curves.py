@@ -26,6 +26,7 @@ zero entries change nothing, and the entry at infinity is read only on P1.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -77,9 +78,12 @@ class BasePoint:
     poly: Poly = ()
     prime: int = 0
 
+    @functools.cached_property
+    def _order(self) -> tuple:
+        return self.kind, monic(self.poly), self.prime
+
     def __lt__(self, other: "BasePoint") -> bool:
-        return (self.kind, monic(self.poly), self.prime) < \
-            (other.kind, monic(other.poly), other.prime)
+        return self._order < other._order
 
     @staticmethod
     def finite(coeffs: Iterable) -> "BasePoint":

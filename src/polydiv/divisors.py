@@ -53,7 +53,6 @@ from .linalg import (
     primitive,
     spans_lattice,
     vadd,
-    vscale,
     vsub,
 )
 
@@ -191,12 +190,15 @@ def evaluate(d: PolyhedralDivisor, m: Sequence) -> Divisor:
 
 
 def degree_polyhedron(d: PolyhedralDivisor) -> Polyhedron:
-    """Residue-degree weighted Minkowski sum of the coefficients, on any base."""
+    """Residue-degree weighted Minkowski sum of the coefficients, on any base,
+    on vertex rays in integers: (a, k) + deg z * (b, l) = (l*a + deg z * k*b, k*l),
+    each place's sums pruned to the vertices by one conversion."""
     total = Polyhedron.cone_as_polyhedron(d.tail)
+    tail = [r + (0,) for r in d.tail.rays]
     for z, poly in d.coefficients:  # every coefficient has the tail d.tail
-        total = Polyhedron.from_vertices_and_tail(
-            [vadd(a, vscale(z.degree, b)) for a in total.vertices for b in poly.vertices],
-            d.tail)
+        sums = [tuple(l * x + z.degree * k * y for x, y in zip(a, b)) + (k * l,)
+                for a, k in total.vertex_rays for b, l in poly.vertex_rays]
+        total = Polyhedron(Cone.from_rays(sums + tail, d.rank + 1), d.tail)
     return total
 
 
@@ -207,16 +209,16 @@ def is_proper(d: PolyhedralDivisor) -> tuple[bool, str]:
     is strict containment of the degree polyhedron in the tail cone, which
     on a genus-zero base already covers the boundary principality clause;
     strictness is equivalent to the origin not lying in the degree
-    polyhedron.
+    polyhedron.  Both read integers: the vertex rays and the rows.
     """
     if d.curve.is_affine:
         return True, "affine base"
     deg = degree_polyhedron(d)
-    for v in deg.vertices:
-        if not d.tail.contains(v):
-            return False, f"degree polyhedron vertex {tuple(map(str, v))} outside the tail cone"
-    origin = tuple(Fraction(0) for _ in range(d.rank))
-    if deg.contains(origin):
+    outside = [(kv, k) for kv, k in deg.vertex_rays if not d.tail.contains(kv)]
+    if outside:
+        v = min(tuple(Fraction(a, k) for a in kv) for kv, k in outside)
+        return False, f"degree polyhedron vertex {tuple(map(str, v))} outside the tail cone"
+    if deg.contains((0,) * d.rank):
         return False, "origin lies in the degree polyhedron (containment not strict)"
     return True, "origin separates: deg strictly contained in the tail cone"
 
@@ -342,7 +344,7 @@ def bounded_generators(d: PolyhedralDivisor,
     nothing, reports the degrees it misses as a saturation signal.
 
     Both passes compute on one integer frame per degree (:func:`_frames`),
-    built once for the degrees of that hull and 0.  A pass packs the frames
+    built once for the degrees of that hull and 0, and packed once
     (:func:`_packed`): a degree is one int, and so are its floors a(m), a
     signed slot per finite place, so the cofactor of a product is a few int
     subtractions and its sign one mask.  Over A1 and Spec Z a degree keeps
@@ -372,9 +374,9 @@ def bounded_generators(d: PolyhedralDivisor,
     box_degrees = [m for m in degrees if all(lo <= a <= hi for a, (lo, hi) in zip(m, box))]
     frames = _frames(d, degrees + [(0,) * n])
     if d.curve.is_affine:
-        gens = _degree_zero_generators(d.curve, n)
-        _run_affine(d, frames, box_degrees, gens, extend=True)
-        missing = _run_affine(d, frames, degrees, list(gens), extend=False)
+        gens, packing = _degree_zero_generators(d.curve, n), _packed(frames)
+        _run_affine(d, frames, packing, box_degrees, gens, extend=True)
+        missing = _run_affine(d, frames, packing, degrees, list(gens), extend=False)
     else:
         gens, missing = _run_projective(d, frames, box_degrees, degrees)
     return GeneratorReport(
@@ -440,7 +442,7 @@ def _cofactor_exponents(frames, m: IVec, m_g: IVec, rest: IVec) -> IVec:
     return exps
 
 
-def _run_affine(d: PolyhedralDivisor, frames, degrees, gens, extend):
+def _run_affine(d: PolyhedralDivisor, frames, packing, degrees, gens, extend):
     """One pass of :func:`bounded_generators` over a PID base (A1, Spec Z).
 
     The piece at m is the free module gen_m * Q[t] (gen_m * Z), and every
@@ -461,7 +463,7 @@ def _run_affine(d: PolyhedralDivisor, frames, degrees, gens, extend):
     never finds its own degree reached, so it is skipped.  A degree that
     fails in the doubled pass is not reused.
     """
-    key, packed, guard, ones = _packed(frames)
+    key, packed, guard, ones = packing
     reached = 1 << guard.bit_length()  # above the slots; 1 with no finite place
     full = {0}  # keys of the full degrees
     lifts = [(g.degree, key[g.degree], packed[key[g.degree]]) for g in gens]

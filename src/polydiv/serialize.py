@@ -3,8 +3,13 @@
 Rationals travel as "p/q" strings, polynomials as ascending coefficient
 arrays, points as {"poly": [...]}, "infinity" or {"prime": p}.  Parsing is
 strict: unknown fields are rejected, and every error carries the path of
-the offending field.  Serialization is deterministic (sorted keys,
-canonical rational strings), so fixtures can be compared byte for byte.
+the offending field.  Serialization is deterministic, so fixtures can be
+compared byte for byte: the canonical text is ``json.dumps(doc,
+sort_keys=True, indent=2)`` and a newline, written in one recursive pass
+(strings escaped by ``json.encoder.encode_basestring_ascii``, ints by
+``int.__repr__``, rationals as canonical strings).  It writes only dicts
+with str keys, lists, tuples, strs, ints, bools and None, by exact type;
+any other value (a float, a ``Fraction``, a subclass) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -391,4 +397,30 @@ def _parse_text(text: str) -> ProblemFile:
 
 
 def dump_canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The canonical text of ``doc`` (see the module docstring)."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, pad: str) -> str:
+    """``value`` as canonical JSON; ``pad`` is a newline and the enclosing indent."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_encode(v, inner) for v in value])}{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # a key that is not a str fails in sorted or in encode_basestring_ascii
+        items = [f"{encode_basestring_ascii(k)}: {_encode(value[k], inner)}" for k in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"{kind.__name__} has no canonical JSON form")

@@ -93,6 +93,13 @@ the route of ``linalg.integer_kernel_basis`` before it read the HNF of
 [A^T | I]: integer column elimination with unimodular bookkeeping, the free
 columns canonicalized by HNF.
 
+The rational degree-polyhedron oracles :func:`degree_polyhedron_by_fractions`
+and :func:`is_proper_by_fractions` are the routes of
+``divisors.degree_polyhedron`` and ``divisors.is_proper`` before they summed
+vertex rays in integers: the running total's :class:`Fraction` vertices plus
+each coefficient's, scaled by the place's degree, and properness tested on
+those vertices and on the origin as a :class:`Fraction` point.
+
 The expansion oracles :func:`toric_by_terms`, :func:`vertical_by_terms` and
 :func:`horizontal_by_terms` are the routes the three additive-group actions
 took before they shared ``gaactions._series``: each builds the coefficient of
@@ -827,6 +834,31 @@ def degree_polyhedron_by_dilates(d: PolyhedralDivisor) -> Polyhedron:
     for z, poly in d.coefficients:
         total = minkowski_sum(total, dilate(poly, z.degree))
     return total
+
+
+def degree_polyhedron_by_fractions(d: PolyhedralDivisor) -> Polyhedron:
+    """The tail plus each coefficient's vertices scaled by its place's degree,
+    summed as :class:`Fraction` vertices."""
+    total = Polyhedron.cone_as_polyhedron(d.tail)
+    for z, poly in d.coefficients:
+        total = Polyhedron.from_vertices_and_tail(
+            [vadd(a, vscale(z.degree, b)) for a in total.vertices for b in poly.vertices],
+            d.tail)
+    return total
+
+
+def is_proper_by_fractions(d: PolyhedralDivisor) -> tuple[bool, str]:
+    """``divisors.is_proper`` on the :class:`Fraction` vertices of
+    :func:`degree_polyhedron_by_fractions`."""
+    if d.curve.is_affine:
+        return True, "affine base"
+    deg = degree_polyhedron_by_fractions(d)
+    for v in deg.vertices:
+        if not d.tail.contains(v):
+            return False, f"degree polyhedron vertex {tuple(map(str, v))} outside the tail cone"
+    if deg.contains(tuple(Fraction(0) for _ in range(d.rank))):
+        return False, "origin lies in the degree polyhedron (containment not strict)"
+    return True, "origin separates: deg strictly contained in the tail cone"
 
 
 def vertical_exists_by_feasibility(d: PolyhedralDivisor, ray) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiv import gaactions, serialize as ser
+from polydiv import cli, gaactions, serialize as ser
 from polydiv.cli import main
 from polydiv.curves import PROJECTIVE_LINE
 
@@ -29,6 +31,24 @@ def run_capture(capsys, *argv):
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
+
+
+# argvs that end in a usage error, by the argument at fault
+USAGE_ERRORS = {
+    "e": ["closure-piece", "--input", "ex345.json", "--object", "ideal", "--m", "2,2",
+          "--e", "x"],
+    "dmax": ["oracle", "--input", "i33.json", "--object", "ideal", "--m", "1,1", "--dmax=1.5"],
+    "samples": ["axiom-check", "--input", "ex345.json", "--object", "divisor", "--samples=x"],
+    "seed": ["axiom-check", "--input", "ex345.json", "--object", "divisor", "--seed=1/2"],
+    "box": ["horizontal-check", "--input", "ex5617.json", "--exhaustive-box="],
+    "missing": ["eval", "--input", "ex345.json", "--object", "divisor"],
+    "command": ["no-such-command"],
+    "no-command": [],
+    "unknown-option": ["eval", "--input", "ex345.json", "--object", "divisor", "--m", "1,1",
+                       "--bogus"],
+    "stray": ["eval", "--input", "ex345.json", "stray", "--object", "divisor", "--m", "1,1"],
+}
+HELP = [["--help"], ["toric-exp", "--help"], ["eval", "-h"]]
 
 
 class TestParsing:
@@ -281,6 +301,45 @@ ARGUMENT_CASES = [
 ]
 
 
+with open(os.path.join(os.path.dirname(__file__), "..", "bench", "golden", "fixtures.json")) as fh:
+    GOLDEN_ARGVS = [record["argv"] + ["--json"] for record in json.load(fh)]
+
+
+def parse_outcome(parse, argv):
+    """The Namespace ``parse(argv)`` returns, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as stop:
+            result = stop.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """``main`` parses an argv with the named command's parser alone; the
+    answer must be the top-level parser's, on every argv."""
+
+    EDGES = [["--json", "eval", "--input", "ex345.json"], ["eval", "--", "x"],
+             ["eval", "--input", "x", "--", "--m", "1"], ["--"], ["-x"], ["ev"],
+             ["generators", "--input", "x", "-h", "--bogus"],
+             ["eval", "--inp=x", "--m", "1,2", "--m", "3", "a", "b"]]
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()) + HELP + EDGES + GOLDEN_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_same_as_the_top_level_parser(self, argv):
+        assert parse_outcome(cli._parse, argv) == \
+            parse_outcome(cli._build_parser().parse_args, argv)
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        """The console script calls ``main()`` with no argv."""
+        argv = ["eval", "--input", "ex345.json", "--object", "divisor", "--m", "1,1", "--json"]
+        expected = run_capture(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["polydiv"] + argv)
+        assert main() == 0
+        assert (0,) + capsys.readouterr() == expected
+
+
 class TestExitCodes:
     def test_schema_error_is_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -398,21 +457,13 @@ class TestExitCodes:
                                    "--object", "assemblage", "--exhaustive-box=0", "--json")
         assert code == 0 and json.loads(out)["result"]["all_pass"]
 
-    @pytest.mark.parametrize("argv", [
-        ["closure-piece", "--input", "ex345.json", "--object", "ideal", "--m", "2,2",
-         "--e", "x"],
-        ["oracle", "--input", "i33.json", "--object", "ideal", "--m", "1,1", "--dmax=1.5"],
-        ["axiom-check", "--input", "ex345.json", "--object", "divisor", "--samples=x"],
-        ["axiom-check", "--input", "ex345.json", "--object", "divisor", "--seed=1/2"],
-        ["horizontal-check", "--input", "ex5617.json", "--exhaustive-box="],
-        ["eval", "--input", "ex345.json", "--object", "divisor"],
-        ["no-such-command"]], ids=["e", "dmax", "samples", "seed", "box", "missing", "command"])
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
     def test_usage_error_is_one(self, capsys, argv):
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("usage: polydiv") and "error: " in err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["toric-exp", "--help"]])
+    @pytest.mark.parametrize("argv", HELP)
     def test_help_is_zero(self, capsys, argv):
         code, out, err = run_capture(capsys, *argv)
         assert (code, err) == (0, "") and out.startswith("usage: polydiv")

@@ -1,11 +1,12 @@
 import functools
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polydiv import polynomials as up, serialize
+from polydiv import curves, polynomials as up, serialize
 from polydiv.curves import (
     AFFINE_LINE,
     PROJECTIVE_LINE,
@@ -256,6 +257,33 @@ class TestIsPrincipal:
     def test_wrong_curve(self):
         with pytest.raises(WrongCurve):
             is_principal(Divisor.of(AFFINE_LINE, {Z0: 1}))
+
+
+# fresh points on every draw, so that no order key is already cached:
+# 2t + 1, 3t - 2, t^2 + 1, 2t^2 + 3, t - 1/2, t, infinity and three primes
+POINT_MAKERS = [lambda: BasePoint.finite((1, 2)), lambda: BasePoint.finite((-2, 3)),
+                lambda: BasePoint.finite((1, 0, 1)), lambda: BasePoint.finite((3, 0, 2)),
+                lambda: BasePoint.rational(F(1, 2)), lambda: BasePoint.rational(0),
+                BasePoint.infinity, lambda: BasePoint.of_prime(2),
+                lambda: BasePoint.of_prime(3), lambda: BasePoint.of_prime(7)]
+POINTS = st.lists(st.sampled_from(POINT_MAKERS).map(lambda make: make()), max_size=12)
+
+
+class TestPointOrder:
+    @given(POINTS)
+    def test_points_sort_by_kind_then_monic_polynomial_then_prime(self, points):
+        """Sorting compares keys computed once per point, so ``sorted`` of N
+        points calls ``monic`` at most N times."""
+        calls, monic = [], curves.monic
+
+        def counted(p):
+            calls.append(p)
+            return monic(p)
+
+        with mock.patch.object(curves, "monic", counted):
+            ordered = sorted(points)
+        assert len(calls) <= len(points)
+        assert ordered == sorted(points, key=lambda z: (z.kind, curves.monic(z.poly), z.prime))
 
 
 class TestPointValidation:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -241,6 +242,28 @@ def random_divisor(rng):
         for z in rng.sample(places, rng.randint(0, min(4, len(places))))})
 
 
+# t, t^2 + 1 and t^3 + 2; on P1 also infinity, and the primes 2, 3, 5 on Spec Z
+RESIDUE_PLACES = [BasePoint.rational(0), BasePoint.finite((1, 0, 1)),
+                  BasePoint.finite((2, 0, 0, 1))]
+
+
+def random_divisor_with_residue_degrees(rng):
+    """A divisor of rank 1-3 over A1, P1 or Spec Z with 0-3 places, each with
+    1-3 rational vertices; the tail is pointed and may be lower-dimensional."""
+    curve = rng.choice([AFFINE_LINE, PROJECTIVE_LINE, SPEC_Z])
+    n = rng.randint(1, 3)
+    rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+    tail = Cone.from_rays(rays, n)
+    if not tail.is_pointed:
+        tail = Cone.from_rays([tuple(map(abs, r)) for r in rays], n)
+    places = {AFFINE_LINE: RESIDUE_PLACES, PROJECTIVE_LINE: RESIDUE_PLACES + [INF],
+              SPEC_Z: [P2, P3, BasePoint.of_prime(5)]}[curve]
+    return PolyhedralDivisor.of(curve, tail, {z: Polyhedron.from_vertices_and_tail(
+        [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+         for _ in range(rng.randint(1, 3))], tail)
+        for z in rng.sample(places, rng.randint(0, 3))})
+
+
 class TestDegreeAndProper:
     def test_degree_polyhedron_345(self):
         deg = degree_polyhedron(example_345_divisor())
@@ -263,6 +286,24 @@ class TestDegreeAndProper:
             degree_two += any(z.degree == 2 and p != Polyhedron.cone_as_polyhedron(d.tail)
                               for z, p in d.coefficients)
         assert degree_two > 100
+
+    def test_integer_sums_match_fractions_on_places_of_degree_two_and_three(self):
+        """Vertex rays summed in integers give the polyhedron and the
+        properness certificate of the Fraction route, on A1, P1 and Spec Z,
+        with t^2 + 1 and t^3 + 2 among the places."""
+        rng = random.Random(35)
+        seen = collections.Counter()
+        for _ in range(300):
+            d = random_divisor_with_residue_degrees(rng)
+            assert degree_polyhedron(d) == oracles.degree_polyhedron_by_fractions(d), d
+            ok, cert = is_proper(d)
+            assert (ok, cert) == oracles.is_proper_by_fractions(d), d
+            seen[d.curve, ok, cert[:6]] += 1
+            seen["degree", max((z.degree for z, _ in d.coefficients), default=0)] += 1
+        assert all(seen[key] >= 5 for key in [
+            (AFFINE_LINE, True, "affine"), (SPEC_Z, True, "affine"),
+            (PROJECTIVE_LINE, False, "degree"), (PROJECTIVE_LINE, False, "origin"),
+            (PROJECTIVE_LINE, True, "origin"), ("degree", 2), ("degree", 3)]), seen
 
     def test_zero_divisor_degree_is_tail(self):
         d = PolyhedralDivisor.of(PROJECTIVE_LINE, SIGMA, {})
@@ -957,8 +998,9 @@ class TestAffineGeneratorsAgainstDivisorRoute:
         degrees = divisors._box_degrees(d, box, divisors._interior_weight(d.weight_cone))
         frames = divisors._frames(d, degrees + [(0, 0)])
         rest = [g for g in gens if g is not dropped]
-        assert divisors._run_affine(d, frames, degrees, list(gens), extend=False) == []
-        missing = divisors._run_affine(d, frames, degrees, rest, extend=False)
+        packing = divisors._packed(frames)
+        assert divisors._run_affine(d, frames, packing, degrees, list(gens), extend=False) == []
+        missing = divisors._run_affine(d, frames, packing, degrees, rest, extend=False)
         assert missing[0] == dropped.degree
 
 
@@ -967,6 +1009,21 @@ class TestAffineGeneratorsAgainstDivisorRoute:
 class TestPackedFrames:
     """Generator passes read each product off one int per degree: a slot
     per finite place, wide enough for 3 max |a| plus a guard bit."""
+
+    @pytest.mark.parametrize("d", [hnorm_a1_divisor(), example_445_divisor()],
+                             ids=["A1", "Spec Z"])
+    def test_both_affine_passes_share_one_packing(self, monkeypatch, d):
+        calls = []
+
+        def counted(frames):
+            calls.append(len(frames))
+            return packed(frames)
+
+        packed = divisors._packed
+        expected = bounded_generators(d)
+        monkeypatch.setattr(divisors, "_packed", counted)
+        assert bounded_generators(d) == expected
+        assert len(calls) == 1
 
     @staticmethod
     def rank_one(curve):
@@ -984,7 +1041,8 @@ class TestPackedFrames:
         d = self.rank_one(curve)
         frames = {(0,): ((0,), 0), (1,): ((-21,), 0), (2,): ((21,), 0)}
         gens = divisors._degree_zero_generators(d.curve, 1)
-        assert divisors._run_affine(d, frames, [(1,), (2,)], gens, extend=True) == []
+        packing = divisors._packed(frames)
+        assert divisors._run_affine(d, frames, packing, [(1,), (2,)], gens, extend=True) == []
         assert [g.degree for g in gens if any(g.degree)] == [(1,), (2,)]
 
     @pytest.mark.parametrize("curve", [AFFINE_LINE, SPEC_Z], ids=["A1", "Spec Z"])
@@ -996,7 +1054,8 @@ class TestPackedFrames:
         frames = {(0,): ((0,), 0), (1,): ((21,), 0), (2,): ((-21,), 0)}
         gens = divisors._degree_zero_generators(d.curve, 1)
         with pytest.raises(divisors.DivisorError, match="superadditive"):
-            divisors._run_affine(d, frames, [(1,), (2,)], gens, extend=True)
+            divisors._run_affine(d, frames, divisors._packed(frames), [(1,), (2,)], gens,
+                                 extend=True)
 
     @pytest.mark.parametrize("curve", [AFFINE_LINE, SPEC_Z, PROJECTIVE_LINE],
                              ids=["A1", "Spec Z", "P1"])

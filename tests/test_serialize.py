@@ -1,4 +1,5 @@
-"""Parsed problems are shared within a process.
+"""Parsed problems are shared within a process, and results are written in
+one canonical text.
 
 ``serialize.load_problem`` parses a file content once and hands the same
 read-only ``ProblemFile`` to every later load of it; ``cli`` normalizes each
@@ -6,13 +7,18 @@ generators object of a parsed problem once.  These tests check that the
 sharing never shows: a rewritten file gives its new answer, errors carry the
 caller's own path and are raised on every call, a memoized normalization
 still warns, and a second identical call does no parsing or normalizing.
+
+``serialize.dump_canonical`` writes its own text; the oracle it must match
+byte for byte is ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
 """
 
 import json
 import os
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polydiv import cli, divisors, serialize as ser
 
@@ -127,3 +133,35 @@ def test_a_repeated_call_parses_and_normalizes_nothing(capsys, monkeypatch, tmp_
     assert counts == {"parse": 1, "normalize": 1}
     assert run_json(capsys, *argv) == first
     assert counts == {"parse": 1, "normalize": 1}
+
+
+def dumps_oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# strings with non-ASCII, astral and control characters, quotes and backslashes
+TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\x7f\u2028/'))
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2 ** 64 - 2, max_value=2 ** 200) | st.just(-2 ** 64) | TEXT)
+DOCUMENTS = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4)), max_leaves=30)
+
+
+@given(DOCUMENTS)
+def test_canonical_text_is_sorted_indented_json(doc):
+    assert ser.dump_canonical(doc) == dumps_oracle(doc)
+
+
+def test_canonical_text_of_empty_containers():
+    doc = {"a": [], "b": {}, "c": (), "d": [[], {}, [()]]}
+    assert ser.dump_canonical(doc) == dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [1.5, {"x": [0.0]}, [Fraction(1, 2)], {1: "a"}, {None: 1},
+                                 {"a": 1, 2: "b"}, {"s": {1, 2}}],
+                         ids=["float", "nested float", "Fraction", "int key", "None key",
+                              "mixed keys", "set"])
+def test_canonical_text_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        ser.dump_canonical(doc)
