@@ -19,11 +19,11 @@ Its result depends only on the set of primitive generators, so it is
 memoised on that canonical input.  Hilbert
 bases follow the primal algorithm of Normaliz (Bruns & Ichim, J. Algebra
 2010): a triangulation on the ray-facet incidence, the fundamental
-parallelepiped of each simplex walked as a group in packed integers, one
-int per point and one addition a step, with no HNF; a reduction inside
-each simplex on its numerators, then one over the whole cone on its
-support forms, both one guard test on packed keys, in which an element is
-compared only with the kept ones of at most half its degree.  Normality of
+parallelepiped of each simplex walked as a group in ints packed by the one
+codec, :func:`linalg.slots`, one addition a step, with no HNF; a reduction
+inside each simplex on its numerators, then one over the whole cone on its
+support forms, both one guard test, in which an element is compared only
+with the kept ones of at most half its degree.  Normality of
 a lattice polyhedron P (every lattice point of e*P a sum of e of P's) is
 split-tested on the minimal lattice points of e*P, as Normaliz does; they
 are enumerated on P's own integer rows read as (a, e*c), in a box of integer
@@ -52,6 +52,7 @@ from .linalg import (
     is_zero_vector,
     primitive,
     saturated_span_basis,
+    slots,
     vscale,
     vsub,
 )
@@ -261,23 +262,17 @@ def _pulled(face: int, dim: int, facets: list[int]) -> list[list[int]]:
             for piece in _pulled(f, dim - 1, facets)]
 
 
-def _guard(width: int, count: int) -> int:
-    """The top bits of ``count`` slots of ``width`` bits, slot i at bit width * i."""
-    return sum(1 << width * i + width - 1 for i in range(count))
-
-
-def _parallelepiped(rays: Sequence[IVec]) -> tuple[int, int, list[tuple[int, int]]]:
-    """(|det R|, w, [(degree, packed)]) for the lattice points of
+def _parallelepiped(rays: Sequence[IVec]) -> tuple[int, IVec, int, list[tuple[int, int]]]:
+    """(|det R|, units, guard, [(degree, packed)]) for the lattice points of
     {sum l_i r_i : 0 <= l_i < 1}, rays independent (see :func:`hilbert_basis`).
 
-    Numerator a_i = l_i |det R| is stored as a_i + 2^(w-1) - |det R| in the
-    slot of w = |det R|.bit_length() + 1 bits at bit w * i, whose top bit is
-    set exactly when a_i reaches |det R|; the degree is sum a_i.  Basis
-    vector b_j of the saturated span lattice adds row j of adj(R) / det R,
-    mod 1, to the coefficients: one addition of ``step``, then each wrapped
-    slot, and the degree for each, loses |det R|.  The index search stops
-    after |det R| over the number of points walked, so that a broken
-    invariant gives a wrong count, not a hang."""
+    Numerators a_i = l_i |det R| are packed by :func:`linalg.slots` with
+    bound |det R|, less |det R| in each slot, whose guard bit is then set iff
+    a_i reaches |det R|; the degree is sum a_i.  Basis vector b_j of the
+    saturated span lattice adds the packed row j of adj(R) / det R, mod 1:
+    each wrapped slot, and the degree for each, then loses |det R|.  The
+    index search stops after |det R| over the number of points walked, so
+    that a broken invariant gives a wrong count, not a hang."""
     n, k = len(rays[0]), len(rays)
     if k == n:  # full-dimensional: the saturated span lattice is Z^n
         ray_coords = rays
@@ -286,13 +281,12 @@ def _parallelepiped(rays: Sequence[IVec]) -> tuple[int, int, list[tuple[int, int
         ray_coords = [_echelon_coordinates(basis, r) for r in rays]
     det = bareiss_det(ray_coords)
     volume = abs(det)
-    width = volume.bit_length() + 1
+    width, units, guard = slots(volume, k)
     top = width - 1
-    guard = _guard(width, k)
-    origin = (guard >> top) * ((1 << top) - volume)
+    origin = guard - volume * sum(units)
     points = [(0, origin)]
     if volume == 1:
-        return volume, width, points
+        return volume, units, guard, points
     seen: set[int] = set()  # the points walked before this basis vector
     for row in adjugate(ray_coords):
         walked = len(points)
@@ -300,7 +294,7 @@ def _parallelepiped(rays: Sequence[IVec]) -> tuple[int, int, list[tuple[int, int
             break
         seen.update(x for _, x in points[len(seen):])
         steps = [a % volume if det > 0 else -a % volume for a in row]
-        step, rise = sum(a << width * i for i, a in enumerate(steps)), sum(steps)
+        step, rise = sum(map(mul, steps, units)), sum(steps)
         p = origin
         for index in range(1, volume // walked + 1):
             p += step
@@ -312,18 +306,20 @@ def _parallelepiped(rays: Sequence[IVec]) -> tuple[int, int, list[tuple[int, int
             block = [(d + rise - volume * m.bit_count(), q - (m >> top) * volume)
                      for d, x in block for q in [x + step] for m in [q & guard]]
             points += block
-    return volume, width, points
+    return volume, units, guard, points
 
 
-def _lift(rays: Sequence[IVec], volume: int, width: int, packed: Iterable[int]) -> list[IVec]:
-    """The lattice points sum a_i r_i / volume of packed numerators a_i, as
-    :func:`_parallelepiped` packs them."""
-    slot, bias = (1 << width) - 1, (1 << width - 1) - volume
-    shifts = range(0, width * len(rays), width)
+def _lift(rays: Sequence[IVec], volume: int, units: IVec, guard: int,
+          packed: Iterable[int]) -> list[IVec]:
+    """The lattice points sum a_i r_i / volume for the numerators a_i, the
+    digits of p + volume * ones - guard (:func:`_parallelepiped`)."""
+    offset = volume * sum(units) - guard
     columns = list(zip(*rays))
     points = []
     for p in packed:
-        num = [(p >> s & slot) - bias for s in shifts]
+        q, num = p + offset, [0] * len(units)
+        for i in reversed(range(len(units))):
+            num[i], q = divmod(q, units[i])
         points.append(tuple([sum(map(mul, num, col)) // volume for col in columns]))
     return points
 
@@ -352,41 +348,38 @@ def hilbert_basis(c: Cone) -> tuple[IVec, ...]:
 
     Every irreducible element is a ray or a point of the fundamental
     parallelepiped of a simplex σ of a triangulation.  Its points form the
-    group (span ∩ Z^n) / ZR, R the rays of σ, of order |det R|; each point
-    is one int of packed numerators plus its degree (:func:`_parallelepiped`).
-    The group is walked over a lattice basis, each basis vector up to its
-    index over the points so far: the number of steps from the origin to
-    one of them.  Inside σ, x goes when some y has numerators at most x's,
-    so x - y lies in σ; only the survivors are lifted to Z^n.  They are
-    graded by the sum of the inner normals, positive off the origin, and x
-    goes when x - y lies in c for a kept y (the monoid is saturated): no
-    normal is smaller on x than on y.  Their values are packed a slot per
-    normal, each below its slot's top bit (a candidate's value on h is at
-    most <h, sum of the rays>).  Both reductions are one guard test on
-    packed keys (:func:`_irreducibles`).
+    group (span ∩ Z^n) / ZR, R the rays of σ, of order |det R|, walked over a
+    lattice basis as packed numerators and a degree (:func:`_parallelepiped`),
+    each basis vector up to its index over the points so far: the number of
+    steps from the origin to one of them.  Inside σ, x goes when some y has
+    numerators at most x's, so x - y lies in σ; only the survivors are lifted
+    to Z^n.  They are graded by the sum of the inner normals, positive off the
+    origin, and x goes when x - y lies in c for a kept y (the monoid is
+    saturated): no normal is smaller on x than on y, their values packed a slot
+    per normal with bound max <h, sum of the rays>.  Both reductions are
+    :func:`_irreducibles`.
     """
     if not c.is_pointed:
         raise NotPointed("Hilbert basis requires a pointed cone")
     candidates: set[IVec] = set(c.rays)
     for piece in _simplicial_pieces(c):
-        volume, width, points = _parallelepiped(piece)
-        survivors = _irreducibles(((d, p, p) for d, p in points if d), _guard(width, len(piece)))
-        candidates.update(_lift(piece, volume, width, survivors))
+        volume, units, guard, points = _parallelepiped(piece)
+        survivors = _irreducibles(((d, p, p) for d, p in points if d), guard)
+        candidates.update(_lift(piece, volume, units, guard, survivors))
     normals, ray_sum = c.halfspaces, tuple(map(sum, zip(*c.rays)))
-    width = max((sum(map(mul, h, ray_sum)) for h in normals), default=0).bit_length() + 1
-    packed = [sum(a << width * f for f, a in enumerate(col)) for col in zip(*normals)]
+    _, units, guard = slots(max((sum(map(mul, h, ray_sum)) for h in normals), default=0),
+                            len(normals))
+    packed = [sum(map(mul, col, units)) for col in zip(*normals)]
     grading = tuple(map(sum, zip(*normals)))
     return tuple(sorted(_irreducibles(
-        ((sum(map(mul, grading, x)), sum(map(mul, packed, x)), x) for x in candidates),
-        _guard(width, len(normals)))))
+        ((sum(map(mul, grading, x)), sum(map(mul, packed, x)), x) for x in candidates), guard)))
 
 
 def _irreducibles(graded: Iterable[tuple[int, int, object]], guard: int) -> list:
-    """The x of the (degree, key, x) triples that no kept y reduces: every
-    top bit of ``guard`` stays set in key_x - key_y + guard, so no slot of
-    y's key exceeds x's (each value is below its slot's top bit).  A
-    reducible x has an irreducible summand of at most half its degree: only
-    the kept y up to deg(x) // 2 are compared."""
+    """The x of the (degree, key, x) triples that no kept y reduces: no slot
+    of y's key exceeds x's (:func:`linalg.slots`).  A reducible x has an
+    irreducible summand of at most half its degree: only the kept y up to
+    deg(x) // 2 are compared."""
     degrees, keys, kept = [], [], []
     for deg, key, x in sorted(graded, key=itemgetter(0)):
         high = key + guard

@@ -51,6 +51,7 @@ from .linalg import (
     dot,
     independent_rows,
     primitive,
+    slots,
     spans_lattice,
     vadd,
     vsub,
@@ -344,10 +345,9 @@ def bounded_generators(d: PolyhedralDivisor,
     nothing, reports the degrees it misses as a saturation signal.
 
     Both passes compute on one integer frame per degree (:func:`_frames`),
-    built once for the degrees of that hull and 0, and packed once
-    (:func:`_packed`): a degree is one int, and so are its floors a(m), a
-    signed slot per finite place, so the cofactor of a product is a few int
-    subtractions and its sign one mask.  Over A1 and Spec Z a degree keeps
+    built once for the degrees of that hull and 0, and packed once, a slot
+    per finite place (:func:`_packed`): the cofactor of a product is a few
+    int subtractions and its sign one mask.  Over A1 and Spec Z a degree keeps
     one mask of the places where some product has exponent 0
     (:func:`_run_affine`).  On the projective line (:func:`_run_projective`)
     a product is the exponent vector of gen_m * t^J * prod_z z^e, and a
@@ -410,25 +410,22 @@ def _frames(d: PolyhedralDivisor, degrees) -> dict[IVec, tuple[IVec, int]]:
 
 
 def _packed(frames) -> tuple[dict[IVec, int], dict[int, int], int, int]:
-    """(key, A, guard, ones): the degrees of ``frames`` and their a(m) as ints.
+    """(key, A, guard, ones): the degrees of ``frames`` and their a(m),
+    packed by :func:`linalg.slots`; ``ones`` is the sum of A's units.
 
-    A vector packs into one int with a signed slot per coordinate.  key(m)
-    has slots wide enough for 2 max |m_i| plus a sign bit, so it is linear
-    and key(m) - key(m_g) is key(m - m_g), which no other difference of two
-    frame degrees shares.  A(key(m)) packs a(m) with slots wide enough for
-    |a(m) - a(m_g) - a(r)| <= 3 max |a| plus a guard bit; ``ones`` holds 1
-    and ``guard`` the top bit in every slot.  So x = A(m) + guard - A(m_g) - A(r)
-    borrows across no slot, holds each cofactor exponent plus the guard in
-    its slot, and keeps every guard bit iff each exponent is >= 0.
+    key has bound 2 max |m_i|, so key(m) - key(m_g) is key(m - m_g), which no
+    other difference of two frame degrees shares.  A has bound 3 max |a|, so
+    x = A(m) + guard - A(m_g) - A(r) holds each cofactor exponent in its
+    slot and keeps every guard bit iff each is >= 0.
     """
     def pack(vectors, spread):
-        width = (spread * max(map(abs, chain.from_iterable(vectors)), default=0)).bit_length() + 1
-        slots = [1 << width * i for i in range(len(vectors[0]))]
-        return [sum(map(mul, v, slots)) for v in vectors], sum(slots), width
+        _, units, guard = slots(spread * max(map(abs, chain.from_iterable(vectors)), default=0),
+                                len(vectors[0]))
+        return [sum(map(mul, v, units)) for v in vectors], guard, sum(units)
 
     keys, _, _ = pack(list(frames), 2)
-    floors, ones, width = pack([a for a, _ in frames.values()], 3)
-    return dict(zip(frames, keys)), dict(zip(keys, floors)), ones << width - 1, ones
+    floors, guard, ones = pack([a for a, _ in frames.values()], 3)
+    return dict(zip(frames, keys)), dict(zip(keys, floors)), guard, ones
 
 
 def _cofactor_exponents(frames, m: IVec, m_g: IVec, rest: IVec) -> IVec:
@@ -525,13 +522,12 @@ def _run_projective(d: PolyhedralDivisor, frames, box_degrees, degrees):
     fails keeps its exactly independent products.
 
     Packed frame: a generator is gen_{m_g} * t^j, and a degree m brings, once
-    per pass, its packed floors A(m) (:func:`_packed`), P(m) = <a(m), place
-    degrees>, the sum N(m) of the entries of a(m) off t, and a_t(m).  The
-    cofactor is linear in a, so per product the guard bits of
-    A(m) + guard - A(m_g) - A(r) give its sign, deg P_b is
-    j + P(m) - P(m_g) - P(r) and b_t is j + a_t(m) - a_t(m_g) - a_t(r); with
-    entries >= 0, b is a power of t iff N(m) = N(m_g) + N(r).  The vector b
-    is built only for a degree the intervals leave uncovered.
+    per pass, its packed floors A(m) (:func:`_packed`, whose guard test gives
+    the cofactor's sign), P(m) = <a(m), place degrees>, the sum N(m) of the
+    entries of a(m) off t, and a_t(m).  The cofactor is linear in a, so
+    deg P_b is j + P(m) - P(m_g) - P(r) and b_t is j + a_t(m) - a_t(m_g) -
+    a_t(r); with entries >= 0, b is a power of t iff N(m) = N(m_g) + N(r).
+    The vector b is built only for a degree the intervals leave uncovered.
     """
     finite = [z.poly for z in d.support if z.kind == "finite"]
     places = finite if (0, 1) in finite else finite + [(0, 1)]  # t is one coordinate

@@ -36,7 +36,7 @@ from .divisors import (
     graded_piece,
     member,
 )
-from .linalg import IVec, dot
+from .linalg import IVec, dot, slots
 
 
 class IdealError(ValueError):
@@ -106,13 +106,12 @@ def closure_member_oracle(m: Sequence, ideal: MonomialIdeal, d_max: int = 12) ->
 
     Run in value space: d*m - s is in the cone iff <h, s> <= d*<h, m> for
     every inner normal h, and s -> (<h, s>) is linear, so sums of equal
-    values merge.  Values pack into one int, a signed slot per normal wide
-    enough for d_max*(|<h, m>| + |<h, e>|) plus a guard bit; level d holds
-    each exponent key plus each sum of level d - 1, and s is a witness iff
-    d*key(m) + guard - s keeps every guard bit set.  Only the cone's
-    ``halfspaces`` are read, with no ``convex`` enumeration and no
-    ``minimal_lattice_points``, so the oracle stays independent of the
-    Newton-polyhedron route.
+    values merge.  Values pack by :func:`linalg.slots`, a slot per normal,
+    with bound d_max*(|<h, m>| + max |<h, e>|); level d holds each exponent
+    key plus each sum of level d - 1, and s is a witness iff d*key(m) - s
+    passes the guard test.  Only the cone's ``halfspaces`` are read, with no
+    ``convex`` enumeration and no ``minimal_lattice_points``, so the oracle
+    stays independent of the Newton-polyhedron route.
     """
     if d_max < 1:
         raise IdealError("d_max must be >= 1")
@@ -120,9 +119,8 @@ def closure_member_oracle(m: Sequence, ideal: MonomialIdeal, d_max: int = 12) ->
     normals, exps = ideal.weight_cone.halfspaces, ideal.exponents
     reach = max((abs(dot(h, m)) + max((abs(dot(h, e)) for e in exps), default=0)
                  for h in normals), default=0)
-    width = (d_max * reach).bit_length() + 1
-    packed = [sum(a << width * f for f, a in enumerate(col)) for col in zip(*normals)]
-    guard = sum(1 << width * f + width - 1 for f in range(len(normals)))
+    _, units, guard = slots(d_max * reach, len(normals))
+    packed = [sum(map(mul, col, units)) for col in zip(*normals)]
     step, keys = sum(map(mul, packed, m)), {sum(map(mul, packed, e)) for e in exps}
     sums, high = {0}, guard
     for _ in range(d_max):

@@ -6,7 +6,7 @@ Bareiss, adjugates by Gauss-Jordan in Bareiss's form, independent rows by
 integer cross-multiplication, Hermite normal forms by integer row
 operations, and kernel lattices read off the HNF of [A^T | I].  The kernel
 routines clear rational rows of their denominators first; no floating
-point anywhere.
+point anywhere.  :func:`slots` is the one packed-slot codec.
 """
 
 from __future__ import annotations
@@ -24,6 +24,19 @@ def dot(u: Sequence, v: Sequence):
     """Exact inner product; stays in int when both vectors are integral."""
     assert len(u) == len(v), "dimension mismatch"
     return sum(map(mul, u, v))
+
+
+def slots(bound: int, count: int) -> tuple[int, IVec, int]:
+    """(width w, units, guard) of ``count`` slots for differences up to
+    ``bound``: pack(u) = sum u_i * units_i, units (1, 2^w, 2^2w, ...), is
+    linear; guard is 2^(w-1) in every slot.  w is one bit more than the
+    bound's, so when every |u_i - v_i| <= bound, slot i of
+    pack(u) - pack(v) + guard holds u_i - v_i + 2^(w-1), in [1, 2^w): no
+    slot borrows, and (pack(u) - pack(v) + guard) & guard == guard iff
+    u >= v slot by slot.  Callers run that test inline."""
+    width = bound.bit_length() + 1
+    units = tuple(1 << width * i for i in range(count))
+    return width, units, sum(units) << width - 1
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

@@ -55,6 +55,7 @@ from polydiv.linalg import (
     is_zero_vector,
     primitive,
     saturated_span_basis,
+    slots,
     vadd,
     vscale,
     vsub,
@@ -367,6 +368,7 @@ def test_rank6_routes_match_two_conversions():
 @settings(max_examples=80, deadline=None)
 @given(pointed_cones())
 @example(RANK6)
+@example(Cone.from_rays([(0, -2, 1, 2), (0, 0, 0, 1), (0, 0, 1, -2), (0, 1, 0, 1)], 4))
 def test_hilbert_basis_matches_all_pairs_filter(c):
     assert hilbert_basis(c) == hilbert_basis_all_pairs(c)
 
@@ -405,8 +407,10 @@ def test_parallelepiped_points_match_rational_solve(c):
     unpacked and lifted; there are |det| of them, as the rational solve
     finds, each numerator in [0, |det|) and the degree their sum."""
     for piece in convex._simplicial_pieces(c):
-        volume, width, walked = convex._parallelepiped(piece)
-        points = convex._lift(piece, volume, width, [p for _, p in walked])
+        volume, units, guard, walked = convex._parallelepiped(piece)
+        width, *codec = slots(volume, len(piece))
+        assert codec == [units, guard]
+        points = convex._lift(piece, volume, units, guard, [p for _, p in walked])
         assert sorted(points) == parallelepiped_points_by_solve(piece)
         assert len(walked) == volume
         # the numerators are the coefficients on the rays times the volume
@@ -423,9 +427,23 @@ def test_slot_width_edges_in_rank_two(height):
     N.bit_length() + 1 bits: the width grows from 7 to 8, 15 to 16 and 31
     to 32, and a power of two fills all but the top bit of its slot."""
     c = Cone.from_rays([(1, 0), (1, height)], 2)
-    volume, width, walked = convex._parallelepiped(c.rays)
+    volume, _, _, walked = convex._parallelepiped(c.rays)
     assert volume == len(walked) == height
     assert hilbert_basis(c) == tuple((1, k) for k in range(height + 1))
+
+
+def test_whole_cone_slot_limit():
+    """The Hilbert basis is the four rays.  The normals are (-2, 1, 0),
+    (0, 0, 1), (1, 0, 2), (4, 1, 6), the ray sum is (-2, 3, 2), so the
+    whole-cone bound is max <h, ray sum> = 7, a 4-bit slot.  The
+    parallelepiped point (-1, 3, 1) has values (5, 1, 1, 5) and (0, 1, 0)
+    has (1, 0, 0, 1): their difference of 4 in the first slot fits under the
+    guard bit of 4 bits, not of 3, and only that test finds (-1, 3, 1) =
+    (0, 1, 0) + (-1, 2, 1) reducible."""
+    c = Cone.from_rays([(-2, 2, 1), (-1, -2, 1), (0, 1, 0), (1, 2, 0)], 3)
+    assert [max(dot(h, r) for r in c.rays) for h in c.halfspaces] == [6, 1, 1, 6]
+    assert max(dot(h, (-2, 3, 2)) for h in c.halfspaces) == 7
+    assert hilbert_basis(c) == c.rays == hilbert_basis_all_pairs(c)
 
 
 @pytest.mark.parametrize("rays", [[(1, 0, 0), (0, 1, 0), (1, 1, 16)],
@@ -440,9 +458,9 @@ def test_rank3_simplex_of_volume_16(rays):
     to come, so e_2's walk must stop at a point already walked, not at the
     origin or at the bound."""
     c = Cone.from_rays(rays, 3)
-    volume, width, walked = convex._parallelepiped(c.rays)
+    volume, units, guard, walked = convex._parallelepiped(c.rays)
     assert volume == len(walked) == 16
-    points = convex._lift(c.rays, volume, width, [p for _, p in walked])
+    points = convex._lift(c.rays, volume, units, guard, [p for _, p in walked])
     assert sorted(points) == parallelepiped_points_by_solve(c.rays)
     assert hilbert_basis(c) == hilbert_basis_all_pairs(c) == hilbert_basis_by_graded_filter(c)
 
